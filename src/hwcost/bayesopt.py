@@ -372,9 +372,13 @@ class Proposal:
 
 
 def propose_next(state: GPState, space: SearchSpace, acquisition, candidate_count: int,
-                 seed: int, constraints: ConstraintSpec | None = None) -> Proposal:
+                 seed: int, constraints: ConstraintSpec | None = None, *,
+                 iteration: int) -> Proposal:
     """Maximize the acquisition over sampled candidates.
 
+    Candidates come from the stream tagged (seed, sampler, iteration), so
+    each iteration of a run draws independently of every iteration of runs
+    with other seeds.
     Ties break to the lowest candidate index. When every value is zero and
     constraints are present (no predicted-feasible candidate scored), falls
     back to the candidate with the smallest normalized budget violation,
@@ -382,7 +386,7 @@ def propose_next(state: GPState, space: SearchSpace, acquisition, candidate_coun
     """
     if candidate_count < 1:
         raise ValueError("candidate_count must be >= 1")
-    rng = generator(seed, _TAG_SAMPLER)
+    rng = generator(seed, _TAG_SAMPLER, iteration)
     X = draw_candidates(space, candidate_count, rng)
     values = np.asarray(acquisition(state, X), dtype=float)
     best = int(np.argmax(values))
@@ -507,8 +511,8 @@ def bo_run(objective, space: SearchSpace, constraints: ConstraintSpec | None,
             acq = hw_ieci_batch(y_best, constraints, space)
         else:
             acq = ei_batch(y_best)
-        proposal = propose_next(state, space, acq, candidate_count, seed + iteration,
-                                constraints)
+        proposal = propose_next(state, space, acq, candidate_count, seed, constraints,
+                                iteration=iteration)
         obs = step(iteration, proposal.x, proposal.acquisition, "bo", proposal.fallback,
                    started)
         state = update(state, obs)

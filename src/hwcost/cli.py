@@ -10,6 +10,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -87,11 +88,9 @@ def _cmd_synth(args) -> int:
     else:
         config = synth.SynthConfig()
     if args.count is not None:
-        config = synth.SynthConfig(count=args.count, noise=config.noise,
-                                   kinds=config.kinds, generators=config.generators)
+        config = dataclasses.replace(config, count=args.count)
     if args.noise is not None:
-        config = synth.SynthConfig(count=config.count, noise=args.noise,
-                                   kinds=config.kinds, generators=config.generators)
+        config = dataclasses.replace(config, noise=args.noise)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "synthetic_profile.csv"

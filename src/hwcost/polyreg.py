@@ -2,9 +2,11 @@
 
 Each model is a degree-bounded polynomial over a layer-kind-specific feature
 vector plus two special terms (total FLOPs and total memory accesses),
-fitted with L1-regularized least squares by cyclic coordinate descent.
-Network-level runtime/energy/average-power come from summing per-layer
-predictions.
+fitted with L1-regularized least squares. The lasso is solved exactly along
+its piecewise-linear homotopy path (LARS-lasso, Efron et al. 2004) on the
+standardized design; a column in the span of the active ones (an exact
+duplicate, say) never joins. Network-level runtime/energy/average-power come
+from summing per-layer predictions.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from .seeding import kfold_indices
 COEF_DROP_THRESHOLD = 1e-12
 CV_LAMBDA_GRID_SIZE = 50
 CV_LAMBDA_FLOOR = 1e-4  # relative to the smallest lambda that zeroes everything
+SCHUR_TOL = 1e-10       # a column this close to the active columns' span cannot join
+KKT_TOL = 1e-9          # a fitted model whose lasso solution misses KKT by more warns
 DEFAULT_DEGREE = {LayerKind.CONV2D: 3, LayerKind.FULLY_CONNECTED: 2, LayerKind.POOL2D: 2}
 
 
@@ -188,7 +192,8 @@ class FitConfig:
     l1_strength=None selects lambda by cross-validated RMSPE over a
     50-point logarithmic grid. An explicit l1_strength applies to the
     internally standardized problem (features and target scaled to unit
-    variance), so values are comparable across datasets.
+    variance), so values are comparable across datasets. Either way the
+    lasso is solved exactly at that lambda by the homotopy path.
     """
 
     degree: int | None = None
@@ -243,72 +248,72 @@ def _design_matrix(layers: list[LayerConfig], kind: LayerKind,
     return np.column_stack(cols + [specials[:, 0], specials[:, 1]])
 
 
-def _soft_threshold(value: float, lam: float) -> float:
-    if value > lam:
-        return value - lam
-    if value < -lam:
-        return value + lam
-    return 0.0
-
-
 def _kkt_violation(gram: np.ndarray, corr: np.ndarray, lam: float,
-                   beta: np.ndarray, diag: np.ndarray) -> np.ndarray:
+                   beta: np.ndarray) -> np.ndarray:
     grad = gram @ beta - corr
-    viol = np.where(beta != 0.0, np.abs(grad + lam * np.sign(beta)),
+    return np.where(beta != 0.0, np.abs(grad + lam * np.sign(beta)),
                     np.maximum(np.abs(grad) - lam, 0.0))
-    viol[diag <= 0] = 0.0
-    return viol
 
 
-def _lasso_cd(gram: np.ndarray, corr: np.ndarray, lam: float, beta: np.ndarray,
-              max_outer: int = 200, max_sweeps: int = 10_000,
-              tol: float = 1e-10) -> np.ndarray:
-    """Active-set cyclic coordinate descent for (1/2n)||y-Xb||^2 + lam*||b||_1.
+def _lasso_homotopy(gram: np.ndarray, corr: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
+    """Exact minimizers of (1/2)b'Gb - c'b + lam*||b||_1 at the descending
+    `lambdas`, one row each.
 
-    gram = X^T X / n, corr = X^T y / n; columns with zero gram diagonal stay
-    at zero. Sweeps cycle over the active set until its KKT conditions hold
-    (or progress stalls at float precision), then columns violating the full
-    KKT check are activated and the cycle repeats. Flat directions (exactly
-    collinear columns) carry no gradient, are never activated, and so keep
-    the warm-start's minimal-L1 choice.
+    LARS-lasso homotopy (Efron et al. 2004): b = 0 for lam >= max|c|; between
+    events the active set A with signs s has b_A = a - lam*d, a = G_AA^-1 c_A,
+    d = G_AA^-1 s, so each grid row is exact. An inactive column joins when
+    its correlation c_j - G_jA b_A reaches +-lam (ties: lowest index), unless
+    its Schur complement against A is not positive (it lies in A's span, as an
+    exact copy of an active column does); an active coefficient reaching zero
+    drops and cannot rejoin at the same lam.
     """
-    diag = np.diag(gram).copy()
-    active = sorted(int(j) for j in np.flatnonzero(beta != 0.0))
-    prev_viol = math.inf
-    sweeps_left = max_sweeps  # total budget across activations
-    for _ in range(max_outer):
-        if active:
-            idx = np.asarray(active)
-            sub_gram = gram[np.ix_(idx, idx)]
-            sub_corr = corr[idx]
-            sub_diag = diag[idx]
-            sub_beta = beta[idx]
-            while sweeps_left > 0:
-                sweeps_left -= 1
-                delta = 0.0
-                for k in range(len(idx)):
-                    rho = sub_corr[k] - float(sub_gram[k] @ sub_beta) + sub_diag[k] * sub_beta[k]
-                    new = (_soft_threshold(rho, lam) / sub_diag[k] if lam > 0
-                           else rho / sub_diag[k])
-                    delta = max(delta, abs(new - sub_beta[k]))
-                    sub_beta[k] = new
-                if float(_kkt_violation(sub_gram, sub_corr, lam, sub_beta,
-                                        sub_diag).max(initial=0.0)) <= tol:
-                    break
-                if delta <= 1e-15 * max(1.0, float(np.abs(sub_beta).max(initial=0.0))):
-                    break  # float-precision stall
-            beta[idx] = sub_beta
-        viol = _kkt_violation(gram, corr, lam, beta, diag)
-        worst = float(viol.max(initial=0.0))
-        violators = np.flatnonzero(viol > tol)
-        if violators.size == 0 or sweeps_left <= 0:
-            return beta
-        merged = sorted(set(active) | set(int(v) for v in violators))
-        if merged == active and worst >= prev_viol:
-            return beta  # no further progress possible at this precision
-        active = merged
-        prev_viol = worst
-    return beta
+    out = np.zeros((len(lambdas), len(corr)))
+    active: list[int] = []
+    signs: list[float] = []
+    blocked = np.zeros(len(corr), dtype=bool)
+    dropped = None  # (column, sign, lam) of the last drop
+    lam = float(np.max(np.abs(corr), initial=0.0))
+    row = 0
+    # finite in exact arithmetic; the bound stops a degenerate cycle, and on
+    # the final fit the rows it leaves at zero fail the KKT check
+    for _ in range(100 * len(corr) + 1):
+        idx, s = np.asarray(active, dtype=np.intp), np.asarray(signs)
+        chol = np.linalg.cholesky(gram[np.ix_(idx, idx)])
+        a, d = np.linalg.solve(chol.T, np.linalg.solve(chol, np.column_stack([corr[idx], s]))).T
+        beta = a - lam * d
+        # as lam falls by t: correlations r - t*q, active coefficients beta + t*d
+        r = corr - gram[:, idx] @ beta
+        q = gram[:, idx] @ d
+        with np.errstate(divide="ignore", invalid="ignore"):
+            to_upper = np.where(q < 1.0 - 1e-12, np.maximum(lam - r, 0.0) / (1.0 - q), np.inf)
+            to_lower = np.where(q > 1e-12 - 1.0, np.maximum(lam + r, 0.0) / (1.0 + q), np.inf)
+            to_zero = np.where(s * d < 0.0, np.maximum(-beta / d, 0.0), np.inf)
+        if dropped is not None and dropped[2] == lam:
+            (to_upper if dropped[1] > 0 else to_lower)[dropped[0]] = np.inf
+        to_join = np.where(blocked, np.inf, np.minimum(to_upper, to_lower))
+        to_join[idx] = np.inf
+        t_join, t_drop = to_join.min(initial=np.inf), to_zero.min(initial=np.inf)
+        next_lam = lam - min(t_join, t_drop, lam)
+        while row < len(lambdas) and lambdas[row] >= next_lam:
+            coef = a - lambdas[row] * d
+            out[row, idx] = np.where(coef * s > 0.0, coef, 0.0)
+            row += 1
+        if row == len(lambdas):
+            break
+        lam = next_lam
+        if t_drop <= t_join:
+            k = int(np.argmin(to_zero))
+            dropped = (active.pop(k), signs.pop(k), lam)
+        else:
+            j = int(np.flatnonzero(to_join <= t_join + 1e-12 * lam)[0])
+            v = np.linalg.solve(chol, gram[idx, j])
+            if gram[j, j] - float(v @ v) <= SCHUR_TOL:
+                blocked[j] = True
+                continue
+            active.append(j)
+            signs.append(1.0 if to_upper[j] <= to_lower[j] else -1.0)
+        blocked[:] = False
+    return out
 
 
 @dataclass
@@ -342,26 +347,10 @@ def _unstandardize(std: _Standardized, beta_std: np.ndarray, n_cols: int) -> tup
     return beta, intercept
 
 
-def _lasso_path(std: _Standardized, lambdas: np.ndarray, polish: bool = True,
-                path_tol: float = 1e-7) -> list[np.ndarray]:
+def _moments(std: _Standardized) -> tuple[np.ndarray, np.ndarray]:
+    """gram = X^T X / n and corr = X^T y / n of the standardized problem."""
     n = std.x_centered.shape[0]
-    gram = std.x_centered.T @ std.x_centered / n
-    corr = std.x_centered.T @ std.y_centered / n
-    beta = np.zeros(len(std.live))
-    out = []
-    for i, lam in enumerate(lambdas):
-        # trim small warm-start residue so flat directions start clean and the
-        # active set stays well conditioned; anything real re-activates via
-        # the KKT check
-        scale = float(np.abs(beta).max(initial=0.0))
-        if scale > 0.0:
-            beta[np.abs(beta) < 1e-8 * scale] = 0.0
-        final = polish and i == len(lambdas) - 1
-        beta = _lasso_cd(gram, corr, float(lam), beta.copy(),
-                         tol=1e-15 if final else path_tol,
-                         max_sweeps=20_000 if final else 200)
-        out.append(beta.copy())
-    return out
+    return std.x_centered.T @ std.x_centered / n, std.x_centered.T @ std.y_centered / n
 
 
 def _lambda_grid(std: _Standardized) -> np.ndarray:
@@ -405,8 +394,7 @@ def _cv_curves(design: np.ndarray, y: np.ndarray, lambdas: np.ndarray,
     for k in range(folds):
         val = fold_of == k
         std = _standardize(design[~val], y[~val])
-        # fold fits feed RMSPE selection only; path-grade accuracy suffices
-        path = _lasso_path(std, lambdas, polish=False)
+        path = _lasso_homotopy(*_moments(std), lambdas)
         preds = np.empty((int(val.sum()), len(lambdas)))
         for i, beta_std in enumerate(path):
             beta, intercept = _unstandardize(std, beta_std, design.shape[1])
@@ -426,9 +414,10 @@ def fit_with_metrics(samples: list[tuple[LayerConfig, float]], config: FitConfig
                      kind: LayerKind, target: Target) -> tuple[PolynomialModel, Metrics]:
     """Fit a model and report held-out CV metrics at the chosen lambda.
 
-    Deterministic given (samples, config, config.seed): the fold split and
-    the lambda grid are both seed-derived, and coordinate descent is exact
-    cyclic order.
+    Deterministic given (samples, config, config.seed): the fold split is
+    seed-derived, the lambda grid follows from the data, and each lasso
+    solution is read off an exact homotopy path. Warns (UserWarning) when the
+    final solution misses its KKT conditions by more than KKT_TOL.
     """
     _check_samples(samples, config, kind)
     degree = config.resolved_degree(kind)
@@ -449,19 +438,20 @@ def fit_with_metrics(samples: list[tuple[LayerConfig, float]], config: FitConfig
     std_full = _standardize(design, y)
     if config.l1_strength is None:
         lambdas = _lambda_grid(std_full)
-        mean_rmspe, fold_preds = _cv_curves(design, y, lambdas, config.cv_folds, config.seed)
-        chosen = int(np.argmin(mean_rmspe))
     else:
-        # warm-start down the grid to the requested lambda, for CD stability
-        grid = _lambda_grid(std_full)
-        lambdas = np.append(grid[grid > config.l1_strength], config.l1_strength)
-        _, fold_preds = _cv_curves(design, y, lambdas, config.cv_folds, config.seed)
-        chosen = len(lambdas) - 1
+        lambdas = np.array([config.l1_strength])
+    mean_rmspe, fold_preds = _cv_curves(design, y, lambdas, config.cv_folds, config.seed)
+    chosen = int(np.argmin(mean_rmspe))
     pooled_pred = np.concatenate([preds[:, chosen] for preds, _ in fold_preds])
     pooled_act = np.concatenate([act for _, act in fold_preds])
-    path_lams = lambdas[: chosen + 1]
 
-    beta_std = _lasso_path(std_full, path_lams)[-1]
+    gram, corr = _moments(std_full)
+    beta_std = _lasso_homotopy(gram, corr, lambdas[chosen:chosen + 1])[0]
+    violation = float(_kkt_violation(gram, corr, lambdas[chosen], beta_std).max(initial=0.0))
+    if violation > KKT_TOL:
+        warnings.warn(f"{kind.value} {target.value}: lasso solution at lambda "
+                      f"{lambdas[chosen]:.6g} violates its KKT conditions by "
+                      f"{violation:.3g}", stacklevel=2)
     beta, intercept = _unstandardize(std_full, beta_std, design.shape[1])
     model = _assemble_model(kind, target, degree, terms, beta, intercept)
     metrics = Metrics(_rmspe(pooled_pred, pooled_act),

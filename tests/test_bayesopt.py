@@ -235,8 +235,8 @@ def test_schema_mismatch_rejected():
 def test_single_candidate_returned():
     space = space_1d()
     state = GPState(space, [Observation((0.5,), 1.0)], noise_var=1e-6)
-    proposal = propose_next(state, space, ei_batch(1.0), 1, seed=3)
-    expected = draw_candidates(space, 1, generator(3, bo._TAG_SAMPLER))
+    proposal = propose_next(state, space, ei_batch(1.0), 1, seed=3, iteration=0)
+    expected = draw_candidates(space, 1, generator(3, bo._TAG_SAMPLER, 0))
     assert proposal.x == tuple(expected[0])
 
 
@@ -247,8 +247,8 @@ def test_constant_acquisition_tie_breaks_to_first():
     def flat(state, X):
         return np.ones(len(X))
 
-    proposal = propose_next(state, space, flat, 64, seed=9)
-    expected = draw_candidates(space, 64, generator(9, bo._TAG_SAMPLER))
+    proposal = propose_next(state, space, flat, 64, seed=9, iteration=0)
+    expected = draw_candidates(space, 64, generator(9, bo._TAG_SAMPLER, 0))
     assert proposal.x == tuple(expected[0])
     assert not proposal.fallback
 
@@ -259,8 +259,9 @@ def test_proposal_feasible_whenever_any_candidate_is():
     state = GPState(space, [Observation((0.1, 0.1), 0.8), Observation((0.4, 0.3), 0.5)],
                     lengthscales=(0.4, 0.4), signal_var=1.0, noise_var=1e-6)
     acq = hw_ieci_batch(0.5, cons, space)
-    proposal = propose_next(state, space, acq, 512, seed=21, constraints=cons)
-    candidates = draw_candidates(space, 512, generator(21, bo._TAG_SAMPLER))
+    proposal = propose_next(state, space, acq, 512, seed=21, constraints=cons,
+                            iteration=0)
+    candidates = draw_candidates(space, 512, generator(21, bo._TAG_SAMPLER, 0))
     any_feasible = any(c[0] + c[1] <= 1.0 for c in candidates)
     assert any_feasible
     if not proposal.fallback:
@@ -275,14 +276,31 @@ def test_fallback_when_nothing_feasible():
     state = GPState(space, [Observation((0.9, 0.9), 1.0)], lengthscales=(0.4, 0.4),
                     signal_var=1.0, noise_var=1e-6)
     acq = hw_ieci_batch(1.0, cons, space)
-    proposal = propose_next(state, space, acq, 16, seed=2, constraints=cons)
-    candidates = draw_candidates(space, 16, generator(2, bo._TAG_SAMPLER))
+    proposal = propose_next(state, space, acq, 16, seed=2, constraints=cons, iteration=0)
+    candidates = draw_candidates(space, 16, generator(2, bo._TAG_SAMPLER, 0))
     feasible = [c for c in candidates if c[0] + c[1] <= 0.05]
     if not feasible:
         assert proposal.fallback
         assert proposal.acquisition == 0.0
         violations = [max(c[0] + c[1] - 0.05, 0.0) / 0.05 for c in candidates]
         assert proposal.x == tuple(candidates[int(np.argmin(violations))])
+
+
+def test_consecutive_run_seeds_draw_different_candidates(monkeypatch):
+    drawn = []
+
+    def recording(space, count, rng):
+        X = draw_candidates(space, count, rng)
+        drawn[-1].append(X.tobytes())
+        return X
+
+    monkeypatch.setattr(bo, "draw_candidates", recording)
+    for seed in (7, 8):
+        drawn.append([])
+        bo_run(quadratic_bowl(0.3), space_1d(), None, budget=10, seed=seed)
+    # each run draws its 2 seeding points, then 8 candidate sets
+    assert len(drawn[0]) == len(drawn[1]) == 9
+    assert not set(drawn[0]) & set(drawn[1])
 
 
 def test_integer_dimensions_rounded():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -162,30 +163,103 @@ def test_fit_optimality_at_zero_lambda():
     model = fit(samples, FitConfig(degree=2, l1_strength=0.0, seed=3),
                 LayerKind.FULLY_CONNECTED, Target.RUNTIME_MS)
 
-    terms = enumerate_terms(3, 2)
-    feats = np.array([build_features(layer).values for layer, _ in samples])
-    cols = [np.prod(feats ** np.asarray(t.exponents, dtype=float), axis=1) for t in terms]
-    sp = np.array([special_terms(layer) for layer, _ in samples])
-    design = np.column_stack(cols + [sp[:, 0], sp[:, 1]])
-    y = np.array([t for _, t in samples])
-
-    coef = np.zeros(design.shape[1])
-    for term, c in model.terms:
-        coef[terms.index(term)] = c
-    for s_term, c in model.special:
-        coef[len(terms) + (0 if s_term is SpecialTerm.TOTAL_FLOPS else 1)] = c
-
+    terms, design, y, _, xs, _ = _standardized_problem(samples, LayerKind.FULLY_CONNECTED, 2)
+    coef = _coef_vector(model, terms)
     resid = design @ coef - y
     # standardized-space gradient of the (1/2n) objective
-    stds = design.std(axis=0)
-    live = stds > 0
-    xs = (design[:, live] - design[:, live].mean(axis=0)) / stds[live]
     grad = xs.T @ (resid / y.std()) / len(y)
     assert float(np.abs(grad).max()) < 1e-8
     # and the model must match an independent least-squares fit's predictions
     w, *_ = np.linalg.lstsq(np.column_stack([design, np.ones(len(y))]), y, rcond=None)
     pred_lstsq = np.column_stack([design, np.ones(len(y))]) @ w
     assert np.allclose(design @ coef, pred_lstsq, atol=1e-7)
+
+
+def _standardized_problem(samples, kind, degree):
+    """Raw design, standardized live columns and target, as the fit sees them."""
+    terms = enumerate_terms(len(feature_schema(kind)), degree)
+    feats = np.array([build_features(layer).values for layer, _ in samples])
+    cols = [np.prod(feats ** np.asarray(t.exponents, dtype=float), axis=1) for t in terms]
+    sp = np.array([special_terms(layer) for layer, _ in samples])
+    design = np.column_stack(cols + [sp[:, 0], sp[:, 1]])
+    y = np.array([t for _, t in samples])
+    stds = design.std(axis=0)
+    live = stds > 0
+    xs = (design[:, live] - design[:, live].mean(axis=0)) / stds[live]
+    return terms, design, y, live, xs, (y - y.mean()) / y.std()
+
+
+def _coef_vector(model, terms):
+    coef = np.zeros(len(terms) + 2)
+    for term, c in model.terms:
+        coef[terms.index(term)] = c
+    for s_term, c in model.special:
+        coef[len(terms) + (0 if s_term is SpecialTerm.TOTAL_FLOPS else 1)] = c
+    return coef
+
+
+def _conv_samples(n, seed):
+    rng = np.random.default_rng(seed)
+    samples = []
+    for i in range(n):
+        layer = conv2d(f"c{i}", TensorShape(int(rng.integers(1, 9)), int(rng.integers(4, 33)),
+                                            int(rng.integers(8, 33)), int(rng.integers(8, 33))),
+                       out_channels=int(rng.integers(1, 65)), kernel=int(rng.integers(1, 6)),
+                       stride=int(rng.integers(1, 3)), padding=int(rng.integers(0, 3)))
+        flops, mem = special_terms(layer)
+        samples.append((layer, (0.5 + 2e-7 * flops + 1e-6 * mem)
+                        * (1.0 + 0.05 * rng.standard_normal())))
+    return samples
+
+
+def _fc_samples(n, seed):
+    rng = np.random.default_rng(seed)
+    samples = []
+    for i in range(n):
+        layer = fc_layer(int(rng.integers(1, 9)), int(rng.integers(1, 200)),
+                         int(rng.integers(1, 200)), f"s{i}")
+        flops, mem = special_terms(layer)
+        samples.append((layer, (2.0 + 1e-5 * flops + 3e-5 * mem)
+                        * (1.0 + 0.05 * rng.standard_normal())))
+    return samples
+
+
+@pytest.mark.parametrize("kind, samples", [
+    # flops and accesses are copies of the b*c column, b*in_hw of b, c*k of c, ...
+    (LayerKind.POOL2D, pool_grid_samples(lambda b, c: 1.0 + 0.5 * b + 2.0 * b * c + 0.1 * c * c)),
+    # the access count b*in + in*out + b*out is a sum of degree-2 monomials
+    (LayerKind.FULLY_CONNECTED, _fc_samples(40, 8)),
+    # 40 samples, 166 live columns
+    (LayerKind.CONV2D, _conv_samples(40, 13)),
+], ids=["pool-grid-duplicates", "fc-collinear-special", "conv-n-below-p"])
+def test_fit_meets_kkt_conditions_along_the_grid(kind, samples):
+    degree = polyreg.DEFAULT_DEGREE[kind]
+    terms, design, y, live, xs, ys = _standardized_problem(samples, kind, degree)
+    if kind is LayerKind.CONV2D:
+        assert xs.shape[1] == 166 > len(samples)
+    lam_max = float(np.abs(xs.T @ ys).max()) / len(y)
+    grid = np.geomspace(lam_max, lam_max * 1e-4, 50)
+    for lam in grid[[0, 12, 25, 37, 49]]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # the fit's own KKT check
+            model = fit(samples, FitConfig(degree=degree, l1_strength=float(lam),
+                                           cv_folds=3, seed=1), kind, Target.RUNTIME_MS)
+        coef = _coef_vector(model, terms)
+        beta = coef[live] * design[:, live].std(axis=0) / y.std()
+        grad = xs.T @ ((design @ coef - y) / y.std()) / len(y)
+        active = beta != 0.0
+        assert np.all(np.abs(grad[active] + lam * np.sign(beta[active])) <= 1e-9), lam
+        assert np.all(np.abs(grad[~active]) <= lam + 1e-9), lam
+
+
+def test_fit_warns_when_solution_misses_kkt(monkeypatch):
+    def zeros(gram, corr, lambdas):
+        return np.zeros((len(lambdas), len(corr)))
+
+    monkeypatch.setattr(polyreg, "_lasso_homotopy", zeros)
+    with pytest.warns(UserWarning, match=r"fc runtime_ms: .*KKT"):
+        fit(_fc_samples(40, 8), FitConfig(degree=2, l1_strength=1e-3, cv_folds=3),
+            LayerKind.FULLY_CONNECTED, Target.RUNTIME_MS)
 
 
 def test_sparsity_non_increasing_in_lambda():
