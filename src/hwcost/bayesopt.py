@@ -6,6 +6,7 @@ GP posterior. With constraint models attached, the acquisition is expected
 improvement hard-gated to zero wherever the predicted power or memory
 budget is violated, so the search never spends evaluations on predicted-
 infeasible configurations (minimization orientation throughout).
+Acquisitions score the whole candidate array in one pass.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import io
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -106,20 +107,30 @@ class ConstraintSpec:
         if self.power_budget <= 0 or self.memory_budget <= 0:
             raise ValueError("budgets must be > 0")
 
-    def predict(self, z) -> tuple[float, float]:
+    def predict(self, z):
+        """(power, memory) at one structural point, or a pair of arrays for rows."""
         return lin_predict(self.power_model, z), lin_predict(self.memory_model, z)
 
-    def satisfied(self, z) -> bool:
+    def satisfied(self, z):
+        """Both budgets met (inclusive): a bool, or a bool array for rows."""
         power, memory = self.predict(z)
-        return power <= self.power_budget and memory <= self.memory_budget
+        ok = np.logical_and(power <= self.power_budget, memory <= self.memory_budget)
+        return bool(ok) if ok.ndim == 0 else ok
+
+
+def _correlation(r2: np.ndarray) -> np.ndarray:
+    """Matérn-5/2 correlation at squared scaled distances r2."""
+    sr = SQRT5 * np.sqrt(np.maximum(r2, 0.0))
+    return (1.0 + sr + sr * sr / 3.0) * np.exp(-sr)
 
 
 def _matern52(Xa: np.ndarray, Xb: np.ndarray, lengthscales: np.ndarray,
               signal_var: float) -> np.ndarray:
-    diff = (Xa[:, None, :] - Xb[None, :, :]) / lengthscales
-    r = np.sqrt(np.maximum(np.sum(diff * diff, axis=2), 0.0))
-    sr = SQRT5 * r
-    return signal_var * (1.0 + sr + sr * sr / 3.0) * np.exp(-sr)
+    r2 = np.zeros((Xa.shape[0], Xb.shape[0]))
+    for d, scale in enumerate(lengthscales):
+        t = (Xa[:, d, None] - Xb[None, :, d]) / scale
+        r2 += t * t
+    return signal_var * _correlation(r2)
 
 
 class GPState:
@@ -202,12 +213,7 @@ def _factorize(Xn: np.ndarray, lengthscales: np.ndarray, signal_var: float,
 
 
 def _has_duplicates(Xn: np.ndarray) -> bool:
-    n = Xn.shape[0]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if np.array_equal(Xn[i], Xn[j]):
-                return True
-    return False
+    return np.unique(Xn, axis=0).shape[0] < Xn.shape[0]
 
 
 def _chol_solve(L: np.ndarray | None, b: np.ndarray) -> np.ndarray:
@@ -216,16 +222,29 @@ def _chol_solve(L: np.ndarray | None, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(L.T, np.linalg.solve(L, b))
 
 
-def _log_marginal_likelihood(Xn: np.ndarray, ys: np.ndarray, lengthscales: np.ndarray,
-                             signal_var: float, noise_var: float) -> float:
-    n = Xn.shape[0]
-    K = _matern52(Xn, Xn, lengthscales, signal_var) + noise_var * np.eye(n)
+def _log_marginal_likelihood(R: np.ndarray, ys: np.ndarray, signal_var: float,
+                             noise_var: float) -> float:
+    """log N(ys; 0, K) for K = signal_var * R + noise_var * I (noise_var > 0).
+
+    One Cholesky of K bordered by ys, [[K, ys], [ys^T, c]], scores a trial:
+    its leading block is K's factor L and its last row is v = L^-1 ys, so
+    the quadratic form ys^T K^-1 ys is v.v with no triangular solve. Since
+    v.v <= ys.ys / noise_var, the corner c = 1 + 2 ys.ys / noise_var keeps
+    the bordered matrix positive definite whenever K is.
+    """
+    n = ys.shape[0]
+    A = np.empty((n + 1, n + 1))
+    np.multiply(signal_var, R, out=A[:n, :n])
+    A.flat[:n * (n + 1):n + 2] += noise_var
+    A[n, :n] = ys
+    A[:n, n] = ys
+    A[n, n] = 1.0 + 2.0 * (ys @ ys) / noise_var
     try:
-        L = np.linalg.cholesky(K)
+        L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
         return -math.inf
-    alpha = _chol_solve(L, ys)
-    return float(-0.5 * ys @ alpha - np.sum(np.log(np.diag(L))) - 0.5 * n * math.log(2 * math.pi))
+    v = L[n, :n]
+    return float(-0.5 * v @ v - np.sum(np.log(np.diag(L)[:n])) - 0.5 * n * math.log(2 * math.pi))
 
 
 def _select_hypers(Xn: np.ndarray, ys: np.ndarray) -> tuple[tuple[float, ...], float, float]:
@@ -236,8 +255,30 @@ def _select_hypers(Xn: np.ndarray, ys: np.ndarray) -> tuple[tuple[float, ...], f
     earliest grid point. A full factorial sweep over per-dimension
     lengthscales would be exponential in the dimension for no accuracy gain
     at this scale.
+
+    The per-dimension squared distances are computed once; a lengthscale
+    trial weights them into the correlation matrix R, and the signal and
+    noise sweeps share the R of the chosen lengthscales. Each sweep starts
+    at the previous sweep's choice and the second pass can repeat points of
+    the first, so trials are scored once and looked up after that.
     """
-    dim = Xn.shape[1]
+    n, dim = Xn.shape
+    diff = Xn[:, None, :] - Xn[None, :, :]
+    sq = (diff * diff).reshape(n * n, dim)
+
+    def correlation(lengthscales: np.ndarray) -> np.ndarray:
+        return _correlation((sq @ (1.0 / (lengthscales * lengthscales))).reshape(n, n))
+
+    scored: dict[tuple[float, ...], float] = {}
+
+    def score(lengthscales: np.ndarray, signal_var: float, noise_var: float,
+              R: np.ndarray | None = None) -> float:
+        key = (*lengthscales, signal_var, noise_var)
+        if key not in scored:
+            scored[key] = _log_marginal_likelihood(
+                correlation(lengthscales) if R is None else R, ys, signal_var, noise_var)
+        return scored[key]
+
     ls = np.full(dim, LENGTHSCALE_GRID[3])
     s2f = SIGNAL_VAR_GRID[3]
     s2n = NOISE_VAR_GRID[3]
@@ -247,13 +288,12 @@ def _select_hypers(Xn: np.ndarray, ys: np.ndarray) -> tuple[tuple[float, ...], f
             for candidate in LENGTHSCALE_GRID:
                 trial = ls.copy()
                 trial[d] = candidate
-                scores.append(_log_marginal_likelihood(Xn, ys, trial, s2f, s2n))
+                scores.append(score(trial, s2f, s2n))
             ls[d] = LENGTHSCALE_GRID[int(np.argmax(scores))]
-        scores = [_log_marginal_likelihood(Xn, ys, ls, candidate, s2n)
-                  for candidate in SIGNAL_VAR_GRID]
+        R = correlation(ls)
+        scores = [score(ls, candidate, s2n, R) for candidate in SIGNAL_VAR_GRID]
         s2f = SIGNAL_VAR_GRID[int(np.argmax(scores))]
-        scores = [_log_marginal_likelihood(Xn, ys, ls, s2f, candidate)
-                  for candidate in NOISE_VAR_GRID]
+        scores = [score(ls, s2f, candidate, R) for candidate in NOISE_VAR_GRID]
         s2n = NOISE_VAR_GRID[int(np.argmax(scores))]
     return tuple(float(v) for v in ls), float(s2f), float(s2n)
 
@@ -292,63 +332,66 @@ def update(state: GPState, observation: Observation) -> GPState:
                    prior_mean=state.prior_mean)
 
 
-def _phi(u: float) -> float:
-    return math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+def _Phi(u: np.ndarray) -> np.ndarray:
+    """Standard normal CDF; numpy has no erfc, so math.erfc maps over the array."""
+    flat = (-u / math.sqrt(2.0)).ravel()
+    return 0.5 * np.fromiter(map(math.erfc, flat.tolist()), float, flat.size).reshape(u.shape)
 
 
-def _Phi(u: float) -> float:
-    return 0.5 * math.erfc(-u / math.sqrt(2.0))
+def ei_value(mean, sd, y_best: float):
+    """Closed-form expected improvement below y_best for N(mean, sd^2).
+
+    Works element-wise on arrays of means and sds (a float for scalars).
+    Where sd <= 0 the improvement is the deterministic max(y_best - mean, 0).
+    """
+    mean = np.asarray(mean, dtype=float)
+    sd = np.asarray(sd, dtype=float)
+    gap = y_best - mean
+    spread = sd > 0.0
+    u = np.divide(gap, sd, out=np.zeros(np.broadcast(gap, sd).shape), where=spread)
+    ei = gap * _Phi(u) + sd * (np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi))
+    values = np.maximum(np.where(spread, ei, gap), 0.0)
+    return float(values) if values.ndim == 0 else values
 
 
-def ei_value(mean: float, sd: float, y_best: float) -> float:
-    """Closed-form expected improvement below y_best for N(mean, sd^2)."""
-    if sd <= 0.0:
-        return max(y_best - mean, 0.0)
-    u = (y_best - mean) / sd
-    return max((y_best - mean) * _Phi(u) + sd * _phi(u), 0.0)
+def _one_row(acquisition, state: GPState, x) -> float:
+    return float(acquisition(state, np.asarray(x, dtype=float)[None, :])[0])
 
 
 def expected_improvement(state: GPState, x, y_best: float) -> float:
-    mean, var = gp_posterior(state, x)
-    return ei_value(mean, math.sqrt(var), y_best)
+    return _one_row(ei_batch(y_best), state, x)
 
 
-def _structural(space: SearchSpace, constraints: ConstraintSpec) -> tuple[int, ...]:
+def _structural(space: SearchSpace, constraints: ConstraintSpec) -> list[int]:
     if space.structural_subset != constraints.power_model.schema or \
             space.structural_subset != constraints.memory_model.schema:
         raise ValueError(
             f"structural subset {space.structural_subset} does not match constraint "
             f"model schemas {constraints.power_model.schema} / "
             f"{constraints.memory_model.schema}")
-    return space.structural_indices()
+    return list(space.structural_indices())
 
 
 def hw_ieci(state: GPState, x, y_best: float, constraints: ConstraintSpec) -> float:
     """Expected improvement gated by the predicted budgets (inclusive)."""
-    idx = _structural(state.space, constraints)
-    z = tuple(x[i] for i in idx)
-    if not constraints.satisfied(z):
-        return 0.0
-    return expected_improvement(state, x, y_best)
+    return _one_row(hw_ieci_batch(y_best, constraints, state.space), state, x)
 
 
 def ei_batch(y_best: float):
+    """Acquisition scoring every candidate row by its expected improvement."""
     def acq(state: GPState, X: np.ndarray) -> np.ndarray:
         mean, var = gp_posterior_batch(state, X)
-        sd = np.sqrt(var)
-        return np.array([ei_value(float(m), float(s), y_best) for m, s in zip(mean, sd)])
+        return ei_value(mean, np.sqrt(var), y_best)
     return acq
 
 
 def hw_ieci_batch(y_best: float, constraints: ConstraintSpec, space: SearchSpace):
+    """ei_batch with every row that violates a predicted budget set to zero."""
     idx = _structural(space, constraints)
 
     def acq(state: GPState, X: np.ndarray) -> np.ndarray:
         values = ei_batch(y_best)(state, X)
-        for i, row in enumerate(X):
-            z = tuple(row[j] for j in idx)
-            if not constraints.satisfied(z):
-                values[i] = 0.0
+        values[~constraints.satisfied(np.asarray(X, dtype=float)[:, idx])] = 0.0
         return values
     return acq
 
@@ -392,13 +435,9 @@ def propose_next(state: GPState, space: SearchSpace, acquisition, candidate_coun
     best = int(np.argmax(values))
     if values[best] > 0.0 or constraints is None:
         return Proposal(tuple(float(v) for v in X[best]), float(values[best]), False)
-    idx = _structural(space, constraints)
-    violations = np.empty(candidate_count)
-    for i, row in enumerate(X):
-        z = tuple(row[j] for j in idx)
-        power, memory = constraints.predict(z)
-        violations[i] = (max(power - constraints.power_budget, 0.0) / constraints.power_budget
-                         + max(memory - constraints.memory_budget, 0.0) / constraints.memory_budget)
+    power, memory = constraints.predict(X[:, _structural(space, constraints)])
+    violations = (np.maximum(power - constraints.power_budget, 0.0) / constraints.power_budget
+                  + np.maximum(memory - constraints.memory_budget, 0.0) / constraints.memory_budget)
     pick = int(np.argmin(violations))
     return Proposal(tuple(float(v) for v in X[pick]), 0.0, True)
 
@@ -416,7 +455,7 @@ class TraceRecord:
     phase: str          # "seed" | "bo"
     fallback: bool
     failed: bool
-    elapsed_s: float
+    elapsed_s: float    # the evaluation; on "bo" rows also the proposal and the GP update
 
 
 @dataclass
@@ -516,6 +555,8 @@ def bo_run(objective, space: SearchSpace, constraints: ConstraintSpec | None,
         obs = step(iteration, proposal.x, proposal.acquisition, "bo", proposal.fallback,
                    started)
         state = update(state, obs)
+        trace.records[-1] = replace(trace.records[-1],
+                                    elapsed_s=time.perf_counter() - started)
 
     best = None
     for obs, failed, feasible in history:

@@ -163,14 +163,23 @@ def fit_linear(points: list[ProfiledPoint], target: LinTarget, folds: int = 10,
                        target, tuple(cv), include_bias)
 
 
-def predict(model: LinearModel, z) -> float:
-    """Raw dot product; never clamped, so constraint checks see the model."""
-    values = tuple(float(v) for v in z)
-    if len(values) != len(model.schema):
-        raise ValueError(f"expected {len(model.schema)} values, got {len(values)}")
+def predict(model: LinearModel, z):
+    """Raw dot product; never clamped, so constraint checks see the model.
+
+    `z` is one point (a float comes back) or a 2-D array with one point per
+    row (an array comes back). The product is summed column by column in a
+    fixed order, so a row predicts the same bits alone as in a batch.
+    """
+    Z = np.asarray(z, dtype=float)
+    k = len(model.schema)
+    if Z.ndim not in (1, 2) or Z.shape[-1] != k:
+        raise ValueError(f"expected {k} values, got {Z.shape[-1] if Z.ndim else 0}")
+    total = np.zeros(Z.shape[:-1])
+    for j in range(k):
+        total = total + model.weights[j] * Z[..., j]
     if model.has_bias:
-        values = values + (1.0,)
-    return float(np.dot(model.weights, values))
+        total = total + model.weights[k]
+    return float(total) if Z.ndim == 1 else total
 
 
 def predict_power(model: LinearModel, z) -> float:

@@ -225,7 +225,8 @@ def parse_network(text: str, name: str = "network") -> NetworkConfig:
     One layer per line: ``name kind key=value ...`` with kinds conv/fc/pool
     and keys in=NxCxHxW, k=KhxKw, s=N, p=N, out=N. `#` starts a comment. The
     first layer must declare in=; later layers inherit the inferred input and
-    may restate it (a mismatch is an error).
+    may restate it (a mismatch is an error). A missing s= means stride 1 on
+    conv layers and the kernel height on pool layers, as in pool2d().
     """
     layers: list[LayerConfig] = []
     inherited: TensorShape | None = None
@@ -265,30 +266,29 @@ def parse_network(text: str, name: str = "network") -> NetworkConfig:
             except ValueError:
                 raise NetworkParseError(line_no, f"{key}= expects an integer, got {kv[key]!r}") from None
 
+        def _kernel() -> tuple[int, int]:
+            if "k" not in kv:
+                raise NetworkParseError(line_no, f"layer {lname} requires k=KhxKw")
+            try:
+                kh, kw = (int(part) for part in kv["k"].split("x"))
+            except ValueError:
+                raise NetworkParseError(line_no, f"k= expects KhxKw, got {kv['k']!r}") from None
+            return kh, kw
+
         try:
             if kind_token == "conv":
                 expected = inherited
                 inp = declared if declared is not None else expected
-                if "k" not in kv:
-                    raise NetworkParseError(line_no, f"layer {lname} requires k=KhxKw")
-                kparts = kv["k"].split("x")
-                if len(kparts) != 2:
-                    raise NetworkParseError(line_no, f"k= expects KhxKw, got {kv['k']!r}")
-                layer = conv2d(lname, inp, out_channels=_int("out"),
-                               kernel=(int(kparts[0]), int(kparts[1])),
+                layer = conv2d(lname, inp, out_channels=_int("out"), kernel=_kernel(),
                                stride=_int("s", 1), padding=_int("p", 0))
             elif kind_token == "pool":
                 expected = inherited
                 inp = declared if declared is not None else expected
                 if "out" in kv:
                     raise NetworkParseError(line_no, "pool layers take no out=")
-                if "k" not in kv:
-                    raise NetworkParseError(line_no, f"layer {lname} requires k=KhxKw")
-                kparts = kv["k"].split("x")
-                if len(kparts) != 2:
-                    raise NetworkParseError(line_no, f"k= expects KhxKw, got {kv['k']!r}")
-                layer = pool2d(lname, inp, kernel=(int(kparts[0]), int(kparts[1])),
-                               stride=_int("s", 1), padding=_int("p", 0))
+                # without s= the stride is pool2d's default, the kernel height
+                layer = pool2d(lname, inp, kernel=_kernel(),
+                               stride=_int("s") if "s" in kv else None, padding=_int("p", 0))
             elif kind_token == "fc":
                 for bad in ("k", "s", "p"):
                     if bad in kv:

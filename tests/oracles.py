@@ -128,3 +128,42 @@ def gp_posterior_dense(train_x, train_y, query, lengthscales, signal_var, noise_
     mean = prior_mean + k_star @ K_inv @ resid
     var = matern52_oracle(query, query, lengthscales, signal_var) - k_star @ K_inv @ k_star
     return float(mean), float(var)
+
+
+def select_hypers_dense(X, y, lengthscale_grid, signal_grid, noise_grid):
+    """Coordinate-wise grid ascent of the GP log marginal likelihood.
+
+    Two passes over (each lengthscale, signal variance, noise variance),
+    starting from the middle of each grid, each trial scored from a freshly
+    built dense Matérn-5/2 matrix: its Cholesky factor gives the log
+    determinant and an LU solve of the full matrix the quadratic form. A
+    trial whose matrix is not positive definite scores -inf; ties keep the
+    earliest grid point.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n, dim = X.shape
+
+    def lml(lengthscales, signal_var, noise_var):
+        diff = (X[:, None, :] - X[None, :, :]) / np.asarray(lengthscales)
+        sr = math.sqrt(5.0) * np.linalg.norm(diff, axis=2)
+        K = signal_var * (1.0 + sr + sr * sr / 3.0) * np.exp(-sr) + noise_var * np.eye(n)
+        try:
+            L = np.linalg.cholesky(K)
+        except np.linalg.LinAlgError:
+            return -math.inf
+        return (-0.5 * y @ np.linalg.solve(K, y) - np.sum(np.log(np.diag(L)))
+                - 0.5 * n * math.log(2.0 * math.pi))
+
+    def best(grid, scores):
+        return grid[scores.index(max(scores))]
+
+    ls = [lengthscale_grid[3]] * dim
+    s2f, s2n = signal_grid[3], noise_grid[3]
+    for _ in range(2):
+        for d in range(dim):
+            ls[d] = best(lengthscale_grid, [lml(ls[:d] + [c] + ls[d + 1:], s2f, s2n)
+                                            for c in lengthscale_grid])
+        s2f = best(signal_grid, [lml(ls, c, s2n) for c in signal_grid])
+        s2n = best(noise_grid, [lml(ls, s2f, c) for c in noise_grid])
+    return tuple(ls), s2f, s2n

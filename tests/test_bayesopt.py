@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hwcost.linmod import LinearModel, LinTarget
 from hwcost.objectives import branin, quadratic_bowl, with_noise
 from hwcost.seeding import generator
 
-from oracles import ei_quadrature, gp_posterior_dense
+from oracles import ei_quadrature, gp_posterior_dense, select_hypers_dense
 
 
 def space_1d():
@@ -155,7 +156,34 @@ def test_auto_hypers_selected_from_grids():
     assert state.noise_var in bo.NOISE_VAR_GRID
 
 
+def test_hyper_selection_matches_dense_oracle():
+    rng = np.random.default_rng(2718)
+    for _ in range(20):
+        dim = int(rng.integers(1, 4))
+        n = int(rng.integers(5, 61))
+        X = rng.uniform(0, 1, (n, dim))
+        y = np.sin(3.0 * X @ rng.uniform(0.5, 2.0, dim)) + 0.1 * rng.normal(size=n)
+        ys = (y - y.mean()) / y.std()
+        got = bo._select_hypers(X, ys)
+        want = select_hypers_dense(X, ys, bo.LENGTHSCALE_GRID, bo.SIGNAL_VAR_GRID,
+                                   bo.NOISE_VAR_GRID)
+        assert got == want, f"dim {dim}, n {n}"
+
+
 # --- expected improvement ----------------------------------------------------
+
+def test_ei_value_on_arrays_matches_scalar_calls():
+    rng = np.random.default_rng(31)
+    mean = rng.normal(size=200)
+    sd = np.abs(rng.normal(size=200))
+    sd[::7] = 0.0  # deterministic improvement, both signs of y_best - mean
+    values = ei_value(mean, sd, 0.3)
+    assert values.shape == (200,)
+    for m, s, v in zip(mean, sd, values):
+        scalar = ei_value(float(m), float(s), 0.3)
+        assert isinstance(scalar, float)
+        assert v == scalar
+
 
 def test_ei_at_zero_margin_equals_phi0():
     assert ei_value(1.0, 1.0, 1.0) == pytest.approx(1.0 / math.sqrt(2 * math.pi), abs=1e-12)
@@ -220,6 +248,45 @@ def test_budget_boundary_is_inclusive():
     x_boundary = (0.5, 0.5)  # predicted power exactly 1.0
     assert hw_ieci(state, x_boundary, 1.0, cons) == \
         expected_improvement(state, x_boundary, 1.0)
+
+
+@pytest.mark.parametrize("has_bias", [False, True])
+def test_constraint_predict_rows_match_per_row_calls(has_bias):
+    rng = np.random.default_rng(17)
+    names = ("a", "b", "c")
+    width = len(names) + has_bias
+    power = LinearModel(names, tuple(rng.normal(size=width)), LinTarget.POWER_W,
+                        has_bias=has_bias)
+    memory = LinearModel(names, tuple(rng.normal(size=width)), LinTarget.MEMORY_MB,
+                         has_bias=has_bias)
+    cons = ConstraintSpec(1.0, 1.0, power, memory)
+    Z = rng.uniform(0, 8, (300, 3))
+    powers, memories = cons.predict(Z)
+    assert powers.shape == memories.shape == (300,)
+    for z, p_row, m_row in zip(Z, powers, memories):
+        p, m = cons.predict(tuple(z))
+        assert isinstance(p, float) and isinstance(m, float)
+        assert p_row == p and m_row == m
+
+
+def test_gated_batch_zeroes_exactly_the_rows_satisfied_rejects():
+    space = space_2d(structural=("x1", "x2"))
+    cons = constraints_halfbox(power_budget=1.0, memory_budget=0.75)
+    state = GPState(space, [Observation((0.2, 0.2), 1.0)], lengthscales=(0.4, 0.4),
+                    signal_var=1.0, noise_var=1e-6)
+    rng = np.random.default_rng(23)
+    boundary = np.array([[0.5, 0.5], [0.25, 0.75], [0.75, 0.25],  # power exactly 1.0
+                         [0.75, 0.0]])                             # memory exactly 0.75
+    X = np.vstack([boundary, rng.uniform(0, 1, (200, 2))])
+    gated = hw_ieci_batch(2.0, cons, space)(state, X)
+    ungated = ei_batch(2.0)(state, X)
+    assert np.all(ungated > 0.0)
+    kept = [cons.satisfied(tuple(row)) for row in X]
+    assert all(kept[:len(boundary)])          # budgets are inclusive
+    assert 0 < sum(kept) < len(X)
+    for keep, g, u in zip(kept, gated, ungated):
+        assert g == (u if keep else 0.0)
+    assert np.array_equal(cons.satisfied(X), kept)
 
 
 def test_schema_mismatch_rejected():
@@ -318,6 +385,21 @@ def test_bo_run_converges_on_quadratic():
     assert best is not None
     assert best.y <= 1e-3
     assert len(trace.records) == 20
+
+
+def test_elapsed_covers_the_gp_update(monkeypatch):
+    pause = 0.02
+    real_update = bo.update
+
+    def slow_update(state, observation):
+        time.sleep(pause)
+        return real_update(state, observation)
+
+    monkeypatch.setattr(bo, "update", slow_update)
+    _, trace = bo_run(quadratic_bowl(0.3), space_1d(), None, budget=6, seed=3)
+    bo_rows = [r for r in trace.records if r.phase == "bo"]
+    assert len(bo_rows) == 4
+    assert all(r.elapsed_s >= pause for r in bo_rows)
 
 
 def test_bo_run_budget_precondition():

@@ -111,6 +111,17 @@ def test_fit_empty_csv_is_usage_error(tmp_path, capsys):
     assert "error" in err
 
 
+def test_malformed_kernel_exits_1_naming_its_line(tmp_path, capsys):
+    net_path = tmp_path / "net.txt"
+    net_path.write_text("c1 conv in=1x3x8x8 k=3x3 s=1 p=1 out=4\np1 pool k=2xa s=2\n")
+    dev_path = tmp_path / "device.txt"
+    dev_path.write_text(DEVICE_SPEC)
+    code, _, err = run(capsys, "predict", str(net_path), "--family", "paleo",
+                       "--device", str(dev_path))
+    assert code == 1
+    assert "line 2" in err and "k=" in err
+
+
 def test_predict_paleo_matches_module(tmp_path, capsys):
     from hwcost.analytic import paleo_network_runtime, parse_device_spec
     from hwcost.netgraph import parse_network

@@ -180,6 +180,27 @@ def test_parse_error_reports_line_number():
     assert err.value.line_no == 2
 
 
+def test_pool_stride_defaults_to_kernel_height_in_text_and_api():
+    square = parse_network("p1 pool in=1x3x8x8 k=2x2\n").layers[0]
+    assert square == pool2d("p1", TensorShape(1, 3, 8, 8), kernel=(2, 2))
+    assert square.stride == 2
+    tall = parse_network("p1 pool in=1x3x9x9 k=3x2\n").layers[0]
+    assert tall == pool2d("p1", TensorShape(1, 3, 9, 9), kernel=(3, 2))
+    assert tall.stride == 3
+    conv = parse_network("c1 conv in=1x3x8x8 k=2x2 out=4\n").layers[0]
+    assert conv.stride == 1
+
+
+@pytest.mark.parametrize("kind", ["conv", "pool"])
+@pytest.mark.parametrize("kernel", ["3", "3x", "ax3", "3x3x3", "3.0x3", ""])
+def test_malformed_kernel_names_its_line(kind, kernel):
+    out = " out=4" if kind == "conv" else ""
+    with pytest.raises(NetworkParseError) as err:
+        parse_network(f"c0 conv in=1x3x8x8 k=3x3 out=4\nl1 {kind} k={kernel}{out}\n")
+    assert err.value.line_no == 2
+    assert "k=" in str(err.value)
+
+
 def test_unknown_key_rejected():
     with pytest.raises(NetworkParseError):
         parse_network("c1 conv in=1x3x8x8 k=3x3 out=4 zap=1")
