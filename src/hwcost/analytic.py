@@ -8,10 +8,12 @@ bitwidth scaling (the Eyeriss model).
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from enum import Enum
 
-from .netgraph import LayerConfig, NetworkConfig, count_ops
+from .netgraph import (InputError, LayerConfig, NetworkConfig, _located, _lines, _put,
+                       count_ops)
 
 
 class ConfigurationError(ValueError):
@@ -70,10 +72,6 @@ class EnergySpec:
             raise ValueError("level energies must be >= 0")
         if self.bitwidth_reference <= 0:
             raise ValueError("bitwidth_reference must be > 0")
-
-    @property
-    def level_names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.levels)
 
 
 class ProfileSource(Enum):
@@ -229,58 +227,42 @@ def eyeriss_network_energy(net: NetworkConfig, spec: EnergySpec,
     return NetworkEnergy(tuple(per_layer), total)
 
 
-def _parse_kv(text: str, what: str) -> dict[str, str]:
-    result: dict[str, str] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{what} line {line_no}: expected key = value, got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key in result:
-            raise ValueError(f"{what} line {line_no}: duplicate key {key!r}")
-        result[key] = value
-    return result
+def _parse_levels(text: str) -> tuple[tuple[str, float], ...]:
+    levels = []
+    for entry in text.split(","):
+        name, colon, energy = entry.partition(":")
+        if not colon:
+            raise ValueError(f"levels entries are name:pJ, got {entry.strip()!r}")
+        levels.append((name.strip(), float(energy)))
+    return tuple(levels)
+
+
+# spec-file value parsers by dataclass field annotation
+_FROM_TEXT = {"float": float, "int": int, "tuple[tuple[str, float], ...]": _parse_levels}
+
+
+def _parse_spec(text: str, spec_type, what: str):
+    """Build `spec_type` from `key = value` lines, one per dataclass field.
+
+    Fields without a default are required; the rest keep their defaults.
+    """
+    fields = {f.name: f for f in dataclasses.fields(spec_type)}
+    values = {}
+    for line_no, line in _lines(text):
+        with _located(f"{what} line {line_no}"):
+            key = _put(values, line, fields)
+            values[key] = _FROM_TEXT[fields[key].type](values[key])
+    missing = [name for name, f in fields.items()
+               if f.default is dataclasses.MISSING and name not in values]
+    if missing:
+        raise InputError(what, f"missing keys {missing}")
+    with _located(what):
+        return spec_type(**values)
 
 
 def parse_device_spec(text: str) -> DeviceSpec:
-    kv = _parse_kv(text, "device spec")
-    known = {"peak_flops", "read_bandwidth", "write_bandwidth", "ppp_compute", "ppp_io",
-             "bytes_per_element"}
-    unknown = set(kv) - known
-    if unknown:
-        raise ValueError(f"device spec: unknown keys {sorted(unknown)}")
-    missing = {"peak_flops", "read_bandwidth", "write_bandwidth"} - set(kv)
-    if missing:
-        raise ValueError(f"device spec: missing keys {sorted(missing)}")
-    return DeviceSpec(
-        peak_flops=float(kv["peak_flops"]),
-        read_bandwidth=float(kv["read_bandwidth"]),
-        write_bandwidth=float(kv["write_bandwidth"]),
-        ppp_compute=float(kv.get("ppp_compute", "1.0")),
-        ppp_io=float(kv.get("ppp_io", "1.0")),
-        bytes_per_element=int(kv.get("bytes_per_element", "4")),
-    )
+    return _parse_spec(text, DeviceSpec, "device spec")
 
 
 def parse_energy_spec(text: str) -> EnergySpec:
-    kv = _parse_kv(text, "energy spec")
-    unknown = set(kv) - {"e_mac", "levels", "bitwidth_reference"}
-    if unknown:
-        raise ValueError(f"energy spec: unknown keys {sorted(unknown)}")
-    missing = {"e_mac", "levels"} - set(kv)
-    if missing:
-        raise ValueError(f"energy spec: missing keys {sorted(missing)}")
-    levels = []
-    for entry in kv["levels"].split(","):
-        entry = entry.strip()
-        if ":" not in entry:
-            raise ValueError(f"energy spec: levels entries are name:pJ, got {entry!r}")
-        name, energy = entry.split(":", 1)
-        levels.append((name.strip(), float(energy)))
-    return EnergySpec(
-        e_mac=float(kv["e_mac"]),
-        levels=tuple(levels),
-        bitwidth_reference=int(kv.get("bitwidth_reference", "16")),
-    )
+    return _parse_spec(text, EnergySpec, "energy spec")

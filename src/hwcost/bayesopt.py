@@ -423,9 +423,9 @@ def propose_next(state: GPState, space: SearchSpace, acquisition, candidate_coun
     each iteration of a run draws independently of every iteration of runs
     with other seeds.
     Ties break to the lowest candidate index. When every value is zero and
-    constraints are present (no predicted-feasible candidate scored), falls
-    back to the candidate with the smallest normalized budget violation,
-    flagged as exploration fallback.
+    constraints are present, takes the candidate with the smallest normalized
+    budget violation (the first predicted-feasible one, if any), flagged as
+    exploration fallback only when no candidate is predicted feasible.
     """
     if candidate_count < 1:
         raise ValueError("candidate_count must be >= 1")
@@ -439,7 +439,7 @@ def propose_next(state: GPState, space: SearchSpace, acquisition, candidate_coun
     violations = (np.maximum(power - constraints.power_budget, 0.0) / constraints.power_budget
                   + np.maximum(memory - constraints.memory_budget, 0.0) / constraints.memory_budget)
     pick = int(np.argmin(violations))
-    return Proposal(tuple(float(v) for v in X[pick]), 0.0, True)
+    return Proposal(tuple(float(v) for v in X[pick]), 0.0, bool(violations[pick] > 0))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from . import analytic, bayesopt, linmod, polyreg, reference, synth
-from .netgraph import LayerKind, NetworkParseError, ShapeMismatchError, parse_network
+from .netgraph import LayerKind, _lines, _located, _text, _value, parse_network
 from .objectives import build_objective
 
 EXIT_OK = 0
@@ -112,8 +112,6 @@ def _models_by_kind(samples):
 def _cmd_fit(args) -> int:
     csv_path = Path(args.profile)
     samples = polyreg.read_profile_csv(csv_path.read_text())
-    if not samples:
-        raise UsageError("profile CSV contains no samples")
     config = polyreg.FitConfig(degree=args.degree, l1_strength=args.l1,
                                cv_folds=args.folds, seed=args.seed)
     out_dir = Path(args.output_dir)
@@ -196,14 +194,12 @@ def _cmd_predict(args) -> int:
 def _load_accesses(text: str) -> dict[str, analytic.AccessProfile]:
     """Per-layer access overrides: lines `layer_name level count`."""
     counts: dict[str, dict[str, int]] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"accesses line {line_no}: expected 'layer level count'")
-        counts.setdefault(parts[0], {})[parts[1]] = int(parts[2])
+    for line_no, line in _lines(text):
+        with _located(f"accesses line {line_no}"):
+            parts = line.split()
+            if len(parts) != 3:
+                raise ValueError("expected 'layer level count'")
+            counts.setdefault(parts[0], {})[parts[1]] = int(parts[2])
     return {layer: analytic.AccessProfile(tuple(levels.items()))
             for layer, levels in counts.items()}
 
@@ -237,12 +233,20 @@ def _cmd_sample(args) -> int:
     return EXIT_OK
 
 
+def _dimensions(doc, what: str) -> list[tuple[str, object]]:
+    """(place, entry) of each entry of the `dimensions` list of a schema or space."""
+    return [(f"{what} dimensions[{i}]", entry)
+            for i, entry in enumerate(_value(doc, "dimensions", list, what))]
+
+
 def _load_schema(text: str) -> linmod.StructuralSchema:
-    doc = json.loads(text)
-    dims = doc["dimensions"]
-    return linmod.StructuralSchema(tuple(d["name"] for d in dims),
-                                   tuple(int(d["lo"]) for d in dims),
-                                   tuple(int(d["hi"]) for d in dims))
+    with _located("schema"):
+        doc = json.loads(text)
+    with _located("schema key 'dimensions'"):
+        dims = _dimensions(doc, "schema")
+        return linmod.StructuralSchema(tuple(_value(d, "name", _text, at) for at, d in dims),
+                                       tuple(_value(d, "lo", int, at) for at, d in dims),
+                                       tuple(_value(d, "hi", int, at) for at, d in dims))
 
 
 def _cmd_fit_linear(args) -> int:
@@ -269,11 +273,13 @@ def _cmd_fit_linear(args) -> int:
 
 
 def _load_space(text: str) -> bayesopt.SearchSpace:
-    doc = json.loads(text)
-    dims = tuple(bayesopt.Dimension(d["name"], d.get("kind", "continuous"),
-                                    float(d["lo"]), float(d["hi"]))
-                 for d in doc["dimensions"])
-    return bayesopt.SearchSpace(dims, tuple(doc.get("structural", ())))
+    with _located("space"):
+        doc = json.loads(text)
+        dims = tuple(bayesopt.Dimension(_value(d, "name", _text, at),
+                                        _value(d, "kind", _text, at, "continuous"),
+                                        _value(d, "lo", float, at), _value(d, "hi", float, at))
+                     for at, d in _dimensions(doc, "space"))
+        return bayesopt.SearchSpace(dims, _value(doc, "structural", tuple, "space", ()))
 
 
 def _cmd_optimize(args) -> int:
@@ -417,13 +423,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except bayesopt.NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (NetworkParseError, ShapeMismatchError, ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -16,6 +16,7 @@ from enum import Enum
 
 import numpy as np
 
+from .netgraph import _csv_rows, _located, _value
 from .seeding import generator, kfold_indices
 
 
@@ -197,30 +198,18 @@ def predict_memory(model: LinearModel, z) -> float:
 # --- profiled-point CSV ------------------------------------------------------
 
 def read_profiled_csv(text: str) -> list[ProfiledPoint]:
-    """CSV with header `dim1,...,dimJ,power_w,memory_mb`.
+    """CSV with header `dim1,...,dimJ,power_w,memory_mb`; `#` starts a comment.
 
     The loaded schema's ranges are the observed per-dimension min/max.
     """
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError("empty profiled-point CSV") from None
-    if len(header) < 3 or header[-2:] != ["power_w", "memory_mb"]:
-        raise ValueError("profiled CSV must end with power_w,memory_mb columns")
+    header, data = _csv_rows(text, "profiled CSV",
+                             lambda header: len(header) >= 3
+                             and header[-2:] == ["power_w", "memory_mb"])
     names = tuple(h.strip() for h in header[:-2])
     rows = []
-    for row_no, row in enumerate(reader, start=2):
-        if not row or not any(cell.strip() for cell in row):
-            continue
-        if len(row) != len(header):
-            raise ValueError(f"row {row_no}: expected {len(header)} cells")
-        try:
+    for line_no, row in data:
+        with _located(f"profiled CSV row {line_no}"):
             rows.append((tuple(int(c) for c in row[:-2]), float(row[-2]), float(row[-1])))
-        except ValueError as exc:
-            raise ValueError(f"row {row_no}: {exc}") from None
-    if not rows:
-        raise ValueError("profiled CSV has no data rows")
     zs = np.array([r[0] for r in rows])
     schema = StructuralSchema(names, tuple(int(v) for v in zs.min(axis=0)),
                               tuple(int(v) for v in zs.max(axis=0)))
@@ -249,7 +238,11 @@ def model_to_json(model: LinearModel) -> str:
 
 
 def model_from_json(text: str) -> LinearModel:
-    doc = json.loads(text)
-    return LinearModel(tuple(doc["schema"]), tuple(float(w) for w in doc["weights"]),
-                       LinTarget(doc["target"]), tuple(float(v) for v in doc["cv_report"]),
-                       bool(doc["has_bias"]))
+    what = "linear model"
+    with _located(what):
+        doc = json.loads(text)
+        return LinearModel(_value(doc, "schema", tuple, what),
+                           _value(doc, "weights", lambda ws: tuple(map(float, ws)), what),
+                           _value(doc, "target", LinTarget, what),
+                           _value(doc, "cv_report", lambda vs: tuple(map(float, vs)), what),
+                           _value(doc, "has_bias", bool, what))

@@ -7,6 +7,9 @@ operations are pure functions.
 
 from __future__ import annotations
 
+import contextlib
+import csv
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -25,11 +28,18 @@ class ShapeMismatchError(ValueError):
     """A layer's input does not match the previous layer's output."""
 
 
-class NetworkParseError(ValueError):
+class InputError(ValueError):
+    """Malformed input; the message names the input and its line, row or key."""
+
+    def __init__(self, where: str, message: str):
+        super().__init__(f"{where}: {message}")
+
+
+class NetworkParseError(InputError):
     """Malformed network spec text."""
 
     def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+        super().__init__(f"network spec line {line_no}", message)
         self.line_no = line_no
 
 
@@ -205,18 +215,94 @@ class NetworkConfig:
                 )
 
 
-_SPEC_KEYS = frozenset({"in", "k", "s", "p", "out"})
+# --- input reading: every text reader in the package goes through these ---
+
+def _lines(text: str) -> Iterator[tuple[int, str]]:
+    """(file line number, text) of each line left once `#` comments and blanks go."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield line_no, line
 
 
-def _parse_shape(line_no: int, text: str) -> TensorShape:
-    parts = text.split("x")
-    if len(parts) != 4:
-        raise NetworkParseError(line_no, f"in= expects NxCxHxW, got {text!r}")
+@contextlib.contextmanager
+def _located(where, error=InputError):
+    """Re-raise a bad value met inside the block as `error(where, reason)`.
+
+    `where` names the input and the line, row or key being read; an
+    InputError from an inner block has named its own place and passes on.
+    """
     try:
-        n, c, h, w = (int(p) for p in parts)
-        return TensorShape(n, c, h, w)
-    except ValueError as exc:
-        raise NetworkParseError(line_no, f"bad shape {text!r}: {exc}") from None
+        yield
+    except InputError:
+        raise
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise error(where, reason) from None
+
+
+def _csv_rows(text: str, what: str, header_ok) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """Header and (file line number, cells) data rows of a CSV with `#` comments.
+
+    Rows of blank cells are skipped. A table without data rows, a header
+    `header_ok` rejects or a row whose cell count differs from the header's
+    raises InputError.
+    """
+    numbered = list(_lines(text))
+    rows = [(line_no, cells) for (line_no, _), cells
+            in zip(numbered, csv.reader(line for _, line in numbered))
+            if any(cell.strip() for cell in cells)]
+    if len(rows) < 2:
+        raise InputError(what, "empty, no data rows")
+    (header_line, header), data = rows[0], rows[1:]
+    if not header_ok(header):
+        raise InputError(f"{what} row {header_line}", f"bad header {header}")
+    for line_no, cells in data:
+        if len(cells) != len(header):
+            raise InputError(f"{what} row {line_no}",
+                             f"expected {len(header)} cells, got {len(cells)}")
+    return header, data
+
+
+def _put(kv: dict[str, str], item: str, known) -> str:
+    """Add one `key=value` item to `kv` and return its key, which must be
+    one of `known` and not yet in `kv`."""
+    key, eq, value = (part.strip() for part in item.partition("="))
+    if not eq:
+        raise ValueError(f"expected key=value, got {item!r}")
+    if key not in known:
+        raise ValueError(f"unknown key {key!r}")
+    if key in kv:
+        raise ValueError(f"duplicate key {key!r}")
+    kv[key] = value
+    return key
+
+
+def _value(doc, key: str, convert, where: str, *default):
+    """convert(doc[key]), or default[0] when given and the key is absent."""
+    with _located(f"{where} key {key!r}"):
+        if default and key not in doc:
+            return default[0]
+        return convert(doc[key])
+
+
+def _text(value) -> str:
+    """A JSON string value as is; any other JSON type is an error."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+_LAYER_KEYS = {"conv": {"in", "k", "s", "p", "out"}, "pool": {"in", "k", "s", "p"},
+               "fc": {"in", "out"}}
+
+
+def _spec_ints(kv: dict[str, str], key: str, form: str = "N"):
+    """The x-separated integers of `key=`, shaped as `form` (N, KhxKw, NxCxHxW)."""
+    parts = kv[key].split("x")
+    if len(parts) != form.count("x") + 1 or not all(part.isdecimal() for part in parts):
+        raise ValueError(f"{key}= expects {form}, got {kv[key]!r}")
+    return int(parts[0]) if form == "N" else tuple(int(part) for part in parts)
 
 
 def parse_network(text: str, name: str = "network") -> NetworkConfig:
@@ -230,83 +316,43 @@ def parse_network(text: str, name: str = "network") -> NetworkConfig:
     """
     layers: list[LayerConfig] = []
     inherited: TensorShape | None = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if len(tokens) < 2:
-            raise NetworkParseError(line_no, f"expected 'name kind key=value ...', got {raw!r}")
-        lname, kind_token = tokens[0], tokens[1].lower()
-        kv: dict[str, str] = {}
-        for token in tokens[2:]:
-            if "=" not in token:
-                raise NetworkParseError(line_no, f"expected key=value, got {token!r}")
-            key, value = token.split("=", 1)
-            if key not in _SPEC_KEYS:
-                raise NetworkParseError(line_no, f"unknown key {key!r}")
-            if key in kv:
-                raise NetworkParseError(line_no, f"duplicate key {key!r}")
-            kv[key] = value
+    for line_no, line in _lines(text):
+        with _located(line_no, NetworkParseError):
+            tokens = line.split()
+            if len(tokens) < 2:
+                raise ValueError(f"expected 'name kind key=value ...', got {line!r}")
+            lname, kind_token = tokens[0], tokens[1].lower()
+            if kind_token not in _LAYER_KEYS:
+                raise ValueError(f"unknown layer kind {kind_token!r}")
+            kv: dict[str, str] = {}
+            for token in tokens[2:]:
+                _put(kv, token, _LAYER_KEYS[kind_token])
 
-        if "in" in kv:
-            declared = _parse_shape(line_no, kv["in"])
-        elif inherited is None:
-            raise NetworkParseError(line_no, "first layer must declare in=NxCxHxW")
-        else:
-            declared = None
-
-        def _int(key: str, default: int | None = None) -> int:
-            if key not in kv:
-                if default is None:
-                    raise NetworkParseError(line_no, f"layer {lname} requires {key}=")
-                return default
-            try:
-                return int(kv[key])
-            except ValueError:
-                raise NetworkParseError(line_no, f"{key}= expects an integer, got {kv[key]!r}") from None
-
-        def _kernel() -> tuple[int, int]:
-            if "k" not in kv:
-                raise NetworkParseError(line_no, f"layer {lname} requires k=KhxKw")
-            try:
-                kh, kw = (int(part) for part in kv["k"].split("x"))
-            except ValueError:
-                raise NetworkParseError(line_no, f"k= expects KhxKw, got {kv['k']!r}") from None
-            return kh, kw
-
-        try:
-            if kind_token == "conv":
-                expected = inherited
-                inp = declared if declared is not None else expected
-                layer = conv2d(lname, inp, out_channels=_int("out"), kernel=_kernel(),
-                               stride=_int("s", 1), padding=_int("p", 0))
-            elif kind_token == "pool":
-                expected = inherited
-                inp = declared if declared is not None else expected
-                if "out" in kv:
-                    raise NetworkParseError(line_no, "pool layers take no out=")
-                # without s= the stride is pool2d's default, the kernel height
-                layer = pool2d(lname, inp, kernel=_kernel(),
-                               stride=_int("s") if "s" in kv else None, padding=_int("p", 0))
-            elif kind_token == "fc":
-                for bad in ("k", "s", "p"):
-                    if bad in kv:
-                        raise NetworkParseError(line_no, f"fc layers take no {bad}=")
-                expected = inherited.flattened() if inherited is not None else None
-                inp = declared if declared is not None else expected
-                layer = fully_connected(lname, inp, units=_int("out"))
+            expected = inherited
+            if kind_token == "fc" and inherited is not None:
+                expected = inherited.flattened()
+            if "in" in kv:
+                inp = TensorShape(*_spec_ints(kv, "in", "NxCxHxW"))
+            elif expected is None:
+                raise ValueError("first layer must declare in=NxCxHxW")
             else:
-                raise NetworkParseError(line_no, f"unknown layer kind {kind_token!r}")
-        except NetworkParseError:
-            raise
-        except (GeometryError, ValueError) as exc:
-            raise NetworkParseError(line_no, str(exc)) from None
-
-        if declared is not None and expected is not None and declared != expected:
-            raise ShapeMismatchError(
-                f"layer {lname}: declared input {declared} does not match inferred {expected}"
-            )
+                inp = expected
+            if kind_token == "conv":
+                kv = {"s": "1", "p": "0", **kv}
+                layer = conv2d(lname, inp, out_channels=_spec_ints(kv, "out"),
+                               kernel=_spec_ints(kv, "k", "KhxKw"), stride=_spec_ints(kv, "s"),
+                               padding=_spec_ints(kv, "p"))
+            elif kind_token == "pool":
+                kv = {"p": "0", **kv}
+                # without s= the stride is pool2d's default, the kernel height
+                layer = pool2d(lname, inp, kernel=_spec_ints(kv, "k", "KhxKw"),
+                               stride=_spec_ints(kv, "s") if "s" in kv else None,
+                               padding=_spec_ints(kv, "p"))
+            else:
+                layer = fully_connected(lname, inp, units=_spec_ints(kv, "out"))
+        if expected is not None and inp != expected:
+            raise ShapeMismatchError(f"network spec line {line_no}: layer {lname}: declared "
+                                     f"input {inp} does not match inferred {expected}")
         layers.append(layer)
         inherited = infer_output_shape(layer)
     return NetworkConfig(name, tuple(layers))

@@ -70,9 +70,6 @@ def command_objective(argv: list[str]):
     return objective
 
 
-BUILTIN_OBJECTIVES = ("quadratic", "branin")
-
-
 def build_objective(name: str, center=0.3, noise: float = 0.0, seed: int = 0,
                     command: list[str] | None = None):
     """CLI-facing factory for the objective selector."""

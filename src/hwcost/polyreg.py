@@ -21,8 +21,8 @@ from enum import Enum
 
 import numpy as np
 
-from .netgraph import (LayerConfig, LayerKind, NetworkConfig, TensorShape,
-                       count_ops, infer_output_shape)
+from .netgraph import (LayerConfig, LayerKind, NetworkConfig, TensorShape, _csv_rows,
+                       _located, _value, count_ops, infer_output_shape)
 from .seeding import kfold_indices
 
 COEF_DROP_THRESHOLD = 1e-12
@@ -353,9 +353,7 @@ def _moments(std: _Standardized) -> tuple[np.ndarray, np.ndarray]:
     return std.x_centered.T @ std.x_centered / n, std.x_centered.T @ std.y_centered / n
 
 
-def _lambda_grid(std: _Standardized) -> np.ndarray:
-    n = std.x_centered.shape[0]
-    corr = std.x_centered.T @ std.y_centered / n
+def _lambda_grid(corr: np.ndarray) -> np.ndarray:
     lam_max = float(np.max(np.abs(corr), initial=0.0))
     if lam_max <= 0:
         lam_max = 1.0
@@ -436,8 +434,9 @@ def fit_with_metrics(samples: list[tuple[LayerConfig, float]], config: FitConfig
         return model, Metrics(0.0, 0.0)
 
     std_full = _standardize(design, y)
+    gram, corr = _moments(std_full)
     if config.l1_strength is None:
-        lambdas = _lambda_grid(std_full)
+        lambdas = _lambda_grid(corr)
     else:
         lambdas = np.array([config.l1_strength])
     mean_rmspe, fold_preds = _cv_curves(design, y, lambdas, config.cv_folds, config.seed)
@@ -445,7 +444,6 @@ def fit_with_metrics(samples: list[tuple[LayerConfig, float]], config: FitConfig
     pooled_pred = np.concatenate([preds[:, chosen] for preds, _ in fold_preds])
     pooled_act = np.concatenate([act for _, act in fold_preds])
 
-    gram, corr = _moments(std_full)
     beta_std = _lasso_homotopy(gram, corr, lambdas[chosen:chosen + 1])[0]
     violation = float(_kkt_violation(gram, corr, lambdas[chosen], beta_std).max(initial=0.0))
     if violation > KKT_TOL:
@@ -545,15 +543,19 @@ def model_to_json(model: PolynomialModel) -> str:
 
 
 def model_from_json(text: str) -> PolynomialModel:
-    doc = json.loads(text)
-    return PolynomialModel(
-        layer_kind=LayerKind(doc["layer_kind"]),
-        target=Target(doc["target"]),
-        degree=int(doc["degree"]),
-        schema=tuple(doc["schema"]),
-        terms=tuple((TermSpec(tuple(exps)), float(coef)) for exps, coef in doc["terms"]),
-        special=tuple((SpecialTerm(name), float(coef)) for name, coef in doc["special_terms"]),
-    )
+    what = "polynomial model"
+    with _located(what):
+        doc = json.loads(text)
+        return PolynomialModel(
+            layer_kind=_value(doc, "layer_kind", LayerKind, what),
+            target=_value(doc, "target", Target, what),
+            degree=_value(doc, "degree", int, what),
+            schema=_value(doc, "schema", tuple, what),
+            terms=_value(doc, "terms", lambda terms: tuple(
+                (TermSpec(tuple(exps)), float(coef)) for exps, coef in terms), what),
+            special=_value(doc, "special_terms", lambda terms: tuple(
+                (SpecialTerm(name), float(coef)) for name, coef in terms), what),
+        )
 
 
 # --- profiling-sample CSV ---------------------------------------------------
@@ -578,43 +580,30 @@ def _opt_float(value: str) -> float | None:
 
 
 def read_profile_csv(text: str) -> list[ProfileSample]:
-    """Parse the profiling CSV; `#` lines before the header are comments."""
-    lines = [line for line in text.splitlines() if not line.startswith("#")]
-    reader = csv.reader(io.StringIO("\n".join(lines)))
-    try:
-        header = tuple(next(reader))
-    except StopIteration:
-        raise ValueError("empty profile CSV") from None
-    if header != PROFILE_HEADER:
-        raise ValueError(f"bad profile header {header!r}")
+    """Parse the profiling CSV; `#` starts a comment.
+
+    Errors name a row by its file line. Layers are named row2, row3, ... by
+    data row, so comment lines do not change a parsed profile.
+    """
+    _, rows = _csv_rows(text, "profile CSV", lambda header: tuple(header) == PROFILE_HEADER)
     samples = []
-    for row_no, row in enumerate(reader, start=2):
-        if not row or not any(cell.strip() for cell in row):
-            continue
-        if len(row) != len(PROFILE_HEADER):
-            raise ValueError(f"row {row_no}: expected {len(PROFILE_HEADER)} cells, got {len(row)}")
-        try:
+    for row_no, (line_no, row) in enumerate(rows, start=2):
+        with _located(f"profile CSV row {line_no}"):
             kind = LayerKind(row[0].strip())
             batch = int(row[1])
             in_c = int(row[2])
             in_h = _opt_int(row[3]) or 1
             in_w = _opt_int(row[4]) or 1
             shape = TensorShape(batch, in_c, in_h, in_w)
-            if kind is LayerKind.CONV2D:
+            if kind is LayerKind.FULLY_CONNECTED:
+                layer = LayerConfig(f"row{row_no}", kind, shape, output_units=int(row[10]))
+            else:
+                out_c = int(row[9]) if kind is LayerKind.CONV2D else None
                 layer = LayerConfig(f"row{row_no}", kind, shape,
                                     kernel_h=int(row[5]), kernel_w=int(row[6]),
                                     stride=int(row[7]), padding=int(row[8]),
-                                    output_channels=int(row[9]))
-            elif kind is LayerKind.POOL2D:
-                layer = LayerConfig(f"row{row_no}", kind, shape,
-                                    kernel_h=int(row[5]), kernel_w=int(row[6]),
-                                    stride=int(row[7]), padding=int(row[8]))
-            else:
-                layer = LayerConfig(f"row{row_no}", kind, shape,
-                                    output_units=int(row[10]))
+                                    output_channels=out_c)
             samples.append(ProfileSample(layer, _opt_float(row[11]), _opt_float(row[12])))
-        except (ValueError, KeyError) as exc:
-            raise ValueError(f"row {row_no}: {exc}") from None
     return samples
 
 

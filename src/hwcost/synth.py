@@ -10,9 +10,10 @@ measurements, with a recoverable generator to validate fits against.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 
-from .netgraph import LayerConfig, LayerKind, TensorShape, count_ops
+from .netgraph import LayerConfig, LayerKind, TensorShape, _located, _value, count_ops
 from .polyreg import ProfileSample, write_profile_csv
 from .seeding import generator
 
@@ -77,26 +78,40 @@ class SynthConfig:
             raise ValueError("noise must be >= 0")
 
 
+def _ranges(doc, base: dict[str, tuple[int, int]]) -> dict[str, tuple[int, int]]:
+    """`{name: [lo, hi]}` integer ranges; only `pad` may be left out of `base`'s names."""
+    ranges = {name: (operator.index(lo), operator.index(hi))
+              for name, (lo, hi) in dict(doc).items()}
+    missing = sorted(set(base) - set(ranges) - {"pad"})
+    if missing:
+        raise ValueError(f"missing {missing}")
+    return ranges
+
+
+def _truth(doc) -> GroundTruth:
+    return GroundTruth(float(doc["const"]), float(doc["flops"]), float(doc["mem"]))
+
+
 def load_config(text: str) -> SynthConfig:
     """JSON override of the built-in generator config."""
-    doc = json.loads(text)
-    generators = dict(DEFAULT_GENERATORS)
-    for kind_name, spec in doc.get("kinds", {}).items():
-        kind = LayerKind(kind_name)
-        base = generators[kind]
-        ranges = {k: tuple(v) for k, v in spec.get("ranges", base.ranges).items()}
-        def truth(key, default):
-            if key not in spec:
-                return default
-            entry = spec[key]
-            return GroundTruth(float(entry["const"]), float(entry["flops"]),
-                               float(entry["mem"]))
-        generators[kind] = KindGenerator(ranges, truth("runtime_ms", base.runtime),
-                                         truth("power_w", base.power))
-    kinds = tuple(LayerKind(k) for k in doc.get("use", [k.value for k in generators]))
-    return SynthConfig(count=int(doc.get("count", 500)),
-                       noise=float(doc.get("noise", 0.05)),
-                       kinds=kinds, generators=generators)
+    what = "synth config"
+    with _located(what):
+        doc = json.loads(text)
+        generators = dict(DEFAULT_GENERATORS)
+        for kind_name, spec in _value(doc, "kinds", dict, what, {}).items():
+            kind = LayerKind(kind_name)
+            base = generators[kind]
+            where = f"{what} kinds.{kind_name}"
+            generators[kind] = KindGenerator(
+                _value(spec, "ranges", lambda r: _ranges(r, base.ranges), where, base.ranges),
+                _value(spec, "runtime_ms", _truth, where, base.runtime),
+                _value(spec, "power_w", _truth, where, base.power))
+        return SynthConfig(
+            count=_value(doc, "count", int, what, 500),
+            noise=_value(doc, "noise", float, what, 0.05),
+            kinds=_value(doc, "use", lambda names: tuple(map(LayerKind, names)), what,
+                         tuple(generators)),
+            generators=generators)
 
 
 def _draw(rng, lo: int, hi: int) -> int:

@@ -331,8 +331,26 @@ def test_proposal_feasible_whenever_any_candidate_is():
     candidates = draw_candidates(space, 512, generator(21, bo._TAG_SAMPLER, 0))
     any_feasible = any(c[0] + c[1] <= 1.0 for c in candidates)
     assert any_feasible
-    if not proposal.fallback:
-        assert proposal.x[0] + proposal.x[1] <= 1.0
+    assert proposal.x[0] + proposal.x[1] <= 1.0
+
+
+def test_zero_acquisition_with_feasible_candidates_is_not_a_fallback():
+    # expected improvement underflows to 0.0 once the GP has converged
+    space = space_2d(structural=("x1", "x2"))
+    cons = constraints_halfbox(power_budget=1.0)
+    state = GPState(space, [Observation((0.1, 0.1), 0.8)], lengthscales=(0.4, 0.4),
+                    signal_var=1.0, noise_var=1e-6)
+
+    def underflowed(state, X):
+        return np.zeros(len(X))
+
+    proposal = propose_next(state, space, underflowed, 64, seed=5, constraints=cons,
+                            iteration=0)
+    candidates = draw_candidates(space, 64, generator(5, bo._TAG_SAMPLER, 0))
+    first_feasible = next(c for c in candidates if c[0] + c[1] <= 1.0)
+    assert proposal.x == tuple(first_feasible)
+    assert proposal.acquisition == 0.0
+    assert not proposal.fallback
 
 
 def test_fallback_when_nothing_feasible():

@@ -1,0 +1,278 @@
+"""Malformed input never ends in a traceback.
+
+Every file the CLI reads goes through one reading path: a bad value exits 1
+with a message naming the input and its line, its row (the file line,
+comments counted) or its JSON key. The corruption tests start from valid
+files and damage them with seeded numpy generators.
+"""
+
+import json
+import re
+
+import numpy as np
+import pytest
+
+from hwcost import analytic, cli, linmod, polyreg, synth
+from hwcost.netgraph import (InputError, NetworkConfig, NetworkParseError, ShapeMismatchError,
+                             TensorShape, conv2d, format_network, fully_connected,
+                             infer_output_shape, parse_network, pool2d)
+
+NETWORK = """# three layers
+c1 conv in=1x3x8x8 k=3x3 s=1 p=1 out=4
+p1 pool k=2x2 s=2   # halves the map
+f1 fc out=10
+"""
+DEVICE = "# workstation\npeak_flops = 1e12\nread_bandwidth = 4e9\nwrite_bandwidth = 2e9\n" \
+         "ppp_compute = 0.5\nppp_io = 0.25\nbytes_per_element = 4\n"
+ENERGY = "e_mac = 1.5\nlevels = RF:0.5, DRAM:200\nbitwidth_reference = 16\n"
+ACCESSES = "# layer level count\nc1 RF 1200\nc1 DRAM 300\np1 DRAM 64\n"
+SPACE = {"dimensions": [{"name": "x1", "kind": "continuous", "lo": 0.0, "hi": 1.0},
+                        {"name": "x2", "kind": "integer", "lo": 0, "hi": 4}],
+         "structural": ["x1", "x2"]}
+SCHEMA = {"dimensions": [{"name": "units1", "lo": 1, "hi": 64},
+                         {"name": "units2", "lo": 1, "hi": 8}]}
+SYNTH_CONFIG = {"count": 6, "noise": 0.01, "use": ["conv", "fc"],
+                "kinds": {"fc": {"ranges": {"batch": [1, 4], "in_units": [1, 64],
+                                            "out_units": [1, 64]},
+                                 "runtime_ms": {"const": 0.1, "flops": 1e-7, "mem": 1e-6}}}}
+DEVICE_KEYS = ("peak_flops", "read_bandwidth", "write_bandwidth", "ppp_compute", "ppp_io",
+               "bytes_per_element")
+ENERGY_KEYS = ("e_mac", "levels", "bitwidth_reference")
+
+
+def _main(capsys, argv):
+    code = cli.main([str(a) for a in argv])
+    return code, capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def work(tmp_path_factory):
+    """A directory holding one valid file of every input the CLI reads."""
+    d = tmp_path_factory.mktemp("inputs")
+    for name, text in (("net.txt", NETWORK), ("device.txt", DEVICE), ("energy.txt", ENERGY),
+                       ("accesses.txt", ACCESSES), ("space.json", json.dumps(SPACE, indent=1)),
+                       ("schema.json", json.dumps(SCHEMA, indent=1)),
+                       ("synth.json", json.dumps(SYNTH_CONFIG, indent=1))):
+        (d / name).write_text(text)
+    rows = ["x1,x2,power_w,memory_mb"]
+    rows += [f"{a},{b},{0.5 * a + 2.0 * b + 1.0},{3.0 * a + 0.25 * b + 1.0}"
+             for a in range(1, 4) for b in range(1, 5)]
+    (d / "profiled.csv").write_text("# profiled on the bench\n" + "\n".join(rows) + "\n")
+    assert cli.main(["synth", "--count", "6", "--seed", "5", "--output-dir", str(d)]) == 0
+    assert cli.main(["fit", str(d / "synthetic_profile.csv"), "--folds", "2",
+                     "--output-dir", str(d / "models")]) == 0
+    assert cli.main(["fit-linear", str(d / "profiled.csv"), "--folds", "2",
+                     "--output-dir", str(d / "linear")]) == 0
+    return d
+
+
+def _optimize(d, space, power, memory):
+    return ["optimize", space, "--budget", 6, "--candidates", 16, "--output-dir", d / "out",
+            "--power-model", power, "--memory-model", memory, "--power-budget", 20,
+            "--memory-budget", 20]
+
+
+# input name -> (valid file, its reader, argv reading the file at p, keys a message may name)
+CASES = {
+    "network": ("net.txt", parse_network,
+                lambda d, p: ["predict", p, "--family", "paleo", "--device", d / "device.txt"],
+                ()),
+    "device": ("device.txt", analytic.parse_device_spec,
+               lambda d, p: ["predict", d / "net.txt", "--family", "paleo", "--device", p],
+               DEVICE_KEYS),
+    "energy": ("energy.txt", analytic.parse_energy_spec,
+               lambda d, p: ["predict", d / "net.txt", "--family", "energy", "--energy", p],
+               ENERGY_KEYS),
+    "accesses": ("accesses.txt", cli._load_accesses,
+                 lambda d, p: ["predict", d / "net.txt", "--family", "energy",
+                               "--energy", d / "energy.txt", "--accesses", p], ()),
+    "profile": ("synthetic_profile.csv", polyreg.read_profile_csv,
+                lambda d, p: ["fit", p, "--folds", "2", "--output-dir", d / "out"], ()),
+    "profiled": ("profiled.csv", linmod.read_profiled_csv,
+                 lambda d, p: ["fit-linear", p, "--folds", "2", "--output-dir", d / "out"], ()),
+    "polynomial model": ("models/model_conv_runtime_ms.json", polyreg.model_from_json,
+                         lambda d, p: ["predict", d / "net.txt", "--family", "poly",
+                                       "--models-dir", p.parent], None),
+    "linear model": ("linear/linear_power.json", linmod.model_from_json,
+                     lambda d, p: _optimize(d, d / "space.json", p,
+                                            d / "linear" / "linear_memory.json"), None),
+    "space": ("space.json", cli._load_space,
+              lambda d, p: _optimize(d, p, d / "linear" / "linear_power.json",
+                                     d / "linear" / "linear_memory.json"), None),
+    "schema": ("schema.json", cli._load_schema,
+               lambda d, p: ["sample", p, "--count", 5, "--output-dir", d / "out"], None),
+    "synth config": ("synth.json", synth.load_config,
+                     lambda d, p: ["synth", "--config", p, "--output-dir", d / "out"], None),
+}
+
+
+def _synth_profile_with_bad_line_15(d):
+    lines = (d / "synthetic_profile.csv").read_text().splitlines()
+    assert lines[10].startswith("kind,")  # after the ten comment lines
+    lines[14] = lines[14].replace(",", ",x", 1)
+    return "\n".join(lines) + "\n"
+
+
+# argv builder, the bad file's name and text, and what the message must say
+MOTIVATION = {
+    "space lo null": (CASES["space"][2], "space.json", lambda d: json.dumps(
+                          {"dimensions": [{"name": "x1", "lo": None, "hi": 1.0}]}),
+                      "space dimensions[0] key 'lo'"),
+    "space dimensions 5": (CASES["space"][2], "space.json",
+                           lambda d: json.dumps({"dimensions": 5}), "space key 'dimensions'"),
+    "synth ranges 5": (CASES["synth config"][2], "synth.json",
+                       lambda d: json.dumps({"kinds": {"conv": {"ranges": 5}}}),
+                       "synth config kinds.conv key 'ranges'"),
+    "peak_flops abc": (CASES["device"][2], "device.txt",
+                       lambda d: DEVICE.replace("1e12", "abc"), "device spec line 2"),
+    "levels DRAM:abc": (CASES["energy"][2], "energy.txt",
+                        lambda d: "e_mac = 1\nlevels = DRAM:abc\n", "energy spec line 2"),
+    "accesses count x": (CASES["accesses"][2], "accesses.txt",
+                         lambda d: "c1 DRAM x\n", "accesses line 1"),
+    "profile row 15": (CASES["profile"][2], "profile.csv", _synth_profile_with_bad_line_15,
+                       "profile CSV row 15"),
+    "schema missing hi": (CASES["schema"][2], "schema.json",
+                          lambda d: json.dumps({"dimensions": [{"name": "a", "lo": 1}]}),
+                          "schema dimensions[0] key 'hi'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MOTIVATION))
+def test_malformed_input_exits_1_naming_its_place(work, tmp_path, capsys, case):
+    argv, filename, text, place = MOTIVATION[case]
+    bad = tmp_path / filename
+    bad.write_text(text(work))
+    code, err = _main(capsys, argv(work, bad))
+    assert code == 1
+    assert err.startswith(f"error: {place}: ") and "Traceback" not in err
+
+
+def test_parse_errors_are_input_errors_with_line_numbers():
+    with pytest.raises(NetworkParseError) as err:
+        parse_network("c1 conv in=1x3x8x8 k=3x3 out=4\n\n# note\nc2 conv in=1x4x9x9 k=3 out=4\n")
+    assert isinstance(err.value, InputError) and err.value.line_no == 4
+    assert str(err.value).startswith("network spec line 4: k= expects KhxKw")
+    with pytest.raises(ShapeMismatchError, match="network spec line 2: layer c2"):
+        parse_network("c1 conv in=1x3x8x8 k=3x3 p=1 out=4\nc2 conv in=1x4x9x9 k=3x3 out=4\n")
+
+
+def _json_slots(node):
+    """(container, key) of every value stored under an object key, at any depth."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield node, key
+            yield from _json_slots(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _json_slots(value)
+
+
+def _json_keys(node) -> set[str]:
+    return {key for container, key in _json_slots(node)}
+
+
+def _letter_for_digit(text: str, rng) -> str:
+    digits = [i for i, ch in enumerate(text) if ch.isdigit()]
+    i = digits[rng.integers(len(digits))]
+    return text[:i] + "abxyz"[rng.integers(5)] + text[i + 1:]
+
+
+def _corrupt_text(text: str, rng, csv: bool) -> tuple[str, str]:
+    how = ("letter", "drop cell", "drop line", "truncate")[rng.integers(4)]
+    if how == "letter":
+        return how, _letter_for_digit(text, rng)
+    if how == "truncate":
+        return how, text[:rng.integers(len(text))]
+    lines = text.splitlines()
+    content = [i for i, line in enumerate(lines) if line.strip() and not line.startswith("#")]
+    i = content[rng.integers(len(content))]
+    if how == "drop line":
+        del lines[i]
+    else:
+        cells = lines[i].split(",") if csv else lines[i].split()
+        del cells[rng.integers(len(cells))]
+        lines[i] = ("," if csv else " ").join(cells)
+    return how, "\n".join(lines) + "\n"
+
+
+def _corrupt_json(text: str, rng) -> tuple[str, str]:
+    how = ("letter", "truncate", "drop key", "null", "list", "number")[rng.integers(6)]
+    if how == "letter":
+        return how, _letter_for_digit(text, rng)
+    if how == "truncate":
+        return how, text[:rng.integers(len(text))]
+    doc = json.loads(text)
+    slots = list(_json_slots(doc))
+    container, key = slots[rng.integers(len(slots))]
+    if how == "drop key":
+        del container[key]
+    else:
+        container[key] = {"null": None, "list": [[], [0]][rng.integers(2)],
+                          "number": [0, -1, 3][rng.integers(3)]}[how]
+    return f"{how} {key!r}", json.dumps(doc, indent=1)
+
+
+def _names_its_place(message: str, keys) -> bool:
+    """The message names a line, a row or a JSON key, or one of the input's
+    keys by name, or says the input is empty."""
+    if re.search(r"\b(line|row) \d+|\bkey '|\bempty\b", message):
+        return True
+    return any(re.search(rf"\b{re.escape(key)}\b", message) for key in keys)
+
+
+@pytest.mark.parametrize("index, name", enumerate(sorted(CASES)))
+def test_seeded_corruption_exits_1_naming_its_place(work, tmp_path, capsys, index, name):
+    """A corrupted file the reader rejects exits 1 with the reader's message,
+    which names its place; one the reader accepts (a truncated file can still
+    be well formed) may still fail a later check, but never with a traceback."""
+    valid, read, argv, keys = CASES[name]
+    text = (work / valid).read_text()
+    assert _main(capsys, argv(work, work / valid))[0] == 0
+    if keys is None:
+        keys = _json_keys(json.loads(text))
+    bad = tmp_path / valid
+    bad.parent.mkdir(exist_ok=True)
+    if name == "polynomial model":  # the other five models stay valid
+        for model in (work / "models").glob("model_*.json"):
+            (tmp_path / "models" / model.name).write_bytes(model.read_bytes())
+    rng = np.random.default_rng([0x1A7E, index])
+    rejected = 0
+    for _ in range(30):
+        how, corrupted = (_corrupt_json(text, rng) if valid.endswith(".json")
+                          else _corrupt_text(text, rng, csv=valid.endswith(".csv")))
+        bad.write_text(corrupted)
+        try:
+            read(corrupted)
+            message = None
+        except InputError as exc:
+            message = str(exc)
+            rejected += 1
+            assert _names_its_place(message, keys), f"{name}, {how}: {message}\n{corrupted}"
+        code, err = _main(capsys, argv(work, bad))
+        assert code in (0, 1), f"{name}, {how}: exit {code}\n{corrupted}"
+        if message is not None:
+            assert code == 1 and f"error: {message}" in err, f"{name}, {how}: {err}"
+    assert rejected >= 10
+
+
+def test_parse_network_round_trips_seeded_chains():
+    rng = np.random.default_rng(0x2E7)
+    for _ in range(40):
+        shape = TensorShape(*(int(v) for v in rng.integers([1, 1, 3, 3], [4, 8, 33, 33])))
+        layers = []
+        for i in range(int(rng.integers(1, 7))):
+            kind = ("conv", "pool", "fc")[rng.integers(3)]
+            if kind == "fc" or min(shape.height, shape.width) < 3:
+                layer = fully_connected(f"l{i}", shape.flattened() if i else shape,
+                                        units=int(rng.integers(1, 64)))
+            elif kind == "conv":
+                layer = conv2d(f"l{i}", shape, out_channels=int(rng.integers(1, 16)),
+                               kernel=tuple(int(k) for k in rng.integers(1, 4, size=2)),
+                               stride=int(rng.integers(1, 3)), padding=int(rng.integers(0, 2)))
+            else:
+                layer = pool2d(f"l{i}", shape, kernel=int(rng.integers(1, 3)),
+                               stride=int(rng.integers(1, 3)))
+            layers.append(layer)
+            shape = infer_output_shape(layer)
+        net = NetworkConfig("chain", tuple(layers))
+        assert parse_network(format_network(net), name="chain") == net
