@@ -213,7 +213,11 @@ def read_profiled_csv(text: str) -> list[ProfiledPoint]:
     zs = np.array([r[0] for r in rows])
     schema = StructuralSchema(names, tuple(int(v) for v in zs.min(axis=0)),
                               tuple(int(v) for v in zs.max(axis=0)))
-    return [ProfiledPoint(StructuralPoint(z, schema), p, m) for z, p, m in rows]
+    points = []
+    for (line_no, _), (z, power, memory) in zip(data, rows):
+        with _located(f"profiled CSV row {line_no}"):
+            points.append(ProfiledPoint(StructuralPoint(z, schema), power, memory))
+    return points
 
 
 def write_profiled_csv(points: list[ProfiledPoint]) -> str:

@@ -219,15 +219,17 @@ class Metrics:
     rmse: float   # target units (ms or W)
 
 
-def _rmspe(pred: np.ndarray, actual: np.ndarray, warn_context: str | None = None) -> float:
+def _rmspe(pred: np.ndarray, actual: np.ndarray,
+           warn_context: str | None = None) -> float | np.ndarray:
+    """RMSPE (%) of `pred` against `actual`; one per column of a 2-D `pred`."""
     nonzero = actual != 0
     if not nonzero.all() and warn_context is not None:
         warnings.warn(f"{warn_context}: excluded {int((~nonzero).sum())} zero-actual "
                       f"sample(s) from RMSPE", stacklevel=3)
     if not nonzero.any():
         raise ValueError("RMSPE undefined: every actual value is zero")
-    rel = (pred[nonzero] - actual[nonzero]) / actual[nonzero]
-    return 100.0 * math.sqrt(float(np.mean(rel * rel)))
+    rel = (pred[nonzero].T - actual[nonzero]) / actual[nonzero]
+    return 100.0 * np.sqrt(np.mean(rel * rel, axis=-1))
 
 
 def evaluate(model: PolynomialModel, samples: list[tuple[LayerConfig, float]]) -> Metrics:
@@ -237,7 +239,7 @@ def evaluate(model: PolynomialModel, samples: list[tuple[LayerConfig, float]]) -
     pred = np.array([predict(model, layer) for layer, _ in samples])
     actual = np.array([value for _, value in samples], dtype=float)
     rmse = math.sqrt(float(np.mean((pred - actual) ** 2)))
-    return Metrics(_rmspe(pred, actual, warn_context="evaluate"), rmse)
+    return Metrics(float(_rmspe(pred, actual, warn_context="evaluate")), rmse)
 
 
 def _design_matrix(layers: list[LayerConfig], kind: LayerKind,
@@ -248,50 +250,74 @@ def _design_matrix(layers: list[LayerConfig], kind: LayerKind,
     return np.column_stack(cols + [specials[:, 0], specials[:, 1]])
 
 
-def _kkt_violation(gram: np.ndarray, corr: np.ndarray, lam: float,
-                   beta: np.ndarray) -> np.ndarray:
-    grad = gram @ beta - corr
-    return np.where(beta != 0.0, np.abs(grad + lam * np.sign(beta)),
-                    np.maximum(np.abs(grad) - lam, 0.0))
+def _kkt_violation(gram: np.ndarray, corr: np.ndarray, lambdas: np.ndarray,
+                   path: np.ndarray) -> np.ndarray:
+    """Largest KKT violation of each row of `path`, one row per lambda."""
+    grad = path @ gram - corr
+    lam = lambdas[:, None]
+    violation = np.where(path != 0.0, np.abs(grad + lam * np.sign(path)),
+                         np.maximum(np.abs(grad) - lam, 0.0))
+    return violation.max(axis=1, initial=0.0)
 
 
+def _warn_off_kkt(gram: np.ndarray, corr: np.ndarray, lambdas: np.ndarray,
+                  path: np.ndarray, where: str) -> None:
+    """Warn (UserWarning) when a row of `path` misses KKT by more than KKT_TOL."""
+    violation = _kkt_violation(gram, corr, lambdas, path)
+    worst = int(np.argmax(violation))
+    if violation[worst] > KKT_TOL:
+        warnings.warn(f"{where}: lasso solution at lambda {lambdas[worst]:.6g} violates "
+                      f"its KKT conditions by {violation[worst]:.3g}", stacklevel=3)
+
+
+_SIDES = np.array([[1.0], [-1.0]])  # a column joins at +lam (row 0) or -lam (row 1)
+
+
+@np.errstate(divide="ignore", invalid="ignore")
 def _lasso_homotopy(gram: np.ndarray, corr: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
     """Exact minimizers of (1/2)b'Gb - c'b + lam*||b||_1 at the descending
     `lambdas`, one row each.
 
     LARS-lasso homotopy (Efron et al. 2004): b = 0 for lam >= max|c|; between
-    events the active set A with signs s has b_A = a - lam*d, a = G_AA^-1 c_A,
-    d = G_AA^-1 s, so each grid row is exact. An inactive column joins when
-    its correlation c_j - G_jA b_A reaches +-lam (ties: lowest index), unless
-    its Schur complement against A is not positive (it lies in A's span, as an
-    exact copy of an active column does); an active coefficient reaching zero
-    drops and cannot rejoin at the same lam.
+    events the active set A with signs s has b_A = a - lam*d, where
+    [a, d] = G_AA^-1 [c_A, s], so each grid row is exact. An inactive column
+    joins when its correlation c_j - G_jA b_A reaches +-lam (ties: lowest
+    index), unless its Schur complement against A is not positive (it lies in
+    A's span, as an exact copy of an active column does); an active
+    coefficient reaching zero drops and cannot rejoin at the same lam.
     """
-    out = np.zeros((len(lambdas), len(corr)))
-    active: list[int] = []
-    signs: list[float] = []
-    blocked = np.zeros(len(corr), dtype=bool)
-    dropped = None  # (column, sign, lam) of the last drop
+    p = len(corr)
+    out = np.zeros((len(lambdas), p))
+    # the active set in join order: active[:k], rows [c_j, s_j] of rhs[:k]
+    # and the Gram columns cols[:, :k]; they change only at a join or a drop
+    active = np.empty(p, dtype=np.intp)
+    rhs = np.empty((p, 2))
+    cols = np.empty((p, p), order="F")
+    k = 0
+    free = np.ones(p, dtype=bool)  # inactive and not blocked
+    blocked: list[int] = []        # failed the Schur test at this lam
+    dropped = None                 # (column, side, lam) of the last drop
     lam = float(np.max(np.abs(corr), initial=0.0))
     row = 0
-    # finite in exact arithmetic; the bound stops a degenerate cycle, and on
-    # the final fit the rows it leaves at zero fail the KKT check
-    for _ in range(100 * len(corr) + 1):
-        idx, s = np.asarray(active, dtype=np.intp), np.asarray(signs)
-        chol = np.linalg.cholesky(gram[np.ix_(idx, idx)])
-        a, d = np.linalg.solve(chol.T, np.linalg.solve(chol, np.column_stack([corr[idx], s]))).T
+    # finite in exact arithmetic; the bound stops a degenerate cycle, and the
+    # rows it leaves at zero fail the KKT check
+    for _ in range(100 * p + 1):
+        idx, s, g = active[:k], rhs[:k, 1], cols[:, :k]
+        g_aa = g[idx]
+        ad = np.linalg.solve(g_aa, rhs[:k])
+        a, d = ad.T
         beta = a - lam * d
         # as lam falls by t: correlations r - t*q, active coefficients beta + t*d
-        r = corr - gram[:, idx] @ beta
-        q = gram[:, idx] @ d
-        with np.errstate(divide="ignore", invalid="ignore"):
-            to_upper = np.where(q < 1.0 - 1e-12, np.maximum(lam - r, 0.0) / (1.0 - q), np.inf)
-            to_lower = np.where(q > 1e-12 - 1.0, np.maximum(lam + r, 0.0) / (1.0 + q), np.inf)
-            to_zero = np.where(s * d < 0.0, np.maximum(-beta / d, 0.0), np.inf)
+        ga, q = (g @ ad).T
+        r = corr - ga + lam * q
+        # a masked-out ratio may divide by zero; the errstate decorator hides it
+        sq = _SIDES * q
+        to_side = np.where(free & (sq < 1.0 - 1e-12),
+                           np.maximum(lam - _SIDES * r, 0.0) / (1.0 - sq), np.inf)
+        to_zero = np.where(s * d < 0.0, np.maximum(-beta / d, 0.0), np.inf)
         if dropped is not None and dropped[2] == lam:
-            (to_upper if dropped[1] > 0 else to_lower)[dropped[0]] = np.inf
-        to_join = np.where(blocked, np.inf, np.minimum(to_upper, to_lower))
-        to_join[idx] = np.inf
+            to_side[dropped[1], dropped[0]] = np.inf
+        to_join = to_side.min(axis=0)
         t_join, t_drop = to_join.min(initial=np.inf), to_zero.min(initial=np.inf)
         next_lam = lam - min(t_join, t_drop, lam)
         while row < len(lambdas) and lambdas[row] >= next_lam:
@@ -302,17 +328,27 @@ def _lasso_homotopy(gram: np.ndarray, corr: np.ndarray, lambdas: np.ndarray) -> 
             break
         lam = next_lam
         if t_drop <= t_join:
-            k = int(np.argmin(to_zero))
-            dropped = (active.pop(k), signs.pop(k), lam)
+            i = int(np.argmin(to_zero))
+            j = int(active[i])
+            dropped = (j, 0 if s[i] > 0.0 else 1, lam)
+            active[i:k - 1] = active[i + 1:k]
+            rhs[i:k - 1] = rhs[i + 1:k]
+            cols[:, i:k - 1] = cols[:, i + 1:k]
+            k -= 1
+            free[j] = True
         else:
-            j = int(np.flatnonzero(to_join <= t_join + 1e-12 * lam)[0])
-            v = np.linalg.solve(chol, gram[idx, j])
-            if gram[j, j] - float(v @ v) <= SCHUR_TOL:
-                blocked[j] = True
+            j = int(np.argmax(to_join <= t_join + 1e-12 * lam))
+            free[j] = False
+            if gram[j, j] - g[j] @ np.linalg.solve(g_aa, g[j]) <= SCHUR_TOL:
+                blocked.append(j)
                 continue
-            active.append(j)
-            signs.append(1.0 if to_upper[j] <= to_lower[j] else -1.0)
-        blocked[:] = False
+            active[k] = j
+            rhs[k] = corr[j], 1.0 if to_side[0, j] <= to_side[1, j] else -1.0
+            cols[:, k] = gram[:, j]
+            k += 1
+        if blocked:
+            free[blocked] = True
+            blocked.clear()
     return out
 
 
@@ -382,22 +418,26 @@ def _assemble_model(kind: LayerKind, target: Target, degree: int,
     return PolynomialModel(kind, target, degree, schema, kept_regular, kept_special)
 
 
-def _cv_curves(design: np.ndarray, y: np.ndarray, lambdas: np.ndarray,
-               folds: int, seed: int) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-    """Mean held-out RMSPE per lambda, plus per-fold (pred-matrix, actual)."""
-    n = design.shape[0]
-    fold_of = kfold_indices(n, folds, seed)
+def _cv_curves(design: np.ndarray, y: np.ndarray, lambdas: np.ndarray, folds: int,
+               seed: int, label: str) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """Mean held-out RMSPE per lambda, plus per-fold (pred-matrix, actual).
+
+    Warns (UserWarning) when a fold path misses its KKT conditions by more
+    than KKT_TOL at a grid lambda.
+    """
+    fold_of = kfold_indices(design.shape[0], folds, seed)
     rmspe = np.zeros((folds, len(lambdas)))
     fold_preds = []
     for k in range(folds):
         val = fold_of == k
         std = _standardize(design[~val], y[~val])
-        path = _lasso_homotopy(*_moments(std), lambdas)
-        preds = np.empty((int(val.sum()), len(lambdas)))
-        for i, beta_std in enumerate(path):
-            beta, intercept = _unstandardize(std, beta_std, design.shape[1])
-            preds[:, i] = design[val] @ beta + intercept
-            rmspe[k, i] = _rmspe(preds[:, i], y[val])
+        gram, corr = _moments(std)
+        path = _lasso_homotopy(gram, corr, lambdas)
+        _warn_off_kkt(gram, corr, lambdas, path, f"{label}: fold {k + 1} of {folds}")
+        # raw coefficients of the live columns and the intercept, one row per lambda
+        coef = path * std.y_std / std.stds[std.live]
+        preds = design[val][:, std.live] @ coef.T + (std.y_mean - coef @ std.means[std.live])
+        rmspe[k] = _rmspe(preds, y[val])
         fold_preds.append((preds, y[val]))
     return rmspe.mean(axis=0), fold_preds
 
@@ -414,8 +454,9 @@ def fit_with_metrics(samples: list[tuple[LayerConfig, float]], config: FitConfig
 
     Deterministic given (samples, config, config.seed): the fold split is
     seed-derived, the lambda grid follows from the data, and each lasso
-    solution is read off an exact homotopy path. Warns (UserWarning) when the
-    final solution misses its KKT conditions by more than KKT_TOL.
+    solution is read off an exact homotopy path. Warns (UserWarning) when a
+    fold path or the final solution misses its KKT conditions by more than
+    KKT_TOL.
     """
     _check_samples(samples, config, kind)
     degree = config.resolved_degree(kind)
@@ -439,20 +480,18 @@ def fit_with_metrics(samples: list[tuple[LayerConfig, float]], config: FitConfig
         lambdas = _lambda_grid(corr)
     else:
         lambdas = np.array([config.l1_strength])
-    mean_rmspe, fold_preds = _cv_curves(design, y, lambdas, config.cv_folds, config.seed)
+    label = f"{kind.value} {target.value}"
+    mean_rmspe, fold_preds = _cv_curves(design, y, lambdas, config.cv_folds, config.seed, label)
     chosen = int(np.argmin(mean_rmspe))
     pooled_pred = np.concatenate([preds[:, chosen] for preds, _ in fold_preds])
     pooled_act = np.concatenate([act for _, act in fold_preds])
 
-    beta_std = _lasso_homotopy(gram, corr, lambdas[chosen:chosen + 1])[0]
-    violation = float(_kkt_violation(gram, corr, lambdas[chosen], beta_std).max(initial=0.0))
-    if violation > KKT_TOL:
-        warnings.warn(f"{kind.value} {target.value}: lasso solution at lambda "
-                      f"{lambdas[chosen]:.6g} violates its KKT conditions by "
-                      f"{violation:.3g}", stacklevel=2)
-    beta, intercept = _unstandardize(std_full, beta_std, design.shape[1])
+    final = lambdas[chosen:chosen + 1]
+    path = _lasso_homotopy(gram, corr, final)
+    _warn_off_kkt(gram, corr, final, path, label)
+    beta, intercept = _unstandardize(std_full, path[0], design.shape[1])
     model = _assemble_model(kind, target, degree, terms, beta, intercept)
-    metrics = Metrics(_rmspe(pooled_pred, pooled_act),
+    metrics = Metrics(float(_rmspe(pooled_pred, pooled_act)),
                       math.sqrt(float(np.mean((pooled_pred - pooled_act) ** 2))))
     return model, metrics
 
@@ -542,15 +581,24 @@ def model_to_json(model: PolynomialModel) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _kind_schema(names, kind: LayerKind) -> tuple[str, ...]:
+    """`names` as the feature schema, which must be the one of `kind`."""
+    if tuple(names) != _SCHEMAS[kind]:
+        raise ValueError(f"{kind.value} models take the features {list(_SCHEMAS[kind])}, "
+                         f"got {list(names)}")
+    return _SCHEMAS[kind]
+
+
 def model_from_json(text: str) -> PolynomialModel:
     what = "polynomial model"
     with _located(what):
         doc = json.loads(text)
+        kind = _value(doc, "layer_kind", LayerKind, what)
         return PolynomialModel(
-            layer_kind=_value(doc, "layer_kind", LayerKind, what),
+            layer_kind=kind,
             target=_value(doc, "target", Target, what),
             degree=_value(doc, "degree", int, what),
-            schema=_value(doc, "schema", tuple, what),
+            schema=_value(doc, "schema", lambda names: _kind_schema(names, kind), what),
             terms=_value(doc, "terms", lambda terms: tuple(
                 (TermSpec(tuple(exps)), float(coef)) for exps, coef in terms), what),
             special=_value(doc, "special_terms", lambda terms: tuple(

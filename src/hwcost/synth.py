@@ -82,6 +82,9 @@ def _ranges(doc, base: dict[str, tuple[int, int]]) -> dict[str, tuple[int, int]]
     """`{name: [lo, hi]}` integer ranges; only `pad` may be left out of `base`'s names."""
     ranges = {name: (operator.index(lo), operator.index(hi))
               for name, (lo, hi) in dict(doc).items()}
+    for name, (lo, hi) in ranges.items():
+        if lo > hi:
+            raise ValueError(f"{name}: empty range [{lo}, {hi}], lo > hi")
     missing = sorted(set(base) - set(ranges) - {"pad"})
     if missing:
         raise ValueError(f"missing {missing}")

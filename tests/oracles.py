@@ -167,3 +167,57 @@ def select_hypers_dense(X, y, lengthscale_grid, signal_grid, noise_grid):
         s2f = best(signal_grid, [lml(ls, c, s2n) for c in signal_grid])
         s2n = best(noise_grid, [lml(ls, s2f, c) for c in noise_grid])
     return tuple(ls), s2f, s2n
+
+
+def lasso_homotopy_reference(gram, corr, lambdas, schur_tol=1e-10):
+    """The homotopy lasso path as first written, one event at a time.
+
+    Same rules as `polyreg._lasso_homotopy` (join ties to the lowest index, a
+    column whose Schur complement is at most `schur_tol` never joins, a
+    just-dropped column cannot rejoin on the same side at the same lambda),
+    but each event gathers G_AA afresh, factors it by Cholesky and solves
+    with the triangular factors, with plain lists for the active set.
+    """
+    out = np.zeros((len(lambdas), len(corr)))
+    active, signs = [], []
+    blocked = np.zeros(len(corr), dtype=bool)
+    dropped = None  # (column, sign, lam) of the last drop
+    lam = float(np.max(np.abs(corr), initial=0.0))
+    row = 0
+    for _ in range(100 * len(corr) + 1):
+        idx, s = np.asarray(active, dtype=np.intp), np.asarray(signs)
+        chol = np.linalg.cholesky(gram[np.ix_(idx, idx)])
+        a, d = np.linalg.solve(chol.T, np.linalg.solve(chol, np.column_stack([corr[idx], s]))).T
+        beta = a - lam * d
+        r = corr - gram[:, idx] @ beta
+        q = gram[:, idx] @ d
+        with np.errstate(divide="ignore", invalid="ignore"):
+            to_upper = np.where(q < 1.0 - 1e-12, np.maximum(lam - r, 0.0) / (1.0 - q), np.inf)
+            to_lower = np.where(q > 1e-12 - 1.0, np.maximum(lam + r, 0.0) / (1.0 + q), np.inf)
+            to_zero = np.where(s * d < 0.0, np.maximum(-beta / d, 0.0), np.inf)
+        if dropped is not None and dropped[2] == lam:
+            (to_upper if dropped[1] > 0 else to_lower)[dropped[0]] = np.inf
+        to_join = np.where(blocked, np.inf, np.minimum(to_upper, to_lower))
+        to_join[idx] = np.inf
+        t_join, t_drop = to_join.min(initial=np.inf), to_zero.min(initial=np.inf)
+        next_lam = lam - min(t_join, t_drop, lam)
+        while row < len(lambdas) and lambdas[row] >= next_lam:
+            coef = a - lambdas[row] * d
+            out[row, idx] = np.where(coef * s > 0.0, coef, 0.0)
+            row += 1
+        if row == len(lambdas):
+            break
+        lam = next_lam
+        if t_drop <= t_join:
+            k = int(np.argmin(to_zero))
+            dropped = (active.pop(k), signs.pop(k), lam)
+        else:
+            j = int(np.flatnonzero(to_join <= t_join + 1e-12 * lam)[0])
+            v = np.linalg.solve(chol, gram[idx, j])
+            if gram[j, j] - float(v @ v) <= schur_tol:
+                blocked[j] = True
+                continue
+            active.append(j)
+            signs.append(1.0 if to_upper[j] <= to_lower[j] else -1.0)
+        blocked[:] = False
+    return out

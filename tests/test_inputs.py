@@ -134,6 +134,13 @@ MOTIVATION = {
     "schema missing hi": (CASES["schema"][2], "schema.json",
                           lambda d: json.dumps({"dimensions": [{"name": "a", "lo": 1}]}),
                           "schema dimensions[0] key 'hi'"),
+    "synth range lo > hi": (CASES["synth config"][2], "synth.json", lambda d: json.dumps(
+                                {"kinds": {"fc": {"ranges": {"batch": [4, 1], "in_units": [1, 64],
+                                                             "out_units": [1, 64]}}}}),
+                            "synth config kinds.fc key 'ranges': batch"),
+    "profiled power 0": (CASES["profiled"][2], "profiled.csv",
+                         lambda d: "x1,power_w,memory_mb\n1,1.0,2\n2,0.0,4\n",
+                         "profiled CSV row 3"),
 }
 
 
@@ -145,6 +152,23 @@ def test_malformed_input_exits_1_naming_its_place(work, tmp_path, capsys, case):
     code, err = _main(capsys, argv(work, bad))
     assert code == 1
     assert err.startswith(f"error: {place}: ") and "Traceback" not in err
+
+
+def test_model_schema_must_match_its_layer_kind(work, tmp_path, capsys):
+    models = tmp_path / "models"
+    models.mkdir()
+    for model in (work / "models").glob("model_*.json"):
+        (models / model.name).write_bytes(model.read_bytes())
+    # two features and a batch-only term: read as a conv model, it would
+    # predict from the first two conv features
+    (models / "model_conv_runtime_ms.json").write_text(json.dumps(
+        {"layer_kind": "conv", "target": "runtime_ms", "degree": 1, "schema": ["batch", "in_c"],
+         "terms": [[[1, 0], 1.0]], "special_terms": []}))
+    code = cli.main(["predict", str(work / "net.txt"), "--family", "poly",
+                     "--models-dir", str(models)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error: polynomial model key 'schema': ") and "Traceback" not in err
 
 
 def test_parse_errors_are_input_errors_with_line_numbers():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -7,13 +8,15 @@ import pytest
 
 from hwcost.netgraph import LayerConfig, LayerKind, TensorShape, conv2d, \
     parse_network, pool2d
-from hwcost import polyreg
+from hwcost import polyreg, synth
+from hwcost.seeding import kfold_indices
 from hwcost.polyreg import (FeatureVector, FitConfig, FitError, Metrics,
                             MissingModelError, PolynomialModel, SpecialTerm, Target,
                             TermSpec, ZeroRuntimeError, build_features, enumerate_terms,
                             evaluate, feature_schema, fit, model_from_json, model_to_json, predict, predict_network,
                             predict_with_flag, read_profile_csv, special_terms,
                             write_profile_csv)
+from oracles import lasso_homotopy_reference
 
 
 def fc_layer(batch, in_units, out_units, name="f"):
@@ -224,14 +227,18 @@ def _fc_samples(n, seed):
     return samples
 
 
-@pytest.mark.parametrize("kind, samples", [
+HARD_DESIGNS = {
     # flops and accesses are copies of the b*c column, b*in_hw of b, c*k of c, ...
-    (LayerKind.POOL2D, pool_grid_samples(lambda b, c: 1.0 + 0.5 * b + 2.0 * b * c + 0.1 * c * c)),
+    "pool-grid-duplicates": (LayerKind.POOL2D, pool_grid_samples(
+        lambda b, c: 1.0 + 0.5 * b + 2.0 * b * c + 0.1 * c * c)),
     # the access count b*in + in*out + b*out is a sum of degree-2 monomials
-    (LayerKind.FULLY_CONNECTED, _fc_samples(40, 8)),
+    "fc-collinear-special": (LayerKind.FULLY_CONNECTED, _fc_samples(40, 8)),
     # 40 samples, 166 live columns
-    (LayerKind.CONV2D, _conv_samples(40, 13)),
-], ids=["pool-grid-duplicates", "fc-collinear-special", "conv-n-below-p"])
+    "conv-n-below-p": (LayerKind.CONV2D, _conv_samples(40, 13)),
+}
+
+
+@pytest.mark.parametrize("kind, samples", HARD_DESIGNS.values(), ids=HARD_DESIGNS.keys())
 def test_fit_meets_kkt_conditions_along_the_grid(kind, samples):
     degree = polyreg.DEFAULT_DEGREE[kind]
     terms, design, y, live, xs, ys = _standardized_problem(samples, kind, degree)
@@ -260,6 +267,52 @@ def test_fit_warns_when_solution_misses_kkt(monkeypatch):
     with pytest.warns(UserWarning, match=r"fc runtime_ms: .*KKT"):
         fit(_fc_samples(40, 8), FitConfig(degree=2, l1_strength=1e-3, cv_folds=3),
             LayerKind.FULLY_CONNECTED, Target.RUNTIME_MS)
+
+
+def test_fold_paths_are_kkt_checked(monkeypatch):
+    solve = polyreg._lasso_homotopy
+
+    def zeros_on_grids(gram, corr, lambdas):
+        if len(lambdas) > 1:  # the CV fold paths; the final fit solves one lambda
+            return np.zeros((len(lambdas), len(corr)))
+        return solve(gram, corr, lambdas)
+
+    monkeypatch.setattr(polyreg, "_lasso_homotopy", zeros_on_grids)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fit(_fc_samples(40, 8), FitConfig(degree=2, cv_folds=3),
+            LayerKind.FULLY_CONNECTED, Target.RUNTIME_MS)
+    messages = sorted(str(w.message) for w in caught)
+    assert len(messages) == 3
+    for k, message in enumerate(messages, start=1):
+        assert re.match(rf"fc runtime_ms: fold {k} of 3: lasso solution at lambda \S+ "
+                        r"violates its KKT conditions by ", message), message
+
+
+def _synth_pool_power(seed):
+    samples = synth.generate_samples(synth.SynthConfig(count=40, noise=0.05), seed)
+    return [(s.layer, s.power_w) for s in samples if s.layer.kind is LayerKind.POOL2D]
+
+
+@pytest.mark.parametrize("kind, samples", [
+    *HARD_DESIGNS.values(),
+    # a synthesized profile whose paths meet columns that fail the Schur test
+    (LayerKind.POOL2D, _synth_pool_power(11000)),
+], ids=[*HARD_DESIGNS, "synth-pool-schur-blocks"])
+def test_homotopy_path_matches_reference(kind, samples):
+    """Same support and standardized coefficients as the reference event loop
+    at every grid lambda, on the full data and on each 3-fold training set."""
+    terms = enumerate_terms(len(feature_schema(kind)), polyreg.DEFAULT_DEGREE[kind])
+    design = polyreg._design_matrix([layer for layer, _ in samples], kind, terms)
+    y = np.array([value for _, value in samples])
+    fold_of = kfold_indices(len(y), 3, 1)
+    for rows in [np.ones(len(y), dtype=bool)] + [fold_of != k for k in range(3)]:
+        gram, corr = polyreg._moments(polyreg._standardize(design[rows], y[rows]))
+        lambdas = polyreg._lambda_grid(corr)
+        got = polyreg._lasso_homotopy(gram, corr, lambdas)
+        want = lasso_homotopy_reference(gram, corr, lambdas)
+        assert np.array_equal(got != 0.0, want != 0.0)
+        assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(np.abs(want), 1.0))
 
 
 def test_sparsity_non_increasing_in_lambda():
