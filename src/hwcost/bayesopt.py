@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linmod import LinearModel, predict as lin_predict
+from .linmod import LinearModel, LinTarget, predict as lin_predict
 from .seeding import generator
 
 SQRT5 = math.sqrt(5.0)
@@ -106,6 +106,11 @@ class ConstraintSpec:
     def __post_init__(self):
         if self.power_budget <= 0 or self.memory_budget <= 0:
             raise ValueError("budgets must be > 0")
+        for role, model, target in (("power", self.power_model, LinTarget.POWER_W),
+                                    ("memory", self.memory_model, LinTarget.MEMORY_MB)):
+            if model.target is not target:
+                raise ValueError(f"the {role} model predicts {model.target.value}, "
+                                 f"not {target.value}")
 
     def predict(self, z):
         """(power, memory) at one structural point, or a pair of arrays for rows."""
@@ -138,14 +143,17 @@ class GPState:
 
     Inputs live in the unit box; with auto_hypers the targets are
     standardized internally and kernel hyper-parameters are re-selected by
-    grid-restricted marginal-likelihood ascent on every update. Fixed-hyper
+    grid-restricted marginal-likelihood ascent on every update. The ascent
+    starts at `hyper_start` (lengthscales, signal var, noise var): `update`
+    passes the previous state's choice, so a refit warm-starts from it,
+    while a first fit (None) starts at the grid midpoints. Fixed-hyper
     states (auto_hypers=False) take lengthscales/variances in raw units and
     keep them across updates.
     """
 
     def __init__(self, space: SearchSpace, observations=(),
                  lengthscales=None, signal_var: float = 1.0, noise_var: float = 0.0,
-                 prior_mean: float = 0.0, auto_hypers: bool = False):
+                 prior_mean: float = 0.0, auto_hypers: bool = False, *, hyper_start=None):
         self.space = space
         self.observations = tuple(observations)
         for obs in self.observations:
@@ -170,7 +178,8 @@ class GPState:
         self._ys = (y - self.prior_mean) / self.y_scale
 
         if auto_hypers and n:
-            self.lengthscales, self.signal_var, self.noise_var = _select_hypers(self._xn, self._ys)
+            self.lengthscales, self.signal_var, self.noise_var = _select_hypers(
+                self._xn, self._ys, hyper_start)
         else:
             if lengthscales is None:
                 lengthscales = (0.4,) * space.dim
@@ -188,7 +197,7 @@ class GPState:
 
     @classmethod
     def fit(cls, space: SearchSpace, observations) -> "GPState":
-        """State with hyper-parameters selected from the data."""
+        """State with hyper-parameters selected from the data, from the midpoints."""
         return cls(space, observations, auto_hypers=True)
 
 
@@ -247,14 +256,18 @@ def _log_marginal_likelihood(R: np.ndarray, ys: np.ndarray, signal_var: float,
     return float(-0.5 * v @ v - np.sum(np.log(np.diag(L)[:n])) - 0.5 * n * math.log(2 * math.pi))
 
 
-def _select_hypers(Xn: np.ndarray, ys: np.ndarray) -> tuple[tuple[float, ...], float, float]:
+def _select_hypers(Xn: np.ndarray, ys: np.ndarray, start=None
+                   ) -> tuple[tuple[float, ...], float, float]:
     """Coordinate-wise grid ascent of the log marginal likelihood.
 
     Two deterministic passes over (each lengthscale, signal var, noise var),
     each parameter restricted to its 7-point log grid; ties keep the
-    earliest grid point. A full factorial sweep over per-dimension
-    lengthscales would be exponential in the dimension for no accuracy gain
-    at this scale.
+    earliest grid point. The ascent starts at `start` (lengthscales, signal
+    var, noise var), which a refit takes from the previous state, or at the
+    grid midpoints when it is None; when the optimum does not move from the
+    start, the second pass only looks up scored trials. A full factorial
+    sweep over per-dimension lengthscales would be exponential in the
+    dimension for no accuracy gain at this scale.
 
     The per-dimension squared distances are computed once; a lengthscale
     trial weights them into the correlation matrix R, and the signal and
@@ -279,9 +292,9 @@ def _select_hypers(Xn: np.ndarray, ys: np.ndarray) -> tuple[tuple[float, ...], f
                 correlation(lengthscales) if R is None else R, ys, signal_var, noise_var)
         return scored[key]
 
-    ls = np.full(dim, LENGTHSCALE_GRID[3])
-    s2f = SIGNAL_VAR_GRID[3]
-    s2n = NOISE_VAR_GRID[3]
+    lengthscales, s2f, s2n = start or ((LENGTHSCALE_GRID[3],) * dim, SIGNAL_VAR_GRID[3],
+                                       NOISE_VAR_GRID[3])
+    ls = np.array(lengthscales, dtype=float)
     for _ in range(2):
         for d in range(dim):
             scores = []
@@ -320,13 +333,17 @@ def gp_posterior(state: GPState, x) -> tuple[float, float]:
 def update(state: GPState, observation: Observation) -> GPState:
     """New state with the observation appended and the factorization rebuilt.
 
-    Auto states re-select hyper-parameters; fixed states keep theirs.
+    Auto states re-select hyper-parameters, warm-starting the ascent at the
+    previous state's choice (at the grid midpoints if it had no data);
+    fixed states keep theirs.
     """
     if not state.space.contains(observation.x):
         raise ValueError(f"observation {observation.x} outside the search space")
     observations = state.observations + (observation,)
     if state.auto_hypers:
-        return GPState(state.space, observations, auto_hypers=True)
+        start = ((state.lengthscales, state.signal_var, state.noise_var)
+                 if state.observations else None)
+        return GPState(state.space, observations, auto_hypers=True, hyper_start=start)
     return GPState(state.space, observations, lengthscales=state.lengthscales,
                    signal_var=state.signal_var, noise_var=state.noise_var,
                    prior_mean=state.prior_mean)

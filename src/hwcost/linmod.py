@@ -7,8 +7,6 @@ validated with seeded 10-fold cross validation.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -16,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .netgraph import _csv_rows, _located, _value
+from .netgraph import _csv_rows, _finite, _located, _value
 from .seeding import generator, kfold_indices
 
 
@@ -183,18 +181,6 @@ def predict(model: LinearModel, z):
     return float(total) if Z.ndim == 1 else total
 
 
-def predict_power(model: LinearModel, z) -> float:
-    if model.target is not LinTarget.POWER_W:
-        raise ValueError(f"model predicts {model.target.value}, not power")
-    return predict(model, z)
-
-
-def predict_memory(model: LinearModel, z) -> float:
-    if model.target is not LinTarget.MEMORY_MB:
-        raise ValueError(f"model predicts {model.target.value}, not memory")
-    return predict(model, z)
-
-
 # --- profiled-point CSV ------------------------------------------------------
 
 def read_profiled_csv(text: str) -> list[ProfiledPoint]:
@@ -209,7 +195,7 @@ def read_profiled_csv(text: str) -> list[ProfiledPoint]:
     rows = []
     for line_no, row in data:
         with _located(f"profiled CSV row {line_no}"):
-            rows.append((tuple(int(c) for c in row[:-2]), float(row[-2]), float(row[-1])))
+            rows.append((tuple(int(c) for c in row[:-2]), _finite(row[-2]), _finite(row[-1])))
     zs = np.array([r[0] for r in rows])
     schema = StructuralSchema(names, tuple(int(v) for v in zs.min(axis=0)),
                               tuple(int(v) for v in zs.max(axis=0)))
@@ -220,16 +206,6 @@ def read_profiled_csv(text: str) -> list[ProfiledPoint]:
     return points
 
 
-def write_profiled_csv(points: list[ProfiledPoint]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    schema = points[0].z.schema
-    writer.writerow(list(schema.names) + ["power_w", "memory_mb"])
-    for point in points:
-        writer.writerow([*point.z.z, repr(point.power_w), repr(point.memory_mb)])
-    return out.getvalue()
-
-
 def model_to_json(model: LinearModel) -> str:
     doc = {
         "schema": list(model.schema),
@@ -238,7 +214,7 @@ def model_to_json(model: LinearModel) -> str:
         "cv_report": list(model.cv_report),
         "has_bias": model.has_bias,
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def model_from_json(text: str) -> LinearModel:

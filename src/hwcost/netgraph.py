@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
@@ -236,7 +237,7 @@ def _located(where, error=InputError):
         yield
     except InputError:
         raise
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
         reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise error(where, reason) from None
 
@@ -284,6 +285,14 @@ def _value(doc, key: str, convert, where: str, *default):
         if default and key not in doc:
             return default[0]
         return convert(doc[key])
+
+
+def _finite(cell: str) -> float:
+    """A measured value read from a CSV cell; nan and inf are errors."""
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"measured value {cell.strip()!r} is not finite")
+    return value
 
 
 def _text(value) -> str:

@@ -22,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .netgraph import (LayerConfig, LayerKind, NetworkConfig, TensorShape, _csv_rows,
-                       _located, _value, count_ops, infer_output_shape)
+                       _finite, _located, _value, count_ops, infer_output_shape)
 from .seeding import kfold_indices
 
 COEF_DROP_THRESHOLD = 1e-12
@@ -578,7 +578,7 @@ def model_to_json(model: PolynomialModel) -> str:
         "terms": [[list(term.exponents), coef] for term, coef in model.terms],
         "special_terms": [[special.value, coef] for special, coef in model.special],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def _kind_schema(names, kind: LayerKind) -> tuple[str, ...]:
@@ -624,7 +624,7 @@ def _opt_int(value: str) -> int | None:
 
 
 def _opt_float(value: str) -> float | None:
-    return float(value) if value.strip() else None
+    return _finite(value) if value.strip() else None
 
 
 def read_profile_csv(text: str) -> list[ProfileSample]:

@@ -130,15 +130,16 @@ def gp_posterior_dense(train_x, train_y, query, lengthscales, signal_var, noise_
     return float(mean), float(var)
 
 
-def select_hypers_dense(X, y, lengthscale_grid, signal_grid, noise_grid):
+def select_hypers_dense(X, y, lengthscale_grid, signal_grid, noise_grid, start=None):
     """Coordinate-wise grid ascent of the GP log marginal likelihood.
 
     Two passes over (each lengthscale, signal variance, noise variance),
-    starting from the middle of each grid, each trial scored from a freshly
-    built dense Matérn-5/2 matrix: its Cholesky factor gives the log
-    determinant and an LU solve of the full matrix the quadratic form. A
-    trial whose matrix is not positive definite scores -inf; ties keep the
-    earliest grid point.
+    starting from `start` (lengthscales, signal variance, noise variance)
+    or, when it is None, from the middle of each grid, each trial scored
+    from a freshly built dense Matérn-5/2 matrix: its Cholesky factor gives
+    the log determinant and an LU solve of the full matrix the quadratic
+    form. A trial whose matrix is not positive definite scores -inf; ties
+    keep the earliest grid point.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -158,8 +159,9 @@ def select_hypers_dense(X, y, lengthscale_grid, signal_grid, noise_grid):
     def best(grid, scores):
         return grid[scores.index(max(scores))]
 
-    ls = [lengthscale_grid[3]] * dim
-    s2f, s2n = signal_grid[3], noise_grid[3]
+    if start is None:
+        start = ([lengthscale_grid[3]] * dim, signal_grid[3], noise_grid[3])
+    ls, s2f, s2n = list(start[0]), start[1], start[2]
     for _ in range(2):
         for d in range(dim):
             ls[d] = best(lengthscale_grid, [lml(ls[:d] + [c] + ls[d + 1:], s2f, s2n)

@@ -168,6 +168,38 @@ def test_hyper_selection_matches_dense_oracle():
         want = select_hypers_dense(X, ys, bo.LENGTHSCALE_GRID, bo.SIGNAL_VAR_GRID,
                                    bo.NOISE_VAR_GRID)
         assert got == want, f"dim {dim}, n {n}"
+        for _ in range(3):  # warm starts anywhere on the grids
+            start = (tuple(float(v) for v in rng.choice(bo.LENGTHSCALE_GRID, dim)),
+                     float(rng.choice(bo.SIGNAL_VAR_GRID)), float(rng.choice(bo.NOISE_VAR_GRID)))
+            got = bo._select_hypers(X, ys, start)
+            want = select_hypers_dense(X, ys, bo.LENGTHSCALE_GRID, bo.SIGNAL_VAR_GRID,
+                                       bo.NOISE_VAR_GRID, start)
+            assert got == want, f"dim {dim}, n {n}, start {start}"
+
+
+def test_update_warm_starts_from_the_previous_hypers():
+    space = SearchSpace((Dimension("x1", "continuous", 0.0, 1.0),
+                         Dimension("x2", "continuous", 0.0, 1.0)))
+    xs = np.random.default_rng(5).uniform(0, 1, (16, 2))
+    obs = [Observation(tuple(float(v) for v in x), float(np.sin(5 * x[0]) + x[1] ** 2))
+           for x in xs]
+    state = GPState.fit(space, obs[:6])
+    differ = 0
+    for ob in obs[6:]:
+        new = update(state, ob)
+        start = (state.lengthscales, state.signal_var, state.noise_var)
+        warm = bo._select_hypers(new._xn, new._ys, start)
+        assert (new.lengthscales, new.signal_var, new.noise_var) == warm
+        refit = GPState.fit(space, new.observations)  # a first fit starts cold
+        assert (refit.lengthscales, refit.signal_var, refit.noise_var) == \
+            bo._select_hypers(new._xn, new._ys)
+        differ += bo._select_hypers(new._xn, new._ys) != warm
+        state = new
+    assert differ  # some refit lands elsewhere from the warm start than from the midpoints
+    empty = GPState(space, auto_hypers=True)  # no previous choice: update starts cold
+    first = update(empty, obs[0])
+    assert (first.lengthscales, first.signal_var, first.noise_var) == \
+        bo._select_hypers(first._xn, first._ys)
 
 
 # --- expected improvement ----------------------------------------------------

@@ -239,6 +239,25 @@ def test_optimize_constrained_and_infeasible_exit_codes(tmp_path, capsys):
     assert summary["status"] == "infeasible"
 
 
+def test_optimize_rejects_swapped_constraint_models(tmp_path, capsys):
+    space_path = tmp_path / "space.json"
+    space_path.write_text(json.dumps(SPACE_SPEC))
+    power_path = tmp_path / "linear_power.json"
+    power_path.write_text(linmod.model_to_json(
+        linmod.LinearModel(("x1", "x2"), (1.0, 1.0), linmod.LinTarget.POWER_W)))
+    memory_path = tmp_path / "linear_memory.json"
+    memory_path.write_text(linmod.model_to_json(
+        linmod.LinearModel(("x1", "x2"), (1.0, 0.0), linmod.LinTarget.MEMORY_MB)))
+    out_dir = tmp_path / "swapped"
+    code, out, err = run(capsys, "optimize", str(space_path), "--budget", "12",
+                         "--power-model", str(memory_path), "--memory-model", str(power_path),
+                         "--power-budget", "1.0", "--memory-budget", "10.0",
+                         "--output-dir", str(out_dir))
+    assert code == 1 and out == ""
+    assert err == "error: the power model predicts memory_mb, not power_w\n"
+    assert not out_dir.exists()
+
+
 def test_optimize_partial_constraint_flags_rejected(tmp_path, capsys):
     space_path = tmp_path / "space.json"
     space_path.write_text(json.dumps(SPACE_SPEC))

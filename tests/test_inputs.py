@@ -7,6 +7,7 @@ files and damage them with seeded numpy generators.
 """
 
 import json
+import math
 import re
 
 import numpy as np
@@ -113,6 +114,14 @@ def _synth_profile_with_bad_line_15(d):
     return "\n".join(lines) + "\n"
 
 
+def _synth_profile_with_nan_line_15(d):
+    lines = (d / "synthetic_profile.csv").read_text().splitlines()
+    cells = lines[14].split(",")
+    cells[-2] = "nan"  # runtime_ms
+    lines[14] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
 # argv builder, the bad file's name and text, and what the message must say
 MOTIVATION = {
     "space lo null": (CASES["space"][2], "space.json", lambda d: json.dumps(
@@ -141,6 +150,11 @@ MOTIVATION = {
     "profiled power 0": (CASES["profiled"][2], "profiled.csv",
                          lambda d: "x1,power_w,memory_mb\n1,1.0,2\n2,0.0,4\n",
                          "profiled CSV row 3"),
+    "profiled memory inf": (CASES["profiled"][2], "profiled.csv",
+                            lambda d: "x1,power_w,memory_mb\n1,1.0,2\n2,1.5,inf\n",
+                            "profiled CSV row 3"),
+    "profile runtime nan": (CASES["profile"][2], "profile.csv", _synth_profile_with_nan_line_15,
+                            "profile CSV row 15"),
 }
 
 
@@ -202,13 +216,19 @@ def _letter_for_digit(text: str, rng) -> str:
 
 
 def _corrupt_text(text: str, rng, csv: bool) -> tuple[str, str]:
-    how = ("letter", "drop cell", "drop line", "truncate")[rng.integers(4)]
+    how = ("letter", "drop cell", "drop line", "truncate", "nan", "inf")[rng.integers(6)]
     if how == "letter":
         return how, _letter_for_digit(text, rng)
     if how == "truncate":
         return how, text[:rng.integers(len(text))]
     lines = text.splitlines()
     content = [i for i, line in enumerate(lines) if line.strip() and not line.startswith("#")]
+    if how in ("nan", "inf"):  # a number on a data line, often a measured value
+        numbers = [(i, m.span()) for i in content
+                   for m in re.finditer(r"(?<![\w.])\d+(\.\d*)?(e-?\d+)?\b", lines[i])]
+        i, (a, b) = numbers[rng.integers(len(numbers))]
+        lines[i] = lines[i][:a] + how + lines[i][b:]
+        return how, "\n".join(lines) + "\n"
     i = content[rng.integers(len(content))]
     if how == "drop line":
         del lines[i]
@@ -220,7 +240,8 @@ def _corrupt_text(text: str, rng, csv: bool) -> tuple[str, str]:
 
 
 def _corrupt_json(text: str, rng) -> tuple[str, str]:
-    how = ("letter", "truncate", "drop key", "null", "list", "number")[rng.integers(6)]
+    how = ("letter", "truncate", "drop key", "null", "list", "number", "nan",
+           "inf")[rng.integers(8)]
     if how == "letter":
         return how, _letter_for_digit(text, rng)
     if how == "truncate":
@@ -232,7 +253,8 @@ def _corrupt_json(text: str, rng) -> tuple[str, str]:
         del container[key]
     else:
         container[key] = {"null": None, "list": [[], [0]][rng.integers(2)],
-                          "number": [0, -1, 3][rng.integers(3)]}[how]
+                          "number": [0, -1, 3][rng.integers(3)], "nan": math.nan,
+                          "inf": math.inf}[how]
     return f"{how} {key!r}", json.dumps(doc, indent=1)
 
 

@@ -1,12 +1,14 @@
+import csv
+import io
 import math
 
 import numpy as np
 import pytest
 
+from hwcost.bayesopt import ConstraintSpec
 from hwcost.linmod import (LinearModel, LinTarget, ProfiledPoint, RankDeficientError,
                            StructuralPoint, StructuralSchema, fit_linear, model_from_json,
-                           model_to_json, offline_sample, predict, predict_memory,
-                           predict_power, read_profiled_csv, write_profiled_csv)
+                           model_to_json, offline_sample, predict, read_profiled_csv)
 
 
 def schema2(lo=1, hi=100):
@@ -132,7 +134,7 @@ def test_insufficient_points():
 
 def test_prediction_is_raw_dot_product():
     model = LinearModel(("a", "b"), (1.5, 0.2), LinTarget.POWER_W)
-    assert predict_power(model, (10, 50)) == pytest.approx(25.0)
+    assert predict(model, (10, 50)) == pytest.approx(25.0)
     assert predict(model, (0, 0)) == 0.0
     assert predict(model, (2, 4)) == 2 * predict(model, (1, 2))
     negative = LinearModel(("a",), (-2.0,), LinTarget.POWER_W)
@@ -148,10 +150,13 @@ def test_predict_dimension_mismatch():
 def test_predict_target_guards():
     power = LinearModel(("a",), (1.0,), LinTarget.POWER_W)
     memory = LinearModel(("a",), (1.0,), LinTarget.MEMORY_MB)
+    ConstraintSpec(1.0, 1.0, power, memory)
     with pytest.raises(ValueError):
-        predict_memory(power, (1,))
+        ConstraintSpec(1.0, 1.0, power, power)  # power as the memory model
     with pytest.raises(ValueError):
-        predict_power(memory, (1,))
+        ConstraintSpec(1.0, 1.0, memory, memory)  # memory as the power model
+    with pytest.raises(ValueError):
+        ConstraintSpec(1.0, 1.0, memory, power)  # swapped
 
 
 def test_optional_bias_feature():
@@ -173,6 +178,15 @@ def test_point_bounds_validation():
         ProfiledPoint(StructuralPoint((5,), schema), power_w=0.0, memory_mb=1.0)
 
 
+def write_profiled_csv(points: list[ProfiledPoint]) -> str:
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(list(points[0].z.schema.names) + ["power_w", "memory_mb"])
+    for point in points:
+        writer.writerow([*point.z.z, repr(point.power_w), repr(point.memory_mb)])
+    return out.getvalue()
+
+
 def test_profiled_csv_round_trip():
     schema = StructuralSchema(("units1", "units2"), (1, 1), (64, 64))
     points = make_points(schema, [(1, 64), (32, 2), (64, 1)],
@@ -189,3 +203,5 @@ def test_profiled_csv_round_trip():
 def test_model_json_round_trip():
     model = LinearModel(("a", "b"), (1.25, -0.5), LinTarget.MEMORY_MB, (3.0, 4.0), False)
     assert model_from_json(model_to_json(model)) == model
+    with pytest.raises(ValueError):  # NaN is not JSON
+        model_to_json(LinearModel(("a",), (math.nan,), LinTarget.POWER_W))

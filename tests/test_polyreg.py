@@ -530,6 +530,8 @@ def test_model_json_round_trip_exact():
     model = fit(samples, FitConfig(degree=2, seed=4), LayerKind.POOL2D, Target.RUNTIME_MS)
     again = model_from_json(model_to_json(model))
     assert again == model
+    with pytest.raises(ValueError):  # NaN is not JSON
+        model_to_json(_constant_model(LayerKind.FULLY_CONNECTED, Target.RUNTIME_MS, math.nan))
 
 
 def test_profile_csv_round_trip():
