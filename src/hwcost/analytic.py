@@ -12,8 +12,8 @@ import dataclasses
 from dataclasses import dataclass
 from enum import Enum
 
-from .netgraph import (InputError, LayerConfig, NetworkConfig, _located, _lines, _put,
-                       count_ops)
+from .netgraph import (InputError, LayerConfig, NetworkConfig, _finite, _located, _lines,
+                       _put, count_ops)
 
 
 class ConfigurationError(ValueError):
@@ -233,12 +233,12 @@ def _parse_levels(text: str) -> tuple[tuple[str, float], ...]:
         name, colon, energy = entry.partition(":")
         if not colon:
             raise ValueError(f"levels entries are name:pJ, got {entry.strip()!r}")
-        levels.append((name.strip(), float(energy)))
+        levels.append((name.strip(), _finite(energy)))
     return tuple(levels)
 
 
 # spec-file value parsers by dataclass field annotation
-_FROM_TEXT = {"float": float, "int": int, "tuple[tuple[str, float], ...]": _parse_levels}
+_FROM_TEXT = {"float": _finite, "int": int, "tuple[tuple[str, float], ...]": _parse_levels}
 
 
 def _parse_spec(text: str, spec_type, what: str):

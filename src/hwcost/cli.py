@@ -5,6 +5,10 @@ fit-linear. Every command is deterministic given its inputs and --seed; all
 randomness flows through one counter-based generator (Philox). Exit codes:
 0 success, 1 usage/parse error, 2 infeasible-everywhere, 3 numerical
 failure.
+
+Each command imports only the hwcost modules it runs, so start-up stays
+small: `predict --family paleo|energy`, `compare-reference` and `--version`
+load no numpy, and only `optimize` loads the GP search code.
 """
 
 from __future__ import annotations
@@ -15,11 +19,15 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from . import analytic, bayesopt, linmod, polyreg, reference, synth
 from .netgraph import LayerKind, _lines, _located, _text, _value, parse_network
+# a module-level name: callers that wrap the objective replace cli.build_objective
 from .objectives import build_objective
+
+if TYPE_CHECKING:
+    from . import analytic, bayesopt, linmod, polyreg
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -83,6 +91,7 @@ def _write_manifest(out_dir: Path, subcommand: str, args_repr: list[str],
 # --- subcommands -------------------------------------------------------------
 
 def _cmd_synth(args) -> int:
+    from . import synth
     if args.config:
         config = synth.load_config(Path(args.config).read_text())
     else:
@@ -110,6 +119,7 @@ def _models_by_kind(samples):
 
 
 def _cmd_fit(args) -> int:
+    from . import polyreg
     csv_path = Path(args.profile)
     samples = polyreg.read_profile_csv(csv_path.read_text())
     config = polyreg.FitConfig(degree=args.degree, l1_strength=args.l1,
@@ -144,6 +154,7 @@ def _cmd_fit(args) -> int:
 
 
 def _load_poly_models(models_dir: Path, target: polyreg.Target):
+    from . import polyreg
     models = {}
     for kind in LayerKind:
         path = models_dir / f"model_{kind.value}_{target.value}.json"
@@ -158,6 +169,7 @@ def _cmd_predict(args) -> int:
     if args.family == "poly":
         if not args.models_dir:
             raise UsageError("--family poly requires --models-dir")
+        from . import polyreg
         runtime = _load_poly_models(Path(args.models_dir), polyreg.Target.RUNTIME_MS)
         power = _load_poly_models(Path(args.models_dir), polyreg.Target.POWER_W)
         pred = polyreg.predict_network(runtime, power, net)
@@ -169,6 +181,7 @@ def _cmd_predict(args) -> int:
     elif args.family == "paleo":
         if not args.device:
             raise UsageError("--family paleo requires --device")
+        from . import analytic
         device = analytic.parse_device_spec(Path(args.device).read_text())
         result = analytic.paleo_network_runtime(net, device)
         rows = [[name, _fmt(rt.read_ms), _fmt(rt.compute_ms), _fmt(rt.write_ms),
@@ -178,6 +191,7 @@ def _cmd_predict(args) -> int:
     elif args.family == "energy":
         if not args.energy:
             raise UsageError("--family energy requires --energy")
+        from . import analytic
         spec = analytic.parse_energy_spec(Path(args.energy).read_text())
         accesses = _load_accesses(Path(args.accesses).read_text()) if args.accesses else None
         sparsity = analytic.SparsityInfo(args.sparsity) if args.sparsity is not None else None
@@ -193,6 +207,7 @@ def _cmd_predict(args) -> int:
 
 def _load_accesses(text: str) -> dict[str, analytic.AccessProfile]:
     """Per-layer access overrides: lines `layer_name level count`."""
+    from . import analytic
     counts: dict[str, dict[str, int]] = {}
     for line_no, line in _lines(text):
         with _located(f"accesses line {line_no}"):
@@ -205,6 +220,7 @@ def _load_accesses(text: str) -> dict[str, analytic.AccessProfile]:
 
 
 def _cmd_compare_reference(args) -> int:
+    from . import reference
     rows = [[row.network, _fmt(row.paleo_ms), _fmt(row.neuralpower_ms), _fmt(row.actual_ms),
              f"{row.paleo_error_pct:+.2f}", f"{row.neuralpower_error_pct:+.2f}"]
             for row in reference.relative_errors()]
@@ -219,6 +235,7 @@ def _cmd_compare_reference(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    from . import linmod
     schema = _load_schema(Path(args.schema).read_text())
     points = linmod.offline_sample(schema, args.count, args.seed)
     out_dir = Path(args.output_dir)
@@ -240,6 +257,7 @@ def _dimensions(doc, what: str) -> list[tuple[str, object]]:
 
 
 def _load_schema(text: str) -> linmod.StructuralSchema:
+    from . import linmod
     with _located("schema"):
         doc = json.loads(text)
     with _located("schema key 'dimensions'"):
@@ -250,6 +268,7 @@ def _load_schema(text: str) -> linmod.StructuralSchema:
 
 
 def _cmd_fit_linear(args) -> int:
+    from . import linmod
     points = linmod.read_profiled_csv(Path(args.profile).read_text())
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -273,6 +292,7 @@ def _cmd_fit_linear(args) -> int:
 
 
 def _load_space(text: str) -> bayesopt.SearchSpace:
+    from . import bayesopt
     with _located("space"):
         doc = json.loads(text)
         dims = tuple(bayesopt.Dimension(_value(d, "name", _text, at),
@@ -283,6 +303,7 @@ def _load_space(text: str) -> bayesopt.SearchSpace:
 
 
 def _cmd_optimize(args) -> int:
+    from . import bayesopt, linmod
     space_path = Path(args.space)
     space = _load_space(space_path.read_text())
     inputs = [space_path]
@@ -307,8 +328,13 @@ def _cmd_optimize(args) -> int:
     objective = build_objective(args.objective, center=center, noise=args.noise,
                                 seed=args.seed, command=args.command)
 
-    best, trace = bayesopt.bo_run(objective, space, constraints, args.budget, args.seed,
-                                  candidate_count=args.candidates)
+    candidates = bayesopt.DEFAULT_CANDIDATES if args.candidates is None else args.candidates
+    try:
+        best, trace = bayesopt.bo_run(objective, space, constraints, args.budget, args.seed,
+                                      candidate_count=candidates)
+    except bayesopt.NumericalError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -318,7 +344,7 @@ def _cmd_optimize(args) -> int:
 
     config_repr = [f"budget={args.budget}", f"objective={args.objective}",
                    f"center={args.center}", f"noise={args.noise}",
-                   f"candidates={args.candidates}",
+                   f"candidates={candidates}",
                    f"power_budget={args.power_budget}",
                    f"memory_budget={args.memory_budget}",
                    f"command={args.command}"]
@@ -408,7 +434,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--command", nargs=argparse.REMAINDER,
                    help="external objective command (reads x CSV line on stdin)")
     p.add_argument("--budget", type=int, required=True)
-    p.add_argument("--candidates", type=int, default=bayesopt.DEFAULT_CANDIDATES)
+    p.add_argument("--candidates", type=int)
     p.add_argument("--power-model")
     p.add_argument("--memory-model")
     p.add_argument("--power-budget", type=float)
@@ -423,9 +449,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except bayesopt.NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

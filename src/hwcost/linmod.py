@@ -222,7 +222,7 @@ def model_from_json(text: str) -> LinearModel:
     with _located(what):
         doc = json.loads(text)
         return LinearModel(_value(doc, "schema", tuple, what),
-                           _value(doc, "weights", lambda ws: tuple(map(float, ws)), what),
+                           _value(doc, "weights", lambda ws: tuple(map(_finite, ws)), what),
                            _value(doc, "target", LinTarget, what),
                            _value(doc, "cv_report", lambda vs: tuple(map(float, vs)), what),
                            _value(doc, "has_bias", bool, what))

@@ -287,12 +287,12 @@ def _value(doc, key: str, convert, where: str, *default):
         return convert(doc[key])
 
 
-def _finite(cell: str) -> float:
-    """A measured value read from a CSV cell; nan and inf are errors."""
-    value = float(cell)
-    if not math.isfinite(value):
-        raise ValueError(f"measured value {cell.strip()!r} is not finite")
-    return value
+def _finite(value) -> float:
+    """float(value) for a number read from an input; nan and inf are errors."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"value {str(value).strip()!r} is not finite")
+    return number
 
 
 def _text(value) -> str:
@@ -366,22 +366,3 @@ def parse_network(text: str, name: str = "network") -> NetworkConfig:
         inherited = infer_output_shape(layer)
     return NetworkConfig(name, tuple(layers))
 
-
-def format_network(net: NetworkConfig) -> str:
-    """Inverse of parse_network for the supported layer kinds."""
-    lines = []
-    for i, layer in enumerate(net.layers):
-        parts = [layer.name, layer.kind.value]
-        if i == 0:
-            s = layer.input
-            parts.append(f"in={s.batch}x{s.channels}x{s.height}x{s.width}")
-        if layer.kind in (LayerKind.CONV2D, LayerKind.POOL2D):
-            parts.append(f"k={layer.kernel_h}x{layer.kernel_w}")
-            parts.append(f"s={layer.stride}")
-            parts.append(f"p={layer.padding}")
-        if layer.kind is LayerKind.CONV2D:
-            parts.append(f"out={layer.output_channels}")
-        elif layer.kind is LayerKind.FULLY_CONNECTED:
-            parts.append(f"out={layer.output_units}")
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"

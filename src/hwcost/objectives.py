@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 import subprocess
 
-from .seeding import generator
-
 
 class ObjectiveError(RuntimeError):
     """External objective command failed or produced no parseable value."""
@@ -44,6 +42,7 @@ def branin():
 
 def with_noise(objective, sigma: float, seed: int):
     """Additive Gaussian noise; the noise stream is its own seeded generator."""
+    from .seeding import generator  # numpy, which noiseless objectives do not need
     rng = generator(seed, 0x401E)
 
     def noisy(x):

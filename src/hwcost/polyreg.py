@@ -66,10 +66,6 @@ _SCHEMAS = {
 }
 
 
-def feature_schema(kind: LayerKind) -> tuple[str, ...]:
-    return _SCHEMAS[kind]
-
-
 @dataclass(frozen=True)
 class FeatureVector:
     values: tuple[float, ...]

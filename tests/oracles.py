@@ -93,6 +93,27 @@ def pool_loopnest(batch, channels, in_h, in_w, k_h, k_w, stride, padding):
     }
 
 
+def format_network(net) -> str:
+    """The layer-chain text of `net`, one `name kind key=value ...` line per
+    layer, for round trips through netgraph.parse_network."""
+    lines = []
+    for i, layer in enumerate(net.layers):
+        kind = layer.kind.value
+        parts = [layer.name, kind]
+        if i == 0:
+            s = layer.input
+            parts.append(f"in={s.batch}x{s.channels}x{s.height}x{s.width}")
+        if kind in ("conv", "pool"):
+            parts += [f"k={layer.kernel_h}x{layer.kernel_w}", f"s={layer.stride}",
+                      f"p={layer.padding}"]
+        if kind == "conv":
+            parts.append(f"out={layer.output_channels}")
+        elif kind == "fc":
+            parts.append(f"out={layer.output_units}")
+        lines.append(" ".join(parts))
+    return "\n".join(lines) + "\n"
+
+
 def ei_quadrature(mean: float, sd: float, y_best: float, points: int = 40_001) -> float:
     """Simpson integration of the improvement integral for N(mean, sd^2).
 

@@ -279,7 +279,7 @@ def test_predict_constant_model_single_fc(tmp_path, capsys):
     # a constant-5ms runtime model makes the single-layer network total 5 ms
     models_dir = tmp_path / "models"
     models_dir.mkdir()
-    schema = polyreg.feature_schema(LayerKind.FULLY_CONNECTED)
+    schema = polyreg._SCHEMAS[LayerKind.FULLY_CONNECTED]
     const = polyreg.TermSpec((0,) * len(schema))
     runtime = polyreg.PolynomialModel(LayerKind.FULLY_CONNECTED, polyreg.Target.RUNTIME_MS,
                                       2, schema, ((const, 5.0),), ())
@@ -317,7 +317,7 @@ def test_numerical_failure_exit_code(monkeypatch, tmp_path, capsys):
     def boom(*args, **kwargs):
         raise NumericalError("covariance not positive definite at jitter 1")
 
-    monkeypatch.setattr(cli.bayesopt, "bo_run", boom)
+    monkeypatch.setattr("hwcost.bayesopt.bo_run", boom)
     space_path = tmp_path / "space.json"
     space_path.write_text(json.dumps({"dimensions": [
         {"name": "x", "kind": "continuous", "lo": 0.0, "hi": 1.0}]}))

@@ -15,8 +15,9 @@ import pytest
 
 from hwcost import analytic, cli, linmod, polyreg, synth
 from hwcost.netgraph import (InputError, NetworkConfig, NetworkParseError, ShapeMismatchError,
-                             TensorShape, conv2d, format_network, fully_connected,
-                             infer_output_shape, parse_network, pool2d)
+                             TensorShape, conv2d, fully_connected, infer_output_shape,
+                             parse_network, pool2d)
+from oracles import format_network
 
 NETWORK = """# three layers
 c1 conv in=1x3x8x8 k=3x3 s=1 p=1 out=4
@@ -122,6 +123,12 @@ def _synth_profile_with_nan_line_15(d):
     return "\n".join(lines) + "\n"
 
 
+def _linear_power_with_nan_weight(d):
+    doc = json.loads((d / "linear" / "linear_power.json").read_text())
+    doc["weights"][0] = math.nan
+    return json.dumps(doc)
+
+
 # argv builder, the bad file's name and text, and what the message must say
 MOTIVATION = {
     "space lo null": (CASES["space"][2], "space.json", lambda d: json.dumps(
@@ -155,6 +162,14 @@ MOTIVATION = {
                             "profiled CSV row 3"),
     "profile runtime nan": (CASES["profile"][2], "profile.csv", _synth_profile_with_nan_line_15,
                             "profile CSV row 15"),
+    "peak_flops nan": (CASES["device"][2], "device.txt",
+                       lambda d: DEVICE.replace("1e12", "nan"), "device spec line 2"),
+    "e_mac inf": (CASES["energy"][2], "energy.txt", lambda d: ENERGY.replace("1.5", "inf"),
+                  "energy spec line 1"),
+    "levels DRAM:nan": (CASES["energy"][2], "energy.txt",
+                        lambda d: ENERGY.replace("DRAM:200", "DRAM:nan"), "energy spec line 2"),
+    "linear weight NaN": (CASES["linear model"][2], "linear_power.json",
+                          _linear_power_with_nan_weight, "linear model key 'weights'"),
 }
 
 
@@ -163,8 +178,9 @@ def test_malformed_input_exits_1_naming_its_place(work, tmp_path, capsys, case):
     argv, filename, text, place = MOTIVATION[case]
     bad = tmp_path / filename
     bad.write_text(text(work))
-    code, err = _main(capsys, argv(work, bad))
-    assert code == 1
+    code = cli.main([str(a) for a in argv(work, bad)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
     assert err.startswith(f"error: {place}: ") and "Traceback" not in err
 
 

@@ -4,10 +4,10 @@ import pytest
 
 from hwcost.netgraph import (GeometryError, LayerConfig, LayerKind, NetworkConfig,
                              NetworkParseError, ShapeMismatchError, TensorShape,
-                             conv2d, count_ops, format_network, fully_connected,
-                             infer_output_shape, parse_network, pool2d)
+                             conv2d, count_ops, fully_connected, infer_output_shape,
+                             parse_network, pool2d)
 
-from oracles import conv_loopnest, fc_loopnest, pool_loopnest
+from oracles import conv_loopnest, fc_loopnest, format_network, pool_loopnest
 
 
 def test_tensor_shape_requires_positive_dims():

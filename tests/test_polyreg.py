@@ -13,7 +13,7 @@ from hwcost.seeding import kfold_indices
 from hwcost.polyreg import (FeatureVector, FitConfig, FitError, Metrics,
                             MissingModelError, PolynomialModel, SpecialTerm, Target,
                             TermSpec, ZeroRuntimeError, build_features, enumerate_terms,
-                            evaluate, feature_schema, fit, model_from_json, model_to_json, predict, predict_network,
+                            evaluate, fit, model_from_json, model_to_json, predict, predict_network,
                             predict_with_flag, read_profile_csv, special_terms,
                             write_profile_csv)
 from oracles import lasso_homotopy_reference
@@ -44,9 +44,9 @@ def test_fc_features():
 
 
 def test_schema_length_varies_by_kind():
-    assert len(feature_schema(LayerKind.FULLY_CONNECTED)) == 3
-    assert len(feature_schema(LayerKind.CONV2D)) == 8
-    assert len(feature_schema(LayerKind.POOL2D)) == 6
+    assert len(polyreg._SCHEMAS[LayerKind.FULLY_CONNECTED]) == 3
+    assert len(polyreg._SCHEMAS[LayerKind.CONV2D]) == 8
+    assert len(polyreg._SCHEMAS[LayerKind.POOL2D]) == 6
 
 
 def test_square_input_collapses_to_single_spatial_feature():
@@ -180,7 +180,7 @@ def test_fit_optimality_at_zero_lambda():
 
 def _standardized_problem(samples, kind, degree):
     """Raw design, standardized live columns and target, as the fit sees them."""
-    terms = enumerate_terms(len(feature_schema(kind)), degree)
+    terms = enumerate_terms(len(polyreg._SCHEMAS[kind]), degree)
     feats = np.array([build_features(layer).values for layer, _ in samples])
     cols = [np.prod(feats ** np.asarray(t.exponents, dtype=float), axis=1) for t in terms]
     sp = np.array([special_terms(layer) for layer, _ in samples])
@@ -302,7 +302,7 @@ def _synth_pool_power(seed):
 def test_homotopy_path_matches_reference(kind, samples):
     """Same support and standardized coefficients as the reference event loop
     at every grid lambda, on the full data and on each 3-fold training set."""
-    terms = enumerate_terms(len(feature_schema(kind)), polyreg.DEFAULT_DEGREE[kind])
+    terms = enumerate_terms(len(polyreg._SCHEMAS[kind]), polyreg.DEFAULT_DEGREE[kind])
     design = polyreg._design_matrix([layer for layer, _ in samples], kind, terms)
     y = np.array([value for _, value in samples])
     fold_of = kfold_indices(len(y), 3, 1)
@@ -362,21 +362,21 @@ def test_fit_determinism_bit_identical():
 def test_constant_model_predicts_constant():
     const = TermSpec((0, 0, 0))
     model = PolynomialModel(LayerKind.FULLY_CONNECTED, Target.RUNTIME_MS, 2,
-                            feature_schema(LayerKind.FULLY_CONNECTED),
+                            polyreg._SCHEMAS[LayerKind.FULLY_CONNECTED],
                             ((const, 5.0),), ())
     assert predict(model, fc_layer(3, 9, 4)) == 5.0
 
 
 def test_empty_model_predicts_zero():
     model = PolynomialModel(LayerKind.FULLY_CONNECTED, Target.RUNTIME_MS, 2,
-                            feature_schema(LayerKind.FULLY_CONNECTED), (), ())
+                            polyreg._SCHEMAS[LayerKind.FULLY_CONNECTED], (), ())
     value, clamped = predict_with_flag(model, fc_layer(1, 2, 2))
     assert value == 0.0 and not clamped
 
 
 def test_negative_prediction_clamps_with_flag():
     model = PolynomialModel(LayerKind.FULLY_CONNECTED, Target.RUNTIME_MS, 2,
-                            feature_schema(LayerKind.FULLY_CONNECTED),
+                            polyreg._SCHEMAS[LayerKind.FULLY_CONNECTED],
                             ((TermSpec((0, 0, 0)), -3.0),), ())
     value, clamped = predict_with_flag(model, fc_layer(1, 2, 2))
     assert value == 0.0 and clamped
@@ -384,7 +384,7 @@ def test_negative_prediction_clamps_with_flag():
 
 def test_predict_rejects_kind_mismatch():
     model = PolynomialModel(LayerKind.FULLY_CONNECTED, Target.RUNTIME_MS, 2,
-                            feature_schema(LayerKind.FULLY_CONNECTED), (), ())
+                            polyreg._SCHEMAS[LayerKind.FULLY_CONNECTED], (), ())
     with pytest.raises(ValueError):
         predict(model, pool2d("p", TensorShape(1, 1, 4, 4), kernel=2, stride=2))
 
@@ -392,8 +392,8 @@ def test_predict_rejects_kind_mismatch():
 # --- network aggregation -----------------------------------------------------
 
 def _constant_model(kind, target, value):
-    dim = len(feature_schema(kind))
-    return PolynomialModel(kind, target, 2, feature_schema(kind),
+    dim = len(polyreg._SCHEMAS[kind])
+    return PolynomialModel(kind, target, 2, polyreg._SCHEMAS[kind],
                            ((TermSpec((0,) * dim), value),), ())
 
 
