@@ -16,7 +16,7 @@ import io
 import math
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -172,15 +172,13 @@ class GPState:
             self.prior_mean = float(y.mean())
             scale = float(y.std())
             self.y_scale = scale if scale > 0 else 1.0
-        else:
-            self.prior_mean = prior_mean
-            self.y_scale = 1.0
-        self._ys = (y - self.prior_mean) / self.y_scale
-
-        if auto_hypers and n:
+            self._ys = (y - self.prior_mean) / self.y_scale
             self.lengthscales, self.signal_var, self.noise_var = _select_hypers(
                 self._xn, self._ys, hyper_start)
         else:
+            self.prior_mean = prior_mean
+            self.y_scale = 1.0
+            self._ys = y - prior_mean
             if lengthscales is None:
                 lengthscales = (0.4,) * space.dim
             self.lengthscales = tuple(float(v) for v in lengthscales)
@@ -337,8 +335,6 @@ def update(state: GPState, observation: Observation) -> GPState:
     previous state's choice (at the grid midpoints if it had no data);
     fixed states keep theirs.
     """
-    if not state.space.contains(observation.x):
-        raise ValueError(f"observation {observation.x} outside the search space")
     observations = state.observations + (observation,)
     if state.auto_hypers:
         start = ((state.lengthscales, state.signal_var, state.noise_var)
@@ -472,12 +468,11 @@ class TraceRecord:
     phase: str          # "seed" | "bo"
     fallback: bool
     failed: bool
-    elapsed_s: float    # the evaluation; on "bo" rows also the proposal and the GP update
+    elapsed_s: float    # the proposal ("bo" rows), the evaluation and the GP fit or update
 
 
 @dataclass
 class Trace:
-    seed: int
     dim_names: tuple[str, ...]
     records: list[TraceRecord]
 
@@ -516,67 +511,55 @@ def bo_run(objective, space: SearchSpace, constraints: ConstraintSpec | None,
     """Run the search: 2*dim seeding evaluations, then propose/evaluate/update.
 
     Failed objective calls (exception or non-finite value) are imputed as
-    the worst y seen so far, so the surrogate steers away from them. Returns
-    the best feasible non-failed observation, or None when the budget ends
+    the worst non-failed y seen so far (1.0 before any success), so the
+    surrogate steers away from them, and are never the best. Returns the
+    best feasible non-failed observation, or None when the budget ends
     without one, plus the full per-iteration trace. Deterministic given
     (seed, space, objective).
     """
     n_seed = 2 * space.dim
     if budget < n_seed:
         raise ValueError(f"budget {budget} below seeding need {n_seed}")
-    if constraints is not None:
-        _structural(space, constraints)  # validate schemas up front
-
-    structural_idx = space.structural_indices() if constraints is not None else ()
-    trace = Trace(seed, space.names, [])
-    history: list[tuple[Observation, bool, bool]] = []  # (obs, failed, feasible)
-
-    def step(iteration: int, x: tuple[float, ...], acq: float, phase: str,
-             fallback: bool, started: float) -> Observation:
+    # checks the constraint model schemas up front
+    structural_idx = _structural(space, constraints) if constraints is not None else ()
+    seeds = draw_candidates(space, n_seed, generator(seed, 0))
+    records: list[TraceRecord] = []
+    best = None           # best feasible non-failed observation so far
+    worst_y = -math.inf   # largest non-failed y so far
+    lowest_y = math.inf   # smallest y of any row: the incumbent while none is feasible
+    for iteration in range(1, budget + 1):
+        started = time.perf_counter()
+        if iteration <= n_seed:
+            proposal = Proposal(tuple(float(v) for v in seeds[iteration - 1]), 0.0, False)
+        else:
+            y_best = lowest_y if best is None else best.y
+            acq = (ei_batch(y_best) if constraints is None
+                   else hw_ieci_batch(y_best, constraints, space))
+            proposal = propose_next(state, space, acq, candidate_count, seed, constraints,
+                                    iteration=iteration)
+        x = proposal.x
         y, failed = _call_objective(objective, x)
         if failed:
-            ys = [obs.y for obs, ok_failed, _ in history if not ok_failed]
-            y = max(ys) if ys else 1.0  # nothing succeeded yet: canonical error scale
+            y = worst_y if worst_y > -math.inf else 1.0  # canonical error scale
+        else:
+            worst_y = max(worst_y, y)
+        lowest_y = min(lowest_y, y)
         if constraints is None:
             power = memory = None
             feasible = True
         else:
-            z = tuple(x[i] for i in structural_idx)
-            power, memory = constraints.predict(z)
+            power, memory = constraints.predict(tuple(x[i] for i in structural_idx))
             feasible = power <= constraints.power_budget and memory <= constraints.memory_budget
         obs = Observation(x, y)
-        history.append((obs, failed, feasible))
-        feasible_ys = [o.y for o, f, ok in history if ok and not f]
-        best_y = min(feasible_ys) if feasible_ys else None
-        trace.records.append(TraceRecord(iteration, x, acq, y, power, memory, feasible,
-                                         best_y, phase, fallback, failed,
-                                         time.perf_counter() - started))
-        return obs
-
-    seeds = draw_candidates(space, n_seed, generator(seed, 0))
-    for i in range(n_seed):
-        step(i + 1, tuple(float(v) for v in seeds[i]), 0.0, "seed", False,
-             time.perf_counter())
-    state = GPState.fit(space, [obs for obs, _, _ in history])
-
-    for iteration in range(n_seed + 1, budget + 1):
-        started = time.perf_counter()
-        feasible_ys = [obs.y for obs, failed, ok in history if ok and not failed]
-        y_best = min(feasible_ys) if feasible_ys else min(obs.y for obs, _, _ in history)
-        if constraints is not None:
-            acq = hw_ieci_batch(y_best, constraints, space)
-        else:
-            acq = ei_batch(y_best)
-        proposal = propose_next(state, space, acq, candidate_count, seed, constraints,
-                                iteration=iteration)
-        obs = step(iteration, proposal.x, proposal.acquisition, "bo", proposal.fallback,
-                   started)
-        state = update(state, obs)
-        trace.records[-1] = replace(trace.records[-1],
-                                    elapsed_s=time.perf_counter() - started)
-
-    best = None
-    for obs, failed, feasible in history:
-        if feasible and not failed and (best is None or obs.y < best.y):
+        if feasible and not failed and (best is None or y < best.y):
             best = obs
-    return best, trace
+        if iteration == n_seed:
+            state = GPState.fit(space, [*(Observation(r.x, r.y) for r in records), obs])
+        elif iteration > n_seed:
+            state = update(state, obs)
+        records.append(TraceRecord(iteration, x, proposal.acquisition, y, power, memory,
+                                   feasible, None if best is None else best.y,
+                                   "seed" if iteration <= n_seed else "bo",
+                                   proposal.fallback, failed,
+                                   time.perf_counter() - started))
+    return best, Trace(space.names, records)

@@ -178,6 +178,10 @@ def _cmd_predict(args) -> int:
         rows.append(["total", "", _fmt(pred.total_runtime_ms), _fmt(pred.average_power_w),
                      _fmt(pred.total_energy_mj)])
         _print_table(["layer", "kind", "t_ms", "p_w", "e_mj"], rows, args.format)
+        clamped = [lp.name for lp in pred.layers if lp.clamped]
+        if clamped:
+            print(f"warning: negative predictions clamped to 0 for layers: "
+                  f"{', '.join(clamped)}", file=sys.stderr)
     elif args.family == "paleo":
         if not args.device:
             raise UsageError("--family paleo requires --device")
@@ -338,35 +342,28 @@ def _cmd_optimize(args) -> int:
 
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    trace_path = out_dir / "trace.csv"
+    trace_path, summary_path = out_dir / "trace.csv", out_dir / "summary.json"
     trace_path.write_text(trace.csv_text())
-    outputs = [trace_path]
-
+    summary = {"status": "infeasible", "best_y": None, "best_x": None,
+               "iterations_to_best": None, "budget": args.budget, "seed": args.seed}
+    if best is not None:
+        summary.update(status="ok", best_y=best.y, best_x=list(best.x),
+                       iterations_to_best=next(r.iteration for r in trace.records
+                                               if r.best_y == best.y))
+    summary_path.write_text(json.dumps(summary, indent=2) + "\n")
     config_repr = [f"budget={args.budget}", f"objective={args.objective}",
                    f"center={args.center}", f"noise={args.noise}",
                    f"candidates={candidates}",
                    f"power_budget={args.power_budget}",
                    f"memory_budget={args.memory_budget}",
                    f"command={args.command}"]
+    _write_manifest(out_dir, "optimize", config_repr, inputs, [trace_path, summary_path],
+                    args.seed)
     if best is None:
-        summary = {"status": "infeasible", "best_y": None, "best_x": None,
-                   "iterations_to_best": None, "budget": args.budget, "seed": args.seed}
-        (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-        _write_manifest(out_dir, "optimize", config_repr, inputs,
-                        outputs + [out_dir / "summary.json"], args.seed)
         print("no feasible point found; full trace written")
         return EXIT_INFEASIBLE
-
-    iterations_to_best = next(r.iteration for r in trace.records
-                              if r.best_y is not None and r.best_y == best.y)
-    summary = {"status": "ok", "best_y": best.y, "best_x": list(best.x),
-               "iterations_to_best": iterations_to_best, "budget": args.budget,
-               "seed": args.seed}
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-    _write_manifest(out_dir, "optimize", config_repr, inputs,
-                    outputs + [out_dir / "summary.json"], args.seed)
     print(f"best y {_fmt(best.y)} at ({', '.join(_fmt(v) for v in best.x)}) "
-          f"after {iterations_to_best} evaluations")
+          f"after {summary['iterations_to_best']} evaluations")
     return EXIT_OK
 
 
@@ -449,6 +446,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help and --version print, then argparse exits 0
+        return exc.code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -4,9 +4,11 @@ Each model is a degree-bounded polynomial over a layer-kind-specific feature
 vector plus two special terms (total FLOPs and total memory accesses),
 fitted with L1-regularized least squares. The lasso is solved exactly along
 its piecewise-linear homotopy path (LARS-lasso, Efron et al. 2004) on the
-standardized design; a column in the span of the active ones (an exact
-duplicate, say) never joins. Network-level runtime/energy/average-power come
-from summing per-layer predictions.
+standardized design. Two rules decide the events: a column in the span of
+the active ones (an exact duplicate, say) never joins, and join ties go to
+the lowest index. A column that drops moves away from the bound it left, so
+no rule is needed to keep it from rejoining there at once. Network-level
+runtime/energy/average-power come from summing per-layer predictions.
 """
 
 from __future__ import annotations
@@ -280,7 +282,11 @@ def _lasso_homotopy(gram: np.ndarray, corr: np.ndarray, lambdas: np.ndarray) -> 
     joins when its correlation c_j - G_jA b_A reaches +-lam (ties: lowest
     index), unless its Schur complement against A is not positive (it lies in
     A's span, as an exact copy of an active column does); an active
-    coefficient reaching zero drops and cannot rejoin at the same lam.
+    coefficient reaching zero drops. A dropped column j needs no rule against
+    rejoining on its own side at once: with S > 0 its Schur complement against
+    the remaining set and d_j its old slope (s_j d_j < 0, as it was falling
+    to zero), its new slope has s_j q_j = 1 + S |d_j| > 1, so the s*q < 1
+    mask below already excludes that side (Efron et al. 2004, sec. 3).
     """
     p = len(corr)
     out = np.zeros((len(lambdas), p))
@@ -292,7 +298,6 @@ def _lasso_homotopy(gram: np.ndarray, corr: np.ndarray, lambdas: np.ndarray) -> 
     k = 0
     free = np.ones(p, dtype=bool)  # inactive and not blocked
     blocked: list[int] = []        # failed the Schur test at this lam
-    dropped = None                 # (column, side, lam) of the last drop
     lam = float(np.max(np.abs(corr), initial=0.0))
     row = 0
     # finite in exact arithmetic; the bound stops a degenerate cycle, and the
@@ -311,8 +316,6 @@ def _lasso_homotopy(gram: np.ndarray, corr: np.ndarray, lambdas: np.ndarray) -> 
         to_side = np.where(free & (sq < 1.0 - 1e-12),
                            np.maximum(lam - _SIDES * r, 0.0) / (1.0 - sq), np.inf)
         to_zero = np.where(s * d < 0.0, np.maximum(-beta / d, 0.0), np.inf)
-        if dropped is not None and dropped[2] == lam:
-            to_side[dropped[1], dropped[0]] = np.inf
         to_join = to_side.min(axis=0)
         t_join, t_drop = to_join.min(initial=np.inf), to_zero.min(initial=np.inf)
         next_lam = lam - min(t_join, t_drop, lam)
@@ -326,7 +329,6 @@ def _lasso_homotopy(gram: np.ndarray, corr: np.ndarray, lambdas: np.ndarray) -> 
         if t_drop <= t_join:
             i = int(np.argmin(to_zero))
             j = int(active[i])
-            dropped = (j, 0 if s[i] > 0.0 else 1, lam)
             active[i:k - 1] = active[i + 1:k]
             rhs[i:k - 1] = rhs[i + 1:k]
             cols[:, i:k - 1] = cols[:, i + 1:k]
@@ -339,6 +341,8 @@ def _lasso_homotopy(gram: np.ndarray, corr: np.ndarray, lambdas: np.ndarray) -> 
                 blocked.append(j)
                 continue
             active[k] = j
+            # the sides tie only where r = lam*q, which gives t = lam: the path
+            # has ended there, so `<=` or `<` cannot change a returned row
             rhs[k] = corr[j], 1.0 if to_side[0, j] <= to_side[1, j] else -1.0
             cols[:, k] = gram[:, j]
             k += 1

@@ -1,8 +1,9 @@
+import csv
 import json
 
 import pytest
 
-from hwcost import cli, linmod, polyreg
+from hwcost import __version__, cli, linmod, polyreg
 from hwcost.netgraph import LayerKind
 
 NETWORK_SPEC = """
@@ -49,8 +50,15 @@ def run(capsys, *argv):
 
 
 def test_version_flag(capsys):
-    with pytest.raises(SystemExit):
-        cli.main(["--version"])
+    code, out, _ = run(capsys, "--version")
+    assert code == 0
+    assert out == f"hwcost {__version__}\n"
+
+
+def test_help_flag_returns_zero(capsys):
+    code, out, _ = run(capsys, "--help")
+    assert code == 0
+    assert out.startswith("usage: hwcost")
 
 
 def test_compare_reference_values(capsys):
@@ -292,8 +300,26 @@ def test_predict_constant_model_single_fc(tmp_path, capsys):
     code, out, err = run(capsys, "predict", str(net), "--family", "poly",
                          "--models-dir", str(models_dir), "--format", "csv")
     assert code == 0, err
+    assert err == ""  # nothing clamped, so no warning
     total = [line for line in out.splitlines() if line.startswith("total")][0].split(",")
     assert float(total[2]) == 5.0
+
+
+def test_predict_poly_warns_on_clamped_layers(tmp_path, capsys):
+    # the fc power model fitted on this small profile predicts below zero for
+    # f1 (4,096 inputs); the table shows the clamped 0 and stderr names f1
+    run(capsys, "synth", "--count", "20", "--seed", "3", "--output-dir", str(tmp_path))
+    code, _, err = run(capsys, "fit", str(tmp_path / "synthetic_profile.csv"), "--folds", "3",
+                       "--output-dir", str(tmp_path))
+    assert code == 0, err
+    net = tmp_path / "net.txt"
+    net.write_text("c1 conv in=1x3x32x32 k=3x3 p=1 out=16\np1 pool k=2x2\nf1 fc out=10\n")
+    code, out, err = run(capsys, "predict", str(net), "--family", "poly",
+                         "--models-dir", str(tmp_path))
+    assert code == 0
+    assert err == "warning: negative predictions clamped to 0 for layers: f1\n"
+    f1 = next(line for line in out.splitlines() if line.startswith("f1")).split()
+    assert f1[3:] == ["0", "0"]  # p_w, e_mj
 
 
 def test_optimize_command_objective(tmp_path, capsys):
@@ -309,6 +335,52 @@ def test_optimize_command_objective(tmp_path, capsys):
     assert code == 0, err
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["best_y"] <= 0.05
+
+
+def test_optimize_record_rules(monkeypatch, tmp_path, capsys):
+    """A failed call is imputed as the largest earlier non-failed y (1.0 when
+    there is none) and is never the best; best_y is the running minimum over
+    feasible non-failed rows; iterations_to_best is the first row reaching it."""
+    calls = []
+
+    def flaky(x):  # fails on calls 1, 5, 9, ...: the first call and some later ones
+        calls.append(x)
+        if len(calls) % 4 == 1:
+            raise RuntimeError("evaluator crashed")
+        return (x[0] - 1.0) ** 2 + (x[1] - 1.0) ** 2
+
+    monkeypatch.setattr(cli, "build_objective", lambda *args, **kwargs: flaky)
+    space_path = tmp_path / "space.json"
+    space_path.write_text(json.dumps(SPACE_SPEC))
+    power_path = tmp_path / "power.json"
+    power_path.write_text(linmod.model_to_json(
+        linmod.LinearModel(("x1", "x2"), (1.0, 1.0), linmod.LinTarget.POWER_W)))
+    memory_path = tmp_path / "memory.json"
+    memory_path.write_text(linmod.model_to_json(
+        linmod.LinearModel(("x1", "x2"), (1.0, 0.0), linmod.LinTarget.MEMORY_MB)))
+    out_dir = tmp_path / "opt"
+    code, _, err = run(capsys, "optimize", str(space_path), "--budget", "20", "--seed", "4",
+                       "--power-model", str(power_path), "--memory-model", str(memory_path),
+                       "--power-budget", "1.0", "--memory-budget", "10.0",
+                       "--output-dir", str(out_dir))
+    assert code == 0, err
+    rows = list(csv.DictReader((out_dir / "trace.csv").read_text().splitlines()))
+    assert len(rows) == len(calls) == 20
+    assert {row["feasible"] for row in rows} == {"true", "false"}
+    worst = best = None
+    for i, row in enumerate(rows):
+        y = float(row["y"])
+        if i % 4 == 0:
+            assert y == (1.0 if worst is None else worst)
+        else:
+            worst = y if worst is None else max(worst, y)
+            if row["feasible"] == "true":
+                best = y if best is None else min(best, y)
+        assert row["best_y"] == ("" if best is None else repr(best))
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert summary["best_y"] == best
+    assert summary["iterations_to_best"] == next(
+        int(row["iter"]) for row in rows if row["best_y"] == repr(best))
 
 
 def test_numerical_failure_exit_code(monkeypatch, tmp_path, capsys):

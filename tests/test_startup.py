@@ -21,10 +21,7 @@ from hwcost import cli
 PROBE = """
 import json, sys
 from hwcost import cli
-try:
-    code = cli.main(sys.argv[2:]) if len(sys.argv) > 2 else 0
-except SystemExit as exc:  # --version
-    code = exc.code
+code = cli.main(sys.argv[2:]) if len(sys.argv) > 2 else 0
 with open(sys.argv[1], "w") as f:
     json.dump({"code": code, "modules": sorted(sys.modules)}, f)
 """
