@@ -79,13 +79,14 @@ class SearchSpace:
         index = {d.name: i for i, d in enumerate(self.dimensions)}
         return tuple(index[n] for n in self.structural_subset)
 
-    def normalize(self, X: np.ndarray) -> np.ndarray:
-        lo = np.array([d.lo for d in self.dimensions])
-        hi = np.array([d.hi for d in self.dimensions])
-        return (np.atleast_2d(X) - lo) / (hi - lo)
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-dimension lower and upper bounds as arrays."""
+        return (np.array([d.lo for d in self.dimensions]),
+                np.array([d.hi for d in self.dimensions]))
 
-    def contains(self, x) -> bool:
-        return all(d.lo <= v <= d.hi for d, v in zip(self.dimensions, x))
+    def normalize(self, X: np.ndarray) -> np.ndarray:
+        lo, hi = self.bounds()
+        return (np.atleast_2d(X) - lo) / (hi - lo)
 
 
 @dataclass(frozen=True)
@@ -124,18 +125,36 @@ class ConstraintSpec:
 
 
 def _correlation(r2: np.ndarray) -> np.ndarray:
-    """Matérn-5/2 correlation at squared scaled distances r2."""
-    sr = SQRT5 * np.sqrt(np.maximum(r2, 0.0))
-    return (1.0 + sr + sr * sr / 3.0) * np.exp(-sr)
+    """Matérn-5/2 correlation at squared scaled distances r2, which it overwrites.
+
+    In place, in the operation order of (1 + sr + sr*sr/3) * exp(-sr) with
+    sr = sqrt(5) * sqrt(max(r2, 0)), so every value is bit for bit that
+    expression's.
+    """
+    sr = np.maximum(r2, 0.0, out=r2)
+    np.sqrt(sr, out=sr)
+    sr *= SQRT5
+    out = sr + 1.0
+    t = np.multiply(sr, sr)
+    t /= 3.0
+    out += t
+    np.negative(sr, out=t)
+    out *= np.exp(t, out=t)
+    return out
 
 
 def _matern52(Xa: np.ndarray, Xb: np.ndarray, lengthscales: np.ndarray,
               signal_var: float) -> np.ndarray:
     r2 = np.zeros((Xa.shape[0], Xb.shape[0]))
+    t = np.empty_like(r2)
     for d, scale in enumerate(lengthscales):
-        t = (Xa[:, d, None] - Xb[None, :, d]) / scale
-        r2 += t * t
-    return signal_var * _correlation(r2)
+        np.subtract(Xa[:, d, None], Xb[None, :, d], out=t)
+        t /= scale
+        t *= t
+        r2 += t
+    K = _correlation(r2)
+    K *= signal_var
+    return K
 
 
 class GPState:
@@ -156,16 +175,19 @@ class GPState:
                  prior_mean: float = 0.0, auto_hypers: bool = False, *, hyper_start=None):
         self.space = space
         self.observations = tuple(observations)
-        for obs in self.observations:
-            if len(obs.x) != space.dim:
-                raise ValueError("observation arity does not match space")
-            if not space.contains(obs.x):
-                raise ValueError(f"observation {obs.x} outside the search space")
+        if any(len(obs.x) != space.dim for obs in self.observations):
+            raise ValueError("observation arity does not match space")
         self.auto_hypers = auto_hypers
 
         n = len(self.observations)
-        self._xn = (space.normalize(np.array([obs.x for obs in self.observations], dtype=float))
-                    if n else np.zeros((0, space.dim)))
+        X = np.array([obs.x for obs in self.observations], dtype=float).reshape(n, space.dim)
+        lo, hi = space.bounds()
+        # the raw coordinates: rounding in normalized ones could admit a point past hi
+        inside = np.logical_and(lo <= X, X <= hi).all(axis=1)
+        if not inside.all():
+            outside = self.observations[int(np.argmin(inside))]
+            raise ValueError(f"observation {outside.x} outside the search space")
+        self._xn = space.normalize(X)
         y = np.array([obs.y for obs in self.observations], dtype=float)
 
         if auto_hypers and n:
@@ -251,7 +273,7 @@ def _log_marginal_likelihood(R: np.ndarray, ys: np.ndarray, signal_var: float,
     except np.linalg.LinAlgError:
         return -math.inf
     v = L[n, :n]
-    return float(-0.5 * v @ v - np.sum(np.log(np.diag(L)[:n])) - 0.5 * n * math.log(2 * math.pi))
+    return float(-0.5 * v @ v - np.log(L.diagonal()[:n]).sum() - 0.5 * n * math.log(2 * math.pi))
 
 
 def _select_hypers(Xn: np.ndarray, ys: np.ndarray, start=None
@@ -328,14 +350,16 @@ def gp_posterior(state: GPState, x) -> tuple[float, float]:
     return float(mean[0]), float(var[0])
 
 
-def update(state: GPState, observation: Observation) -> GPState:
+def update(state: GPState, observation: Observation, earlier=None) -> GPState:
     """New state with the observation appended and the factorization rebuilt.
 
-    Auto states re-select hyper-parameters, warm-starting the ascent at the
+    `earlier`, when given, replaces the state's observations before the new
+    one, so a caller can revise earlier y values at no extra cost. Auto
+    states re-select hyper-parameters, warm-starting the ascent at the
     previous state's choice (at the grid midpoints if it had no data);
     fixed states keep theirs.
     """
-    observations = state.observations + (observation,)
+    observations = (state.observations if earlier is None else tuple(earlier)) + (observation,)
     if state.auto_hypers:
         start = ((state.lengthscales, state.signal_var, state.noise_var)
                  if state.observations else None)
@@ -399,20 +423,32 @@ def ei_batch(y_best: float):
 
 
 def hw_ieci_batch(y_best: float, constraints: ConstraintSpec, space: SearchSpace):
-    """ei_batch with every row that violates a predicted budget set to zero."""
+    """ei_batch with every row that violates a predicted budget set to zero.
+
+    The budgets are checked first and the posterior and the improvement are
+    computed only on the rows that meet both, so a predicted-infeasible
+    candidate costs one linear prediction; with none feasible there is no
+    posterior call. A feasible row gets ei_batch's value on the feasible
+    rows, which can differ from ei_batch's on the whole array in the last
+    bits: BLAS scores the rows that do not fill a last block of the
+    posterior's matrix-vector product by another kernel, so a row's bits
+    depend on its place in the array.
+    """
     idx = _structural(space, constraints)
 
     def acq(state: GPState, X: np.ndarray) -> np.ndarray:
-        values = ei_batch(y_best)(state, X)
-        values[~constraints.satisfied(np.asarray(X, dtype=float)[:, idx])] = 0.0
+        X = np.asarray(X, dtype=float)
+        feasible = constraints.satisfied(X[:, idx])
+        values = np.zeros(X.shape[0])
+        if feasible.any():
+            values[feasible] = ei_batch(y_best)(state, X[feasible])
         return values
     return acq
 
 
 def draw_candidates(space: SearchSpace, count: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform candidates over the box; integer dimensions rounded in place."""
-    lo = np.array([d.lo for d in space.dimensions])
-    hi = np.array([d.hi for d in space.dimensions])
+    lo, hi = space.bounds()
     X = rng.uniform(lo, hi, size=(count, space.dim))
     for i, d in enumerate(space.dimensions):
         if d.kind == "integer":
@@ -510,9 +546,13 @@ def bo_run(objective, space: SearchSpace, constraints: ConstraintSpec | None,
            candidate_count: int = DEFAULT_CANDIDATES) -> tuple[Observation | None, Trace]:
     """Run the search: 2*dim seeding evaluations, then propose/evaluate/update.
 
-    Failed objective calls (exception or non-finite value) are imputed as
-    the worst non-failed y seen so far (1.0 before any success), so the
-    surrogate steers away from them, and are never the best. Returns the
+    A failed objective call (exception or non-finite value) is never the
+    best. Its trace row records the worst non-failed y seen so far (1.0
+    before any success); in the GP's data every failed row is re-imputed at
+    each refit as the current worst non-failed y (1.0 while no call has
+    succeeded), so the surrogate steers away from it. Until a feasible
+    non-failed row exists, the EI incumbent is the lowest y in the GP's
+    data: the lowest non-failed y, or 1.0 before any success. Returns the
     best feasible non-failed observation, or None when the budget ends
     without one, plus the full per-iteration trace. Deterministic given
     (seed, space, objective).
@@ -524,15 +564,18 @@ def bo_run(objective, space: SearchSpace, constraints: ConstraintSpec | None,
     structural_idx = _structural(space, constraints) if constraints is not None else ()
     seeds = draw_candidates(space, n_seed, generator(seed, 0))
     records: list[TraceRecord] = []
+    observed: list[Observation] = []  # the GP's data, failed rows at the current worst y
+    failed_rows: list[int] = []
     best = None           # best feasible non-failed observation so far
     worst_y = -math.inf   # largest non-failed y so far
-    lowest_y = math.inf   # smallest y of any row: the incumbent while none is feasible
+    lowest_y = math.inf   # smallest non-failed y so far
     for iteration in range(1, budget + 1):
         started = time.perf_counter()
         if iteration <= n_seed:
             proposal = Proposal(tuple(float(v) for v in seeds[iteration - 1]), 0.0, False)
         else:
-            y_best = lowest_y if best is None else best.y
+            y_best = (best.y if best is not None
+                      else lowest_y if lowest_y < math.inf else 1.0)
             acq = (ei_batch(y_best) if constraints is None
                    else hw_ieci_batch(y_best, constraints, space))
             proposal = propose_next(state, space, acq, candidate_count, seed, constraints,
@@ -541,9 +584,13 @@ def bo_run(objective, space: SearchSpace, constraints: ConstraintSpec | None,
         y, failed = _call_objective(objective, x)
         if failed:
             y = worst_y if worst_y > -math.inf else 1.0  # canonical error scale
+            failed_rows.append(iteration - 1)
         else:
-            worst_y = max(worst_y, y)
-        lowest_y = min(lowest_y, y)
+            lowest_y = min(lowest_y, y)
+            if y > worst_y:
+                worst_y = y
+                for i in failed_rows:
+                    observed[i] = Observation(observed[i].x, y)
         if constraints is None:
             power = memory = None
             feasible = True
@@ -554,9 +601,10 @@ def bo_run(objective, space: SearchSpace, constraints: ConstraintSpec | None,
         if feasible and not failed and (best is None or y < best.y):
             best = obs
         if iteration == n_seed:
-            state = GPState.fit(space, [*(Observation(r.x, r.y) for r in records), obs])
+            state = GPState.fit(space, [*observed, obs])
         elif iteration > n_seed:
-            state = update(state, obs)
+            state = update(state, obs, observed) if failed_rows else update(state, obs)
+        observed.append(obs)
         records.append(TraceRecord(iteration, x, proposal.acquisition, y, power, memory,
                                    feasible, None if best is None else best.y,
                                    "seed" if iteration <= n_seed else "bo",

@@ -137,6 +137,25 @@ def matern52_oracle(a, b, lengthscales, signal_var):
     return signal_var * (1.0 + sr + sr * sr / 3.0) * math.exp(-sr)
 
 
+def matern52_matrix_reference(Xa, Xb, lengthscales, signal_var):
+    """Matérn-5/2 kernel matrix as the plain whole-array expression.
+
+    Each step allocates its own temporary, in the operation order the
+    library's in-place kernel must keep, so the two agree bit for bit.
+    """
+    r2 = np.zeros((Xa.shape[0], Xb.shape[0]))
+    for d, scale in enumerate(lengthscales):
+        t = (Xa[:, d, None] - Xb[None, :, d]) / scale
+        r2 += t * t
+    return signal_var * matern52_correlation_reference(r2)
+
+
+def matern52_correlation_reference(r2):
+    """Matérn-5/2 correlation at squared scaled distances, plain expression."""
+    sr = math.sqrt(5.0) * np.sqrt(np.maximum(r2, 0.0))
+    return (1.0 + sr + sr * sr / 3.0) * np.exp(-sr)
+
+
 def gp_posterior_dense(train_x, train_y, query, lengthscales, signal_var, noise_var,
                        prior_mean):
     """GP posterior via an explicit dense matrix inverse."""

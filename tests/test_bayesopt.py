@@ -13,7 +13,8 @@ from hwcost.linmod import LinearModel, LinTarget
 from hwcost.objectives import branin, quadratic_bowl, with_noise
 from hwcost.seeding import generator
 
-from oracles import ei_quadrature, gp_posterior_dense, select_hypers_dense
+from oracles import (ei_quadrature, gp_posterior_dense, matern52_correlation_reference,
+                     matern52_matrix_reference, select_hypers_dense)
 
 
 def space_1d():
@@ -145,6 +146,42 @@ def test_update_rejects_out_of_bounds():
     state = GPState(space_1d(), [Observation((0.4,), 1.0)], noise_var=1e-6)
     with pytest.raises(ValueError):
         update(state, Observation((1.4,), 0.0))
+
+
+def test_bounds_check_at_the_edges():
+    # on [-1, 0.3] the point just past hi normalizes to exactly 1.0, so only
+    # a check of the raw coordinates rejects it
+    space = SearchSpace((Dimension("a", "continuous", -1.0, 0.3),
+                         Dimension("b", "continuous", 0.0, 1.0)))
+    state = GPState(space, [Observation((-1.0, 1.0), 0.5), Observation((0.3, 0.0), 0.2)],
+                    noise_var=1e-6)
+    assert len(state.observations) == 2
+    for outside in ((float(np.nextafter(0.3, math.inf)), 0.5),
+                    (float(np.nextafter(-1.0, -math.inf)), 0.5),
+                    (0.0, float(np.nextafter(1.0, math.inf))), (0.0, math.nan)):
+        with pytest.raises(ValueError) as err:
+            GPState(space, [Observation((0.0, 0.5), 1.0), Observation(outside, 0.0)],
+                    noise_var=1e-6)
+        assert str(err.value) == f"observation {outside} outside the search space"
+    with pytest.raises(ValueError, match="^observation arity does not match space$"):
+        GPState(space, [Observation((0.0, 0.5), 1.0), Observation((0.0,), 0.0)])
+
+
+def test_kernel_bit_exact_with_plain_expression():
+    rng = np.random.default_rng(29)
+    for n, dim in ((1, 1), (7, 2), (40, 3), (64, 2)):
+        Xn = rng.uniform(0, 1, (n, dim))
+        Xn[n // 2] = Xn[0]                                  # r2 = 0 off the diagonal
+        Xq = np.vstack([Xn[:3], rng.uniform(0, 1, (509, dim))])  # (512, n), r2 = 0 rows
+        for lengthscales in (np.full(dim, 0.4), rng.uniform(0.05, 3.2, dim),
+                             np.full(dim, 1e-3)):            # r2 to 1e6: exp underflows
+            for Xa in (Xn, Xq):
+                got = bo._matern52(Xa, Xn, lengthscales, 1.7)
+                assert got.shape == (Xa.shape[0], n)
+                assert np.array_equal(got, matern52_matrix_reference(Xa, Xn, lengthscales, 1.7))
+    r2 = np.concatenate([[0.0, -0.0, -1e-18, 1e-300, 1e-12, 1.0, 1e4, 1e6, 1e300],
+                         rng.uniform(0, 50, 500)]).reshape(-1, 1)
+    assert np.array_equal(bo._correlation(r2.copy()), matern52_correlation_reference(r2))
 
 
 def test_auto_hypers_selected_from_grids():
@@ -319,6 +356,45 @@ def test_gated_batch_zeroes_exactly_the_rows_satisfied_rejects():
     for keep, g, u in zip(kept, gated, ungated):
         assert g == (u if keep else 0.0)
     assert np.array_equal(cons.satisfied(X), kept)
+
+
+def test_gated_batch_scores_only_feasible_rows(monkeypatch):
+    """The gated batch computes the posterior on the predicted-feasible rows
+    alone. Those rows get exactly ei_batch's values on them; against ei_batch
+    on the whole array they may differ in the last bits, because BLAS scores
+    the rows that do not fill a last block of the matrix-vector product by
+    another kernel."""
+    space = space_2d(structural=("x1", "x2"))
+    rng = np.random.default_rng(31)
+    objective = quadratic_bowl(0.4)   # minimum inside the power budget
+    state = GPState.fit(space, [Observation(tuple(x), objective(x))
+                                for x in rng.uniform(0, 1, (64, 2))])
+    y_best = float(np.median([obs.y for obs in state.observations]))
+    cons = constraints_halfbox(power_budget=1.0)
+    posterior_calls = []
+
+    def counted(*args):
+        posterior_calls.append(1)
+        return gp_posterior_batch(*args)
+
+    monkeypatch.setattr(bo, "gp_posterior_batch", counted)
+    for count in (1, 7, 511, 512, 513):
+        X = rng.uniform(0, 1, (count, 2))
+        kept = cons.satisfied(X)
+        assert count == 1 or 0 < kept.sum() < count
+        posterior_calls.clear()
+        gated = hw_ieci_batch(y_best, cons, space)(state, X)
+        assert len(posterior_calls) == (1 if kept.any() else 0)
+        assert not np.any(gated[~kept])
+        assert np.array_equal(gated[kept], ei_batch(y_best)(state, X[kept]))
+        whole = ei_batch(y_best)(state, X)
+        np.testing.assert_allclose(gated[kept], whole[kept], rtol=0.0, atol=1e-12)
+        assert count == 1 or np.any(gated > 0.0)
+    posterior_calls.clear()
+    X = rng.uniform(0.5, 1.0, (512, 2))         # predicted power above 1.0 everywhere
+    gated = hw_ieci_batch(y_best, cons, space)(state, X)
+    assert gated.shape == (512,) and not np.any(gated)
+    assert posterior_calls == []
 
 
 def test_schema_mismatch_rejected():
@@ -522,6 +598,68 @@ def test_failed_evaluations_imputed_and_flagged():
     observed = [r.y for r in trace.records[:2]]
     assert failed[0].y == max(observed)  # imputed as worst seen so far
     assert best is not None and not any(r.failed and r.y == best.y for r in trace.records)
+
+
+def test_failed_rows_reimputed_at_every_refit(monkeypatch):
+    """Gated quadratic centred at (1, 1), seed 4, failing calls 1, 5, 9, ...: later
+    successes are worse than the 1.0 the first failure was imputed with."""
+    calls = []
+
+    def flaky(x):
+        calls.append(x)
+        if len(calls) % 4 == 1:
+            raise RuntimeError("evaluator crashed")
+        return (x[0] - 1.0) ** 2 + (x[1] - 1.0) ** 2
+
+    refits = []
+
+    def recorded(state, observation, *earlier):
+        refitted = update(state, observation, *earlier)
+        refits.append(refitted.observations)
+        return refitted
+
+    monkeypatch.setattr(bo, "update", recorded)
+    _, trace = bo_run(flaky, space_2d(structural=("x1", "x2")), constraints_halfbox(),
+                      budget=20, seed=4)
+    rows = trace.records
+    assert rows[0].failed and rows[0].y == 1.0        # the trace keeps its own-time value
+    assert max(r.y for r in rows if not r.failed) > 1.0
+    assert len(refits) == 20 - 4
+    for observations in refits:
+        seen = rows[:len(observations)]
+        worst = max(r.y for r in seen if not r.failed)
+        assert [obs.x for obs in observations] == [r.x for r in seen]
+        assert [obs.y for obs in observations] == [worst if r.failed else r.y for r in seen]
+
+
+def test_incumbent_ignores_a_failed_row_the_gp_reimputes(monkeypatch):
+    """Until a feasible non-failed row exists, EI improves on the lowest y in
+    the GP's data, not on the 1.0 a failed first call was recorded with."""
+    calls = []
+
+    def flaky(x):
+        calls.append(x)
+        if len(calls) == 1:
+            raise RuntimeError("evaluator crashed")
+        return 2.0 + (x[0] - 1.0) ** 2 + (x[1] - 1.0) ** 2
+
+    incumbents = []
+
+    def gated(y_best, constraints, space):
+        incumbents.append(y_best)
+        return hw_ieci_batch(y_best, constraints, space)
+
+    monkeypatch.setattr(bo, "hw_ieci_batch", gated)
+    _, trace = bo_run(flaky, space_2d(structural=("x1", "x2")),
+                      constraints_halfbox(power_budget=0.3), budget=12, seed=4)
+    rows = trace.records
+    assert rows[0].failed and rows[0].y == 1.0
+    assert len(incumbents) == 12 - 4
+    for k, y_best in enumerate(incumbents, start=4):
+        ok = [r.y for r in rows[:k] if not r.failed]
+        feasible = [r.y for r in rows[:k] if r.feasible and not r.failed]
+        assert y_best == (min(feasible) if feasible else min(ok))
+    assert not any(r.feasible and not r.failed for r in rows[:4])
 
 
 def test_noisy_objective_is_deterministic_given_seed():
