@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from enum import Enum
 
 from .netgraph import (InputError, LayerConfig, NetworkConfig, _finite, _located, _lines,
                        _put, count_ops)
@@ -74,17 +73,11 @@ class EnergySpec:
             raise ValueError("bitwidth_reference must be > 0")
 
 
-class ProfileSource(Enum):
-    DEFAULT = "default"
-    USER_SUPPLIED = "user"
-
-
 @dataclass(frozen=True)
 class AccessProfile:
     """Access counts per memory level for one layer."""
 
     counts: tuple[tuple[str, int], ...]
-    source: ProfileSource = ProfileSource.USER_SUPPLIED
 
     def __post_init__(self):
         object.__setattr__(self, "counts", tuple((str(n), int(c)) for n, c in dict(self.counts).items()))
@@ -167,7 +160,7 @@ def default_access_profile(layer: LayerConfig) -> AccessProfile:
     """
     ops = count_ops(layer)
     total = ops.input_reads + ops.weight_reads + ops.output_writes
-    return AccessProfile((("DRAM", total),), ProfileSource.DEFAULT)
+    return AccessProfile((("DRAM", total),))
 
 
 def eyeriss_layer_energy(layer: LayerConfig, spec: EnergySpec,

@@ -134,11 +134,11 @@ def _cmd_fit(args) -> int:
                      if getattr(s, target.value) is not None]
             if not pairs:
                 continue
-            if len(pairs) < 2 * config.cv_folds:
-                print(f"warning: skipping {kind.value}/{target.value}: "
-                      f"only {len(pairs)} samples", file=sys.stderr)
+            try:
+                model, metrics = polyreg.fit_with_metrics(pairs, config, kind, target)
+            except polyreg.FitError as exc:
+                print(f"warning: skipping {kind.value}/{target.value}: {exc}", file=sys.stderr)
                 continue
-            model, metrics = polyreg.fit_with_metrics(pairs, config, kind, target)
             path = out_dir / f"model_{kind.value}_{target.value}.json"
             path.write_text(polyreg.model_to_json(model))
             outputs.append(path)

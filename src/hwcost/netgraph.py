@@ -151,8 +151,6 @@ def infer_output_shape(layer: LayerConfig) -> TensorShape:
         return TensorShape(layer.input.batch, layer.output_units, 1, 1)
     oh = _spatial_out(layer.input.height, layer.kernel_h, layer.stride, layer.padding)
     ow = _spatial_out(layer.input.width, layer.kernel_w, layer.stride, layer.padding)
-    if oh < 1 or ow < 1:
-        raise GeometryError(f"layer {layer.name}: output spatial size {oh}x{ow} is invalid")
     channels = layer.output_channels if layer.kind is LayerKind.CONV2D else layer.input.channels
     return TensorShape(layer.input.batch, channels, oh, ow)
 

@@ -68,38 +68,23 @@ _SCHEMAS = {
 }
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    values: tuple[float, ...]
-    schema: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.values) != len(self.schema):
-            raise ValueError("feature values and schema lengths differ")
-
-
 def _hw(h: int, w: int) -> float:
     # square spatial dims collapse to one feature; non-square uses the geometric mean
     return float(h) if h == w else math.sqrt(h * w)
 
 
-def build_features(layer: LayerConfig) -> FeatureVector:
-    """Layer hyper-parameters as the model's input vector."""
+def build_features(layer: LayerConfig) -> tuple[float, ...]:
+    """Layer hyper-parameters as the model's input vector, in `_SCHEMAS` order."""
     s = layer.input
     if layer.kind is LayerKind.FULLY_CONNECTED:
-        values = (float(s.batch), float(layer.in_units), float(layer.output_units))
-    else:
-        out = infer_output_shape(layer)
-        if layer.kind is LayerKind.CONV2D:
-            values = (float(s.batch), float(s.channels), _hw(s.height, s.width),
-                      _hw(layer.kernel_h, layer.kernel_w), float(layer.stride),
-                      float(layer.padding), float(layer.output_channels),
-                      _hw(out.height, out.width))
-        else:
-            values = (float(s.batch), float(s.channels), _hw(s.height, s.width),
-                      _hw(layer.kernel_h, layer.kernel_w), float(layer.stride),
-                      _hw(out.height, out.width))
-    return FeatureVector(values, _SCHEMAS[layer.kind])
+        return (float(s.batch), float(layer.in_units), float(layer.output_units))
+    out = infer_output_shape(layer)
+    if layer.kind is LayerKind.CONV2D:
+        return (float(s.batch), float(s.channels), _hw(s.height, s.width),
+                _hw(layer.kernel_h, layer.kernel_w), float(layer.stride),
+                float(layer.padding), float(layer.output_channels), _hw(out.height, out.width))
+    return (float(s.batch), float(s.channels), _hw(s.height, s.width),
+            _hw(layer.kernel_h, layer.kernel_w), float(layer.stride), _hw(out.height, out.width))
 
 
 def special_terms(layer: LayerConfig) -> tuple[float, float]:
@@ -242,7 +227,7 @@ def evaluate(model: PolynomialModel, samples: list[tuple[LayerConfig, float]]) -
 
 def _design_matrix(layers: list[LayerConfig], kind: LayerKind,
                    terms: list[TermSpec]) -> np.ndarray:
-    feats = np.array([build_features(layer).values for layer in layers], dtype=float)
+    feats = np.array([build_features(layer) for layer in layers], dtype=float)
     cols = [np.prod(feats ** np.asarray(t.exponents, dtype=float), axis=1) for t in terms]
     specials = np.array([special_terms(layer) for layer in layers], dtype=float)
     return np.column_stack(cols + [specials[:, 0], specials[:, 1]])
@@ -352,41 +337,27 @@ def _lasso_homotopy(gram: np.ndarray, corr: np.ndarray, lambdas: np.ndarray) -> 
     return out
 
 
-@dataclass
-class _Standardized:
-    x_centered: np.ndarray  # standardized live columns only
-    y_centered: np.ndarray  # unit-variance target
-    means: np.ndarray       # all columns
-    stds: np.ndarray        # all columns; 0 marks a dead (constant) column
-    live: np.ndarray        # indices of live columns
-    y_mean: float
-    y_std: float
+def _lasso_problem(design: np.ndarray, y: np.ndarray):
+    """The standardized lasso problem of (design, y), as (gram, corr, live, to_raw).
 
-
-def _standardize(design: np.ndarray, y: np.ndarray) -> _Standardized:
+    The live (non-constant) columns and the target are scaled to zero mean
+    and unit variance; gram = X'X/n and corr = X'y/n. `to_raw` maps a path
+    row (or a 2-D path, row by row) to the raw coefficients of the `live`
+    columns and the intercept(s); a 1-D row's intercept is one dot product.
+    """
     means = design.mean(axis=0)
     stds = design.std(axis=0)
     live = np.flatnonzero(stds > 0)
     x = (design[:, live] - means[live]) / stds[live]
     y_mean = float(y.mean())
-    y_std = float(y.std())
-    if y_std == 0.0:
-        y_std = 1.0
-    return _Standardized(x, (y - y_mean) / y_std, means, stds, live, y_mean, y_std)
+    y_std = float(y.std()) or 1.0
+    ys = (y - y_mean) / y_std
 
+    def to_raw(path: np.ndarray):
+        coef = path * y_std / stds[live]
+        return coef, y_mean - coef @ means[live]
 
-def _unstandardize(std: _Standardized, beta_std: np.ndarray, n_cols: int) -> tuple[np.ndarray, float]:
-    """Map standardized coefficients back to raw columns plus an intercept."""
-    beta = np.zeros(n_cols)
-    beta[std.live] = beta_std * std.y_std / std.stds[std.live]
-    intercept = std.y_mean - float(beta[std.live] @ std.means[std.live])
-    return beta, intercept
-
-
-def _moments(std: _Standardized) -> tuple[np.ndarray, np.ndarray]:
-    """gram = X^T X / n and corr = X^T y / n of the standardized problem."""
-    n = std.x_centered.shape[0]
-    return std.x_centered.T @ std.x_centered / n, std.x_centered.T @ std.y_centered / n
+    return x.T @ x / len(y), x.T @ ys / len(y), live, to_raw
 
 
 def _lambda_grid(corr: np.ndarray) -> np.ndarray:
@@ -430,13 +401,12 @@ def _cv_curves(design: np.ndarray, y: np.ndarray, lambdas: np.ndarray, folds: in
     fold_preds = []
     for k in range(folds):
         val = fold_of == k
-        std = _standardize(design[~val], y[~val])
-        gram, corr = _moments(std)
+        gram, corr, live, to_raw = _lasso_problem(design[~val], y[~val])
         path = _lasso_homotopy(gram, corr, lambdas)
         _warn_off_kkt(gram, corr, lambdas, path, f"{label}: fold {k + 1} of {folds}")
-        # raw coefficients of the live columns and the intercept, one row per lambda
-        coef = path * std.y_std / std.stds[std.live]
-        preds = design[val][:, std.live] @ coef.T + (std.y_mean - coef @ std.means[std.live])
+        coef, intercepts = to_raw(path)
+        # only the live columns: a zero-padded product moves the last bits
+        preds = design[val][:, live] @ coef.T + intercepts
         rmspe[k] = _rmspe(preds, y[val])
         fold_preds.append((preds, y[val]))
     return rmspe.mean(axis=0), fold_preds
@@ -468,14 +438,11 @@ def fit_with_metrics(samples: list[tuple[LayerConfig, float]], config: FitConfig
     if float(y.std()) == 0.0:
         warnings.warn(f"all {kind.value} {target.value} targets identical; "
                       f"fitting a constant-only model", stacklevel=2)
-        const = TermSpec((0,) * len(_SCHEMAS[kind]))
-        model = PolynomialModel(kind, target, degree, _SCHEMAS[kind],
-                                ((const, float(y[0])),) if abs(y[0]) >= COEF_DROP_THRESHOLD else (),
-                                ())
+        model = _assemble_model(kind, target, degree, terms, np.zeros(design.shape[1]),
+                                float(y[0]))
         return model, Metrics(0.0, 0.0)
 
-    std_full = _standardize(design, y)
-    gram, corr = _moments(std_full)
+    gram, corr, live, to_raw = _lasso_problem(design, y)
     if config.l1_strength is None:
         lambdas = _lambda_grid(corr)
     else:
@@ -486,10 +453,11 @@ def fit_with_metrics(samples: list[tuple[LayerConfig, float]], config: FitConfig
     pooled_pred = np.concatenate([preds[:, chosen] for preds, _ in fold_preds])
     pooled_act = np.concatenate([act for _, act in fold_preds])
 
-    final = lambdas[chosen:chosen + 1]
+    final = lambdas[chosen:chosen + 1]  # one lambda: a whole-grid path costs about 30% more
     path = _lasso_homotopy(gram, corr, final)
     _warn_off_kkt(gram, corr, final, path, label)
-    beta, intercept = _unstandardize(std_full, path[0], design.shape[1])
+    beta = np.zeros(design.shape[1])
+    beta[live], intercept = to_raw(path[0])
     model = _assemble_model(kind, target, degree, terms, beta, intercept)
     metrics = Metrics(float(_rmspe(pooled_pred, pooled_act)),
                       math.sqrt(float(np.mean((pooled_pred - pooled_act) ** 2))))
@@ -501,7 +469,7 @@ def predict_with_flag(model: PolynomialModel, layer: LayerConfig) -> tuple[float
     if layer.kind is not model.layer_kind:
         raise ValueError(f"layer {layer.name} is {layer.kind.value}, "
                          f"model is for {model.layer_kind.value}")
-    x = build_features(layer).values
+    x = build_features(layer)
     total = 0.0
     for term, coef in model.terms:
         value = coef

@@ -13,8 +13,8 @@ import json
 import operator
 from dataclasses import dataclass, field
 
-from .netgraph import LayerConfig, LayerKind, TensorShape, _located, _value, count_ops
-from .polyreg import ProfileSample, write_profile_csv
+from .netgraph import LayerConfig, LayerKind, TensorShape, _located, _value
+from .polyreg import ProfileSample, special_terms, write_profile_csv
 from .seeding import generator
 
 
@@ -27,9 +27,8 @@ class GroundTruth:
     mem_coef: float
 
     def value(self, layer: LayerConfig) -> float:
-        ops = count_ops(layer)
-        mem = ops.input_reads + ops.weight_reads + ops.output_writes
-        return self.const + self.flops_coef * ops.flops + self.mem_coef * mem
+        flops, mem = special_terms(layer)
+        return self.const + self.flops_coef * flops + self.mem_coef * mem
 
 
 @dataclass(frozen=True)

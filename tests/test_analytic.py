@@ -1,7 +1,7 @@
 import pytest
 
 from hwcost.analytic import (AccessProfile, ConfigurationError, DeviceSpec, EnergySpec,
-                             ProfileSource, SparsityInfo, default_access_profile,
+                             SparsityInfo, default_access_profile,
                              eyeriss_layer_energy, eyeriss_network_energy,
                              paleo_layer_runtime, paleo_network_runtime,
                              parse_device_spec, parse_energy_spec)
@@ -125,7 +125,6 @@ def test_unknown_level_is_configuration_error():
 def test_default_profile_fc():
     layer = fully_connected("f", TensorShape(1, 4, 1, 1), units=2)
     profile = default_access_profile(layer)
-    assert profile.source is ProfileSource.DEFAULT
     assert dict(profile.counts) == {"DRAM": 4 + 8 + 2}
 
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from hwcost import __version__, cli, linmod, polyreg
+from hwcost import __version__, cli, linmod, polyreg, synth
 from hwcost.netgraph import LayerKind
 
 NETWORK_SPEC = """
@@ -117,6 +117,41 @@ def test_fit_empty_csv_is_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, "fit", str(bad))
     assert code == 1
     assert "error" in err
+
+
+def _profile(tmp_path, counts):
+    """A synthesized profile with `counts[kind]` rows of each kind."""
+    samples = [s for kind, n in counts.items()
+               for s in synth.generate_samples(synth.SynthConfig(count=n, kinds=(kind,)), 5)]
+    path = tmp_path / "profile.csv"
+    path.write_text(polyreg.write_profile_csv(samples))
+    return path
+
+
+def test_fit_skips_a_kind_below_twice_the_folds(tmp_path, capsys):
+    csv_path = _profile(tmp_path, {LayerKind.CONV2D: 8, LayerKind.FULLY_CONNECTED: 5,
+                                   LayerKind.POOL2D: 8})
+    code, out, err = run(capsys, "fit", str(csv_path), "--folds", "3",
+                         "--output-dir", str(tmp_path / "models"))
+    assert code == 0, err
+    for target in ("runtime_ms", "power_w"):
+        assert f"warning: skipping fc/{target}: need at least 6 samples, got 5\n" in err
+    assert sorted(p.name for p in (tmp_path / "models").glob("model_*.json")) == [
+        "model_conv_power_w.json", "model_conv_runtime_ms.json",
+        "model_pool_power_w.json", "model_pool_runtime_ms.json",
+    ]
+    assert [line.split()[0] for line in out.splitlines()[1:]] == ["conv", "conv", "pool", "pool"]
+
+
+def test_fit_with_no_kind_large_enough_exits_1(tmp_path, capsys):
+    csv_path = _profile(tmp_path, dict.fromkeys(LayerKind, 5))
+    code, out, err = run(capsys, "fit", str(csv_path), "--folds", "3",
+                         "--output-dir", str(tmp_path / "models"))
+    assert code == 1
+    assert out == ""
+    assert err.count("warning: skipping") == 6
+    assert "no (kind, target) had enough samples to fit" in err
+    assert not list((tmp_path / "models").glob("model_*.json"))
 
 
 def test_malformed_kernel_exits_1_naming_its_line(tmp_path, capsys):

@@ -248,3 +248,40 @@ f1 fc out=3
     net = parse_network(text)
     again = parse_network(format_network(net))
     assert again.layers == net.layers
+
+
+# VGG-16 (configuration D; Simonyan & Zisserman 2015) as a layer chain
+VGG16 = """
+conv1_1 conv in=1x3x224x224 k=3x3 p=1 out=64
+conv1_2 conv k=3x3 p=1 out=64
+pool1 pool k=2x2
+conv2_1 conv k=3x3 p=1 out=128
+conv2_2 conv k=3x3 p=1 out=128
+pool2 pool k=2x2
+conv3_1 conv k=3x3 p=1 out=256
+conv3_2 conv k=3x3 p=1 out=256
+conv3_3 conv k=3x3 p=1 out=256
+pool3 pool k=2x2
+conv4_1 conv k=3x3 p=1 out=512
+conv4_2 conv k=3x3 p=1 out=512
+conv4_3 conv k=3x3 p=1 out=512
+pool4 pool k=2x2
+conv5_1 conv k=3x3 p=1 out=512
+conv5_2 conv k=3x3 p=1 out=512
+conv5_3 conv k=3x3 p=1 out=512
+pool5 pool k=2x2
+fc6 fc out=4096
+fc7 fc out=4096
+fc8 fc out=1000
+"""
+
+
+def test_vgg16_op_counts():
+    """About 15.5 G MACs per 224x224 image; the weights alone are 138,344,128
+    parameters (the published 138.36 M adds the 13,416 biases)."""
+    net = parse_network(VGG16, name="vgg16")
+    assert [layer.kind for layer in net.layers].count(LayerKind.CONV2D) == 13
+    assert infer_output_shape(net.layers[-4]) == TensorShape(1, 512, 7, 7)
+    counts = [count_ops(layer) for layer in net.layers]
+    assert sum(c.macs for c in counts) == 15_470_264_320
+    assert sum(c.params for c in counts) == 138_344_128

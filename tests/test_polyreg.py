@@ -10,7 +10,7 @@ from hwcost.netgraph import LayerConfig, LayerKind, TensorShape, conv2d, \
     parse_network, pool2d
 from hwcost import polyreg, synth
 from hwcost.seeding import kfold_indices
-from hwcost.polyreg import (FeatureVector, FitConfig, FitError, Metrics,
+from hwcost.polyreg import (FitConfig, FitError, Metrics,
                             MissingModelError, PolynomialModel, SpecialTerm, Target,
                             TermSpec, ZeroRuntimeError, build_features, enumerate_terms,
                             evaluate, fit, model_from_json, model_to_json, predict, predict_network,
@@ -39,8 +39,8 @@ def pool_grid_samples(target_fn):
 
 def test_fc_features():
     fv = build_features(fc_layer(1, 4, 2))
-    assert fv.values == (1.0, 4.0, 2.0)
-    assert fv.schema == ("batch", "in_units", "out_units")
+    assert fv == (1.0, 4.0, 2.0)
+    assert polyreg._SCHEMAS[LayerKind.FULLY_CONNECTED] == ("batch", "in_units", "out_units")
 
 
 def test_schema_length_varies_by_kind():
@@ -52,18 +52,13 @@ def test_schema_length_varies_by_kind():
 def test_square_input_collapses_to_single_spatial_feature():
     layer = conv2d("c", TensorShape(1, 3, 32, 32), out_channels=8, kernel=3, padding=1)
     fv = build_features(layer)
-    assert fv.values[fv.schema.index("in_hw")] == 32.0
+    assert fv[polyreg._SCHEMAS[LayerKind.CONV2D].index("in_hw")] == 32.0
 
 
 def test_non_square_uses_geometric_mean():
     layer = conv2d("c", TensorShape(1, 3, 16, 4), out_channels=8, kernel=3, padding=1)
     fv = build_features(layer)
-    assert fv.values[fv.schema.index("in_hw")] == pytest.approx(8.0)
-
-
-def test_feature_vector_validates_arity():
-    with pytest.raises(ValueError):
-        FeatureVector((1.0, 2.0), ("a",))
+    assert fv[polyreg._SCHEMAS[LayerKind.CONV2D].index("in_hw")] == pytest.approx(8.0)
 
 
 # --- special terms -----------------------------------------------------------
@@ -181,7 +176,7 @@ def test_fit_optimality_at_zero_lambda():
 def _standardized_problem(samples, kind, degree):
     """Raw design, standardized live columns and target, as the fit sees them."""
     terms = enumerate_terms(len(polyreg._SCHEMAS[kind]), degree)
-    feats = np.array([build_features(layer).values for layer, _ in samples])
+    feats = np.array([build_features(layer) for layer, _ in samples])
     cols = [np.prod(feats ** np.asarray(t.exponents, dtype=float), axis=1) for t in terms]
     sp = np.array([special_terms(layer) for layer, _ in samples])
     design = np.column_stack(cols + [sp[:, 0], sp[:, 1]])
@@ -307,7 +302,7 @@ def test_homotopy_path_matches_reference(kind, samples):
     y = np.array([value for _, value in samples])
     fold_of = kfold_indices(len(y), 3, 1)
     for rows in [np.ones(len(y), dtype=bool)] + [fold_of != k for k in range(3)]:
-        gram, corr = polyreg._moments(polyreg._standardize(design[rows], y[rows]))
+        gram, corr, _, _ = polyreg._lasso_problem(design[rows], y[rows])
         lambdas = polyreg._lambda_grid(corr)
         got = polyreg._lasso_homotopy(gram, corr, lambdas)
         want = lasso_homotopy_reference(gram, corr, lambdas)
