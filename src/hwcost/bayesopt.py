@@ -52,6 +52,10 @@ class Dimension:
             raise ValueError(f"dimension kind must be integer|continuous, got {self.kind!r}")
         if not self.lo < self.hi:
             raise ValueError(f"dimension {self.name}: lo must be < hi")
+        if not math.isfinite(self.hi - self.lo):
+            raise ValueError(f"dimension {self.name}: lo, hi and hi - lo must be finite")
+        if self.kind == "integer" and (self.lo % 1 or self.hi % 1):
+            raise ValueError(f"dimension {self.name}: integer lo and hi must be whole numbers")
 
 
 @dataclass(frozen=True)
@@ -213,7 +217,7 @@ class GPState:
 
         self._chol, self.jitter = _factorize(self._xn, np.asarray(self.lengthscales),
                                              self.signal_var, self.noise_var)
-        self._alpha = _chol_solve(self._chol, self._ys) if n else np.zeros(0)
+        self._w = np.linalg.solve(self._chol, self._ys)   # L^-1 ys
 
     @classmethod
     def fit(cls, space: SearchSpace, observations) -> "GPState":
@@ -222,10 +226,10 @@ class GPState:
 
 
 def _factorize(Xn: np.ndarray, lengthscales: np.ndarray, signal_var: float,
-               noise_var: float) -> tuple[np.ndarray | None, float]:
+               noise_var: float) -> tuple[np.ndarray, float]:
     n = Xn.shape[0]
     if n == 0:
-        return None, 0.0
+        return np.zeros((0, 0)), 0.0
     K = _matern52(Xn, Xn, lengthscales, signal_var)
     jitter = 0.0
     if noise_var == 0.0 and _has_duplicates(Xn):
@@ -243,12 +247,6 @@ def _factorize(Xn: np.ndarray, lengthscales: np.ndarray, signal_var: float,
 
 def _has_duplicates(Xn: np.ndarray) -> bool:
     return np.unique(Xn, axis=0).shape[0] < Xn.shape[0]
-
-
-def _chol_solve(L: np.ndarray | None, b: np.ndarray) -> np.ndarray:
-    if L is None:
-        return np.zeros(0)
-    return np.linalg.solve(L.T, np.linalg.solve(L, b))
 
 
 def _log_marginal_likelihood(R: np.ndarray, ys: np.ndarray, signal_var: float,
@@ -332,15 +330,12 @@ def _select_hypers(Xn: np.ndarray, ys: np.ndarray, start=None
 
 
 def gp_posterior_batch(state: GPState, X) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean and (latent) variance at each query row, raw units."""
+    """Posterior mean and (latent) variance at each query row, raw units, both
+    from one forward solve v = L^-1 k* (Rasmussen & Williams 2006, alg. 2.1)."""
     Xq = state.space.normalize(np.asarray(X, dtype=float))
-    if len(state.observations) == 0:
-        mean = np.full(Xq.shape[0], state.prior_mean)
-        var = np.full(Xq.shape[0], state.signal_var * state.y_scale ** 2)
-        return mean, var
     k_star = _matern52(Xq, state._xn, np.asarray(state.lengthscales), state.signal_var)
-    mean_std = k_star @ state._alpha
     v = np.linalg.solve(state._chol, k_star.T)
+    mean_std = np.sum(v * state._w[:, None], axis=0)
     var_std = np.maximum(state.signal_var - np.sum(v * v, axis=0), 0.0)
     return state.prior_mean + state.y_scale * mean_std, state.y_scale ** 2 * var_std
 
@@ -430,9 +425,9 @@ def hw_ieci_batch(y_best: float, constraints: ConstraintSpec, space: SearchSpace
     candidate costs one linear prediction; with none feasible there is no
     posterior call. A feasible row gets ei_batch's value on the feasible
     rows, which can differ from ei_batch's on the whole array in the last
-    bits: BLAS scores the rows that do not fill a last block of the
-    posterior's matrix-vector product by another kernel, so a row's bits
-    depend on its place in the array.
+    bits: the posterior's LU solve does not give a column the same bits at
+    every place among its right-hand sides, so a row's bits can depend on
+    its place in the array.
     """
     idx = _structural(space, constraints)
 
@@ -447,9 +442,11 @@ def hw_ieci_batch(y_best: float, constraints: ConstraintSpec, space: SearchSpace
 
 
 def draw_candidates(space: SearchSpace, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform candidates over the box; integer dimensions rounded in place."""
+    """Uniform candidates over the box; integer dimensions are drawn on
+    [lo - 0.5, hi + 0.5) and rounded in place, so each value is equally likely."""
     lo, hi = space.bounds()
-    X = rng.uniform(lo, hi, size=(count, space.dim))
+    half = np.array([0.5 if d.kind == "integer" else 0.0 for d in space.dimensions])
+    X = rng.uniform(lo - half, hi + half, size=(count, space.dim))
     for i, d in enumerate(space.dimensions):
         if d.kind == "integer":
             X[:, i] = np.clip(np.floor(X[:, i] + 0.5), d.lo, d.hi)
@@ -476,8 +473,6 @@ def propose_next(state: GPState, space: SearchSpace, acquisition, candidate_coun
     budget violation (the first predicted-feasible one, if any), flagged as
     exploration fallback only when no candidate is predicted feasible.
     """
-    if candidate_count < 1:
-        raise ValueError("candidate_count must be >= 1")
     rng = generator(seed, _TAG_SAMPLER, iteration)
     X = draw_candidates(space, candidate_count, rng)
     values = np.asarray(acquisition(state, X), dtype=float)
@@ -560,6 +555,8 @@ def bo_run(objective, space: SearchSpace, constraints: ConstraintSpec | None,
     n_seed = 2 * space.dim
     if budget < n_seed:
         raise ValueError(f"budget {budget} below seeding need {n_seed}")
+    if candidate_count < 1:
+        raise ValueError("candidate_count must be >= 1")
     # checks the constraint model schemas up front
     structural_idx = _structural(space, constraints) if constraints is not None else ()
     seeds = draw_candidates(space, n_seed, generator(seed, 0))

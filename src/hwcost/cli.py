@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .netgraph import LayerKind, _lines, _located, _text, _value, parse_network
+from .netgraph import LayerKind, _finite, _lines, _located, _text, _value, parse_network
 # a module-level name: callers that wrap the objective replace cli.build_objective
 from .objectives import build_objective
 
@@ -45,6 +45,14 @@ class _Parser(argparse.ArgumentParser):
 
 class UsageError(ValueError):
     pass
+
+
+def _finite_arg(text: str) -> float:
+    """argparse type for a finite number; the parser's message names the flag."""
+    try:
+        return _finite(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _fmt(value: float) -> str:
@@ -326,8 +334,12 @@ def _cmd_optimize(args) -> int:
         inputs += [Path(args.power_model), Path(args.memory_model)]
 
     center = 0.3
-    if args.center:
-        values = [float(v) for v in args.center.split(",")]
+    if args.center is not None:
+        with _located("--center"):
+            values = [_finite(v) for v in args.center.split(",")]
+            if len(values) not in (1, space.dim):
+                raise ValueError(f"expected one value or one per dimension ({space.dim}), "
+                                 f"got {len(values)}")
         center = values[0] if len(values) == 1 else tuple(values)
     objective = build_objective(args.objective, center=center, noise=args.noise,
                                 seed=args.seed, command=args.command)
@@ -427,15 +439,15 @@ def _build_parser() -> _Parser:
     p.add_argument("--objective", choices=("quadratic", "branin", "command"),
                    default="quadratic")
     p.add_argument("--center", help="quadratic center, scalar or comma list")
-    p.add_argument("--noise", type=float, default=0.0)
+    p.add_argument("--noise", type=_finite_arg, default=0.0)
     p.add_argument("--command", nargs=argparse.REMAINDER,
                    help="external objective command (reads x CSV line on stdin)")
     p.add_argument("--budget", type=int, required=True)
     p.add_argument("--candidates", type=int)
     p.add_argument("--power-model")
     p.add_argument("--memory-model")
-    p.add_argument("--power-budget", type=float)
-    p.add_argument("--memory-budget", type=float)
+    p.add_argument("--power-budget", type=_finite_arg)
+    p.add_argument("--memory-budget", type=_finite_arg)
     p.set_defaults(func=_cmd_optimize)
 
     return parser

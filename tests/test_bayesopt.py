@@ -96,6 +96,29 @@ def test_batch_posterior_matches_scalar():
         assert variances[i] == pytest.approx(v, abs=1e-12)
 
 
+def test_batch_mean_matches_dense_oracle_on_every_row():
+    """Every row of a 513-row batch, one past a multiple of common BLAS and
+    LAPACK block sizes, against the dense oracle on states of up to 60
+    observations."""
+    rng = np.random.default_rng(61)
+    space = space_2d()
+    for n in (1, 8, 60):
+        obs = [Observation(tuple(rng.uniform(0, 1, 2)), float(rng.normal()))
+               for _ in range(n)]
+        ls = tuple(float(v) for v in rng.uniform(0.2, 1.5, 2))
+        s2f = float(rng.uniform(0.5, 3.0))
+        s2n = float(10.0 ** rng.uniform(-4.0, -1.0))
+        state = GPState(space, obs, lengthscales=ls, signal_var=s2f, noise_var=s2n,
+                        prior_mean=0.3)
+        X = rng.uniform(0, 1, (513, 2))
+        means, variances = gp_posterior_batch(state, X)
+        for x, mean, var in zip(X, means, variances):
+            mean_o, var_o = gp_posterior_dense([o.x for o in obs], [o.y for o in obs],
+                                               tuple(x), ls, s2f, s2n, 0.3)
+            assert abs(mean - mean_o) < 1e-8
+            assert abs(var - var_o) < 1e-8
+
+
 # --- update ------------------------------------------------------------------
 
 def test_update_never_increases_variance_at_observed_points():
@@ -361,9 +384,9 @@ def test_gated_batch_zeroes_exactly_the_rows_satisfied_rejects():
 def test_gated_batch_scores_only_feasible_rows(monkeypatch):
     """The gated batch computes the posterior on the predicted-feasible rows
     alone. Those rows get exactly ei_batch's values on them; against ei_batch
-    on the whole array they may differ in the last bits, because BLAS scores
-    the rows that do not fill a last block of the matrix-vector product by
-    another kernel."""
+    on the whole array they may differ in the last bits, because the
+    posterior's LU solve does not give a column the same bits at every place
+    among its right-hand sides."""
     space = space_2d(structural=("x1", "x2"))
     rng = np.random.default_rng(31)
     objective = quadratic_bowl(0.4)   # minimum inside the power budget
@@ -504,6 +527,30 @@ def test_integer_dimensions_rounded():
     assert all(1.0 <= v <= 8.0 for v in candidates[:, 0])
 
 
+def test_integer_values_drawn_uniformly_ends_included():
+    """Each of 1..4 gets a quarter of the draws (rounding a draw on [1, 4]
+    gave each end half an interior value's share), and the continuous
+    column is the draw an all-continuous space makes from the same stream."""
+    mixed = SearchSpace((Dimension("n", "integer", 1, 4), Dimension("x", "continuous", 0, 1)))
+    plain = SearchSpace((Dimension("n", "continuous", 1, 4),
+                         Dimension("x", "continuous", 0, 1)))
+    X = draw_candidates(mixed, 100_000, generator(7, 2))
+    values, counts = np.unique(X[:, 0], return_counts=True)
+    assert values.tolist() == [1.0, 2.0, 3.0, 4.0]
+    assert all(abs(c - 25_000) < 700 for c in counts), counts   # sd about 137
+    assert np.array_equal(X[:, 1], draw_candidates(plain, 100_000, generator(7, 2))[:, 1])
+
+
+@pytest.mark.parametrize("kind, lo, hi", [("continuous", 0.0, math.inf),
+                                          ("continuous", -math.inf, 0.0),
+                                          ("continuous", -1e308, 1e308),
+                                          ("integer", 0.2, 0.8),
+                                          ("integer", 0, 4.5)])
+def test_dimension_rejects_bounds_it_cannot_draw_from(kind, lo, hi):
+    with pytest.raises(ValueError, match=r"dimension d: .*\blo\b.*\bhi\b"):
+        Dimension("d", kind, lo, hi)
+
+
 # --- the loop ----------------------------------------------------------------
 
 def test_bo_run_converges_on_quadratic():
@@ -531,6 +578,18 @@ def test_elapsed_covers_the_gp_update(monkeypatch):
 def test_bo_run_budget_precondition():
     with pytest.raises(ValueError):
         bo_run(quadratic_bowl(0.3), space_2d(), None, budget=3, seed=0)
+
+
+def test_bo_run_rejects_no_candidates_before_evaluating():
+    calls = []
+
+    def objective(x):
+        calls.append(x)
+        return 0.0
+
+    with pytest.raises(ValueError, match="candidate_count"):
+        bo_run(objective, space_1d(), None, budget=4, seed=0, candidate_count=0)
+    assert calls == []
 
 
 def test_constrained_run_returns_predicted_feasible_best():

@@ -301,6 +301,28 @@ def test_optimize_rejects_swapped_constraint_models(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ("--center", "0.1,0.2,0.9"),     # three values on a 2-D space
+    ("--center", "nan"),
+    ("--center", "0.5,inf"),
+    ("--noise", "nan"),
+    ("--power-budget", "inf", "--memory-budget", "10", "--power-model", "p.json",
+     "--memory-model", "m.json"),
+    ("--memory-budget", "nan", "--power-budget", "1", "--power-model", "p.json",
+     "--memory-model", "m.json"),
+])
+def test_optimize_rejects_non_finite_or_misshapen_numbers(tmp_path, capsys, flags):
+    space_path = tmp_path / "space.json"
+    space_path.write_text(json.dumps(SPACE_SPEC))
+    out_dir = tmp_path / "opt"
+    code, out, err = run(capsys, "optimize", str(space_path), "--budget", "6", *flags,
+                         "--output-dir", str(out_dir))
+    assert code == 1 and out == "" and "Traceback" not in err
+    last = err.splitlines()[-1]
+    assert last.startswith("error: ") and flags[0] in last, err
+    assert not out_dir.exists()
+
+
 def test_optimize_partial_constraint_flags_rejected(tmp_path, capsys):
     space_path = tmp_path / "space.json"
     space_path.write_text(json.dumps(SPACE_SPEC))

@@ -170,6 +170,15 @@ MOTIVATION = {
                         lambda d: ENERGY.replace("DRAM:200", "DRAM:nan"), "energy spec line 2"),
     "linear weight NaN": (CASES["linear model"][2], "linear_power.json",
                           _linear_power_with_nan_weight, "linear model key 'weights'"),
+    "space hi Infinity": (CASES["space"][2], "space.json", lambda d: json.dumps(
+                              {"dimensions": [{"name": "x1", "lo": 0.0, "hi": math.inf}]}),
+                          "space"),
+    "space range 2e308": (CASES["space"][2], "space.json", lambda d: json.dumps(
+                              {"dimensions": [{"name": "x1", "lo": -1e308, "hi": 1e308}]}),
+                          "space"),
+    "space integer 0.2..0.8": (CASES["space"][2], "space.json", lambda d: json.dumps(
+                                   {"dimensions": [{"name": "x1", "kind": "integer",
+                                                    "lo": 0.2, "hi": 0.8}]}), "space"),
 }
 
 
