@@ -16,10 +16,13 @@ class ObjectiveError(RuntimeError):
 
 
 def quadratic_bowl(center=0.3):
-    """Sum of squared distances to `center` (scalar broadcasts to all dims)."""
+    """Sum of squared distances to `center`: a scalar broadcasts to all dims,
+    a sequence gives one value per coordinate of the point."""
     def objective(x):
         if isinstance(center, (int, float)):
             return sum((v - center) ** 2 for v in x)
+        if len(center) != len(x):
+            raise ValueError(f"center has {len(center)} values, the point {len(x)}")
         return sum((v - c) ** 2 for v, c in zip(x, center))
     return objective
 
@@ -71,7 +74,10 @@ def command_objective(argv: list[str]):
 
 def build_objective(name: str, center=0.3, noise: float = 0.0, seed: int = 0,
                     command: list[str] | None = None):
-    """CLI-facing factory for the objective selector."""
+    """CLI-facing factory for the objective selector; `noise` is the sigma of
+    additive Gaussian noise, a finite number >= 0 (0 adds none)."""
+    if not (math.isfinite(noise) and noise >= 0.0):
+        raise ValueError(f"noise must be a finite number >= 0, got {noise!r}")
     if name == "quadratic":
         fn = quadratic_bowl(center)
     elif name == "branin":

@@ -121,19 +121,13 @@ def enumerate_terms(dim: int, degree: int) -> list[TermSpec]:
     if degree < 0:
         raise ValueError("degree must be >= 0")
 
-    def compositions(total: int, slots: int):
+    def compositions(total: int, slots: int) -> list[tuple[int, ...]]:
         if slots == 1:
-            yield (total,)
-            return
-        for head in range(total, -1, -1):
-            for rest in compositions(total - head, slots - 1):
-                yield (head,) + rest
+            return [(total,)]
+        return [(head,) + rest for head in range(total, -1, -1)
+                for rest in compositions(total - head, slots - 1)]
 
-    terms = []
-    for total in range(degree + 1):
-        for exps in compositions(total, dim):
-            terms.append(TermSpec(exps))
-    return terms
+    return [TermSpec(exps) for total in range(degree + 1) for exps in compositions(total, dim)]
 
 
 @dataclass(frozen=True)
@@ -228,9 +222,13 @@ def evaluate(model: PolynomialModel, samples: list[tuple[LayerConfig, float]]) -
 def _design_matrix(layers: list[LayerConfig], kind: LayerKind,
                    terms: list[TermSpec]) -> np.ndarray:
     feats = np.array([build_features(layer) for layer in layers], dtype=float)
-    cols = [np.prod(feats ** np.asarray(t.exponents, dtype=float), axis=1) for t in terms]
+    exps = np.array([t.exponents for t in terms], dtype=float)
+    # one power per feature, multiplied in np.prod's order (the same bits)
+    cols = feats[:, :1] ** exps[:, 0]
+    for i in range(1, feats.shape[1]):
+        cols *= feats[:, i:i + 1] ** exps[:, i]
     specials = np.array([special_terms(layer) for layer in layers], dtype=float)
-    return np.column_stack(cols + [specials[:, 0], specials[:, 1]])
+    return np.column_stack([cols, specials])
 
 
 def _kkt_violation(gram: np.ndarray, corr: np.ndarray, lambdas: np.ndarray,
@@ -263,34 +261,53 @@ def _lasso_homotopy(gram: np.ndarray, corr: np.ndarray, lambdas: np.ndarray) -> 
 
     LARS-lasso homotopy (Efron et al. 2004): b = 0 for lam >= max|c|; between
     events the active set A with signs s has b_A = a - lam*d, where
-    [a, d] = G_AA^-1 [c_A, s], so each grid row is exact. An inactive column
+    [a, d] = G_AA^-1 [c_A, s], so each grid row is exact. An inactive column j
     joins when its correlation c_j - G_jA b_A reaches +-lam (ties: lowest
-    index), unless its Schur complement against A is not positive (it lies in
-    A's span, as an exact copy of an active column does); an active
-    coefficient reaching zero drops. A dropped column j needs no rule against
-    rejoining on its own side at once: with S > 0 its Schur complement against
-    the remaining set and d_j its old slope (s_j d_j < 0, as it was falling
-    to zero), its new slope has s_j q_j = 1 + S |d_j| > 1, so the s*q < 1
-    mask below already excludes that side (Efron et al. 2004, sec. 3).
+    index) and stays if its Schur complement S_j against A exceeds SCHUR_TOL
+    (an exact copy of an active column, in A's span, does not). The next
+    event's one solve, of the grown G_AA against [c_A, s, e_j], reads S_j off
+    (G_AA^-1)_jj = 1/S_j; a failed test or a singular G_AA undoes the join
+    and blocks j until the next accepted join or drop. An active coefficient
+    reaching zero drops. A dropped column j needs no rule against rejoining
+    on its own side at once: with S > 0 its Schur complement against the
+    remaining set and d_j its old slope (s_j d_j < 0, as it was falling to
+    zero), its new slope has s_j q_j = 1 + S |d_j| > 1, so the s*q < 1 mask
+    below already excludes that side (Efron et al. 2004, sec. 3).
     """
     p = len(corr)
     out = np.zeros((len(lambdas), p))
-    # the active set in join order: active[:k], rows [c_j, s_j] of rhs[:k]
-    # and the Gram columns cols[:, :k]; they change only at a join or a drop
+    if p == 0:
+        return out
+    # the active set in join order: active[:k], rows [c_j, s_j, 0] of rhs[:k] (a
+    # joining column's ends in 1) and Gram columns cols[:, :k]; events change them
     active = np.empty(p, dtype=np.intp)
-    rhs = np.empty((p, 2))
+    rhs = np.zeros((p, 3))
     cols = np.empty((p, p), order="F")
     k = 0
-    free = np.ones(p, dtype=bool)  # inactive and not blocked
-    blocked: list[int] = []        # failed the Schur test at this lam
-    lam = float(np.max(np.abs(corr), initial=0.0))
+    joining = False                # active[k - 1] joined and awaits its Schur test
+    inactive = np.ones(p, dtype=bool)
+    free = np.ones(p, dtype=bool)  # inactive and not blocked by a failed Schur test
+    lam = float(np.abs(corr).max())
     row = 0
     # finite in exact arithmetic; the bound stops a degenerate cycle, and the
     # rows it leaves at zero fail the KKT check
     for _ in range(100 * p + 1):
         idx, s, g = active[:k], rhs[:k, 1], cols[:, :k]
-        g_aa = g[idx]
-        ad = np.linalg.solve(g_aa, rhs[:k])
+        try:
+            x = np.linalg.solve(g[idx], rhs[:k, :2 + joining])
+        except np.linalg.LinAlgError:
+            if not joining:
+                raise
+            x = np.full((k, 3), np.nan)
+        if joining:
+            joining = False
+            rhs[k - 1, 2] = 0.0
+            if not 1.0 / x[k - 1, 2] > SCHUR_TOL:
+                k -= 1
+                inactive[active[k]] = True  # blocked: free again after a join or drop
+                continue
+            free[:] = inactive
+        ad = x[:, :2]
         a, d = ad.T
         beta = a - lam * d
         # as lam falls by t: correlations r - t*q, active coefficients beta + t*d
@@ -300,14 +317,16 @@ def _lasso_homotopy(gram: np.ndarray, corr: np.ndarray, lambdas: np.ndarray) -> 
         sq = _SIDES * q
         to_side = np.where(free & (sq < 1.0 - 1e-12),
                            np.maximum(lam - _SIDES * r, 0.0) / (1.0 - sq), np.inf)
-        to_zero = np.where(s * d < 0.0, np.maximum(-beta / d, 0.0), np.inf)
         to_join = to_side.min(axis=0)
-        t_join, t_drop = to_join.min(initial=np.inf), to_zero.min(initial=np.inf)
+        t_join, t_drop = to_join.min(), np.inf
+        if k:
+            to_zero = np.where(s * d < 0.0, np.maximum(-beta / d, 0.0), np.inf)
+            t_drop = to_zero.min()
         next_lam = lam - min(t_join, t_drop, lam)
-        while row < len(lambdas) and lambdas[row] >= next_lam:
-            coef = a - lambdas[row] * d
-            out[row, idx] = np.where(coef * s > 0.0, coef, 0.0)
-            row += 1
+        end = row + np.count_nonzero(lambdas[row:] >= next_lam)
+        coef = a - lambdas[row:end, None] * d
+        out[row:end, idx] = np.where(coef * s > 0.0, coef, 0.0)
+        row = end
         if row == len(lambdas):
             break
         lam = next_lam
@@ -318,22 +337,18 @@ def _lasso_homotopy(gram: np.ndarray, corr: np.ndarray, lambdas: np.ndarray) -> 
             rhs[i:k - 1] = rhs[i + 1:k]
             cols[:, i:k - 1] = cols[:, i + 1:k]
             k -= 1
-            free[j] = True
+            inactive[j] = True
+            free[:] = inactive
         else:
             j = int(np.argmax(to_join <= t_join + 1e-12 * lam))
-            free[j] = False
-            if gram[j, j] - g[j] @ np.linalg.solve(g_aa, g[j]) <= SCHUR_TOL:
-                blocked.append(j)
-                continue
+            free[j] = inactive[j] = False
             active[k] = j
             # the sides tie only where r = lam*q, which gives t = lam: the path
             # has ended there, so `<=` or `<` cannot change a returned row
-            rhs[k] = corr[j], 1.0 if to_side[0, j] <= to_side[1, j] else -1.0
+            rhs[k] = corr[j], 1.0 if to_side[0, j] <= to_side[1, j] else -1.0, 1.0
             cols[:, k] = gram[:, j]
             k += 1
-        if blocked:
-            free[blocked] = True
-            blocked.clear()
+            joining = True
     return out
 
 
@@ -361,9 +376,7 @@ def _lasso_problem(design: np.ndarray, y: np.ndarray):
 
 
 def _lambda_grid(corr: np.ndarray) -> np.ndarray:
-    lam_max = float(np.max(np.abs(corr), initial=0.0))
-    if lam_max <= 0:
-        lam_max = 1.0
+    lam_max = float(np.max(np.abs(corr), initial=0.0)) or 1.0
     return np.geomspace(lam_max, lam_max * CV_LAMBDA_FLOOR, CV_LAMBDA_GRID_SIZE)
 
 
@@ -377,16 +390,14 @@ def _check_samples(samples, config: FitConfig, kind: LayerKind) -> None:
 
 def _assemble_model(kind: LayerKind, target: Target, degree: int,
                     terms: list[TermSpec], beta: np.ndarray, intercept: float) -> PolynomialModel:
-    schema = _SCHEMAS[kind]
-    const_index = next(i for i, t in enumerate(terms) if t.degree == 0)
     coef = beta.copy()
-    coef[const_index] += intercept
-    kept_regular = tuple((terms[i], float(coef[i])) for i in range(len(terms))
-                         if abs(coef[i]) >= COEF_DROP_THRESHOLD)
-    kept_special = tuple((SPECIAL_TERMS[s], float(coef[len(terms) + s]))
-                         for s in range(len(SPECIAL_TERMS))
-                         if abs(coef[len(terms) + s]) >= COEF_DROP_THRESHOLD)
-    return PolynomialModel(kind, target, degree, schema, kept_regular, kept_special)
+    coef[0] += intercept  # enumerate_terms lists the constant term first
+
+    def kept(names, values):
+        return tuple((name, float(c)) for name, c in zip(names, values)
+                     if abs(c) >= COEF_DROP_THRESHOLD)
+    return PolynomialModel(kind, target, degree, _SCHEMAS[kind], kept(terms, coef),
+                           kept(SPECIAL_TERMS, coef[len(terms):]))
 
 
 def _cv_curves(design: np.ndarray, y: np.ndarray, lambdas: np.ndarray, folds: int,
@@ -414,8 +425,7 @@ def _cv_curves(design: np.ndarray, y: np.ndarray, lambdas: np.ndarray, folds: in
 
 def fit(samples: list[tuple[LayerConfig, float]], config: FitConfig,
         kind: LayerKind, target: Target) -> PolynomialModel:
-    model, _ = fit_with_metrics(samples, config, kind, target)
-    return model
+    return fit_with_metrics(samples, config, kind, target)[0]
 
 
 def fit_with_metrics(samples: list[tuple[LayerConfig, float]], config: FitConfig,
@@ -438,15 +448,11 @@ def fit_with_metrics(samples: list[tuple[LayerConfig, float]], config: FitConfig
     if float(y.std()) == 0.0:
         warnings.warn(f"all {kind.value} {target.value} targets identical; "
                       f"fitting a constant-only model", stacklevel=2)
-        model = _assemble_model(kind, target, degree, terms, np.zeros(design.shape[1]),
-                                float(y[0]))
-        return model, Metrics(0.0, 0.0)
+        return (_assemble_model(kind, target, degree, terms, np.zeros(design.shape[1]),
+                                float(y[0])), Metrics(0.0, 0.0))
 
     gram, corr, live, to_raw = _lasso_problem(design, y)
-    if config.l1_strength is None:
-        lambdas = _lambda_grid(corr)
-    else:
-        lambdas = np.array([config.l1_strength])
+    lambdas = _lambda_grid(corr) if config.l1_strength is None else np.array([config.l1_strength])
     label = f"{kind.value} {target.value}"
     mean_rmspe, fold_preds = _cv_curves(design, y, lambdas, config.cv_folds, config.seed, label)
     chosen = int(np.argmin(mean_rmspe))
@@ -478,18 +484,14 @@ def predict_with_flag(model: PolynomialModel, layer: LayerConfig) -> tuple[float
                 value *= xi ** qi
         total += value
     if model.special:
-        flops, mem = special_terms(layer)
-        lookup = {SpecialTerm.TOTAL_FLOPS: flops, SpecialTerm.TOTAL_MEM_ACCESSES: mem}
+        lookup = dict(zip(SPECIAL_TERMS, special_terms(layer)))
         for special, coef in model.special:
             total += coef * lookup[special]
-    if total < 0.0:
-        return 0.0, True
-    return total, False
+    return (0.0, True) if total < 0.0 else (total, False)
 
 
 def predict(model: PolynomialModel, layer: LayerConfig) -> float:
-    value, _ = predict_with_flag(model, layer)
-    return value
+    return predict_with_flag(model, layer)[0]
 
 
 @dataclass(frozen=True)
@@ -519,10 +521,9 @@ def predict_network(runtime_models: dict[LayerKind, PolynomialModel],
     total_t = 0.0
     total_e = 0.0
     for layer in net.layers:
-        if layer.kind not in runtime_models:
-            raise MissingModelError(f"no runtime model for kind {layer.kind.value}")
-        if layer.kind not in power_models:
-            raise MissingModelError(f"no power model for kind {layer.kind.value}")
+        for what, models in (("runtime", runtime_models), ("power", power_models)):
+            if layer.kind not in models:
+                raise MissingModelError(f"no {what} model for kind {layer.kind.value}")
         t, t_clamped = predict_with_flag(runtime_models[layer.kind], layer)
         p, p_clamped = predict_with_flag(power_models[layer.kind], layer)
         e = t * p  # ms * W = mJ
@@ -639,7 +640,6 @@ def write_profile_csv(samples: list[ProfileSample], comments: list[str] | None =
             row += [s.height, s.width, layer.kernel_h, layer.kernel_w, layer.stride,
                     layer.padding,
                     layer.output_channels if layer.kind is LayerKind.CONV2D else "", ""]
-        row.append(repr(sample.runtime_ms) if sample.runtime_ms is not None else "")
-        row.append(repr(sample.power_w) if sample.power_w is not None else "")
+        row += ["" if v is None else repr(v) for v in (sample.runtime_ms, sample.power_w)]
         writer.writerow(row)
     return out.getvalue()

@@ -10,10 +10,11 @@ measurements, with a recoverable generator to validate fits against.
 from __future__ import annotations
 
 import json
+import math
 import operator
 from dataclasses import dataclass, field
 
-from .netgraph import LayerConfig, LayerKind, TensorShape, _located, _value
+from .netgraph import LayerConfig, LayerKind, TensorShape, _finite, _located, _value
 from .polyreg import ProfileSample, special_terms, write_profile_csv
 from .seeding import generator
 
@@ -73,8 +74,8 @@ class SynthConfig:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("count must be >= 1")
-        if self.noise < 0:
-            raise ValueError("noise must be >= 0")
+        if not (math.isfinite(self.noise) and self.noise >= 0):
+            raise ValueError(f"noise must be a finite number >= 0, got {self.noise!r}")
 
 
 def _ranges(doc, base: dict[str, tuple[int, int]]) -> dict[str, tuple[int, int]]:
@@ -110,7 +111,7 @@ def load_config(text: str) -> SynthConfig:
                 _value(spec, "power_w", _truth, where, base.power))
         return SynthConfig(
             count=_value(doc, "count", int, what, 500),
-            noise=_value(doc, "noise", float, what, 0.05),
+            noise=_value(doc, "noise", _finite, what, 0.05),
             kinds=_value(doc, "use", lambda names: tuple(map(LayerKind, names)), what,
                          tuple(generators)),
             generators=generators)

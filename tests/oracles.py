@@ -211,6 +211,14 @@ def select_hypers_dense(X, y, lengthscale_grid, signal_grid, noise_grid, start=N
     return tuple(ls), s2f, s2n
 
 
+def design_matrix_reference(features, exponents, specials):
+    """Polynomial design columns as one `np.prod` over the features per term,
+    then the special-term columns: the plain expression whose multiplication
+    order the library's feature-by-feature build must keep, bit for bit."""
+    cols = [np.prod(features ** np.asarray(e, dtype=float), axis=1) for e in exponents]
+    return np.column_stack(cols + [specials[:, 0], specials[:, 1]])
+
+
 def lasso_homotopy_reference(gram, corr, lambdas, schur_tol=1e-10):
     """The homotopy lasso path as first written, one event at a time.
 

@@ -763,3 +763,18 @@ def test_trace_csv_layout():
     first = lines[1].split(",")
     assert first[0] == "1"
     assert first[-2] in ("true", "false")
+
+
+def test_quadratic_center_list_must_match_the_point():
+    assert quadratic_bowl((0.1, 0.2))((0.1, 0.2)) == 0.0
+    for center in ((0.1, 0.2, 0.3), (0.1,)):
+        with pytest.raises(ValueError, match=f"center has {len(center)} values, the point 2"):
+            quadratic_bowl(center)((0.1, 0.2))
+
+
+@pytest.mark.parametrize("noise", [-0.1, math.nan, math.inf])
+def test_build_objective_rejects_a_negative_or_non_finite_noise(noise):
+    from hwcost.objectives import build_objective
+    with pytest.raises(ValueError, match="noise must be a finite number >= 0"):
+        build_objective("quadratic", noise=noise)
+    assert build_objective("quadratic", noise=0.0)((0.3,)) == 0.0

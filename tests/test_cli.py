@@ -466,3 +466,82 @@ def test_cli_determinism_byte_identical(tmp_path, capsys):
     assert code == 0
     assert (out_a / "synthetic_profile.csv").read_bytes() == \
         (out_b / "synthetic_profile.csv").read_bytes()
+
+
+def _outputs(out_dir):
+    return {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+
+
+def test_reused_parser_carries_no_state_between_optimize_calls(monkeypatch, tmp_path, capsys):
+    """main() builds its parser once; a call after an `--command` run parses
+    and writes what a first call does, and a replaced build_objective is used."""
+    space_path = tmp_path / "space.json"
+    space_path.write_text(json.dumps(SPACE_SPEC))
+    script = tmp_path / "x"
+    script.write_text("awk -F, '{print ($1 - 0.3) ^ 2 + ($2 - 0.3) ^ 2}'\n")
+    plain = ["optimize", str(space_path), "--budget", "6", "--seed", "3"]
+    cli._build_parser.cache_clear()
+    first = run(capsys, *plain, "--output-dir", str(tmp_path / "first"))
+    assert first[0] == 0, first[2]
+    code, _, err = run(capsys, *plain, "--objective", "command", "--output-dir",
+                       str(tmp_path / "command"), "--command", "sh", str(script))
+    assert code == 0, err
+    assert run(capsys, *plain, "--output-dir", str(tmp_path / "again")) == first
+    assert _outputs(tmp_path / "again") == _outputs(tmp_path / "first")
+    argv = plain + ["--output-dir", "d"]
+    assert vars(cli._build_parser().parse_args(argv)) == \
+        vars(cli._build_parser.__wrapped__().parse_args(argv))
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    build = cli.build_objective
+    monkeypatch.setattr(cli, "build_objective", counted)
+    assert run(capsys, *plain, "--output-dir", str(tmp_path / "patched")) == first
+    assert len(calls) == 1
+    monkeypatch.setattr(cli, "_cmd_optimize", lambda args: 7)
+    assert cli.main(plain) == 7
+
+
+def test_reused_parser_carries_no_state_past_errors_and_help(tmp_path, capsys):
+    """A usage error, then --help, then a valid fit: the fit prints and writes
+    what a first call does."""
+    profile = _profile(tmp_path, {LayerKind.FULLY_CONNECTED: 20})
+    fit = ["fit", str(profile), "--folds", "3", "--seed", "2"]
+    cli._build_parser.cache_clear()
+    first = run(capsys, *fit, "--output-dir", str(tmp_path / "first"))
+    assert first[0] == 0, first[2]
+    code, out, err = run(capsys, "fit", str(profile), "--folds", "x")
+    assert code == 1 and out == "" and "--folds" in err
+    code, out, _ = run(capsys, "--help")
+    assert code == 0 and "usage: hwcost" in out
+    assert run(capsys, *fit, "--output-dir", str(tmp_path / "again")) == first
+    assert _outputs(tmp_path / "again") == _outputs(tmp_path / "first")
+
+
+@pytest.mark.parametrize("noise", ["nan", "inf", "Infinity"])
+def test_synth_rejects_a_non_finite_noise_flag(tmp_path, capsys, noise):
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "synth", "--count", "5", "--noise", noise,
+                         "--output-dir", str(out_dir))
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err.splitlines()[-1] == f"error: argument --noise: value {noise!r} is not finite"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("noise, message", [
+    ("NaN", "synth config key 'noise': value 'nan' is not finite"),
+    ("Infinity", "synth config key 'noise': value 'inf' is not finite"),
+    ("-0.5", "synth config: noise must be a finite number >= 0, got -0.5"),
+])
+def test_synth_rejects_a_bad_noise_config_key(tmp_path, capsys, noise, message):
+    config = tmp_path / "synth.json"
+    config.write_text(f'{{"count": 5, "noise": {noise}}}')
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "synth", "--config", str(config), "--output-dir", str(out_dir))
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+    assert not out_dir.exists()

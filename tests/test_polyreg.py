@@ -16,7 +16,7 @@ from hwcost.polyreg import (FitConfig, FitError, Metrics,
                             evaluate, fit, model_from_json, model_to_json, predict, predict_network,
                             predict_with_flag, read_profile_csv, special_terms,
                             write_profile_csv)
-from oracles import lasso_homotopy_reference
+from oracles import design_matrix_reference, lasso_homotopy_reference
 
 
 def fc_layer(batch, in_units, out_units, name="f"):
@@ -308,6 +308,90 @@ def test_homotopy_path_matches_reference(kind, samples):
         want = lasso_homotopy_reference(gram, corr, lambdas)
         assert np.array_equal(got != 0.0, want != 0.0)
         assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(np.abs(want), 1.0))
+
+
+@pytest.mark.parametrize("kind, samples", HARD_DESIGNS.values(), ids=HARD_DESIGNS.keys())
+def test_design_matrix_bit_exact_with_per_term_product(kind, samples):
+    layers = [layer for layer, _ in samples]
+    terms = enumerate_terms(len(polyreg._SCHEMAS[kind]), polyreg.DEFAULT_DEGREE[kind])
+    want = design_matrix_reference(np.array([build_features(layer) for layer in layers]),
+                                   [t.exponents for t in terms],
+                                   np.array([special_terms(layer) for layer in layers]))
+    assert np.array_equal(polyreg._design_matrix(layers, kind, terms), want)
+
+
+def _traced_paths(monkeypatch, gram, corr, lambdas):
+    """The reference path and the count of its accepted joins and drops (the
+    active set grows or shrinks from one event to the next), then the homotopy
+    path with its np.linalg.solve calls, the join attempts among them (three
+    right-hand sides) that failed the Schur test, and the singular ones."""
+    sizes, solves, failed, singular = [], [], [], []
+    cholesky, solve = np.linalg.cholesky, np.linalg.solve
+
+    def sized_cholesky(a):
+        sizes.append(a.shape[0])
+        return cholesky(a)
+
+    def counted_solve(a, b):
+        solves.append(b.shape)
+        try:
+            x = solve(a, b)
+        except np.linalg.LinAlgError:
+            singular.append(b.shape)
+            failed.append(b.shape)
+            raise
+        if b.shape[1:] == (3,) and not 1.0 / x[-1, 2] > polyreg.SCHUR_TOL:
+            failed.append(b.shape)
+        return x
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "cholesky", sized_cholesky)
+        want = lasso_homotopy_reference(gram, corr, lambdas)
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "solve", counted_solve)
+        got = polyreg._lasso_homotopy(gram, corr, lambdas)
+    assert np.array_equal(got != 0.0, want != 0.0)
+    assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(np.abs(want), 1.0))
+    changes = sum(a != b for a, b in zip(sizes, sizes[1:]))
+    return want, sizes, changes, len(solves), len(failed), len(singular)
+
+
+def test_homotopy_blocks_copies_of_active_columns(monkeypatch):
+    """Column 4 is an exact copy of column 0 and column 5 is column 1 +
+    column 2. Their correlations are set off X'y, so each reaches +-lam
+    mid-path while the columns it copies are active. Both attempts fail the
+    Schur test, the copy's by a singular solve, twice in a row before column
+    3 joins and twice after; the path matches the reference, with one solve
+    per event plus one per blocked join."""
+    base = np.random.default_rng(0).integers(-3, 4, size=(12, 4)).astype(float)
+    x = np.column_stack([base, base[:, 0], base[:, 1] + base[:, 2]])
+    gram = x.T @ x
+    corr = np.array([-25.0, 25.0, 18.0, 2.0, -7.5, 12.9])
+    lambdas = np.geomspace(25.0, 25e-3, 40)
+    want, sizes, changes, solves, failed, singular = _traced_paths(monkeypatch, gram, corr,
+                                                                    lambdas)
+    assert sizes == [0, 1, 2, 3, 3, 3, 4, 4, 4]
+    assert np.all(want[:, 4:] == 0.0) and np.any(np.all(want[:, :3] != 0.0, axis=1))
+    assert failed == 4 and singular >= 1
+    assert solves <= 1 + changes + 2 * failed
+
+
+def test_homotopy_solves_once_per_event(monkeypatch):
+    """At most one G_AA solve per event (join attempt, drop, or the last
+    segment) plus one per blocked join, on paths that meet Schur-test blocks."""
+    kind, samples = LayerKind.POOL2D, _synth_pool_power(11000)
+    terms = enumerate_terms(len(polyreg._SCHEMAS[kind]), polyreg.DEFAULT_DEGREE[kind])
+    design = polyreg._design_matrix([layer for layer, _ in samples], kind, terms)
+    y = np.array([value for _, value in samples])
+    fold_of = kfold_indices(len(y), 3, 1)
+    blocked = 0
+    for rows in [np.ones(len(y), dtype=bool)] + [fold_of != k for k in range(3)]:
+        gram, corr, _, _ = polyreg._lasso_problem(design[rows], y[rows])
+        _, _, changes, solves, failed, _ = _traced_paths(monkeypatch, gram, corr,
+                                                         polyreg._lambda_grid(corr))
+        assert solves <= 1 + changes + 2 * failed
+        blocked += failed
+    assert blocked > 0
 
 
 def test_sparsity_non_increasing_in_lambda():
