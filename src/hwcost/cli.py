@@ -396,6 +396,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--config", help="JSON generator config (defaults built in)")
     p.add_argument("--count", type=int, help="samples per layer kind")
     p.add_argument("--noise", type=_finite_arg, help="multiplicative noise sigma")
+    p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("fit", help="fit polynomial runtime/power models from a profile CSV")
     common(p)
@@ -403,6 +404,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--degree", type=int, default=None)
     p.add_argument("--l1", type=float, default=None, help="fixed L1 strength (default: CV)")
     p.add_argument("--folds", type=int, default=10)
+    p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("predict", help="predict per-layer and total costs for a network")
     common(p)
@@ -414,20 +416,24 @@ def _build_parser() -> _Parser:
     p.add_argument("--accesses", help="per-layer access overrides: 'layer level count' lines")
     p.add_argument("--sparsity", type=float, default=None)
     p.add_argument("--bitwidth", type=int, default=None)
+    p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("compare-reference", help="print embedded published comparison tables")
     common(p)
+    p.set_defaults(func=_cmd_compare_reference)
 
     p = sub.add_parser("sample", help="offline-sample structural points from a schema")
     common(p)
     p.add_argument("schema", help="JSON schema: dimensions with name/lo/hi")
     p.add_argument("--count", type=int, default=100)
+    p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("fit-linear", help="fit linear power/memory models from a profiled CSV")
     common(p)
     p.add_argument("profile")
     p.add_argument("--folds", type=int, default=10)
     p.add_argument("--bias", action="store_true", help="append a constant-1 feature")
+    p.set_defaults(func=_cmd_fit_linear)
 
     p = sub.add_parser("optimize", help="run the search loop on an objective")
     common(p)
@@ -444,15 +450,16 @@ def _build_parser() -> _Parser:
     p.add_argument("--memory-model")
     p.add_argument("--power-budget", type=_finite_arg)
     p.add_argument("--memory-budget", type=_finite_arg)
+    p.set_defaults(func=_cmd_optimize)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    parser = _build_parser()
     try:
-        args = _build_parser().parse_args(argv)
-        # looked up at each call, so a replaced command function takes effect
-        return globals()["_cmd_" + args.subcommand.replace("-", "_")](args)
+        args = parser.parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:  # --help and --version print, then argparse exits 0
         return exc.code
     except (ValueError, OSError) as exc:

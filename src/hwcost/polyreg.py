@@ -121,13 +121,19 @@ def enumerate_terms(dim: int, degree: int) -> list[TermSpec]:
     if degree < 0:
         raise ValueError("degree must be >= 0")
 
-    def compositions(total: int, slots: int) -> list[tuple[int, ...]]:
+    def compositions(total: int, slots: int):
         if slots == 1:
-            return [(total,)]
-        return [(head,) + rest for head in range(total, -1, -1)
-                for rest in compositions(total - head, slots - 1)]
+            yield (total,)
+            return
+        for head in range(total, -1, -1):
+            for rest in compositions(total - head, slots - 1):
+                yield (head,) + rest
 
-    return [TermSpec(exps) for total in range(degree + 1) for exps in compositions(total, dim)]
+    terms = []
+    for total in range(degree + 1):
+        for exps in compositions(total, dim):
+            terms.append(TermSpec(exps))
+    return terms
 
 
 @dataclass(frozen=True)
@@ -219,16 +225,21 @@ def evaluate(model: PolynomialModel, samples: list[tuple[LayerConfig, float]]) -
     return Metrics(float(_rmspe(pred, actual, warn_context="evaluate")), rmse)
 
 
-def _design_matrix(layers: list[LayerConfig], kind: LayerKind,
-                   terms: list[TermSpec]) -> np.ndarray:
+def _design_matrix(layers: list[LayerConfig], terms: list[TermSpec]) -> np.ndarray:
     feats = np.array([build_features(layer) for layer in layers], dtype=float)
-    exps = np.array([t.exponents for t in terms], dtype=float)
-    # one power per feature, multiplied in np.prod's order (the same bits)
-    cols = feats[:, :1] ** exps[:, 0]
-    for i in range(1, feats.shape[1]):
-        cols *= feats[:, i:i + 1] ** exps[:, i]
+    n, dim = feats.shape
+    exps = np.array([t.exponents for t in terms], dtype=np.intp)
+    levels = int(exps.max(initial=0)) + 1
+    # row i*levels + e holds feature i to the power e; pow gets only contiguous
+    # operands, as a per-term feats ** exponents does, so numpy picks the same kernel
+    powers = np.repeat(feats.T, levels, axis=0) ** np.repeat(
+        np.tile(np.arange(levels, dtype=float), dim), n).reshape(-1, n)
+    rows = exps + levels * np.arange(dim)
+    cols = powers[rows[:, 0]]
+    for i in range(1, dim):  # multiplied in np.prod's order (the same bits)
+        cols *= powers[rows[:, i]]
     specials = np.array([special_terms(layer) for layer in layers], dtype=float)
-    return np.column_stack([cols, specials])
+    return np.column_stack([cols.T, specials])
 
 
 def _kkt_violation(gram: np.ndarray, corr: np.ndarray, lambdas: np.ndarray,
@@ -289,9 +300,10 @@ def _lasso_homotopy(gram: np.ndarray, corr: np.ndarray, lambdas: np.ndarray) -> 
     free = np.ones(p, dtype=bool)  # inactive and not blocked by a failed Schur test
     lam = float(np.abs(corr).max())
     row = 0
-    # finite in exact arithmetic; the bound stops a degenerate cycle, and the
-    # rows it leaves at zero fail the KKT check
-    for _ in range(100 * p + 1):
+    # finite in exact arithmetic; the bound on events (an undone join is not
+    # one) stops a degenerate cycle, and the rows it leaves at zero fail the KKT check
+    events = 0
+    while events <= 100 * p:
         idx, s, g = active[:k], rhs[:k, 1], cols[:, :k]
         try:
             x = np.linalg.solve(g[idx], rhs[:k, :2 + joining])
@@ -307,6 +319,7 @@ def _lasso_homotopy(gram: np.ndarray, corr: np.ndarray, lambdas: np.ndarray) -> 
                 inactive[active[k]] = True  # blocked: free again after a join or drop
                 continue
             free[:] = inactive
+        events += 1
         ad = x[:, :2]
         a, d = ad.T
         beta = a - lam * d
@@ -376,7 +389,9 @@ def _lasso_problem(design: np.ndarray, y: np.ndarray):
 
 
 def _lambda_grid(corr: np.ndarray) -> np.ndarray:
-    lam_max = float(np.max(np.abs(corr), initial=0.0)) or 1.0
+    lam_max = float(np.max(np.abs(corr), initial=0.0))
+    if lam_max <= 0:
+        lam_max = 1.0
     return np.geomspace(lam_max, lam_max * CV_LAMBDA_FLOOR, CV_LAMBDA_GRID_SIZE)
 
 
@@ -390,14 +405,16 @@ def _check_samples(samples, config: FitConfig, kind: LayerKind) -> None:
 
 def _assemble_model(kind: LayerKind, target: Target, degree: int,
                     terms: list[TermSpec], beta: np.ndarray, intercept: float) -> PolynomialModel:
+    schema = _SCHEMAS[kind]
+    const_index = next(i for i, t in enumerate(terms) if t.degree == 0)
     coef = beta.copy()
-    coef[0] += intercept  # enumerate_terms lists the constant term first
-
-    def kept(names, values):
-        return tuple((name, float(c)) for name, c in zip(names, values)
-                     if abs(c) >= COEF_DROP_THRESHOLD)
-    return PolynomialModel(kind, target, degree, _SCHEMAS[kind], kept(terms, coef),
-                           kept(SPECIAL_TERMS, coef[len(terms):]))
+    coef[const_index] += intercept
+    kept_regular = tuple((terms[i], float(coef[i])) for i in range(len(terms))
+                         if abs(coef[i]) >= COEF_DROP_THRESHOLD)
+    kept_special = tuple((SPECIAL_TERMS[s], float(coef[len(terms) + s]))
+                         for s in range(len(SPECIAL_TERMS))
+                         if abs(coef[len(terms) + s]) >= COEF_DROP_THRESHOLD)
+    return PolynomialModel(kind, target, degree, schema, kept_regular, kept_special)
 
 
 def _cv_curves(design: np.ndarray, y: np.ndarray, lambdas: np.ndarray, folds: int,
@@ -425,7 +442,8 @@ def _cv_curves(design: np.ndarray, y: np.ndarray, lambdas: np.ndarray, folds: in
 
 def fit(samples: list[tuple[LayerConfig, float]], config: FitConfig,
         kind: LayerKind, target: Target) -> PolynomialModel:
-    return fit_with_metrics(samples, config, kind, target)[0]
+    model, _ = fit_with_metrics(samples, config, kind, target)
+    return model
 
 
 def fit_with_metrics(samples: list[tuple[LayerConfig, float]], config: FitConfig,
@@ -443,16 +461,20 @@ def fit_with_metrics(samples: list[tuple[LayerConfig, float]], config: FitConfig
     layers = [layer for layer, _ in samples]
     y = np.array([value for _, value in samples], dtype=float)
     terms = enumerate_terms(len(_SCHEMAS[kind]), degree)
-    design = _design_matrix(layers, kind, terms)
+    design = _design_matrix(layers, terms)
 
     if float(y.std()) == 0.0:
         warnings.warn(f"all {kind.value} {target.value} targets identical; "
                       f"fitting a constant-only model", stacklevel=2)
-        return (_assemble_model(kind, target, degree, terms, np.zeros(design.shape[1]),
-                                float(y[0])), Metrics(0.0, 0.0))
+        model = _assemble_model(kind, target, degree, terms, np.zeros(design.shape[1]),
+                                float(y[0]))
+        return model, Metrics(0.0, 0.0)
 
     gram, corr, live, to_raw = _lasso_problem(design, y)
-    lambdas = _lambda_grid(corr) if config.l1_strength is None else np.array([config.l1_strength])
+    if config.l1_strength is None:
+        lambdas = _lambda_grid(corr)
+    else:
+        lambdas = np.array([config.l1_strength])
     label = f"{kind.value} {target.value}"
     mean_rmspe, fold_preds = _cv_curves(design, y, lambdas, config.cv_folds, config.seed, label)
     chosen = int(np.argmin(mean_rmspe))
@@ -484,14 +506,18 @@ def predict_with_flag(model: PolynomialModel, layer: LayerConfig) -> tuple[float
                 value *= xi ** qi
         total += value
     if model.special:
-        lookup = dict(zip(SPECIAL_TERMS, special_terms(layer)))
+        flops, mem = special_terms(layer)
+        lookup = {SpecialTerm.TOTAL_FLOPS: flops, SpecialTerm.TOTAL_MEM_ACCESSES: mem}
         for special, coef in model.special:
             total += coef * lookup[special]
-    return (0.0, True) if total < 0.0 else (total, False)
+    if total < 0.0:
+        return 0.0, True
+    return total, False
 
 
 def predict(model: PolynomialModel, layer: LayerConfig) -> float:
-    return predict_with_flag(model, layer)[0]
+    value, _ = predict_with_flag(model, layer)
+    return value
 
 
 @dataclass(frozen=True)
@@ -521,9 +547,10 @@ def predict_network(runtime_models: dict[LayerKind, PolynomialModel],
     total_t = 0.0
     total_e = 0.0
     for layer in net.layers:
-        for what, models in (("runtime", runtime_models), ("power", power_models)):
-            if layer.kind not in models:
-                raise MissingModelError(f"no {what} model for kind {layer.kind.value}")
+        if layer.kind not in runtime_models:
+            raise MissingModelError(f"no runtime model for kind {layer.kind.value}")
+        if layer.kind not in power_models:
+            raise MissingModelError(f"no power model for kind {layer.kind.value}")
         t, t_clamped = predict_with_flag(runtime_models[layer.kind], layer)
         p, p_clamped = predict_with_flag(power_models[layer.kind], layer)
         e = t * p  # ms * W = mJ
@@ -640,6 +667,7 @@ def write_profile_csv(samples: list[ProfileSample], comments: list[str] | None =
             row += [s.height, s.width, layer.kernel_h, layer.kernel_w, layer.stride,
                     layer.padding,
                     layer.output_channels if layer.kind is LayerKind.CONV2D else "", ""]
-        row += ["" if v is None else repr(v) for v in (sample.runtime_ms, sample.power_w)]
+        row.append(repr(sample.runtime_ms) if sample.runtime_ms is not None else "")
+        row.append(repr(sample.power_w) if sample.power_w is not None else "")
         writer.writerow(row)
     return out.getvalue()

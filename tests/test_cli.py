@@ -502,8 +502,6 @@ def test_reused_parser_carries_no_state_between_optimize_calls(monkeypatch, tmp_
     monkeypatch.setattr(cli, "build_objective", counted)
     assert run(capsys, *plain, "--output-dir", str(tmp_path / "patched")) == first
     assert len(calls) == 1
-    monkeypatch.setattr(cli, "_cmd_optimize", lambda args: 7)
-    assert cli.main(plain) == 7
 
 
 def test_reused_parser_carries_no_state_past_errors_and_help(tmp_path, capsys):

@@ -298,7 +298,7 @@ def test_homotopy_path_matches_reference(kind, samples):
     """Same support and standardized coefficients as the reference event loop
     at every grid lambda, on the full data and on each 3-fold training set."""
     terms = enumerate_terms(len(polyreg._SCHEMAS[kind]), polyreg.DEFAULT_DEGREE[kind])
-    design = polyreg._design_matrix([layer for layer, _ in samples], kind, terms)
+    design = polyreg._design_matrix([layer for layer, _ in samples], terms)
     y = np.array([value for _, value in samples])
     fold_of = kfold_indices(len(y), 3, 1)
     for rows in [np.ones(len(y), dtype=bool)] + [fold_of != k for k in range(3)]:
@@ -317,7 +317,7 @@ def test_design_matrix_bit_exact_with_per_term_product(kind, samples):
     want = design_matrix_reference(np.array([build_features(layer) for layer in layers]),
                                    [t.exponents for t in terms],
                                    np.array([special_terms(layer) for layer in layers]))
-    assert np.array_equal(polyreg._design_matrix(layers, kind, terms), want)
+    assert np.array_equal(polyreg._design_matrix(layers, terms), want)
 
 
 def _traced_paths(monkeypatch, gram, corr, lambdas):
@@ -381,7 +381,7 @@ def test_homotopy_solves_once_per_event(monkeypatch):
     segment) plus one per blocked join, on paths that meet Schur-test blocks."""
     kind, samples = LayerKind.POOL2D, _synth_pool_power(11000)
     terms = enumerate_terms(len(polyreg._SCHEMAS[kind]), polyreg.DEFAULT_DEGREE[kind])
-    design = polyreg._design_matrix([layer for layer, _ in samples], kind, terms)
+    design = polyreg._design_matrix([layer for layer, _ in samples], terms)
     y = np.array([value for _, value in samples])
     fold_of = kfold_indices(len(y), 3, 1)
     blocked = 0
