@@ -64,6 +64,8 @@ class SearchSpace:
     structural_subset: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if not self.dimensions:
+            raise ValueError("search space has no dimensions")
         names = [d.name for d in self.dimensions]
         if len(set(names)) != len(names):
             raise ValueError("duplicate dimension names")
@@ -109,8 +111,8 @@ class ConstraintSpec:
     memory_model: LinearModel
 
     def __post_init__(self):
-        if self.power_budget <= 0 or self.memory_budget <= 0:
-            raise ValueError("budgets must be > 0")
+        if not (0 < self.power_budget < math.inf and 0 < self.memory_budget < math.inf):
+            raise ValueError("budgets must be finite and > 0")
         for role, model, target in (("power", self.power_model, LinTarget.POWER_W),
                                     ("memory", self.memory_model, LinTarget.MEMORY_MB)):
             if model.target is not target:
@@ -121,10 +123,15 @@ class ConstraintSpec:
         """(power, memory) at one structural point, or a pair of arrays for rows."""
         return lin_predict(self.power_model, z), lin_predict(self.memory_model, z)
 
+    def violation(self, power, memory):
+        """Summed excess over the budgets, each relative to its budget, element-wise;
+        zero exactly when both are met (inclusive), as an excess is >= ~1e-16 of its budget."""
+        return (np.maximum(power - self.power_budget, 0.0) / self.power_budget
+                + np.maximum(memory - self.memory_budget, 0.0) / self.memory_budget)
+
     def satisfied(self, z):
         """Both budgets met (inclusive): a bool, or a bool array for rows."""
-        power, memory = self.predict(z)
-        ok = np.logical_and(power <= self.power_budget, memory <= self.memory_budget)
+        ok = self.violation(*self.predict(z)) == 0.0
         return bool(ok) if ok.ndim == 0 else ok
 
 
@@ -386,12 +393,8 @@ def ei_value(mean, sd, y_best: float):
     return float(values) if values.ndim == 0 else values
 
 
-def _one_row(acquisition, state: GPState, x) -> float:
-    return float(acquisition(state, np.asarray(x, dtype=float)[None, :])[0])
-
-
 def expected_improvement(state: GPState, x, y_best: float) -> float:
-    return _one_row(ei_batch(y_best), state, x)
+    return float(ei_batch(state, np.asarray(x, dtype=float)[None, :], y_best)[0])
 
 
 def _structural(space: SearchSpace, constraints: ConstraintSpec) -> list[int]:
@@ -406,39 +409,32 @@ def _structural(space: SearchSpace, constraints: ConstraintSpec) -> list[int]:
 
 def hw_ieci(state: GPState, x, y_best: float, constraints: ConstraintSpec) -> float:
     """Expected improvement gated by the predicted budgets (inclusive)."""
-    return _one_row(hw_ieci_batch(y_best, constraints, state.space), state, x)
+    X = np.asarray(x, dtype=float)[None, :]
+    feasible = constraints.satisfied(X[:, _structural(state.space, constraints)])
+    return float(hw_ieci_batch(state, X, y_best, feasible)[0])
 
 
-def ei_batch(y_best: float):
-    """Acquisition scoring every candidate row by its expected improvement."""
-    def acq(state: GPState, X: np.ndarray) -> np.ndarray:
-        mean, var = gp_posterior_batch(state, X)
-        return ei_value(mean, np.sqrt(var), y_best)
-    return acq
+def ei_batch(state: GPState, X: np.ndarray, y_best: float) -> np.ndarray:
+    """Expected improvement below y_best at every candidate row."""
+    mean, var = gp_posterior_batch(state, X)
+    return ei_value(mean, np.sqrt(var), y_best)
 
 
-def hw_ieci_batch(y_best: float, constraints: ConstraintSpec, space: SearchSpace):
-    """ei_batch with every row that violates a predicted budget set to zero.
+def hw_ieci_batch(state: GPState, X: np.ndarray, y_best: float,
+                  feasible: np.ndarray) -> np.ndarray:
+    """ei_batch on the rows `feasible` marks, zero on every other row.
 
-    The budgets are checked first and the posterior and the improvement are
-    computed only on the rows that meet both, so a predicted-infeasible
-    candidate costs one linear prediction; with none feasible there is no
-    posterior call. A feasible row gets ei_batch's value on the feasible
-    rows, which can differ from ei_batch's on the whole array in the last
-    bits: the posterior's LU solve does not give a column the same bits at
-    every place among its right-hand sides, so a row's bits can depend on
-    its place in the array.
+    The posterior and the improvement are computed only on the marked rows,
+    so with none marked there is no posterior call. A marked row gets
+    ei_batch's value on the marked rows, which can differ from ei_batch's on
+    the whole array in the last bits: the posterior's LU solve does not give
+    a column the same bits at every place among its right-hand sides, so a
+    row's bits can depend on its place in the array.
     """
-    idx = _structural(space, constraints)
-
-    def acq(state: GPState, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        feasible = constraints.satisfied(X[:, idx])
-        values = np.zeros(X.shape[0])
-        if feasible.any():
-            values[feasible] = ei_batch(y_best)(state, X[feasible])
-        return values
-    return acq
+    values = np.zeros(X.shape[0])
+    if feasible.any():
+        values[feasible] = ei_batch(state, X[feasible], y_best)
+    return values
 
 
 def draw_candidates(space: SearchSpace, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -460,28 +456,29 @@ class Proposal:
     fallback: bool
 
 
-def propose_next(state: GPState, space: SearchSpace, acquisition, candidate_count: int,
-                 seed: int, constraints: ConstraintSpec | None = None, *,
-                 iteration: int) -> Proposal:
-    """Maximize the acquisition over sampled candidates.
+def propose_next(state: GPState, y_best: float, candidate_count: int, seed: int,
+                 constraints: ConstraintSpec | None = None, *, iteration: int) -> Proposal:
+    """Maximize expected improvement below y_best over candidates drawn from state.space.
 
     Candidates come from the stream tagged (seed, sampler, iteration), so
     each iteration of a run draws independently of every iteration of runs
-    with other seeds.
-    Ties break to the lowest candidate index. When every value is zero and
-    constraints are present, takes the candidate with the smallest normalized
-    budget violation (the first predicted-feasible one, if any), flagged as
-    exploration fallback only when no candidate is predicted feasible.
+    with other seeds. Ties break to the lowest candidate index. With
+    constraints, one prediction of the candidates gives their violations:
+    the improvement is zero wherever one is positive, and when every value
+    is zero the candidate with the smallest violation is taken (the first
+    predicted-feasible one, if any), flagged as exploration fallback only
+    when no candidate is predicted feasible.
     """
-    rng = generator(seed, _TAG_SAMPLER, iteration)
-    X = draw_candidates(space, candidate_count, rng)
-    values = np.asarray(acquisition(state, X), dtype=float)
+    X = draw_candidates(state.space, candidate_count, generator(seed, _TAG_SAMPLER, iteration))
+    if constraints is None:
+        values = ei_batch(state, X, y_best)
+    else:
+        violations = constraints.violation(
+            *constraints.predict(X[:, _structural(state.space, constraints)]))
+        values = hw_ieci_batch(state, X, y_best, violations == 0.0)
     best = int(np.argmax(values))
     if values[best] > 0.0 or constraints is None:
         return Proposal(tuple(float(v) for v in X[best]), float(values[best]), False)
-    power, memory = constraints.predict(X[:, _structural(space, constraints)])
-    violations = (np.maximum(power - constraints.power_budget, 0.0) / constraints.power_budget
-                  + np.maximum(memory - constraints.memory_budget, 0.0) / constraints.memory_budget)
     pick = int(np.argmin(violations))
     return Proposal(tuple(float(v) for v in X[pick]), 0.0, bool(violations[pick] > 0))
 
@@ -573,9 +570,7 @@ def bo_run(objective, space: SearchSpace, constraints: ConstraintSpec | None,
         else:
             y_best = (best.y if best is not None
                       else lowest_y if lowest_y < math.inf else 1.0)
-            acq = (ei_batch(y_best) if constraints is None
-                   else hw_ieci_batch(y_best, constraints, space))
-            proposal = propose_next(state, space, acq, candidate_count, seed, constraints,
+            proposal = propose_next(state, y_best, candidate_count, seed, constraints,
                                     iteration=iteration)
         x = proposal.x
         y, failed = _call_objective(objective, x)
@@ -593,7 +588,7 @@ def bo_run(objective, space: SearchSpace, constraints: ConstraintSpec | None,
             feasible = True
         else:
             power, memory = constraints.predict(tuple(x[i] for i in structural_idx))
-            feasible = power <= constraints.power_budget and memory <= constraints.memory_budget
+            feasible = bool(constraints.violation(power, memory) == 0.0)
         obs = Observation(x, y)
         if feasible and not failed and (best is None or y < best.y):
             best = obs

@@ -402,7 +402,7 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("profile")
     p.add_argument("--degree", type=int, default=None)
-    p.add_argument("--l1", type=float, default=None, help="fixed L1 strength (default: CV)")
+    p.add_argument("--l1", type=_finite_arg, default=None, help="fixed L1 strength (default: CV)")
     p.add_argument("--folds", type=int, default=10)
     p.set_defaults(func=_cmd_fit)
 

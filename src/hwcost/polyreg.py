@@ -187,8 +187,8 @@ class FitConfig:
     def __post_init__(self):
         if self.degree is not None and self.degree < 1:
             raise ValueError("degree must be >= 1")
-        if self.l1_strength is not None and self.l1_strength < 0:
-            raise ValueError("l1_strength must be >= 0")
+        if self.l1_strength is not None and not 0 <= self.l1_strength < math.inf:
+            raise ValueError(f"l1_strength must be finite and >= 0, got {self.l1_strength}")
         if self.l1_strength is None and self.cv_folds < 2:
             raise ValueError("cv selection needs at least 2 folds")
 

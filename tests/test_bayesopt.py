@@ -332,6 +332,12 @@ def test_gated_acquisition_equals_ei_when_satisfied():
     assert hw_ieci(state, x_ok, 1.0, cons) == expected_improvement(state, x_ok, 1.0)
 
 
+@pytest.mark.parametrize("budgets", [(math.inf, 10.0), (1.0, math.nan), (0.0, 10.0)])
+def test_budgets_must_be_finite_and_positive(budgets):
+    with pytest.raises(ValueError, match="budgets must be finite and > 0"):
+        constraints_halfbox(*budgets)
+
+
 def test_budget_boundary_is_inclusive():
     space = space_2d(structural=("x1", "x2"))
     cons = constraints_halfbox(power_budget=1.0)
@@ -370,8 +376,8 @@ def test_gated_batch_zeroes_exactly_the_rows_satisfied_rejects():
     boundary = np.array([[0.5, 0.5], [0.25, 0.75], [0.75, 0.25],  # power exactly 1.0
                          [0.75, 0.0]])                             # memory exactly 0.75
     X = np.vstack([boundary, rng.uniform(0, 1, (200, 2))])
-    gated = hw_ieci_batch(2.0, cons, space)(state, X)
-    ungated = ei_batch(2.0)(state, X)
+    gated = hw_ieci_batch(state, X, 2.0, cons.satisfied(X))
+    ungated = ei_batch(state, X, 2.0)
     assert np.all(ungated > 0.0)
     kept = [cons.satisfied(tuple(row)) for row in X]
     assert all(kept[:len(boundary)])          # budgets are inclusive
@@ -406,16 +412,16 @@ def test_gated_batch_scores_only_feasible_rows(monkeypatch):
         kept = cons.satisfied(X)
         assert count == 1 or 0 < kept.sum() < count
         posterior_calls.clear()
-        gated = hw_ieci_batch(y_best, cons, space)(state, X)
+        gated = hw_ieci_batch(state, X, y_best, kept)
         assert len(posterior_calls) == (1 if kept.any() else 0)
         assert not np.any(gated[~kept])
-        assert np.array_equal(gated[kept], ei_batch(y_best)(state, X[kept]))
-        whole = ei_batch(y_best)(state, X)
+        assert np.array_equal(gated[kept], ei_batch(state, X[kept], y_best))
+        whole = ei_batch(state, X, y_best)
         np.testing.assert_allclose(gated[kept], whole[kept], rtol=0.0, atol=1e-12)
         assert count == 1 or np.any(gated > 0.0)
     posterior_calls.clear()
     X = rng.uniform(0.5, 1.0, (512, 2))         # predicted power above 1.0 everywhere
-    gated = hw_ieci_batch(y_best, cons, space)(state, X)
+    gated = hw_ieci_batch(state, X, y_best, cons.satisfied(X))
     assert gated.shape == (512,) and not np.any(gated)
     assert posterior_calls == []
 
@@ -433,19 +439,20 @@ def test_schema_mismatch_rejected():
 def test_single_candidate_returned():
     space = space_1d()
     state = GPState(space, [Observation((0.5,), 1.0)], noise_var=1e-6)
-    proposal = propose_next(state, space, ei_batch(1.0), 1, seed=3, iteration=0)
+    proposal = propose_next(state, 1.0, 1, seed=3, iteration=0)
     expected = draw_candidates(space, 1, generator(3, bo._TAG_SAMPLER, 0))
     assert proposal.x == tuple(expected[0])
 
 
-def test_constant_acquisition_tie_breaks_to_first():
+def test_constant_acquisition_tie_breaks_to_first(monkeypatch):
     space = space_1d()
     state = GPState(space, [Observation((0.5,), 1.0)], noise_var=1e-6)
 
-    def flat(state, X):
+    def flat(state, X, y_best):
         return np.ones(len(X))
 
-    proposal = propose_next(state, space, flat, 64, seed=9, iteration=0)
+    monkeypatch.setattr(bo, "ei_batch", flat)
+    proposal = propose_next(state, 1.0, 64, seed=9, iteration=0)
     expected = draw_candidates(space, 64, generator(9, bo._TAG_SAMPLER, 0))
     assert proposal.x == tuple(expected[0])
     assert not proposal.fallback
@@ -456,27 +463,25 @@ def test_proposal_feasible_whenever_any_candidate_is():
     cons = constraints_halfbox(power_budget=1.0)  # feasible half-box
     state = GPState(space, [Observation((0.1, 0.1), 0.8), Observation((0.4, 0.3), 0.5)],
                     lengthscales=(0.4, 0.4), signal_var=1.0, noise_var=1e-6)
-    acq = hw_ieci_batch(0.5, cons, space)
-    proposal = propose_next(state, space, acq, 512, seed=21, constraints=cons,
-                            iteration=0)
+    proposal = propose_next(state, 0.5, 512, seed=21, constraints=cons, iteration=0)
     candidates = draw_candidates(space, 512, generator(21, bo._TAG_SAMPLER, 0))
     any_feasible = any(c[0] + c[1] <= 1.0 for c in candidates)
     assert any_feasible
     assert proposal.x[0] + proposal.x[1] <= 1.0
 
 
-def test_zero_acquisition_with_feasible_candidates_is_not_a_fallback():
+def test_zero_acquisition_with_feasible_candidates_is_not_a_fallback(monkeypatch):
     # expected improvement underflows to 0.0 once the GP has converged
     space = space_2d(structural=("x1", "x2"))
     cons = constraints_halfbox(power_budget=1.0)
     state = GPState(space, [Observation((0.1, 0.1), 0.8)], lengthscales=(0.4, 0.4),
                     signal_var=1.0, noise_var=1e-6)
 
-    def underflowed(state, X):
+    def underflowed(state, X, y_best):
         return np.zeros(len(X))
 
-    proposal = propose_next(state, space, underflowed, 64, seed=5, constraints=cons,
-                            iteration=0)
+    monkeypatch.setattr(bo, "ei_batch", underflowed)
+    proposal = propose_next(state, 0.8, 64, seed=5, constraints=cons, iteration=0)
     candidates = draw_candidates(space, 64, generator(5, bo._TAG_SAMPLER, 0))
     first_feasible = next(c for c in candidates if c[0] + c[1] <= 1.0)
     assert proposal.x == tuple(first_feasible)
@@ -491,15 +496,34 @@ def test_fallback_when_nothing_feasible():
     cons = ConstraintSpec(0.05, 10.0, power, memory)  # nearly nothing feasible
     state = GPState(space, [Observation((0.9, 0.9), 1.0)], lengthscales=(0.4, 0.4),
                     signal_var=1.0, noise_var=1e-6)
-    acq = hw_ieci_batch(1.0, cons, space)
-    proposal = propose_next(state, space, acq, 16, seed=2, constraints=cons, iteration=0)
+    proposal = propose_next(state, 1.0, 16, seed=2, constraints=cons, iteration=0)
     candidates = draw_candidates(space, 16, generator(2, bo._TAG_SAMPLER, 0))
     feasible = [c for c in candidates if c[0] + c[1] <= 0.05]
-    if not feasible:
-        assert proposal.fallback
-        assert proposal.acquisition == 0.0
-        violations = [max(c[0] + c[1] - 0.05, 0.0) / 0.05 for c in candidates]
-        assert proposal.x == tuple(candidates[int(np.argmin(violations))])
+    assert not feasible
+    assert proposal.fallback
+    assert proposal.acquisition == 0.0
+    violations = [max(c[0] + c[1] - 0.05, 0.0) / 0.05 for c in candidates]
+    assert proposal.x == tuple(candidates[int(np.argmin(violations))])
+
+
+def test_gated_proposal_predicts_the_candidates_once(monkeypatch):
+    """The gate and the fallback read one prediction of the candidates."""
+    space = space_2d(structural=("x1", "x2"))
+    cons = constraints_halfbox(power_budget=1.0)
+    state = GPState(space, [Observation((0.1, 0.1), 0.8)], lengthscales=(0.4, 0.4),
+                    signal_var=1.0, noise_var=1e-6)
+    predicted = []
+    original = ConstraintSpec.predict
+
+    def counted(self, z):
+        predicted.append(np.shape(z))
+        return original(self, z)
+
+    monkeypatch.setattr(ConstraintSpec, "predict", counted)
+    monkeypatch.setattr(bo, "ei_batch", lambda state, X, y_best: np.zeros(len(X)))
+    proposal = propose_next(state, 0.8, 64, seed=5, constraints=cons, iteration=0)
+    assert proposal.acquisition == 0.0 and not proposal.fallback
+    assert predicted == [(64, 2)]
 
 
 def test_consecutive_run_seeds_draw_different_candidates(monkeypatch):
@@ -704,9 +728,9 @@ def test_incumbent_ignores_a_failed_row_the_gp_reimputes(monkeypatch):
 
     incumbents = []
 
-    def gated(y_best, constraints, space):
+    def gated(state, X, y_best, feasible):
         incumbents.append(y_best)
-        return hw_ieci_batch(y_best, constraints, space)
+        return hw_ieci_batch(state, X, y_best, feasible)
 
     monkeypatch.setattr(bo, "hw_ieci_batch", gated)
     _, trace = bo_run(flaky, space_2d(structural=("x1", "x2")),

@@ -530,6 +530,17 @@ def test_synth_rejects_a_non_finite_noise_flag(tmp_path, capsys, noise):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("l1", ["nan", "inf", "Infinity"])
+def test_fit_rejects_a_non_finite_l1_flag(tmp_path, capsys, l1):
+    profile = tmp_path / "profile.csv"
+    profile.write_text("kind,batch,runtime_ms\n")  # never read: the flag fails first
+    out_dir = tmp_path / "models"
+    code, out, err = run(capsys, "fit", str(profile), "--l1", l1, "--output-dir", str(out_dir))
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err.splitlines()[-1] == f"error: argument --l1: value {l1!r} is not finite"
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("noise, message", [
     ("NaN", "synth config key 'noise': value 'nan' is not finite"),
     ("Infinity", "synth config key 'noise': value 'inf' is not finite"),

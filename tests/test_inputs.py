@@ -179,6 +179,8 @@ MOTIVATION = {
     "space integer 0.2..0.8": (CASES["space"][2], "space.json", lambda d: json.dumps(
                                    {"dimensions": [{"name": "x1", "kind": "integer",
                                                     "lo": 0.2, "hi": 0.8}]}), "space"),
+    "space dimensions []": (CASES["space"][2], "space.json",
+                            lambda d: json.dumps({"dimensions": []}), "space"),
 }
 
 

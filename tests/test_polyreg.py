@@ -264,6 +264,12 @@ def test_fit_warns_when_solution_misses_kkt(monkeypatch):
             LayerKind.FULLY_CONNECTED, Target.RUNTIME_MS)
 
 
+@pytest.mark.parametrize("strength", [math.nan, math.inf])
+def test_fit_config_rejects_a_non_finite_l1(strength):
+    with pytest.raises(ValueError, match="l1_strength must be finite and >= 0"):
+        FitConfig(l1_strength=strength)
+
+
 def test_fold_paths_are_kkt_checked(monkeypatch):
     solve = polyreg._lasso_homotopy
 
