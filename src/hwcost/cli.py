@@ -1,10 +1,10 @@
 """Command-line surface.
 
 Subcommands: fit, predict, optimize, compare-reference, synth, sample,
-fit-linear. Every command is deterministic given its inputs and --seed; all
-randomness flows through one counter-based generator (Philox). Exit codes:
-0 success, 1 usage/parse error, 2 infeasible-everywhere, 3 numerical
-failure.
+fit-linear. Every command is deterministic given its inputs and, where it
+takes one, --seed; all randomness flows through one counter-based generator
+(Philox). Exit codes: 0 success, 1 usage/parse error, 2
+infeasible-everywhere, 3 numerical failure.
 
 Each command imports only the hwcost modules it runs, so start-up stays
 small: `predict --family paleo|energy`, `compare-reference` and `--version`
@@ -23,7 +23,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .netgraph import LayerKind, _finite, _lines, _located, _text, _value, parse_network
+from .netgraph import (LayerKind, _finite, _integer, _lines, _located, _names, _text, _value,
+                       parse_network)
 # a module-level name: callers that wrap the objective replace cli.build_objective
 from .objectives import build_objective
 
@@ -276,8 +277,8 @@ def _load_schema(text: str) -> linmod.StructuralSchema:
     with _located("schema key 'dimensions'"):
         dims = _dimensions(doc, "schema")
         return linmod.StructuralSchema(tuple(_value(d, "name", _text, at) for at, d in dims),
-                                       tuple(_value(d, "lo", int, at) for at, d in dims),
-                                       tuple(_value(d, "hi", int, at) for at, d in dims))
+                                       tuple(_value(d, "lo", _integer, at) for at, d in dims),
+                                       tuple(_value(d, "hi", _integer, at) for at, d in dims))
 
 
 def _cmd_fit_linear(args) -> int:
@@ -312,7 +313,7 @@ def _load_space(text: str) -> bayesopt.SearchSpace:
                                         _value(d, "kind", _text, at, "continuous"),
                                         _value(d, "lo", float, at), _value(d, "hi", float, at))
                      for at, d in _dimensions(doc, "space"))
-        return bayesopt.SearchSpace(dims, _value(doc, "structural", tuple, "space", ()))
+        return bayesopt.SearchSpace(dims, _value(doc, "structural", _names, "space", ()))
 
 
 def _cmd_optimize(args) -> int:
@@ -386,20 +387,23 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"hwcost {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
+    def writes_files(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--output-dir", default=".")
+
+    def prints_table(p):
         p.add_argument("--format", choices=("table", "csv"), default="table")
 
     p = sub.add_parser("synth", help="generate a synthetic profiling CSV")
-    common(p)
+    writes_files(p)
     p.add_argument("--config", help="JSON generator config (defaults built in)")
     p.add_argument("--count", type=int, help="samples per layer kind")
     p.add_argument("--noise", type=_finite_arg, help="multiplicative noise sigma")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("fit", help="fit polynomial runtime/power models from a profile CSV")
-    common(p)
+    writes_files(p)
+    prints_table(p)
     p.add_argument("profile")
     p.add_argument("--degree", type=int, default=None)
     p.add_argument("--l1", type=_finite_arg, default=None, help="fixed L1 strength (default: CV)")
@@ -407,7 +411,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("predict", help="predict per-layer and total costs for a network")
-    common(p)
+    prints_table(p)
     p.add_argument("network")
     p.add_argument("--family", choices=("poly", "paleo", "energy"), required=True)
     p.add_argument("--models-dir")
@@ -419,24 +423,25 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("compare-reference", help="print embedded published comparison tables")
-    common(p)
+    prints_table(p)
     p.set_defaults(func=_cmd_compare_reference)
 
     p = sub.add_parser("sample", help="offline-sample structural points from a schema")
-    common(p)
+    writes_files(p)
     p.add_argument("schema", help="JSON schema: dimensions with name/lo/hi")
     p.add_argument("--count", type=int, default=100)
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("fit-linear", help="fit linear power/memory models from a profiled CSV")
-    common(p)
+    writes_files(p)
+    prints_table(p)
     p.add_argument("profile")
     p.add_argument("--folds", type=int, default=10)
     p.add_argument("--bias", action="store_true", help="append a constant-1 feature")
     p.set_defaults(func=_cmd_fit_linear)
 
     p = sub.add_parser("optimize", help="run the search loop on an objective")
-    common(p)
+    writes_files(p)
     p.add_argument("space", help="JSON search space")
     p.add_argument("--objective", choices=("quadratic", "branin", "command"),
                    default="quadratic")

@@ -300,6 +300,27 @@ def _text(value) -> str:
     return value
 
 
+def _integer(value) -> int:
+    """A JSON integer value as is; any other JSON type (1.5, 2.0, true) is an error."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _flag(value) -> bool:
+    """A JSON true or false as is; any other JSON type is an error."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _names(value) -> tuple[str, ...]:
+    """A JSON list of strings as a tuple; any other JSON type is an error."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list of strings, got {value!r}")
+    return tuple(map(_text, value))
+
+
 _LAYER_KEYS = {"conv": {"in", "k", "s", "p", "out"}, "pool": {"in", "k", "s", "p"},
                "fc": {"in", "out"}}
 

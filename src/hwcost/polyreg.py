@@ -24,7 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .netgraph import (LayerConfig, LayerKind, NetworkConfig, TensorShape, _csv_rows,
-                       _finite, _located, _value, count_ops, infer_output_shape)
+                       _finite, _integer, _located, _value, count_ops, infer_output_shape)
 from .seeding import kfold_indices
 
 COEF_DROP_THRESHOLD = 1e-12
@@ -275,11 +275,12 @@ def _lasso_homotopy(gram: np.ndarray, corr: np.ndarray, lambdas: np.ndarray) -> 
     [a, d] = G_AA^-1 [c_A, s], so each grid row is exact. An inactive column j
     joins when its correlation c_j - G_jA b_A reaches +-lam (ties: lowest
     index) and stays if its Schur complement S_j against A exceeds SCHUR_TOL
-    (an exact copy of an active column, in A's span, does not). The next
-    event's one solve, of the grown G_AA against [c_A, s, e_j], reads S_j off
-    (G_AA^-1)_jj = 1/S_j; a failed test or a singular G_AA undoes the join
-    and blocks j until the next accepted join or drop. An active coefficient
-    reaching zero drops. A dropped column j needs no rule against rejoining
+    (an exact copy of an active column, in A's span, does not). The join's
+    one solve, of the grown G_AA against [c_A, s, e_j], gives the next [a, d]
+    and reads S_j off (G_AA^-1)_jj = 1/S_j; a failed test or a singular G_AA
+    blocks j until the next accepted join or drop and keeps the [a, d] of the
+    unchanged A. An active coefficient reaching zero drops, with one solve
+    of the shrunk G_AA. A dropped column j needs no rule against rejoining
     on its own side at once: with S > 0 its Schur complement against the
     remaining set and d_j its old slope (s_j d_j < 0, as it was falling to
     zero), its new slope has s_j q_j = 1 + S |d_j| > 1, so the s*q < 1 mask
@@ -295,32 +296,15 @@ def _lasso_homotopy(gram: np.ndarray, corr: np.ndarray, lambdas: np.ndarray) -> 
     rhs = np.zeros((p, 3))
     cols = np.empty((p, p), order="F")
     k = 0
-    joining = False                # active[k - 1] joined and awaits its Schur test
+    ad = np.zeros((0, 2))          # [a, d] of the active set
     inactive = np.ones(p, dtype=bool)
     free = np.ones(p, dtype=bool)  # inactive and not blocked by a failed Schur test
     lam = float(np.abs(corr).max())
     row = 0
-    # finite in exact arithmetic; the bound on events (an undone join is not
+    # finite in exact arithmetic; the bound on events (a blocked join is not
     # one) stops a degenerate cycle, and the rows it leaves at zero fail the KKT check
-    events = 0
-    while events <= 100 * p:
+    for _ in range(100 * p + 1):
         idx, s, g = active[:k], rhs[:k, 1], cols[:, :k]
-        try:
-            x = np.linalg.solve(g[idx], rhs[:k, :2 + joining])
-        except np.linalg.LinAlgError:
-            if not joining:
-                raise
-            x = np.full((k, 3), np.nan)
-        if joining:
-            joining = False
-            rhs[k - 1, 2] = 0.0
-            if not 1.0 / x[k - 1, 2] > SCHUR_TOL:
-                k -= 1
-                inactive[active[k]] = True  # blocked: free again after a join or drop
-                continue
-            free[:] = inactive
-        events += 1
-        ad = x[:, :2]
         a, d = ad.T
         beta = a - lam * d
         # as lam falls by t: correlations r - t*q, active coefficients beta + t*d
@@ -331,10 +315,8 @@ def _lasso_homotopy(gram: np.ndarray, corr: np.ndarray, lambdas: np.ndarray) -> 
         to_side = np.where(free & (sq < 1.0 - 1e-12),
                            np.maximum(lam - _SIDES * r, 0.0) / (1.0 - sq), np.inf)
         to_join = to_side.min(axis=0)
-        t_join, t_drop = to_join.min(), np.inf
-        if k:
-            to_zero = np.where(s * d < 0.0, np.maximum(-beta / d, 0.0), np.inf)
-            t_drop = to_zero.min()
+        to_zero = np.where(s * d < 0.0, np.maximum(-beta / d, 0.0), np.inf)
+        t_join, t_drop = to_join.min(), to_zero.min(initial=np.inf)
         next_lam = lam - min(t_join, t_drop, lam)
         end = row + np.count_nonzero(lambdas[row:] >= next_lam)
         coef = a - lambdas[row:end, None] * d
@@ -350,18 +332,27 @@ def _lasso_homotopy(gram: np.ndarray, corr: np.ndarray, lambdas: np.ndarray) -> 
             rhs[i:k - 1] = rhs[i + 1:k]
             cols[:, i:k - 1] = cols[:, i + 1:k]
             k -= 1
+            ad = np.linalg.solve(cols[active[:k], :k], rhs[:k, :2])
             inactive[j] = True
             free[:] = inactive
         else:
             j = int(np.argmax(to_join <= t_join + 1e-12 * lam))
-            free[j] = inactive[j] = False
+            free[j] = False
             active[k] = j
             # the sides tie only where r = lam*q, which gives t = lam: the path
             # has ended there, so `<=` or `<` cannot change a returned row
             rhs[k] = corr[j], 1.0 if to_side[0, j] <= to_side[1, j] else -1.0, 1.0
             cols[:, k] = gram[:, j]
-            k += 1
-            joining = True
+            try:
+                x = np.linalg.solve(cols[active[:k + 1], :k + 1], rhs[:k + 1])
+            except np.linalg.LinAlgError:
+                x = np.full((k + 1, 3), np.nan)
+            rhs[k, 2] = 0.0
+            if 1.0 / x[k, 2] > SCHUR_TOL:  # else blocked: free again after a join or drop
+                k += 1
+                ad = x[:, :2]
+                inactive[j] = False
+                free[:] = inactive
     return out
 
 
@@ -593,12 +584,13 @@ def model_from_json(text: str) -> PolynomialModel:
         return PolynomialModel(
             layer_kind=kind,
             target=_value(doc, "target", Target, what),
-            degree=_value(doc, "degree", int, what),
+            degree=_value(doc, "degree", _integer, what),
             schema=_value(doc, "schema", lambda names: _kind_schema(names, kind), what),
             terms=_value(doc, "terms", lambda terms: tuple(
-                (TermSpec(tuple(exps)), float(coef)) for exps, coef in terms), what),
+                (TermSpec(tuple(map(_integer, exps))), _finite(coef)) for exps, coef in terms),
+                what),
             special=_value(doc, "special_terms", lambda terms: tuple(
-                (SpecialTerm(name), float(coef)) for name, coef in terms), what),
+                (SpecialTerm(name), _finite(coef)) for name, coef in terms), what),
         )
 
 

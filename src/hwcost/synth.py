@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass, field
 
-from .netgraph import LayerConfig, LayerKind, TensorShape, _finite, _located, _value
+from .netgraph import LayerConfig, LayerKind, TensorShape, _finite, _integer, _located, _value
 from .polyreg import ProfileSample, special_terms, write_profile_csv
 from .seeding import generator
 
@@ -80,7 +79,7 @@ class SynthConfig:
 
 def _ranges(doc, base: dict[str, tuple[int, int]]) -> dict[str, tuple[int, int]]:
     """`{name: [lo, hi]}` integer ranges; only `pad` may be left out of `base`'s names."""
-    ranges = {name: (operator.index(lo), operator.index(hi))
+    ranges = {name: (_integer(lo), _integer(hi))
               for name, (lo, hi) in dict(doc).items()}
     for name, (lo, hi) in ranges.items():
         if lo > hi:
@@ -110,7 +109,7 @@ def load_config(text: str) -> SynthConfig:
                 _value(spec, "runtime_ms", _truth, where, base.runtime),
                 _value(spec, "power_w", _truth, where, base.power))
         return SynthConfig(
-            count=_value(doc, "count", int, what, 500),
+            count=_value(doc, "count", _integer, what, 500),
             noise=_value(doc, "noise", _finite, what, 0.05),
             kinds=_value(doc, "use", lambda names: tuple(map(LayerKind, names)), what,
                          tuple(generators)),

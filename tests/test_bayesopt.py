@@ -683,6 +683,24 @@ def test_failed_evaluations_imputed_and_flagged():
     assert best is not None and not any(r.failed and r.y == best.y for r in trace.records)
 
 
+def test_non_finite_values_are_failed_and_imputed():
+    """An objective value of nan (call 3) or inf (call 5) is a failed
+    evaluation: recorded as the worst non-failed y so far and never the best."""
+    calls = []
+
+    def non_finite(x):
+        calls.append(x)
+        return {3: math.nan, 5: math.inf}.get(len(calls), (x[0] - 0.3) ** 2)
+
+    best, trace = bo_run(non_finite, space_1d(), None, budget=10, seed=2)
+    rows = trace.records
+    assert [i for i, r in enumerate(rows) if r.failed] == [2, 4]
+    for i in (2, 4):
+        assert rows[i].y == max(r.y for r in rows[:i] if not r.failed)
+    assert all(math.isfinite(r.y) and math.isfinite(r.best_y) for r in rows)
+    assert best is not None and best.y == min(r.y for r in rows if not r.failed)
+
+
 def test_failed_rows_reimputed_at_every_refit(monkeypatch):
     """Gated quadratic centred at (1, 1), seed 4, failing calls 1, 5, 9, ...: later
     successes are worse than the 1.0 the first failure was imputed with."""

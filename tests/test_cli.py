@@ -554,3 +554,51 @@ def test_synth_rejects_a_bad_noise_config_key(tmp_path, capsys, noise, message):
     assert code == 1 and out == ""
     assert err == f"error: {message}\n"
     assert not out_dir.exists()
+
+
+def test_optimize_branin_with_noise_reruns_byte_identical(tmp_path, capsys):
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps(SPACE_SPEC))
+    argv = ["optimize", str(space), "--objective", "branin", "--budget", "8", "--seed", "5"]
+    noisy = argv + ["--noise", "0.05"]
+    first = run(capsys, *noisy, "--output-dir", str(tmp_path / "a"))
+    assert first[0] == 0, first[2]
+    assert run(capsys, *noisy, "--output-dir", str(tmp_path / "b")) == first
+    assert run(capsys, *argv, "--output-dir", str(tmp_path / "plain"))[0] == 0
+    for name in ("trace.csv", "summary.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    # the noise is drawn: the seeding points match the noise-free run, their y do not
+    noise_free, with_noise = (list(csv.DictReader((tmp_path / d / "trace.csv").read_text()
+                                                  .splitlines())) for d in ("plain", "a"))
+    assert [r["x1"] for r in with_noise[:4]] == [r["x1"] for r in noise_free[:4]]
+    assert all(a["y"] != b["y"] for a, b in zip(with_noise[:4], noise_free[:4]))
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("predict", ["--seed", "1"]), ("predict", ["--output-dir", "out"]),
+    ("compare-reference", ["--seed", "1"]), ("compare-reference", ["--output-dir", "out"]),
+    ("synth", ["--format", "csv"]), ("sample", ["--format", "csv"]),
+    ("optimize", ["--format", "csv"]),
+])
+def test_a_flag_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, command, flag):
+    """--seed and --output-dir go to the commands that write files, --format
+    to the ones that print a table; each command runs without the flag."""
+    for name, text in (("net.txt", NETWORK_SPEC), ("device.txt", DEVICE_SPEC),
+                       ("schema.json", json.dumps(SCHEMA_SPEC)),
+                       ("space.json", json.dumps(SPACE_SPEC))):
+        (tmp_path / name).write_text(text)
+    out_dir = str(tmp_path / "written")
+    argv = {
+        "predict": ["predict", str(tmp_path / "net.txt"), "--family", "paleo",
+                    "--device", str(tmp_path / "device.txt")],
+        "compare-reference": ["compare-reference"],
+        "synth": ["synth", "--count", "5", "--output-dir", out_dir],
+        "sample": ["sample", str(tmp_path / "schema.json"), "--count", "5",
+                   "--output-dir", out_dir],
+        "optimize": ["optimize", str(tmp_path / "space.json"), "--budget", "4",
+                     "--output-dir", out_dir],
+    }[command]
+    assert run(capsys, *argv)[0] == 0
+    code, out, err = run(capsys, *argv, *flag)
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err.splitlines()[-1] == f"error: unrecognized arguments: {' '.join(flag)}"

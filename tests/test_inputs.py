@@ -129,6 +129,23 @@ def _linear_power_with_nan_weight(d):
     return json.dumps(doc)
 
 
+def _fc_runtime_model(edit):
+    """The fc runtime model's text after edit(doc)."""
+    def text(d):
+        doc = json.loads((d / "models" / "model_fc_runtime_ms.json").read_text())
+        edit(doc)
+        return json.dumps(doc)
+    return text
+
+
+def _linear_power(key, value):
+    def text(d):
+        doc = json.loads((d / "linear" / "linear_power.json").read_text())
+        doc[key] = value
+        return json.dumps(doc)
+    return text
+
+
 # argv builder, the bad file's name and text, and what the message must say
 MOTIVATION = {
     "space lo null": (CASES["space"][2], "space.json", lambda d: json.dumps(
@@ -181,6 +198,36 @@ MOTIVATION = {
                                                     "lo": 0.2, "hi": 0.8}]}), "space"),
     "space dimensions []": (CASES["space"][2], "space.json",
                             lambda d: json.dumps({"dimensions": []}), "space"),
+    "poly constant NaN": (CASES["polynomial model"][2], "model_fc_runtime_ms.json",
+                          _fc_runtime_model(lambda doc: doc.update(
+                              terms=[[[0, 0, 0], math.nan]] + doc["terms"][1:])),
+                          "polynomial model key 'terms'"),
+    "poly special Infinity": (CASES["polynomial model"][2], "model_fc_runtime_ms.json",
+                              _fc_runtime_model(lambda doc: doc.update(
+                                  special_terms=[["total_flops", math.inf]])),
+                              "polynomial model key 'special_terms'"),
+    "poly exponent 1.5": (CASES["polynomial model"][2], "model_fc_runtime_ms.json",
+                          _fc_runtime_model(lambda doc: doc.update(terms=[[[1.5, 0, 0], 1.0]])),
+                          "polynomial model key 'terms'"),
+    "poly degree 2.7": (CASES["polynomial model"][2], "model_fc_runtime_ms.json",
+                        _fc_runtime_model(lambda doc: doc.update(degree=2.7)),
+                        "polynomial model key 'degree'"),
+    "schema lo 1.5": (CASES["schema"][2], "schema.json", lambda d: json.dumps(
+                          {"dimensions": [{"name": "a", "lo": 1.5, "hi": 64.9}]}),
+                      "schema dimensions[0] key 'lo'"),
+    "schema hi true": (CASES["schema"][2], "schema.json", lambda d: json.dumps(
+                           {"dimensions": [{"name": "a", "lo": 0, "hi": True}]}),
+                       "schema dimensions[0] key 'hi'"),
+    "linear has_bias 'false'": (CASES["linear model"][2], "linear_power.json",
+                                _linear_power("has_bias", "false"),
+                                "linear model key 'has_bias'"),
+    "linear schema 'ab'": (CASES["linear model"][2], "linear_power.json",
+                           _linear_power("schema", "ab"), "linear model key 'schema'"),
+    "synth count 2.5": (CASES["synth config"][2], "synth.json",
+                        lambda d: json.dumps({"count": 2.5}), "synth config key 'count'"),
+    "space structural 'x1'": (CASES["space"][2], "space.json",
+                              lambda d: json.dumps({**SPACE, "structural": "x1"}),
+                              "space key 'structural'"),
 }
 
 
