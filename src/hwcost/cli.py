@@ -23,8 +23,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .netgraph import (LayerKind, _finite, _integer, _lines, _located, _names, _text, _value,
-                       parse_network)
+from .netgraph import (LayerKind, _finite, _integer, _lines, _located, _names, _number, _text,
+                       _value, parse_network)
 # a module-level name: callers that wrap the objective replace cli.build_objective
 from .objectives import build_objective
 
@@ -311,7 +311,7 @@ def _load_space(text: str) -> bayesopt.SearchSpace:
         doc = json.loads(text)
         dims = tuple(bayesopt.Dimension(_value(d, "name", _text, at),
                                         _value(d, "kind", _text, at, "continuous"),
-                                        _value(d, "lo", float, at), _value(d, "hi", float, at))
+                                        _value(d, "lo", _number, at), _value(d, "hi", _number, at))
                      for at, d in _dimensions(doc, "space"))
         return bayesopt.SearchSpace(dims, _value(doc, "structural", _names, "space", ()))
 

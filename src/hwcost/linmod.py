@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .netgraph import _csv_rows, _finite, _flag, _located, _names, _value
+from .netgraph import _csv_rows, _finite, _flag, _located, _names, _number, _value
 from .seeding import generator, kfold_indices
 
 
@@ -222,7 +222,7 @@ def model_from_json(text: str) -> LinearModel:
     with _located(what):
         doc = json.loads(text)
         return LinearModel(_value(doc, "schema", _names, what),
-                           _value(doc, "weights", lambda ws: tuple(map(_finite, ws)), what),
+                           _value(doc, "weights", lambda ws: tuple(map(_number, ws)), what),
                            _value(doc, "target", LinTarget, what),
-                           _value(doc, "cv_report", lambda vs: tuple(map(float, vs)), what),
+                           _value(doc, "cv_report", lambda vs: tuple(map(_number, vs)), what),
                            _value(doc, "has_bias", _flag, what))

@@ -293,6 +293,14 @@ def _finite(value) -> float:
     return number
 
 
+def _number(value) -> float:
+    """A finite JSON number (integer or not) as a float; a string, a bool,
+    nan or an infinity is an error."""
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a number, got {value!r}")
+    return _finite(value)
+
+
 def _text(value) -> str:
     """A JSON string value as is; any other JSON type is an error."""
     if not isinstance(value, str):

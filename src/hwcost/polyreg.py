@@ -24,7 +24,8 @@ from enum import Enum
 import numpy as np
 
 from .netgraph import (LayerConfig, LayerKind, NetworkConfig, TensorShape, _csv_rows,
-                       _finite, _integer, _located, _value, count_ops, infer_output_shape)
+                       _finite, _integer, _located, _number, _value, count_ops,
+                       infer_output_shape)
 from .seeding import kfold_indices
 
 COEF_DROP_THRESHOLD = 1e-12
@@ -266,9 +267,10 @@ _SIDES = np.array([[1.0], [-1.0]])  # a column joins at +lam (row 0) or -lam (ro
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _lasso_homotopy(gram: np.ndarray, corr: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
+def _lasso_homotopy(problems: list[tuple[np.ndarray, np.ndarray]],
+                    lambdas: np.ndarray) -> list[np.ndarray]:
     """Exact minimizers of (1/2)b'Gb - c'b + lam*||b||_1 at the descending
-    `lambdas`, one row each.
+    `lambdas`, one row each, for each (G, c) of `problems`: one path each.
 
     LARS-lasso homotopy (Efron et al. 2004): b = 0 for lam >= max|c|; between
     events the active set A with signs s has b_A = a - lam*d, where
@@ -285,74 +287,114 @@ def _lasso_homotopy(gram: np.ndarray, corr: np.ndarray, lambdas: np.ndarray) -> 
     remaining set and d_j its old slope (s_j d_j < 0, as it was falling to
     zero), its new slope has s_j q_j = 1 + S |d_j| > 1, so the s*q < 1 mask
     below already excludes that side (Efron et al. 2004, sec. 3).
+
+    The paths step in lockstep, one event each per pass. The per-column work
+    of a pass runs once for all of them, on arrays padded to the widest
+    problem (a padded column is never free and has no coefficient). Each path
+    keeps its own G_jA [a, d] product, grid rows, event, solve and event
+    bound, so it is the path it would be alone, bit for bit.
     """
-    p = len(corr)
-    out = np.zeros((len(lambdas), p))
-    if p == 0:
+    out = [np.zeros((len(lambdas), len(c))) for _, c in problems]
+    todo = [f for f, (_, c) in enumerate(problems) if len(c)]
+    if not todo:
         return out
-    # the active set in join order: active[:k], rows [c_j, s_j, 0] of rhs[:k] (a
-    # joining column's ends in 1) and Gram columns cols[:, :k]; events change them
-    active = np.empty(p, dtype=np.intp)
-    rhs = np.zeros((p, 3))
-    cols = np.empty((p, p), order="F")
-    k = 0
-    ad = np.zeros((0, 2))          # [a, d] of the active set
-    inactive = np.ones(p, dtype=bool)
-    free = np.ones(p, dtype=bool)  # inactive and not blocked by a failed Schur test
-    lam = float(np.abs(corr).max())
-    row = 0
-    # finite in exact arithmetic; the bound on events (a blocked join is not
-    # one) stops a degenerate cycle, and the rows it leaves at zero fail the KKT check
-    for _ in range(100 * p + 1):
-        idx, s, g = active[:k], rhs[:k, 1], cols[:, :k]
-        a, d = ad.T
-        beta = a - lam * d
+    sizes = np.array([len(problems[f][1]) for f in todo])
+    n, width = len(todo), int(sizes.max())
+    corr = np.zeros((n, width))
+    for b, f in enumerate(todo):
+        corr[b, :sizes[b]] = problems[f][1]
+    # per path: its problem's index, its Gram, the Gram columns of its active
+    # set (cols[:, :k], which doubles its width when full) and k; path b's
+    # active set, in join order, is active[b, :k], with rows [c_j, s_j, 0] of
+    # rhs[b, :k] (a joining column's ends in 1); events change them
+    paths = [[f, problems[f][0], np.empty((p, min(p, 16)), order="F"), 0]
+             for f, p in zip(todo, sizes.tolist())]
+    active = np.empty((n, width), dtype=np.intp)
+    rhs = np.zeros((n, width, 3))
+    ad = np.zeros((n, width, 2))  # [a, d] of each active set, zero past its end
+    gq = np.zeros((n, width, 2))  # G_jA [a, d] of each column
+    inactive = np.arange(width) < sizes[:, None]  # a padded column is neither
+    free = inactive.copy()  # inactive and not blocked by a failed Schur test
+    lam = np.abs(corr).max(axis=1)
+    rising = -lambdas  # ascending: searchsorted counts the lambdas >= lam
+    rows = np.zeros(n, dtype=np.intp)
+    # finite in exact arithmetic; the bound on passes stops a degenerate cycle,
+    # and the rows it leaves at zero fail the KKT check
+    bound = 100 * sizes + 1
+    for step in range(1, int(bound.max()) + 1):
+        for b, (_, _, cols, k) in enumerate(paths):
+            np.matmul(cols[:, :k], ad[b, :k], out=gq[b, :len(cols)])
+        a, d, s = ad[..., 0], ad[..., 1], rhs[..., 1]
+        beta = a - lam[:, None] * d
         # as lam falls by t: correlations r - t*q, active coefficients beta + t*d
-        ga, q = (g @ ad).T
-        r = corr - ga + lam * q
+        r = corr - gq[..., 0] + lam[:, None] * gq[..., 1]
         # a masked-out ratio may divide by zero; the errstate decorator hides it
-        sq = _SIDES * q
-        to_side = np.where(free & (sq < 1.0 - 1e-12),
-                           np.maximum(lam - _SIDES * r, 0.0) / (1.0 - sq), np.inf)
-        to_join = to_side.min(axis=0)
+        sq = _SIDES * gq[:, None, :, 1]
+        to_side = np.where(free[:, None] & (sq < 1.0 - 1e-12),
+                           np.maximum(lam[:, None, None] - _SIDES * r[:, None], 0.0)
+                           / (1.0 - sq), np.inf)
+        to_join = to_side.min(axis=1)
         to_zero = np.where(s * d < 0.0, np.maximum(-beta / d, 0.0), np.inf)
-        t_join, t_drop = to_join.min(), to_zero.min(initial=np.inf)
-        next_lam = lam - min(t_join, t_drop, lam)
-        end = row + np.count_nonzero(lambdas[row:] >= next_lam)
-        coef = a - lambdas[row:end, None] * d
-        out[row:end, idx] = np.where(coef * s > 0.0, coef, 0.0)
-        row = end
-        if row == len(lambdas):
-            break
-        lam = next_lam
-        if t_drop <= t_join:
-            i = int(np.argmin(to_zero))
-            j = int(active[i])
-            active[i:k - 1] = active[i + 1:k]
-            rhs[i:k - 1] = rhs[i + 1:k]
-            cols[:, i:k - 1] = cols[:, i + 1:k]
-            k -= 1
-            ad = np.linalg.solve(cols[active[:k], :k], rhs[:k, :2])
-            inactive[j] = True
-            free[:] = inactive
-        else:
-            j = int(np.argmax(to_join <= t_join + 1e-12 * lam))
-            free[j] = False
-            active[k] = j
-            # the sides tie only where r = lam*q, which gives t = lam: the path
-            # has ended there, so `<=` or `<` cannot change a returned row
-            rhs[k] = corr[j], 1.0 if to_side[0, j] <= to_side[1, j] else -1.0, 1.0
-            cols[:, k] = gram[:, j]
-            try:
-                x = np.linalg.solve(cols[active[:k + 1], :k + 1], rhs[:k + 1])
-            except np.linalg.LinAlgError:
-                x = np.full((k + 1, 3), np.nan)
-            rhs[k, 2] = 0.0
-            if 1.0 / x[k, 2] > SCHUR_TOL:  # else blocked: free again after a join or drop
-                k += 1
-                ad = x[:, :2]
-                inactive[j] = False
-                free[:] = inactive
+        t_join, t_drop = to_join.min(axis=1), to_zero.min(axis=1)
+        lam = lam - np.minimum(np.minimum(t_join, t_drop), lam)
+        # rows row:end of a path lie in its segment: the lambdas before its row
+        # are above its last lam, so `end` counts them too
+        ends = rising.searchsorted(-lam, "right")
+        done = (ends == len(lambdas)) | (step == bound)
+        drop = (t_drop <= t_join).tolist()
+        leaving = to_zero.argmin(axis=1).tolist()
+        joining = (to_join <= (t_join + 1e-12 * lam)[:, None]).argmax(axis=1).tolist()
+        for b, (path, row, end, last) in enumerate(zip(paths, rows.tolist(), ends.tolist(),
+                                                        done.tolist())):
+            f, gram, cols, k = path
+            idx = active[b]
+            if end > row:
+                coef = a[b, :k] - lambdas[row:end, None] * d[b, :k]
+                out[f][row:end, idx[:k]] = np.where(coef * s[b, :k] > 0.0, coef, 0.0)
+            if last:
+                continue
+            if drop[b]:
+                i = leaving[b]
+                j = idx[i]
+                idx[i:k - 1] = idx[i + 1:k]
+                rhs[b, i:k - 1] = rhs[b, i + 1:k]
+                cols[:, i:k - 1] = cols[:, i + 1:k]
+                k -= 1
+                ad[b, :k] = np.linalg.solve(cols[idx[:k], :k], rhs[b, :k, :2])
+                ad[b, k] = 0.0
+                inactive[b, j] = True
+                free[b] = inactive[b]
+            else:
+                j = joining[b]
+                free[b, j] = False
+                idx[k] = j
+                if k == cols.shape[1]:  # full: twice as wide, at most p columns
+                    grown = np.empty((len(cols), min(2 * k, len(cols))), order="F")
+                    grown[:, :k] = cols
+                    path[2] = cols = grown
+                # the sides tie only where r = lam*q, which gives t = lam: the path
+                # has ended there, so `<=` or `<` cannot change a returned row
+                rhs[b, k] = corr[b, j], 1.0 if to_side[b, 0, j] <= to_side[b, 1, j] else -1.0, 1.0
+                cols[:, k] = gram[:, j]
+                try:
+                    x = np.linalg.solve(cols[idx[:k + 1], :k + 1], rhs[b, :k + 1])
+                except np.linalg.LinAlgError:
+                    x = np.full((k + 1, 3), np.nan)
+                rhs[b, k, 2] = 0.0
+                if 1.0 / x[k, 2] > SCHUR_TOL:  # else blocked: free again after a join or drop
+                    k += 1
+                    ad[b, :k] = x[:, :2]
+                    inactive[b, j] = False
+                    free[b] = inactive[b]
+            path[3] = k
+        rows = ends
+        if done.any():
+            keep = ~done
+            paths = [path for path, last in zip(paths, done.tolist()) if not last]
+            if not paths:
+                break
+            corr, active, rhs, ad, gq, inactive, free, lam, rows, bound = (
+                v[keep] for v in (corr, active, rhs, ad, gq, inactive, free, lam, rows, bound))
     return out
 
 
@@ -364,6 +406,12 @@ def _lasso_problem(design: np.ndarray, y: np.ndarray):
     row (or a 2-D path, row by row) to the raw coefficients of the `live`
     columns and the intercept(s); a 1-D row's intercept is one dot product.
     """
+    x, corr, live, to_raw = _standardized(design, y)
+    return x.T @ x / len(y), corr, live, to_raw
+
+
+def _standardized(design: np.ndarray, y: np.ndarray):
+    """`_lasso_problem` with the standardized live columns X in place of the Gram."""
     means = design.mean(axis=0)
     stds = design.std(axis=0)
     live = np.flatnonzero(stds > 0)
@@ -376,7 +424,7 @@ def _lasso_problem(design: np.ndarray, y: np.ndarray):
         coef = path * y_std / stds[live]
         return coef, y_mean - coef @ means[live]
 
-    return x.T @ x / len(y), x.T @ ys / len(y), live, to_raw
+    return x, x.T @ ys / len(y), live, to_raw
 
 
 def _lambda_grid(corr: np.ndarray) -> np.ndarray:
@@ -416,12 +464,12 @@ def _cv_curves(design: np.ndarray, y: np.ndarray, lambdas: np.ndarray, folds: in
     than KKT_TOL at a grid lambda.
     """
     fold_of = kfold_indices(design.shape[0], folds, seed)
+    held_out = [fold_of == k for k in range(folds)]
+    problems = [_lasso_problem(design[~val], y[~val]) for val in held_out]
+    paths = _lasso_homotopy([(gram, corr) for gram, corr, _, _ in problems], lambdas)
     rmspe = np.zeros((folds, len(lambdas)))
     fold_preds = []
-    for k in range(folds):
-        val = fold_of == k
-        gram, corr, live, to_raw = _lasso_problem(design[~val], y[~val])
-        path = _lasso_homotopy(gram, corr, lambdas)
+    for k, (val, (gram, corr, live, to_raw), path) in enumerate(zip(held_out, problems, paths)):
         _warn_off_kkt(gram, corr, lambdas, path, f"{label}: fold {k + 1} of {folds}")
         coef, intercepts = to_raw(path)
         # only the live columns: a zero-padded product moves the last bits
@@ -461,7 +509,8 @@ def fit_with_metrics(samples: list[tuple[LayerConfig, float]], config: FitConfig
                                 float(y[0]))
         return model, Metrics(0.0, 0.0)
 
-    gram, corr, live, to_raw = _lasso_problem(design, y)
+    # the final Gram is built after the CV, which holds the fold Grams
+    x, corr, live, to_raw = _standardized(design, y)
     if config.l1_strength is None:
         lambdas = _lambda_grid(corr)
     else:
@@ -473,7 +522,8 @@ def fit_with_metrics(samples: list[tuple[LayerConfig, float]], config: FitConfig
     pooled_act = np.concatenate([act for _, act in fold_preds])
 
     final = lambdas[chosen:chosen + 1]  # one lambda: a whole-grid path costs about 30% more
-    path = _lasso_homotopy(gram, corr, final)
+    gram = x.T @ x / len(y)
+    [path] = _lasso_homotopy([(gram, corr)], final)
     _warn_off_kkt(gram, corr, final, path, label)
     beta = np.zeros(design.shape[1])
     beta[live], intercept = to_raw(path[0])
@@ -587,10 +637,10 @@ def model_from_json(text: str) -> PolynomialModel:
             degree=_value(doc, "degree", _integer, what),
             schema=_value(doc, "schema", lambda names: _kind_schema(names, kind), what),
             terms=_value(doc, "terms", lambda terms: tuple(
-                (TermSpec(tuple(map(_integer, exps))), _finite(coef)) for exps, coef in terms),
+                (TermSpec(tuple(map(_integer, exps))), _number(coef)) for exps, coef in terms),
                 what),
             special=_value(doc, "special_terms", lambda terms: tuple(
-                (SpecialTerm(name), _finite(coef)) for name, coef in terms), what),
+                (SpecialTerm(name), _number(coef)) for name, coef in terms), what),
         )
 
 

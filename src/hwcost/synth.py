@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .netgraph import LayerConfig, LayerKind, TensorShape, _finite, _integer, _located, _value
+from .netgraph import LayerConfig, LayerKind, TensorShape, _integer, _located, _number, _value
 from .polyreg import ProfileSample, special_terms, write_profile_csv
 from .seeding import generator
 
@@ -90,8 +90,8 @@ def _ranges(doc, base: dict[str, tuple[int, int]]) -> dict[str, tuple[int, int]]
     return ranges
 
 
-def _truth(doc) -> GroundTruth:
-    return GroundTruth(float(doc["const"]), float(doc["flops"]), float(doc["mem"]))
+def _truth(doc, where: str) -> GroundTruth:
+    return GroundTruth(*(_value(doc, key, _number, where) for key in ("const", "flops", "mem")))
 
 
 def load_config(text: str) -> SynthConfig:
@@ -106,11 +106,13 @@ def load_config(text: str) -> SynthConfig:
             where = f"{what} kinds.{kind_name}"
             generators[kind] = KindGenerator(
                 _value(spec, "ranges", lambda r: _ranges(r, base.ranges), where, base.ranges),
-                _value(spec, "runtime_ms", _truth, where, base.runtime),
-                _value(spec, "power_w", _truth, where, base.power))
+                _value(spec, "runtime_ms", lambda doc: _truth(doc, f"{where}.runtime_ms"),
+                       where, base.runtime),
+                _value(spec, "power_w", lambda doc: _truth(doc, f"{where}.power_w"),
+                       where, base.power))
         return SynthConfig(
             count=_value(doc, "count", _integer, what, 500),
-            noise=_value(doc, "noise", _finite, what, 0.05),
+            noise=_value(doc, "noise", _number, what, 0.05),
             kinds=_value(doc, "use", lambda names: tuple(map(LayerKind, names)), what,
                          tuple(generators)),
             generators=generators)

@@ -15,8 +15,8 @@ import pytest
 
 from hwcost import analytic, cli, linmod, polyreg, synth
 from hwcost.netgraph import (InputError, NetworkConfig, NetworkParseError, ShapeMismatchError,
-                             TensorShape, conv2d, fully_connected, infer_output_shape,
-                             parse_network, pool2d)
+                             TensorShape, _number, conv2d, fully_connected,
+                             infer_output_shape, parse_network, pool2d)
 from oracles import format_network
 
 NETWORK = """# three layers
@@ -189,7 +189,7 @@ MOTIVATION = {
                           _linear_power_with_nan_weight, "linear model key 'weights'"),
     "space hi Infinity": (CASES["space"][2], "space.json", lambda d: json.dumps(
                               {"dimensions": [{"name": "x1", "lo": 0.0, "hi": math.inf}]}),
-                          "space"),
+                          "space dimensions[0] key 'hi'"),
     "space range 2e308": (CASES["space"][2], "space.json", lambda d: json.dumps(
                               {"dimensions": [{"name": "x1", "lo": -1e308, "hi": 1e308}]}),
                           "space"),
@@ -228,6 +228,43 @@ MOTIVATION = {
     "space structural 'x1'": (CASES["space"][2], "space.json",
                               lambda d: json.dumps({**SPACE, "structural": "x1"}),
                               "space key 'structural'"),
+    "space lo '0'": (CASES["space"][2], "space.json", lambda d: json.dumps(
+                         {"dimensions": [{"name": "x1", "lo": "0", "hi": 1}]}),
+                     "space dimensions[0] key 'lo'"),
+    "space hi true": (CASES["space"][2], "space.json", lambda d: json.dumps(
+                          {"dimensions": [{"name": "x1", "lo": 0, "hi": True}]}),
+                      "space dimensions[0] key 'hi'"),
+    "linear weight '1.5'": (CASES["linear model"][2], "linear_power.json",
+                            _linear_power("weights", ["1.5", 1.0, 1.0]),
+                            "linear model key 'weights'"),
+    "linear cv_report NaN": (CASES["linear model"][2], "linear_power.json",
+                             _linear_power("cv_report", [1.0, math.nan]),
+                             "linear model key 'cv_report'"),
+    "poly constant '1.5'": (CASES["polynomial model"][2], "model_fc_runtime_ms.json",
+                            _fc_runtime_model(lambda doc: doc.update(
+                                terms=[[[0, 0, 0], "1.5"]] + doc["terms"][1:])),
+                            "polynomial model key 'terms'"),
+    "poly special false": (CASES["polynomial model"][2], "model_fc_runtime_ms.json",
+                           _fc_runtime_model(lambda doc: doc.update(
+                               special_terms=[["total_flops", False]])),
+                           "polynomial model key 'special_terms'"),
+    "synth const NaN": (CASES["synth config"][2], "synth.json", lambda d: json.dumps(
+                            {"kinds": {"fc": {"runtime_ms": {"const": math.nan, "flops": 1e-7,
+                                                             "mem": 1e-6}}}}),
+                        "synth config kinds.fc.runtime_ms key 'const'"),
+    "synth flops '1e-7'": (CASES["synth config"][2], "synth.json", lambda d: json.dumps(
+                               {"kinds": {"pool": {"power_w": {"const": 1, "flops": "1e-7",
+                                                               "mem": 0}}}}),
+                           "synth config kinds.pool.power_w key 'flops'"),
+    "synth mem Infinity": (CASES["synth config"][2], "synth.json", lambda d: json.dumps(
+                               {"kinds": {"conv": {"runtime_ms": {"const": 1, "flops": 0,
+                                                                  "mem": math.inf}}}}),
+                           "synth config kinds.conv.runtime_ms key 'mem'"),
+    "synth mem missing": (CASES["synth config"][2], "synth.json", lambda d: json.dumps(
+                              {"kinds": {"fc": {"power_w": {"const": 1, "flops": 0}}}}),
+                          "synth config kinds.fc.power_w key 'mem'"),
+    "synth noise '0.1'": (CASES["synth config"][2], "synth.json",
+                          lambda d: json.dumps({"noise": "0.1"}), "synth config key 'noise'"),
 }
 
 
@@ -240,6 +277,19 @@ def test_malformed_input_exits_1_naming_its_place(work, tmp_path, capsys, case):
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
     assert err.startswith(f"error: {place}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value, number", [(3, 3.0), (-0.5, -0.5), (1e-300, 1e-300)])
+def test_number_reads_finite_json_numbers(value, number):
+    got = _number(json.loads(json.dumps(value)))
+    assert type(got) is float and got == number
+
+
+@pytest.mark.parametrize("text", ['"1.5"', "true", "false", "null", "NaN", "Infinity",
+                                  "-Infinity", "1e999", "[1]"])
+def test_number_rejects_what_is_not_a_finite_number(text):
+    with pytest.raises((TypeError, ValueError)):
+        _number(json.loads(text))
 
 
 def test_model_schema_must_match_its_layer_kind(work, tmp_path, capsys):

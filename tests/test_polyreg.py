@@ -255,8 +255,8 @@ def test_fit_meets_kkt_conditions_along_the_grid(kind, samples):
 
 
 def test_fit_warns_when_solution_misses_kkt(monkeypatch):
-    def zeros(gram, corr, lambdas):
-        return np.zeros((len(lambdas), len(corr)))
+    def zeros(problems, lambdas):
+        return [np.zeros((len(lambdas), len(corr))) for _, corr in problems]
 
     monkeypatch.setattr(polyreg, "_lasso_homotopy", zeros)
     with pytest.warns(UserWarning, match=r"fc runtime_ms: .*KKT"):
@@ -273,10 +273,10 @@ def test_fit_config_rejects_a_non_finite_l1(strength):
 def test_fold_paths_are_kkt_checked(monkeypatch):
     solve = polyreg._lasso_homotopy
 
-    def zeros_on_grids(gram, corr, lambdas):
+    def zeros_on_grids(problems, lambdas):
         if len(lambdas) > 1:  # the CV fold paths; the final fit solves one lambda
-            return np.zeros((len(lambdas), len(corr)))
-        return solve(gram, corr, lambdas)
+            return [np.zeros((len(lambdas), len(corr))) for _, corr in problems]
+        return solve(problems, lambdas)
 
     monkeypatch.setattr(polyreg, "_lasso_homotopy", zeros_on_grids)
     with warnings.catch_warnings(record=True) as caught:
@@ -310,7 +310,7 @@ def test_homotopy_path_matches_reference(kind, samples):
     for rows in [np.ones(len(y), dtype=bool)] + [fold_of != k for k in range(3)]:
         gram, corr, _, _ = polyreg._lasso_problem(design[rows], y[rows])
         lambdas = polyreg._lambda_grid(corr)
-        got = polyreg._lasso_homotopy(gram, corr, lambdas)
+        [got] = polyreg._lasso_homotopy([(gram, corr)], lambdas)
         want = lasso_homotopy_reference(gram, corr, lambdas)
         assert np.array_equal(got != 0.0, want != 0.0)
         assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(np.abs(want), 1.0))
@@ -355,7 +355,7 @@ def _traced_paths(monkeypatch, gram, corr, lambdas):
         want = lasso_homotopy_reference(gram, corr, lambdas)
     with monkeypatch.context() as m:
         m.setattr(np.linalg, "solve", counted_solve)
-        got = polyreg._lasso_homotopy(gram, corr, lambdas)
+        [got] = polyreg._lasso_homotopy([(gram, corr)], lambdas)
     assert np.array_equal(got != 0.0, want != 0.0)
     assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(np.abs(want), 1.0))
     changes = sum(a != b for a, b in zip(sizes, sizes[1:]))
@@ -398,6 +398,93 @@ def test_homotopy_solves_once_per_event(monkeypatch):
         assert solves == changes + failed
         blocked += failed
     assert blocked > 0
+
+
+def _one_by_one(problems, lambdas):
+    return [polyreg._lasso_homotopy([problem], lambdas)[0] for problem in problems]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("folds", [3, 10])
+def test_batched_fold_paths_are_the_one_problem_paths(seed, folds):
+    """Every fold path of a CV batch, bit for bit the path of a call with
+    that problem alone, over every kind and target of a synthesized profile."""
+    samples = synth.generate_samples(synth.SynthConfig(count=40, noise=0.05), seed)
+    for kind in polyreg.DEFAULT_DEGREE:
+        terms = enumerate_terms(len(polyreg._SCHEMAS[kind]), polyreg.DEFAULT_DEGREE[kind])
+        of_kind = [s for s in samples if s.layer.kind is kind]
+        design = polyreg._design_matrix([s.layer for s in of_kind], terms)
+        fold_of = kfold_indices(len(of_kind), folds, seed)
+        for target in Target:
+            y = np.array([getattr(s, target.value) for s in of_kind])
+            lambdas = polyreg._lambda_grid(polyreg._lasso_problem(design, y)[1])
+            problems = [polyreg._lasso_problem(design[fold_of != k], y[fold_of != k])[:2]
+                        for k in range(folds)]
+            got = polyreg._lasso_homotopy(problems, lambdas)
+            assert len(got) == folds
+            for path, alone in zip(got, _one_by_one(problems, lambdas)):
+                assert np.array_equal(path, alone), (kind, target)
+
+
+def test_batch_of_unequal_widths_and_an_empty_problem():
+    """A column constant on one fold's training rows leaves that fold a
+    narrower problem than the others; an empty problem in the middle of the
+    batch gets an empty path, and every other path is the one it has alone."""
+    rng = np.random.default_rng(3)
+    fold_of = kfold_indices(30, 3, 0)
+    x = rng.standard_normal((30, 6))
+    x[:, 5] = np.where(fold_of == 0, x[:, 5], 2.0)  # constant where fold 0 trains
+    y = x @ np.array([1.0, -2.0, 0.5, 0.0, 0.0, 3.0]) + 0.1 * rng.standard_normal(30)
+    problems = [polyreg._lasso_problem(x[fold_of != k], y[fold_of != k])[:2] for k in range(3)]
+    assert [len(corr) for _, corr in problems] == [5, 6, 6]
+    problems.insert(1, (np.zeros((0, 0)), np.zeros(0)))
+    lambdas = polyreg._lambda_grid(polyreg._lasso_problem(x, y)[1])
+    got = polyreg._lasso_homotopy(problems, lambdas)
+    assert [path.shape for path in got] == [(50, 5), (50, 0), (50, 6), (50, 6)]
+    for path, alone in zip(got, _one_by_one(problems, lambdas)):
+        assert np.array_equal(path, alone)
+    assert polyreg._lasso_homotopy([problems[1]], lambdas)[0].shape == (50, 0)
+    assert polyreg._lasso_homotopy([], lambdas) == []
+
+
+def test_batch_goes_on_past_one_paths_singular_join(monkeypatch):
+    """One path of the batch blocks a copy of an active column by a singular
+    solve; the other paths step on, each path is the one it has alone, and
+    the batch makes exactly the solves, and the singular ones, of the calls
+    one problem at a time."""
+    base = np.random.default_rng(0).integers(-3, 4, size=(12, 4)).astype(float)
+    x = np.column_stack([base, base[:, 0], base[:, 1] + base[:, 2]])
+    gram = x.T @ x
+    wide = np.random.default_rng(1).standard_normal((20, 9))
+    problems = [(wide.T @ wide, wide.T @ np.arange(20.0)),
+                (gram, np.array([-25.0, 25.0, 18.0, 2.0, -7.5, 12.9])),
+                (gram[:4, :4], np.array([-25.0, 25.0, 18.0, 2.0]))]
+    lambdas = np.geomspace(25.0, 25e-3, 40)
+    solve = np.linalg.solve
+
+    def counted(problems):
+        solves, singular = [], []
+
+        def counted_solve(a, b):
+            solves.append(b.shape)
+            try:
+                return solve(a, b)
+            except np.linalg.LinAlgError:
+                singular.append(b.shape)
+                raise
+
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "solve", counted_solve)
+            paths = polyreg._lasso_homotopy(problems, lambdas)
+        return paths, sorted(solves), sorted(singular)
+
+    got, solves, singular = counted(problems)
+    alone = [counted([problem]) for problem in problems]
+    assert [len(s) > 0 for _, _, s in alone] == [False, True, False]
+    for path, (want, _, _) in zip(got, alone):
+        assert np.array_equal(path, want[0])
+    assert solves == sorted(shape for _, s, _ in alone for shape in s)
+    assert singular == sorted(shape for _, _, s in alone for shape in s)
 
 
 def test_sparsity_non_increasing_in_lambda():
