@@ -304,10 +304,10 @@ def _lasso_homotopy(problems: list[tuple[np.ndarray, np.ndarray]],
     for b, f in enumerate(todo):
         corr[b, :sizes[b]] = problems[f][1]
     # per path: its problem's index, its Gram, the Gram columns of its active
-    # set (cols[:, :k], which doubles its width when full) and k; path b's
-    # active set, in join order, is active[b, :k], with rows [c_j, s_j, 0] of
-    # rhs[b, :k] (a joining column's ends in 1); events change them
-    paths = [[f, problems[f][0], np.empty((p, min(p, 16)), order="F"), 0]
+    # set (cols[:, :k]) and k; path b's active set, in join order, is
+    # active[b, :k], with rows [c_j, s_j, 0] of rhs[b, :k] (a joining
+    # column's ends in 1); events change them
+    paths = [[f, problems[f][0], np.empty((p, p), order="F"), 0]
              for f, p in zip(todo, sizes.tolist())]
     active = np.empty((n, width), dtype=np.intp)
     rhs = np.zeros((n, width, 3))
@@ -368,10 +368,6 @@ def _lasso_homotopy(problems: list[tuple[np.ndarray, np.ndarray]],
                 j = joining[b]
                 free[b, j] = False
                 idx[k] = j
-                if k == cols.shape[1]:  # full: twice as wide, at most p columns
-                    grown = np.empty((len(cols), min(2 * k, len(cols))), order="F")
-                    grown[:, :k] = cols
-                    path[2] = cols = grown
                 # the sides tie only where r = lam*q, which gives t = lam: the path
                 # has ended there, so `<=` or `<` cannot change a returned row
                 rhs[b, k] = corr[b, j], 1.0 if to_side[b, 0, j] <= to_side[b, 1, j] else -1.0, 1.0
@@ -406,12 +402,6 @@ def _lasso_problem(design: np.ndarray, y: np.ndarray):
     row (or a 2-D path, row by row) to the raw coefficients of the `live`
     columns and the intercept(s); a 1-D row's intercept is one dot product.
     """
-    x, corr, live, to_raw = _standardized(design, y)
-    return x.T @ x / len(y), corr, live, to_raw
-
-
-def _standardized(design: np.ndarray, y: np.ndarray):
-    """`_lasso_problem` with the standardized live columns X in place of the Gram."""
     means = design.mean(axis=0)
     stds = design.std(axis=0)
     live = np.flatnonzero(stds > 0)
@@ -424,7 +414,7 @@ def _standardized(design: np.ndarray, y: np.ndarray):
         coef = path * y_std / stds[live]
         return coef, y_mean - coef @ means[live]
 
-    return x, x.T @ ys / len(y), live, to_raw
+    return x.T @ x / len(y), x.T @ ys / len(y), live, to_raw
 
 
 def _lambda_grid(corr: np.ndarray) -> np.ndarray:
@@ -509,8 +499,7 @@ def fit_with_metrics(samples: list[tuple[LayerConfig, float]], config: FitConfig
                                 float(y[0]))
         return model, Metrics(0.0, 0.0)
 
-    # the final Gram is built after the CV, which holds the fold Grams
-    x, corr, live, to_raw = _standardized(design, y)
+    gram, corr, live, to_raw = _lasso_problem(design, y)
     if config.l1_strength is None:
         lambdas = _lambda_grid(corr)
     else:
@@ -522,7 +511,6 @@ def fit_with_metrics(samples: list[tuple[LayerConfig, float]], config: FitConfig
     pooled_act = np.concatenate([act for _, act in fold_preds])
 
     final = lambdas[chosen:chosen + 1]  # one lambda: a whole-grid path costs about 30% more
-    gram = x.T @ x / len(y)
     [path] = _lasso_homotopy([(gram, corr)], final)
     _warn_off_kkt(gram, corr, final, path, label)
     beta = np.zeros(design.shape[1])
