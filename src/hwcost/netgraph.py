@@ -11,7 +11,7 @@ import contextlib
 import csv
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 
@@ -80,7 +80,8 @@ class LayerConfig:
     """One layer's hyper-parameters.
 
     Conv2D and Pool2D carry kernel/stride/padding; FullyConnected carries
-    only output_units. Constructing an invalid combination raises.
+    only output_units. Constructing an invalid combination raises. The
+    output activation shape is derived once, here, as `output`.
     """
 
     name: str
@@ -92,6 +93,7 @@ class LayerConfig:
     padding: int | None = None
     output_channels: int | None = None
     output_units: int | None = None
+    output: TensorShape = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.name or any(ch.isspace() for ch in self.name):
@@ -108,18 +110,24 @@ class LayerConfig:
                 _positive("output_channels", self.output_channels)
             elif self.output_channels is not None:
                 raise ValueError(f"layer {self.name}: pool layers preserve channel count")
-            for extent, kernel in ((self.input.height, self.kernel_h), (self.input.width, self.kernel_w)):
-                if _spatial_out(extent, kernel, self.stride, self.padding) < 1:
-                    raise GeometryError(
-                        f"layer {self.name}: kernel {self.kernel_h}x{self.kernel_w} with "
-                        f"stride {self.stride}, padding {self.padding} does not fit a "
-                        f"{self.input.height}x{self.input.width} input"
-                    )
+            out_h = _spatial_out(self.input.height, self.kernel_h, self.stride, self.padding)
+            out_w = _spatial_out(self.input.width, self.kernel_w, self.stride, self.padding)
+            if min(out_h, out_w) < 1:
+                raise GeometryError(
+                    f"layer {self.name}: kernel {self.kernel_h}x{self.kernel_w} with "
+                    f"stride {self.stride}, padding {self.padding} does not fit a "
+                    f"{self.input.height}x{self.input.width} input"
+                )
+            channels = (self.output_channels if self.kind is LayerKind.CONV2D
+                        else self.input.channels)
+            output = TensorShape(self.input.batch, channels, out_h, out_w)
         else:  # FULLY_CONNECTED
-            for field in ("kernel_h", "kernel_w", "stride", "padding", "output_channels"):
-                if getattr(self, field) is not None:
-                    raise ValueError(f"layer {self.name}: fc layers carry no {field}")
+            for name in ("kernel_h", "kernel_w", "stride", "padding", "output_channels"):
+                if getattr(self, name) is not None:
+                    raise ValueError(f"layer {self.name}: fc layers carry no {name}")
             _positive("output_units", self.output_units)
+            output = TensorShape(self.input.batch, self.output_units, 1, 1)
+        object.__setattr__(self, "output", output)
 
     @property
     def in_units(self) -> int:
@@ -145,16 +153,6 @@ def fully_connected(name: str, input: TensorShape, units: int) -> LayerConfig:
     return LayerConfig(name, LayerKind.FULLY_CONNECTED, input, output_units=units)
 
 
-def infer_output_shape(layer: LayerConfig) -> TensorShape:
-    """Output activation shape produced by `layer`."""
-    if layer.kind is LayerKind.FULLY_CONNECTED:
-        return TensorShape(layer.input.batch, layer.output_units, 1, 1)
-    oh = _spatial_out(layer.input.height, layer.kernel_h, layer.stride, layer.padding)
-    ow = _spatial_out(layer.input.width, layer.kernel_w, layer.stride, layer.padding)
-    channels = layer.output_channels if layer.kind is LayerKind.CONV2D else layer.input.channels
-    return TensorShape(layer.input.batch, channels, oh, ow)
-
-
 @dataclass(frozen=True)
 class OpCounts:
     """Work and traffic totals for one layer, in operations / elements.
@@ -172,7 +170,7 @@ class OpCounts:
 
 
 def count_ops(layer: LayerConfig) -> OpCounts:
-    out = infer_output_shape(layer)
+    out = layer.output
     input_reads = layer.input.elements
     output_writes = out.elements
     if layer.kind is LayerKind.CONV2D:
@@ -204,7 +202,7 @@ class NetworkConfig:
                 raise ValueError(f"duplicate layer name {layer.name!r}")
             seen.add(layer.name)
         for prev, nxt in zip(self.layers, self.layers[1:]):
-            expected = infer_output_shape(prev)
+            expected = prev.output
             if nxt.kind is LayerKind.FULLY_CONNECTED:
                 expected = expected.flattened()
             if nxt.input != expected:
@@ -390,6 +388,6 @@ def parse_network(text: str, name: str = "network") -> NetworkConfig:
             raise ShapeMismatchError(f"network spec line {line_no}: layer {lname}: declared "
                                      f"input {inp} does not match inferred {expected}")
         layers.append(layer)
-        inherited = infer_output_shape(layer)
+        inherited = layer.output
     return NetworkConfig(name, tuple(layers))
 

@@ -24,8 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .netgraph import (LayerConfig, LayerKind, NetworkConfig, TensorShape, _csv_rows,
-                       _finite, _integer, _located, _number, _value, count_ops,
-                       infer_output_shape)
+                       _finite, _integer, _located, _number, _value, count_ops)
 from .seeding import kfold_indices
 
 COEF_DROP_THRESHOLD = 1e-12
@@ -79,7 +78,7 @@ def build_features(layer: LayerConfig) -> tuple[float, ...]:
     s = layer.input
     if layer.kind is LayerKind.FULLY_CONNECTED:
         return (float(s.batch), float(layer.in_units), float(layer.output_units))
-    out = infer_output_shape(layer)
+    out = layer.output
     if layer.kind is LayerKind.CONV2D:
         return (float(s.batch), float(s.channels), _hw(s.height, s.width),
                 _hw(layer.kernel_h, layer.kernel_w), float(layer.stride),
@@ -657,26 +656,24 @@ def read_profile_csv(text: str) -> list[ProfileSample]:
     """Parse the profiling CSV; `#` starts a comment.
 
     Errors name a row by its file line. Layers are named row2, row3, ... by
-    data row, so comment lines do not change a parsed profile.
+    data row, so comment lines do not change a parsed profile. The geometry
+    cells go to LayerConfig as read, a blank one as None, so its checks
+    reject a cell the row's kind does not take; only an fc row's blank
+    in_h or in_w means 1.
     """
     _, rows = _csv_rows(text, "profile CSV", lambda header: tuple(header) == PROFILE_HEADER)
     samples = []
     for row_no, (line_no, row) in enumerate(rows, start=2):
         with _located(f"profile CSV row {line_no}"):
             kind = LayerKind(row[0].strip())
-            batch = int(row[1])
-            in_c = int(row[2])
-            in_h = _opt_int(row[3]) or 1
-            in_w = _opt_int(row[4]) or 1
-            shape = TensorShape(batch, in_c, in_h, in_w)
+            in_h, in_w, k_h, k_w, stride, pad, out_c, out_units = map(_opt_int, row[3:11])
             if kind is LayerKind.FULLY_CONNECTED:
-                layer = LayerConfig(f"row{row_no}", kind, shape, output_units=int(row[10]))
-            else:
-                out_c = int(row[9]) if kind is LayerKind.CONV2D else None
-                layer = LayerConfig(f"row{row_no}", kind, shape,
-                                    kernel_h=int(row[5]), kernel_w=int(row[6]),
-                                    stride=int(row[7]), padding=int(row[8]),
-                                    output_channels=out_c)
+                in_h = 1 if in_h is None else in_h
+                in_w = 1 if in_w is None else in_w
+            shape = TensorShape(int(row[1]), int(row[2]), in_h, in_w)
+            layer = LayerConfig(f"row{row_no}", kind, shape, kernel_h=k_h, kernel_w=k_w,
+                                stride=stride, padding=pad, output_channels=out_c,
+                                output_units=out_units)
             samples.append(ProfileSample(layer, _opt_float(row[11]), _opt_float(row[12])))
     return samples
 
@@ -688,16 +685,13 @@ def write_profile_csv(samples: list[ProfileSample], comments: list[str] | None =
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(PROFILE_HEADER)
     for sample in samples:
-        layer = sample.layer
-        s = layer.input
-        row = [layer.kind.value, s.batch, s.channels]
-        if layer.kind is LayerKind.FULLY_CONNECTED:
-            row += ["", "", "", "", "", "", "", layer.output_units]
-        else:
-            row += [s.height, s.width, layer.kernel_h, layer.kernel_w, layer.stride,
-                    layer.padding,
-                    layer.output_channels if layer.kind is LayerKind.CONV2D else "", ""]
-        row.append(repr(sample.runtime_ms) if sample.runtime_ms is not None else "")
-        row.append(repr(sample.power_w) if sample.power_w is not None else "")
-        writer.writerow(row)
+        layer, s = sample.layer, sample.layer.input
+        # cells a kind does not take are None, which csv writes empty
+        flat = layer.kind is LayerKind.FULLY_CONNECTED and (s.height, s.width) == (1, 1)
+        writer.writerow([layer.kind.value, s.batch, s.channels,
+                         *((None, None) if flat else (s.height, s.width)),
+                         layer.kernel_h, layer.kernel_w, layer.stride, layer.padding,
+                         layer.output_channels, layer.output_units,
+                         repr(sample.runtime_ms) if sample.runtime_ms is not None else "",
+                         repr(sample.power_w) if sample.power_w is not None else ""])
     return out.getvalue()

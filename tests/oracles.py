@@ -93,6 +93,18 @@ def pool_loopnest(batch, channels, in_h, in_w, k_h, k_w, stride, padding):
     }
 
 
+def output_shape_reference(layer) -> tuple[int, int, int, int]:
+    """(N, C, H, W) of `layer`'s output from the closed-form extent
+    (in + 2 * padding - kernel) // stride + 1; an fc layer gives N x units x 1 x 1."""
+    s = layer.input
+    if layer.kind.value == "fc":
+        return (s.batch, layer.output_units, 1, 1)
+    oh = (s.height + 2 * layer.padding - layer.kernel_h) // layer.stride + 1
+    ow = (s.width + 2 * layer.padding - layer.kernel_w) // layer.stride + 1
+    channels = layer.output_channels if layer.kind.value == "conv" else s.channels
+    return (s.batch, channels, oh, ow)
+
+
 def format_network(net) -> str:
     """The layer-chain text of `net`, one `name kind key=value ...` line per
     layer, for round trips through netgraph.parse_network."""

@@ -16,7 +16,7 @@ import pytest
 from hwcost import analytic, cli, linmod, polyreg, synth
 from hwcost.netgraph import (InputError, NetworkConfig, NetworkParseError, ShapeMismatchError,
                              TensorShape, _number, conv2d, fully_connected,
-                             infer_output_shape, parse_network, pool2d)
+                             parse_network, pool2d)
 from oracles import format_network
 
 NETWORK = """# three layers
@@ -123,6 +123,15 @@ def _synth_profile_with_nan_line_15(d):
     return "\n".join(lines) + "\n"
 
 
+def _synth_profile_with_line_15(row):
+    """The synth profile with its data row at file line 15 replaced by `row`."""
+    def text(d):
+        lines = (d / "synthetic_profile.csv").read_text().splitlines()
+        lines[14] = row
+        return "\n".join(lines) + "\n"
+    return text
+
+
 def _linear_power_with_nan_weight(d):
     doc = json.loads((d / "linear" / "linear_power.json").read_text())
     doc["weights"][0] = math.nan
@@ -179,6 +188,25 @@ MOTIVATION = {
                             "profiled CSV row 3"),
     "profile runtime nan": (CASES["profile"][2], "profile.csv", _synth_profile_with_nan_line_15,
                             "profile CSV row 15"),
+    # a cell the row's kind does not take, or a zero or blank input extent
+    "profile pool out_c": (CASES["profile"][2], "profile.csv",
+                           _synth_profile_with_line_15("pool,1,4,8,8,2,2,2,0,4,,1.0,2.0"),
+                           "profile CSV row 15"),
+    "profile fc k_h": (CASES["profile"][2], "profile.csv",
+                       _synth_profile_with_line_15("fc,1,16,,,3,,,,,8,1.0,2.0"),
+                       "profile CSV row 15"),
+    "profile conv out_units": (CASES["profile"][2], "profile.csv",
+                               _synth_profile_with_line_15("conv,1,3,8,8,3,3,1,1,4,8,1.0,2.0"),
+                               "profile CSV row 15"),
+    "profile conv in_h 0": (CASES["profile"][2], "profile.csv",
+                            _synth_profile_with_line_15("conv,1,3,0,8,3,3,1,1,4,,1.0,2.0"),
+                            "profile CSV row 15"),
+    "profile conv in_h blank": (CASES["profile"][2], "profile.csv",
+                                _synth_profile_with_line_15("conv,1,3,,8,3,3,1,1,4,,1.0,2.0"),
+                                "profile CSV row 15"),
+    "profile fc in_h 0": (CASES["profile"][2], "profile.csv",
+                          _synth_profile_with_line_15("fc,1,16,0,,,,,,,8,1.0,2.0"),
+                          "profile CSV row 15"),
     "peak_flops nan": (CASES["device"][2], "device.txt",
                        lambda d: DEVICE.replace("1e12", "nan"), "device spec line 2"),
     "e_mac inf": (CASES["energy"][2], "energy.txt", lambda d: ENERGY.replace("1.5", "inf"),
@@ -443,6 +471,6 @@ def test_parse_network_round_trips_seeded_chains():
                 layer = pool2d(f"l{i}", shape, kernel=int(rng.integers(1, 3)),
                                stride=int(rng.integers(1, 3)))
             layers.append(layer)
-            shape = infer_output_shape(layer)
+            shape = layer.output
         net = NetworkConfig("chain", tuple(layers))
         assert parse_network(format_network(net), name="chain") == net

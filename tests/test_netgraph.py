@@ -4,10 +4,11 @@ import pytest
 
 from hwcost.netgraph import (GeometryError, LayerConfig, LayerKind, NetworkConfig,
                              NetworkParseError, ShapeMismatchError, TensorShape,
-                             conv2d, count_ops, fully_connected, infer_output_shape,
-                             parse_network, pool2d)
+                             conv2d, count_ops, fully_connected, parse_network, pool2d)
 
-from oracles import conv_loopnest, fc_loopnest, format_network, pool_loopnest
+from hwcost import polyreg, synth
+from oracles import (conv_loopnest, fc_loopnest, format_network, output_shape_reference,
+                     pool_loopnest)
 
 
 def test_tensor_shape_requires_positive_dims():
@@ -19,32 +20,52 @@ def test_tensor_shape_requires_positive_dims():
 
 def test_same_padding_conv_keeps_spatial_size():
     layer = conv2d("c", TensorShape(1, 3, 32, 32), out_channels=8, kernel=3, padding=1)
-    assert infer_output_shape(layer) == TensorShape(1, 8, 32, 32)
+    assert layer.output == TensorShape(1, 8, 32, 32)
 
 
 def test_pool_halves_spatial_size():
     layer = pool2d("p", TensorShape(1, 3, 4, 4), kernel=2, stride=2)
-    assert infer_output_shape(layer) == TensorShape(1, 3, 2, 2)
+    assert layer.output == TensorShape(1, 3, 2, 2)
 
 
 def test_strided_conv_output_matches_placement_enumeration():
     # 5x5 input, 3x3 kernel, stride 2: enumerate placements by brute force
     oracle = conv_loopnest(1, 1, 5, 5, 3, 3, 2, 0, 1)
     layer = conv2d("c", TensorShape(1, 1, 5, 5), out_channels=1, kernel=3, stride=2)
-    out = infer_output_shape(layer)
+    out = layer.output
     assert (out.height, out.width) == (oracle["out_h"], oracle["out_w"]) == (2, 2)
 
 
 def test_fc_output_shape():
     layer = fully_connected("f", TensorShape(2, 3, 4, 4), units=7)
-    assert infer_output_shape(layer) == TensorShape(2, 7, 1, 1)
+    assert layer.output == TensorShape(2, 7, 1, 1)
 
 
 def test_invalid_geometry_rejected_at_construction():
-    with pytest.raises(GeometryError):
-        conv2d("c", TensorShape(1, 1, 4, 4), out_channels=1, kernel=5)
-    with pytest.raises(GeometryError):
-        pool2d("p", TensorShape(1, 1, 3, 3), kernel=4, stride=1, padding=0)
+    for make, message in (
+        (lambda: conv2d("c", TensorShape(1, 1, 4, 4), out_channels=1, kernel=5),
+         "layer c: kernel 5x5 with stride 1, padding 0 does not fit a 4x4 input"),
+        (lambda: pool2d("p", TensorShape(1, 1, 3, 3), kernel=4, stride=1, padding=0),
+         "layer p: kernel 4x4 with stride 1, padding 0 does not fit a 3x3 input"),
+        (lambda: conv2d("c", TensorShape(1, 1, 8, 4), out_channels=1, kernel=(3, 5)),
+         "layer c: kernel 3x5 with stride 1, padding 0 does not fit a 8x4 input"),
+        (lambda: pool2d("p", TensorShape(1, 1, 4, 8), kernel=(7, 3), stride=2, padding=1),
+         "layer p: kernel 7x3 with stride 2, padding 1 does not fit a 4x8 input"),
+    ):
+        with pytest.raises(GeometryError) as err:
+            make()
+        assert str(err.value) == message
+
+
+def test_layer_output_matches_reference_on_profiles_and_networks():
+    samples = polyreg.read_profile_csv(synth.generate_csv(synth.SynthConfig(count=40), seed=5))
+    layers = [sample.layer for sample in samples]
+    assert len(layers) == 120
+    for text in (VGG16, CIFAR_STYLE, CHAIN):
+        layers += parse_network(text).layers
+    for layer in layers:
+        out = layer.output
+        assert (out.batch, out.channels, out.height, out.width) == output_shape_reference(layer)
 
 
 def test_fc_rejects_spatial_fields():
@@ -158,9 +179,8 @@ c2 conv in=1x4x9x9 k=3x3 s=1 p=1 out=4
     assert "c2" in str(err.value)
 
 
-def test_six_layer_chain_parses():
-    # in the style of the small CIFAR10 conv network: layer count is the check
-    text = """
+# in the style of the small CIFAR10 conv network
+CIFAR_STYLE = """
 # small conv stack
 conv1 conv in=1x3x32x32 k=3x3 s=1 p=1 out=32
 conv2 conv k=3x3 s=1 p=1 out=32
@@ -169,7 +189,11 @@ conv3 conv k=3x3 s=1 p=1 out=64
 pool2 pool k=2x2 s=2
 fc1 fc out=10
 """
-    net = parse_network(text, name="cifar-style")
+
+
+def test_six_layer_chain_parses():
+    # layer count is the check
+    net = parse_network(CIFAR_STYLE, name="cifar-style")
     assert len(net.layers) == 6
     assert net.layers[-1].input == TensorShape(1, 64 * 8 * 8, 1, 1)
 
@@ -211,17 +235,19 @@ def test_first_layer_needs_input_shape():
         parse_network("c1 conv k=3x3 out=4")
 
 
-def test_shape_chaining_invariant():
-    text = """
+CHAIN = """
 c1 conv in=2x3x16x16 k=5x5 s=1 p=2 out=8
 p1 pool k=2x2 s=2
 c2 conv k=3x3 s=1 p=0 out=4
 f1 fc out=3
 f2 fc out=2
 """
-    net = parse_network(text)
+
+
+def test_shape_chaining_invariant():
+    net = parse_network(CHAIN)
     for prev, nxt in zip(net.layers, net.layers[1:]):
-        expected = infer_output_shape(prev)
+        expected = prev.output
         if nxt.kind is LayerKind.FULLY_CONNECTED:
             expected = expected.flattened()
         assert nxt.input == expected
@@ -281,7 +307,7 @@ def test_vgg16_op_counts():
     parameters (the published 138.36 M adds the 13,416 biases)."""
     net = parse_network(VGG16, name="vgg16")
     assert [layer.kind for layer in net.layers].count(LayerKind.CONV2D) == 13
-    assert infer_output_shape(net.layers[-4]) == TensorShape(1, 512, 7, 7)
+    assert net.layers[-4].output == TensorShape(1, 512, 7, 7)
     counts = [count_ops(layer) for layer in net.layers]
     assert sum(c.macs for c in counts) == 15_470_264_320
     assert sum(c.params for c in counts) == 138_344_128

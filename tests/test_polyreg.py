@@ -713,11 +713,16 @@ def test_profile_csv_round_trip():
         polyreg.ProfileSample(fc_layer(1, 16, 4, "row3"), 0.5, None),
         polyreg.ProfileSample(pool2d("row4", TensorShape(1, 4, 8, 8), kernel=2, stride=2),
                               None, 12.0),
+        # an fc layer's spatial input survives; a 1x1 one leaves in_h/in_w blank
+        polyreg.ProfileSample(LayerConfig("row5", LayerKind.FULLY_CONNECTED,
+                                          TensorShape(1, 16, 4, 4), output_units=8), 0.5, None),
     ]
     text = write_profile_csv(samples, comments=["demo"])
-    assert text.splitlines()[1] == ",".join(polyreg.PROFILE_HEADER)
+    lines = text.splitlines()
+    assert lines[1] == ",".join(polyreg.PROFILE_HEADER)
+    assert (lines[3], lines[5]) == ("fc,1,16,,,,,,,,4,0.5,", "fc,1,16,4,4,,,,,,8,0.5,")
     parsed = read_profile_csv(text)
-    assert len(parsed) == 3
+    assert len(parsed) == 4
     for original, loaded in zip(samples, parsed):
         assert loaded.runtime_ms == original.runtime_ms
         assert loaded.power_w == original.power_w
