@@ -14,6 +14,7 @@ load no numpy, and only `optimize` loads the GP search code.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import functools
 import hashlib
@@ -62,10 +63,8 @@ def _fmt(value: float) -> str:
 
 
 def _print_table(header: list[str], rows: list[list[str]], fmt: str) -> None:
-    if fmt == "csv":
-        print(",".join(header))
-        for row in rows:
-            print(",".join(row))
+    if fmt == "csv":  # quotes only the cells that need it: a layer name with a comma
+        csv.writer(sys.stdout, lineterminator="\n").writerows([header, *rows])
         return
     widths = [max(len(header[i]), *(len(r[i]) for r in rows)) if rows else len(header[i])
               for i in range(len(header))]
@@ -182,16 +181,24 @@ def _cmd_predict(args) -> int:
         from . import polyreg
         runtime = _load_poly_models(Path(args.models_dir), polyreg.Target.RUNTIME_MS)
         power = _load_poly_models(Path(args.models_dir), polyreg.Target.POWER_W)
-        pred = polyreg.predict_network(runtime, power, net)
+        try:
+            pred = polyreg.predict_network(runtime, power, net)
+        except polyreg.ZeroRuntimeError as exc:  # the layers still print, then exit 1
+            zero, layers = exc, exc.layers
+        else:
+            zero, layers = None, pred.layers
         rows = [[lp.name, lp.kind.value, _fmt(lp.runtime_ms), _fmt(lp.power_w),
-                 _fmt(lp.energy_mj)] for lp in pred.layers]
-        rows.append(["total", "", _fmt(pred.total_runtime_ms), _fmt(pred.average_power_w),
-                     _fmt(pred.total_energy_mj)])
+                 _fmt(lp.energy_mj)] for lp in layers]
+        if zero is None:
+            rows.append(["total", "", _fmt(pred.total_runtime_ms), _fmt(pred.average_power_w),
+                         _fmt(pred.total_energy_mj)])
         _print_table(["layer", "kind", "t_ms", "p_w", "e_mj"], rows, args.format)
-        clamped = [lp.name for lp in pred.layers if lp.clamped]
+        clamped = [lp.name for lp in layers if lp.clamped]
         if clamped:
             print(f"warning: negative predictions clamped to 0 for layers: "
                   f"{', '.join(clamped)}", file=sys.stderr)
+        if zero is not None:
+            raise zero
     elif args.family == "paleo":
         if not args.device:
             raise UsageError("--family paleo requires --device")
@@ -207,7 +214,9 @@ def _cmd_predict(args) -> int:
             raise UsageError("--family energy requires --energy")
         from . import analytic
         spec = analytic.parse_energy_spec(Path(args.energy).read_text())
-        accesses = _load_accesses(Path(args.accesses).read_text()) if args.accesses else None
+        accesses = (_load_accesses(Path(args.accesses).read_text(),
+                                   {layer.name for layer in net.layers})
+                    if args.accesses else None)
         sparsity = analytic.SparsityInfo(args.sparsity) if args.sparsity is not None else None
         result = analytic.eyeriss_network_energy(net, spec, accesses, sparsity, args.bitwidth)
         rows = [[name, _fmt(e.compute_pj), _fmt(e.data_pj), _fmt(e.total_pj)]
@@ -219,16 +228,24 @@ def _cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def _load_accesses(text: str) -> dict[str, analytic.AccessProfile]:
-    """Per-layer access overrides: lines `layer_name level count`."""
+def _load_accesses(text: str, layers: set[str]) -> dict[str, analytic.AccessProfile]:
+    """Per-layer access overrides: lines `layer_name level count`, each naming
+    one of `layers` and no (layer, level) pair twice."""
     from . import analytic
     counts: dict[str, dict[str, int]] = {}
+    first_line: dict[tuple[str, str], int] = {}
     for line_no, line in _lines(text):
         with _located(f"accesses line {line_no}"):
             parts = line.split()
             if len(parts) != 3:
                 raise ValueError("expected 'layer level count'")
-            counts.setdefault(parts[0], {})[parts[1]] = int(parts[2])
+            layer, level, count = parts
+            if layer not in layers:
+                raise ValueError(f"no layer {layer!r} in the network")
+            first = first_line.setdefault((layer, level), line_no)
+            if first != line_no:
+                raise ValueError(f"'{layer} {level}' was given on line {first}")
+            counts.setdefault(layer, {})[level] = int(count)
     return {layer: analytic.AccessProfile(tuple(levels.items()))
             for layer, levels in counts.items()}
 

@@ -59,6 +59,10 @@ class MissingModelError(ValueError):
 class ZeroRuntimeError(ValueError):
     """Average power is undefined because total predicted runtime is zero."""
 
+    def __init__(self, layers: tuple[LayerPrediction, ...]):
+        super().__init__("total predicted runtime is zero; average power undefined")
+        self.layers = layers  # the per-layer predictions, which are defined
+
 
 _SCHEMAS = {
     LayerKind.CONV2D: ("batch", "in_c", "in_hw", "kernel_hw", "stride", "padding",
@@ -289,40 +293,40 @@ def _lasso_homotopy(problems: list[tuple[np.ndarray, np.ndarray]],
 
     The paths step in lockstep, one event each per pass. The per-column work
     of a pass runs once for all of them, on arrays padded to the widest
-    problem (a padded column is never free and has no coefficient). Each path
-    keeps its own G_jA [a, d] product, grid rows, event, solve and event
-    bound, so it is the path it would be alone, bit for bit.
+    problem (a padded column is never free and has no coefficient); a done
+    path stays in the batch, skipped, until all are. Each path keeps its own
+    G_jA [a, d] product, formed after an accepted join or drop, grid rows,
+    event, solve and event bound, so it is the path it would be alone, bit
+    for bit.
     """
     out = [np.zeros((len(lambdas), len(c))) for _, c in problems]
     todo = [f for f, (_, c) in enumerate(problems) if len(c)]
     if not todo:
         return out
-    sizes = np.array([len(problems[f][1]) for f in todo])
-    n, width = len(todo), int(sizes.max())
+    sizes = [len(problems[f][1]) for f in todo]
+    n, width = len(todo), max(sizes)
     corr = np.zeros((n, width))
     for b, f in enumerate(todo):
         corr[b, :sizes[b]] = problems[f][1]
-    # per path: its problem's index, its Gram, the Gram columns of its active
-    # set (cols[:, :k]) and k; path b's active set, in join order, is
-    # active[b, :k], with rows [c_j, s_j, 0] of rhs[b, :k] (a joining
-    # column's ends in 1); events change them
-    paths = [[f, problems[f][0], np.empty((p, p), order="F"), 0]
-             for f, p in zip(todo, sizes.tolist())]
+    # path b's active set, in join order, is active[b, :ks[b]], with the Gram
+    # columns cols[b][:, :ks[b]] and rows [c_j, s_j, 0] of rhs[b, :ks[b]] (a
+    # joining column's ends in 1); events change them
+    cols = [np.empty((p, p), order="F") for p in sizes]
+    ks = [0] * n
     active = np.empty((n, width), dtype=np.intp)
     rhs = np.zeros((n, width, 3))
     ad = np.zeros((n, width, 2))  # [a, d] of each active set, zero past its end
     gq = np.zeros((n, width, 2))  # G_jA [a, d] of each column
-    inactive = np.arange(width) < sizes[:, None]  # a padded column is neither
+    inactive = np.arange(width) < np.array(sizes)[:, None]  # a padded column is neither
     free = inactive.copy()  # inactive and not blocked by a failed Schur test
+    done = np.zeros(n, dtype=bool)
     lam = np.abs(corr).max(axis=1)
     rising = -lambdas  # ascending: searchsorted counts the lambdas >= lam
-    rows = np.zeros(n, dtype=np.intp)
+    rows = [0] * n
     # finite in exact arithmetic; the bound on passes stops a degenerate cycle,
     # and the rows it leaves at zero fail the KKT check
-    bound = 100 * sizes + 1
-    for step in range(1, int(bound.max()) + 1):
-        for b, (_, _, cols, k) in enumerate(paths):
-            np.matmul(cols[:, :k], ad[b, :k], out=gq[b, :len(cols)])
+    bound = [100 * p + 1 for p in sizes]
+    for step in range(1, max(bound) + 1):
         a, d, s = ad[..., 0], ad[..., 1], rhs[..., 1]
         beta = a - lam[:, None] * d
         # as lam falls by t: correlations r - t*q, active coefficients beta + t*d
@@ -338,31 +342,29 @@ def _lasso_homotopy(problems: list[tuple[np.ndarray, np.ndarray]],
         lam = lam - np.minimum(np.minimum(t_join, t_drop), lam)
         # rows row:end of a path lie in its segment: the lambdas before its row
         # are above its last lam, so `end` counts them too
-        ends = rising.searchsorted(-lam, "right")
-        done = (ends == len(lambdas)) | (step == bound)
+        ends = rising.searchsorted(-lam, "right").tolist()
         drop = (t_drop <= t_join).tolist()
         leaving = to_zero.argmin(axis=1).tolist()
         joining = (to_join <= (t_join + 1e-12 * lam)[:, None]).argmax(axis=1).tolist()
-        for b, (path, row, end, last) in enumerate(zip(paths, rows.tolist(), ends.tolist(),
-                                                        done.tolist())):
-            f, gram, cols, k = path
+        for b in np.flatnonzero(~done).tolist():
+            f, k, row, end = todo[b], ks[b], rows[b], ends[b]
             idx = active[b]
             if end > row:
                 coef = a[b, :k] - lambdas[row:end, None] * d[b, :k]
                 out[f][row:end, idx[:k]] = np.where(coef * s[b, :k] > 0.0, coef, 0.0)
-            if last:
+            if end == len(lambdas) or step == bound[b]:
+                done[b] = True
                 continue
             if drop[b]:
                 i = leaving[b]
                 j = idx[i]
                 idx[i:k - 1] = idx[i + 1:k]
                 rhs[b, i:k - 1] = rhs[b, i + 1:k]
-                cols[:, i:k - 1] = cols[:, i + 1:k]
+                cols[b][:, i:k - 1] = cols[b][:, i + 1:k]
                 k -= 1
-                ad[b, :k] = np.linalg.solve(cols[idx[:k], :k], rhs[b, :k, :2])
+                ad[b, :k] = np.linalg.solve(cols[b][idx[:k], :k], rhs[b, :k, :2])
                 ad[b, k] = 0.0
                 inactive[b, j] = True
-                free[b] = inactive[b]
             else:
                 j = joining[b]
                 free[b, j] = False
@@ -370,26 +372,23 @@ def _lasso_homotopy(problems: list[tuple[np.ndarray, np.ndarray]],
                 # the sides tie only where r = lam*q, which gives t = lam: the path
                 # has ended there, so `<=` or `<` cannot change a returned row
                 rhs[b, k] = corr[b, j], 1.0 if to_side[b, 0, j] <= to_side[b, 1, j] else -1.0, 1.0
-                cols[:, k] = gram[:, j]
+                cols[b][:, k] = problems[f][0][:, j]
                 try:
-                    x = np.linalg.solve(cols[idx[:k + 1], :k + 1], rhs[b, :k + 1])
+                    x = np.linalg.solve(cols[b][idx[:k + 1], :k + 1], rhs[b, :k + 1])
                 except np.linalg.LinAlgError:
                     x = np.full((k + 1, 3), np.nan)
                 rhs[b, k, 2] = 0.0
-                if 1.0 / x[k, 2] > SCHUR_TOL:  # else blocked: free again after a join or drop
-                    k += 1
-                    ad[b, :k] = x[:, :2]
-                    inactive[b, j] = False
-                    free[b] = inactive[b]
-            path[3] = k
+                if not 1.0 / x[k, 2] > SCHUR_TOL:  # blocked: free again after a join or drop
+                    continue
+                k += 1
+                ad[b, :k] = x[:, :2]
+                inactive[b, j] = False
+            free[b] = inactive[b]
+            ks[b] = k
+            np.matmul(cols[b][:, :k], ad[b, :k], out=gq[b, :sizes[b]])
+        if done.all():
+            break
         rows = ends
-        if done.any():
-            keep = ~done
-            paths = [path for path, last in zip(paths, done.tolist()) if not last]
-            if not paths:
-                break
-            corr, active, rhs, ad, gq, inactive, free, lam, rows, bound = (
-                v[keep] for v in (corr, active, rhs, ad, gq, inactive, free, lam, rows, bound))
     return out
 
 
@@ -587,7 +586,7 @@ def predict_network(runtime_models: dict[LayerKind, PolynomialModel],
         total_t += t
         total_e += e
     if total_t == 0.0:
-        raise ZeroRuntimeError("total predicted runtime is zero; average power undefined")
+        raise ZeroRuntimeError(tuple(per_layer))
     return NetworkPrediction(tuple(per_layer), total_t, total_e, total_e / total_t)
 
 

@@ -340,18 +340,22 @@ def test_missing_file_exit_code(capsys):
     assert cli.main(["fit", "/nonexistent/profile.csv"]) == 1
 
 
-def test_predict_constant_model_single_fc(tmp_path, capsys):
-    # a constant-5ms runtime model makes the single-layer network total 5 ms
-    models_dir = tmp_path / "models"
+def _constant_fc_models(models_dir, runtime_ms, power_w):
+    """Constant fc runtime and power models written to `models_dir`."""
     models_dir.mkdir()
     schema = polyreg._SCHEMAS[LayerKind.FULLY_CONNECTED]
     const = polyreg.TermSpec((0,) * len(schema))
-    runtime = polyreg.PolynomialModel(LayerKind.FULLY_CONNECTED, polyreg.Target.RUNTIME_MS,
-                                      2, schema, ((const, 5.0),), ())
-    power = polyreg.PolynomialModel(LayerKind.FULLY_CONNECTED, polyreg.Target.POWER_W,
-                                    2, schema, ((const, 2.0),), ())
-    (models_dir / "model_fc_runtime_ms.json").write_text(polyreg.model_to_json(runtime))
-    (models_dir / "model_fc_power_w.json").write_text(polyreg.model_to_json(power))
+    for target, value in ((polyreg.Target.RUNTIME_MS, runtime_ms),
+                          (polyreg.Target.POWER_W, power_w)):
+        model = polyreg.PolynomialModel(LayerKind.FULLY_CONNECTED, target, 2, schema,
+                                        ((const, value),), ())
+        (models_dir / f"model_fc_{target.value}.json").write_text(polyreg.model_to_json(model))
+
+
+def test_predict_constant_model_single_fc(tmp_path, capsys):
+    # a constant-5ms runtime model makes the single-layer network total 5 ms
+    models_dir = tmp_path / "models"
+    _constant_fc_models(models_dir, 5.0, 2.0)
     net = tmp_path / "net.txt"
     net.write_text("f1 fc in=1x4x1x1 out=2\n")
     code, out, err = run(capsys, "predict", str(net), "--family", "poly",
@@ -360,6 +364,37 @@ def test_predict_constant_model_single_fc(tmp_path, capsys):
     assert err == ""  # nothing clamped, so no warning
     total = [line for line in out.splitlines() if line.startswith("total")][0].split(",")
     assert float(total[2]) == 5.0
+
+
+def test_predict_poly_zero_total_runtime_prints_layers_then_exits_1(tmp_path, capsys):
+    # a runtime model below zero everywhere clamps both layers to 0 ms, so the
+    # network's average power is undefined; the layers print, the total does not
+    models_dir = tmp_path / "models"
+    _constant_fc_models(models_dir, -1.0, 2.0)
+    net = tmp_path / "net.txt"
+    net.write_text("f1 fc in=1x4x1x1 out=2\nf2 fc out=3\n")
+    code, out, err = run(capsys, "predict", str(net), "--family", "poly",
+                         "--models-dir", str(models_dir))
+    assert code == 1
+    assert out == ("layer  kind  t_ms  p_w  e_mj\n"
+                   "f1     fc    0     2    0\n"
+                   "f2     fc    0     2    0\n")
+    assert err == ("warning: negative predictions clamped to 0 for layers: f1, f2\n"
+                   "error: total predicted runtime is zero; average power undefined\n")
+
+
+def test_predict_csv_quotes_a_layer_name_with_a_comma(tmp_path, capsys):
+    net = tmp_path / "net.txt"
+    net.write_text("a,b conv in=1x3x8x8 k=3x3 out=4\n")
+    dev = tmp_path / "device.txt"
+    dev.write_text(DEVICE_SPEC)
+    code, out, err = run(capsys, "predict", str(net), "--family", "paleo",
+                         "--device", str(dev), "--format", "csv")
+    assert code == 0, err
+    rows = list(csv.reader(out.splitlines()))
+    assert rows[0] == ["layer", "r_ms", "c_ms", "w_ms", "t_ms"]
+    assert [row[0] for row in rows[1:]] == ["a,b", "total"]
+    assert all(len(row) == 5 for row in rows)
 
 
 def test_predict_poly_warns_on_clamped_layers(tmp_path, capsys):

@@ -24,6 +24,7 @@ c1 conv in=1x3x8x8 k=3x3 s=1 p=1 out=4
 p1 pool k=2x2 s=2   # halves the map
 f1 fc out=10
 """
+NETWORK_LAYERS = {layer.name for layer in parse_network(NETWORK).layers}
 DEVICE = "# workstation\npeak_flops = 1e12\nread_bandwidth = 4e9\nwrite_bandwidth = 2e9\n" \
          "ppp_compute = 0.5\nppp_io = 0.25\nbytes_per_element = 4\n"
 ENERGY = "e_mac = 1.5\nlevels = RF:0.5, DRAM:200\nbitwidth_reference = 16\n"
@@ -85,7 +86,7 @@ CASES = {
     "energy": ("energy.txt", analytic.parse_energy_spec,
                lambda d, p: ["predict", d / "net.txt", "--family", "energy", "--energy", p],
                ENERGY_KEYS),
-    "accesses": ("accesses.txt", cli._load_accesses,
+    "accesses": ("accesses.txt", lambda text: cli._load_accesses(text, NETWORK_LAYERS),
                  lambda d, p: ["predict", d / "net.txt", "--family", "energy",
                                "--energy", d / "energy.txt", "--accesses", p], ()),
     "profile": ("synthetic_profile.csv", polyreg.read_profile_csv,
@@ -171,6 +172,12 @@ MOTIVATION = {
                         lambda d: "e_mac = 1\nlevels = DRAM:abc\n", "energy spec line 2"),
     "accesses count x": (CASES["accesses"][2], "accesses.txt",
                          lambda d: "c1 DRAM x\n", "accesses line 1"),
+    # an override that would do nothing: a repeated (layer, level) pair, a layer
+    # the network does not have
+    "accesses repeated pair": (CASES["accesses"][2], "accesses.txt",
+                               lambda d: "c1 RF 10\nc1 RF 20\n", "accesses line 2"),
+    "accesses unknown layer": (CASES["accesses"][2], "accesses.txt",
+                               lambda d: "c1 RF 10\n# typo\ntypo DRAM 5\n", "accesses line 3"),
     "profile row 15": (CASES["profile"][2], "profile.csv", _synth_profile_with_bad_line_15,
                        "profile CSV row 15"),
     "schema missing hi": (CASES["schema"][2], "schema.json",

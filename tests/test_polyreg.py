@@ -362,6 +362,13 @@ def _traced_paths(monkeypatch, gram, corr, lambdas):
     return want, sizes, changes, len(solves), len(failed), len(singular)
 
 
+def _copies_problem():
+    """(gram, corr, lambdas) whose columns 4 and 5 copy active columns."""
+    base = np.random.default_rng(0).integers(-3, 4, size=(12, 4)).astype(float)
+    x = np.column_stack([base, base[:, 0], base[:, 1] + base[:, 2]])
+    return x.T @ x, np.array([-25.0, 25.0, 18.0, 2.0, -7.5, 12.9]), np.geomspace(25.0, 25e-3, 40)
+
+
 def test_homotopy_blocks_copies_of_active_columns(monkeypatch):
     """Column 4 is an exact copy of column 0 and column 5 is column 1 +
     column 2. Their correlations are set off X'y, so each reaches +-lam
@@ -369,17 +376,32 @@ def test_homotopy_blocks_copies_of_active_columns(monkeypatch):
     Schur test, the copy's by a singular solve, twice in a row before column
     3 joins and twice after; the path matches the reference, with one solve
     per drop or join attempt."""
-    base = np.random.default_rng(0).integers(-3, 4, size=(12, 4)).astype(float)
-    x = np.column_stack([base, base[:, 0], base[:, 1] + base[:, 2]])
-    gram = x.T @ x
-    corr = np.array([-25.0, 25.0, 18.0, 2.0, -7.5, 12.9])
-    lambdas = np.geomspace(25.0, 25e-3, 40)
-    want, sizes, changes, solves, failed, singular = _traced_paths(monkeypatch, gram, corr,
-                                                                    lambdas)
+    want, sizes, changes, solves, failed, singular = _traced_paths(monkeypatch,
+                                                                    *_copies_problem())
     assert sizes == [0, 1, 2, 3, 3, 3, 4, 4, 4]
     assert np.all(want[:, 4:] == 0.0) and np.any(np.all(want[:, :3] != 0.0, axis=1))
     assert failed == 4 and singular >= 1
     assert solves == changes + failed
+
+
+def test_homotopy_forms_one_product_per_active_set_change(monkeypatch):
+    """The G_jA [a, d] product is formed once per accepted join or drop: a
+    join attempt that fails the Schur test leaves the active set, and so the
+    product, as they were."""
+    gram, corr, lambdas = _copies_problem()
+    _, _, changes, _, failed, _ = _traced_paths(monkeypatch, gram, corr, lambdas)
+    products = []
+    matmul = np.matmul
+
+    def counted_matmul(*args, **kwargs):
+        products.append(args[0].shape)
+        return matmul(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(np, "matmul", counted_matmul)
+        polyreg._lasso_homotopy([(gram, corr)], lambdas)
+    assert failed == 4
+    assert len(products) == changes
 
 
 def test_homotopy_solves_once_per_event(monkeypatch):
@@ -445,6 +467,22 @@ def test_batch_of_unequal_widths_and_an_empty_problem():
         assert np.array_equal(path, alone)
     assert polyreg._lasso_homotopy([problems[1]], lambdas)[0].shape == (50, 0)
     assert polyreg._lasso_homotopy([], lambdas) == []
+
+
+def test_batch_with_a_path_done_on_its_first_pass():
+    """A problem whose max|c| is below the grid's last lambda has an all-zero
+    path and finishes on the first pass; the long paths on either side of it
+    in the batch step on past it, each the path it has alone."""
+    gram, corr, lambdas = _copies_problem()
+    wide = np.random.default_rng(1).standard_normal((20, 9))
+    problems = [(gram, corr), (wide.T @ wide, np.full(9, 1e-3)),
+                (wide.T @ wide, wide.T @ np.arange(20.0))]
+    assert np.abs(problems[1][1]).max() < lambdas[-1]
+    got = polyreg._lasso_homotopy(problems, lambdas)
+    for path, alone in zip(got, _one_by_one(problems, lambdas)):
+        assert np.array_equal(path, alone)
+    assert np.all(got[1] == 0.0)
+    assert all(np.count_nonzero(path[-1]) > 1 for path in (got[0], got[2]))
 
 
 def test_batch_goes_on_past_one_paths_singular_join(monkeypatch):
