@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cholstack import CholeskyStack
 from .linmod import LinearModel, LinTarget, predict as lin_predict
 from .seeding import generator
 
@@ -169,7 +170,8 @@ def _matern52(Xa: np.ndarray, Xb: np.ndarray, lengthscales: np.ndarray,
 
 
 class GPState:
-    """Immutable GP regression state over a SearchSpace.
+    """GP regression state over a SearchSpace, immutable apart from one
+    private store that `update` hands to its successor.
 
     Inputs live in the unit box; with auto_hypers the targets are
     standardized internally and kernel hyper-parameters are re-selected by
@@ -179,17 +181,26 @@ class GPState:
     while a first fit (None) starts at the grid midpoints. Fixed-hyper
     states (auto_hypers=False) take lengthscales/variances in raw units and
     keep them across updates.
+
+    An auto state keeps the Cholesky factors of the trials its selection
+    looked up (`_trial_factors`, a CholeskyStack). `update` takes them
+    from the state and passes them, with `hyper_start`, to the successor's
+    selection, which extends each by one row instead of refactorizing it.
+    A second update from the same state finds no store and selects cold,
+    with the same result.
     """
 
     def __init__(self, space: SearchSpace, observations=(),
                  lengthscales=None, signal_var: float = 1.0, noise_var: float = 0.0,
-                 prior_mean: float = 0.0, auto_hypers: bool = False, *, hyper_start=None):
+                 prior_mean: float = 0.0, auto_hypers: bool = False, *, hyper_start=None,
+                 trial_factors: CholeskyStack | None = None):
         self.space = space
         self.observations = tuple(observations)
         if any(len(obs.x) != space.dim for obs in self.observations):
             raise ValueError("observation arity does not match space")
         self.auto_hypers = auto_hypers
 
+        self._trial_factors = None
         n = len(self.observations)
         X = np.array([obs.x for obs in self.observations], dtype=float).reshape(n, space.dim)
         lo, hi = space.bounds()
@@ -206,8 +217,9 @@ class GPState:
             scale = float(y.std())
             self.y_scale = scale if scale > 0 else 1.0
             self._ys = (y - self.prior_mean) / self.y_scale
+            self._trial_factors = trial_factors or CholeskyStack()
             self.lengthscales, self.signal_var, self.noise_var = _select_hypers(
-                self._xn, self._ys, hyper_start)
+                self._xn, self._ys, hyper_start, factors=self._trial_factors)
         else:
             self.prior_mean = prior_mean
             self.y_scale = 1.0
@@ -257,8 +269,9 @@ def _has_duplicates(Xn: np.ndarray) -> bool:
 
 
 def _log_marginal_likelihood(R: np.ndarray, ys: np.ndarray, signal_var: float,
-                             noise_var: float) -> float:
-    """log N(ys; 0, K) for K = signal_var * R + noise_var * I (noise_var > 0).
+                             noise_var: float) -> tuple[float, np.ndarray | None]:
+    """log N(ys; 0, K) for K = signal_var * R + noise_var * I (noise_var > 0),
+    and K's Cholesky factor (None, with -inf, when K is not positive definite).
 
     One Cholesky of K bordered by ys, [[K, ys], [ys^T, c]], scores a trial:
     its leading block is K's factor L and its last row is v = L^-1 ys, so
@@ -276,12 +289,26 @@ def _log_marginal_likelihood(R: np.ndarray, ys: np.ndarray, signal_var: float,
     try:
         L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
-        return -math.inf
+        return -math.inf, None
     v = L[n, :n]
-    return float(-0.5 * v @ v - np.log(L.diagonal()[:n]).sum() - 0.5 * n * math.log(2 * math.pi))
+    return (float(-0.5 * v @ v - np.log(L.diagonal()[:n]).sum() - 0.5 * n * math.log(2 * math.pi)),
+            L[:n, :n])
 
 
-def _select_hypers(Xn: np.ndarray, ys: np.ndarray, start=None
+def _bordering(keys, Xn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each trial key (*lengthscales, signal var, noise var), the column
+    of its K between the last point of Xn and the others, and its diagonal."""
+    params = np.array(keys)
+    m = Xn.shape[0] - 1
+    diff = Xn[:m] - Xn[m]
+    s2f = params[:, -2]
+    k = _correlation((diff * diff) @ (1.0 / (params[:, :-2] * params[:, :-2])).T).T
+    k *= s2f[:, None]
+    return k, s2f + params[:, -1]
+
+
+def _select_hypers(Xn: np.ndarray, ys: np.ndarray, start=None, *,
+                   factors: CholeskyStack | None = None
                    ) -> tuple[tuple[float, ...], float, float]:
     """Coordinate-wise grid ascent of the log marginal likelihood.
 
@@ -294,46 +321,61 @@ def _select_hypers(Xn: np.ndarray, ys: np.ndarray, start=None
     sweep over per-dimension lengthscales would be exponential in the
     dimension for no accuracy gain at this scale.
 
-    The per-dimension squared distances are computed once; a lengthscale
-    trial weights them into the correlation matrix R, and the signal and
-    noise sweeps share the R of the chosen lengthscales. Each sweep starts
-    at the previous sweep's choice and the second pass can repeat points of
-    the first, so trials are scored once and looked up after that.
+    Each sweep starts at the previous sweep's choice and the second pass
+    can repeat points of the first, so a trial is scored once and looked up
+    after that. With `factors`, a store over all points of Xn but the last,
+    every stored trial is first scored by bordering its factor by one row
+    (CholeskyStack.extend); only a trial not in the store is scored from
+    scratch, by one Cholesky of its K bordered by ys. Its correlation R
+    weights the per-dimension squared distances, computed once, and the
+    signal and noise sweeps share the R of the chosen lengthscales. The
+    store then holds the factor of every trial looked up.
     """
     n, dim = Xn.shape
-    diff = Xn[:, None, :] - Xn[None, :, :]
-    sq = (diff * diff).reshape(n * n, dim)
+    stored = factors.extend(Xn, ys, _bordering) if factors is not None else {}
+    sq = None
+    last_R: tuple = (None, None)   # (lengthscales, R): the sweeps share the chosen R
 
-    def correlation(lengthscales: np.ndarray) -> np.ndarray:
-        return _correlation((sq @ (1.0 / (lengthscales * lengthscales))).reshape(n, n))
+    def correlation(lengthscales: tuple[float, ...]) -> np.ndarray:
+        nonlocal sq, last_R
+        if last_R[0] != lengthscales:
+            if sq is None:
+                diff = Xn[:, None, :] - Xn[None, :, :]
+                sq = (diff * diff).reshape(n * n, dim)
+            ls = np.array(lengthscales)
+            last_R = (lengthscales, _correlation((sq @ (1.0 / (ls * ls))).reshape(n, n)))
+        return last_R[1]
 
     scored: dict[tuple[float, ...], float] = {}
+    fresh: dict[tuple[float, ...], tuple[list[np.ndarray], float]] = {}
 
-    def score(lengthscales: np.ndarray, signal_var: float, noise_var: float,
-              R: np.ndarray | None = None) -> float:
+    def score(lengthscales: tuple[float, ...], signal_var: float, noise_var: float) -> float:
         key = (*lengthscales, signal_var, noise_var)
         if key not in scored:
-            scored[key] = _log_marginal_likelihood(
-                correlation(lengthscales) if R is None else R, ys, signal_var, noise_var)
+            if key in stored:
+                scored[key] = stored[key]
+            else:
+                scored[key], L = _log_marginal_likelihood(
+                    correlation(lengthscales), ys, signal_var, noise_var)
+                if L is not None and factors is not None:
+                    fresh[key] = (CholeskyStack.pack(L), np.log(L.diagonal()).sum())
         return scored[key]
 
     lengthscales, s2f, s2n = start or ((LENGTHSCALE_GRID[3],) * dim, SIGNAL_VAR_GRID[3],
                                        NOISE_VAR_GRID[3])
-    ls = np.array(lengthscales, dtype=float)
+    ls = [float(v) for v in lengthscales]
     for _ in range(2):
         for d in range(dim):
-            scores = []
-            for candidate in LENGTHSCALE_GRID:
-                trial = ls.copy()
-                trial[d] = candidate
-                scores.append(score(trial, s2f, s2n))
+            scores = [score((*ls[:d], candidate, *ls[d + 1:]), s2f, s2n)
+                      for candidate in LENGTHSCALE_GRID]
             ls[d] = LENGTHSCALE_GRID[int(np.argmax(scores))]
-        R = correlation(ls)
-        scores = [score(ls, candidate, s2n, R) for candidate in SIGNAL_VAR_GRID]
+        scores = [score(tuple(ls), candidate, s2n) for candidate in SIGNAL_VAR_GRID]
         s2f = SIGNAL_VAR_GRID[int(np.argmax(scores))]
-        scores = [score(ls, s2f, candidate, R) for candidate in NOISE_VAR_GRID]
+        scores = [score(tuple(ls), s2f, candidate) for candidate in NOISE_VAR_GRID]
         s2n = NOISE_VAR_GRID[int(np.argmax(scores))]
-    return tuple(float(v) for v in ls), float(s2f), float(s2n)
+    if factors is not None:
+        factors.keep(Xn, scored, fresh)
+    return tuple(ls), float(s2f), float(s2n)
 
 
 def gp_posterior_batch(state: GPState, X) -> tuple[np.ndarray, np.ndarray]:
@@ -356,16 +398,27 @@ def update(state: GPState, observation: Observation, earlier=None) -> GPState:
     """New state with the observation appended and the factorization rebuilt.
 
     `earlier`, when given, replaces the state's observations before the new
-    one, so a caller can revise earlier y values at no extra cost. Auto
+    one, so a caller can revise earlier y values at no extra cost; it must
+    hold the state's points in the same order (ValueError otherwise). Auto
     states re-select hyper-parameters, warm-starting the ascent at the
-    previous state's choice (at the grid midpoints if it had no data);
-    fixed states keep theirs.
+    previous state's choice (at the grid midpoints if it had no data) and
+    extending the trial factors the state hands over; fixed states keep
+    theirs.
     """
-    observations = (state.observations if earlier is None else tuple(earlier)) + (observation,)
+    if earlier is None:
+        earlier = state.observations
+    else:
+        earlier = tuple(earlier)
+        if [obs.x for obs in earlier] != [obs.x for obs in state.observations]:
+            raise ValueError("earlier observations must be the state's points in order; "
+                             "only their y values may change")
+    observations = earlier + (observation,)
     if state.auto_hypers:
         start = ((state.lengthscales, state.signal_var, state.noise_var)
                  if state.observations else None)
-        return GPState(state.space, observations, auto_hypers=True, hyper_start=start)
+        factors, state._trial_factors = state._trial_factors, None
+        return GPState(state.space, observations, auto_hypers=True, hyper_start=start,
+                       trial_factors=factors)
     return GPState(state.space, observations, lengthscales=state.lengthscales,
                    signal_var=state.signal_var, noise_var=state.noise_var,
                    prior_mean=state.prior_mean)

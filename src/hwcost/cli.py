@@ -215,7 +215,8 @@ def _cmd_predict(args) -> int:
         from . import analytic
         spec = analytic.parse_energy_spec(Path(args.energy).read_text())
         accesses = (_load_accesses(Path(args.accesses).read_text(),
-                                   {layer.name for layer in net.layers})
+                                   {layer.name for layer in net.layers},
+                                   {name for name, _ in spec.levels})
                     if args.accesses else None)
         sparsity = analytic.SparsityInfo(args.sparsity) if args.sparsity is not None else None
         result = analytic.eyeriss_network_energy(net, spec, accesses, sparsity, args.bitwidth)
@@ -228,9 +229,11 @@ def _cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def _load_accesses(text: str, layers: set[str]) -> dict[str, analytic.AccessProfile]:
+def _load_accesses(text: str, layers: set[str],
+                   levels: set[str]) -> dict[str, analytic.AccessProfile]:
     """Per-layer access overrides: lines `layer_name level count`, each naming
-    one of `layers` and no (layer, level) pair twice."""
+    one of `layers` and one of `levels`, a count >= 0 and no (layer, level)
+    pair twice."""
     from . import analytic
     counts: dict[str, dict[str, int]] = {}
     first_line: dict[tuple[str, str], int] = {}
@@ -242,10 +245,15 @@ def _load_accesses(text: str, layers: set[str]) -> dict[str, analytic.AccessProf
             layer, level, count = parts
             if layer not in layers:
                 raise ValueError(f"no layer {layer!r} in the network")
+            if level not in levels:
+                raise ValueError(f"no level {level!r} in the energy spec "
+                                 f"(it defines {sorted(levels)})")
             first = first_line.setdefault((layer, level), line_no)
             if first != line_no:
                 raise ValueError(f"'{layer} {level}' was given on line {first}")
             counts.setdefault(layer, {})[level] = int(count)
+            if counts[layer][level] < 0:
+                raise ValueError("access count must be >= 0")
     return {layer: analytic.AccessProfile(tuple(levels.items()))
             for layer, levels in counts.items()}
 

@@ -9,6 +9,7 @@ from hwcost.bayesopt import (ConstraintSpec, Dimension, GPState, Observation, Se
                              bo_run, draw_candidates, ei_batch, ei_value,
                              expected_improvement, gp_posterior, gp_posterior_batch,
                              hw_ieci, hw_ieci_batch, propose_next, update)
+from hwcost.cholstack import CholeskyStack
 from hwcost.linmod import LinearModel, LinTarget
 from hwcost.objectives import branin, quadratic_bowl, with_noise
 from hwcost.seeding import generator
@@ -260,6 +261,147 @@ def test_update_warm_starts_from_the_previous_hypers():
     first = update(empty, obs[0])
     assert (first.lengthscales, first.signal_var, first.noise_var) == \
         bo._select_hypers(first._xn, first._ys)
+
+
+def _hypers(state):
+    return state.lengthscales, state.signal_var, state.noise_var
+
+
+def _assert_refit_selects_cold(state, start):
+    """The state's hypers (its selection extended the stored trial factors)
+    are those of a cold selection and of the dense oracle from `start`."""
+    assert _hypers(state) == bo._select_hypers(state._xn, state._ys, start)
+    assert _hypers(state) == select_hypers_dense(state._xn, state._ys, bo.LENGTHSCALE_GRID,
+                                                 bo.SIGNAL_VAR_GRID, bo.NOISE_VAR_GRID, start)
+
+
+def _unit_space(dim):
+    return SearchSpace(tuple(Dimension(f"x{i}", "continuous", 0.0, 1.0) for i in range(dim)))
+
+
+def _counting_fresh_scores(monkeypatch):
+    """A list that grows by one at every trial scored from scratch."""
+    fresh = []
+
+    def counted(*args):
+        fresh.append(None)
+        return score(*args)
+
+    score = bo._log_marginal_likelihood
+    monkeypatch.setattr(bo, "_log_marginal_likelihood", counted)
+    return fresh
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_refits_from_stored_trial_factors_select_as_cold(dim, monkeypatch):
+    """Chains of 36 updates, past four blocks of the stored factors' forward
+    substitution, whose ascents both stay and move."""
+    rng = np.random.default_rng(40 + dim)
+    xs = rng.uniform(0, 1, (2 * dim + 36, dim))
+    w = rng.uniform(1.0, 3.0, dim)
+    obs = [Observation(tuple(float(v) for v in x), float(np.sin(x @ w) + 0.05 * rng.normal()))
+           for x in xs]
+    fresh = _counting_fresh_scores(monkeypatch)
+    state = GPState.fit(_unit_space(dim), obs[:2 * dim])
+    moved = in_refits = 0
+    for ob in obs[2 * dim:]:
+        start = _hypers(state)
+        before = len(fresh)
+        state = update(state, ob)
+        in_refits += len(fresh) - before
+        moved += _hypers(state) != start
+        _assert_refit_selects_cold(state, start)
+    # both paths ran, and the store served most lookups: a refit looks up
+    # 6 * dim + 13 distinct trials when its ascent stays
+    assert moved and in_refits < 36 * (6 * dim + 13) / 3
+
+
+def test_refits_with_reimputed_rows_select_as_cold(monkeypatch):
+    """As bo_run does: failed rows re-enter the data at the worst y so far,
+    and each refit revises them through `earlier`."""
+    rng = np.random.default_rng(8)
+    xs = rng.uniform(0, 1, (34, 2))
+    failed = {1, 7, 8, 15, 22, 30}
+    ys = [None if i in failed else float(np.sin(5 * x[0]) + x[1] ** 2 + 0.3 * i / 34)
+          for i, x in enumerate(xs)]
+
+    def data(k):
+        worst = max(y for y in ys[:k] if y is not None)
+        return [Observation(tuple(float(v) for v in x), worst if y is None else y)
+                for x, y in zip(xs[:k], ys[:k])]
+
+    fresh = _counting_fresh_scores(monkeypatch)
+    state = GPState.fit(space_2d(), data(4))
+    in_refits = 0
+    for k in range(5, len(xs) + 1):
+        start = _hypers(state)
+        observations = data(k)
+        before = len(fresh)
+        state = update(state, observations[-1], observations[:-1])
+        in_refits += len(fresh) - before
+        assert state.observations == tuple(observations)
+        _assert_refit_selects_cold(state, start)
+    assert in_refits < 30 * 25 / 2   # the store served about two lookups in three
+
+
+def test_two_updates_from_one_state_both_select_as_cold(monkeypatch):
+    rng = np.random.default_rng(9)
+    xs = rng.uniform(0, 1, (24, 2))
+    obs = [Observation(tuple(float(v) for v in x), float(np.cos(4 * x[0]) * x[1])) for x in xs]
+    state = GPState.fit(space_2d(), obs[:4])
+    for ob in obs[4:20]:
+        state = update(state, ob)
+    start = _hypers(state)
+    first = update(state, obs[20])
+    fresh = _counting_fresh_scores(monkeypatch)
+    second = update(state, obs[21])   # the store went to `first` and moved on a row
+    assert len(fresh) >= 24           # scored from scratch, not from `first`'s store
+    _assert_refit_selects_cold(second, start)
+    lines = [first, second]
+    for ob in obs[22:]:               # both lines go on, each from its own store
+        for i, line in enumerate(lines):
+            lines[i] = update(line, ob)
+            _assert_refit_selects_cold(lines[i], _hypers(line))
+
+
+def test_refits_that_stay_put_make_no_fresh_factorization(monkeypatch):
+    """Once a selection has looked its trials up, refits whose ascent stays at
+    the same hyper-parameters extend the stored factors and factorize nothing."""
+    rng = np.random.default_rng(10)
+    xs = rng.uniform(0, 1, (26, 2))
+    obs = [Observation(tuple(float(v) for v in x), float(np.sin(3 * x[0]) + x[1])) for x in xs]
+    chosen = _hypers(GPState.fit(space_2d(), obs[:6]))
+    state = GPState(space_2d(), obs[:6], auto_hypers=True, hyper_start=chosen)
+    assert _hypers(state) == chosen
+    fresh = _counting_fresh_scores(monkeypatch)
+    for ob in obs[6:15]:
+        state = update(state, ob)
+        assert _hypers(state) == chosen
+    assert fresh == []
+
+
+def test_a_stored_trial_that_is_no_longer_positive_definite_scores_minus_inf():
+    """delta^2 = s2f + s2n - l.l <= 0: the trial scores -inf and leaves the store."""
+    Xn = np.array([[0.5], [0.5001], [0.4999]])
+    key = (0.4, 1.0, 1e-8)
+    factors = CholeskyStack()
+    # an identity factor is not K's on points this close, so l.l is about 2 s2f^2
+    factors.keep(Xn[:2], {key: 0.0}, {key: (CholeskyStack.pack(np.eye(2)), 0.0)})
+    scores = factors.extend(Xn, np.zeros(3), bo._bordering)
+    assert scores == {key: -math.inf}
+    factors.keep(Xn, scores, {})
+    assert factors.keys == []
+
+
+def test_update_rejects_earlier_observations_at_other_points():
+    obs = [Observation((0.1,), 1.0), Observation((0.5,), 2.0), Observation((0.9,), 0.5)]
+    state = GPState.fit(space_1d(), obs[:2])
+    new = Observation((0.3,), 1.5)
+    revised = [Observation(ob.x, 9.0) for ob in obs[:2]]
+    assert update(state, new, revised).observations == (*revised, new)
+    for earlier in (obs[1::-1], obs[:1], obs, [obs[0], obs[2]]):
+        with pytest.raises(ValueError, match="earlier observations"):
+            update(state, new, earlier)
 
 
 # --- expected improvement ----------------------------------------------------

@@ -198,6 +198,25 @@ def test_predict_energy_reproduces_5100pj_example(tmp_path, capsys):
     assert float(total_row.split(",")[-1]) == 5100.0
 
 
+@pytest.mark.parametrize("accesses, reason", [
+    ("f1 DRAM 50\nf1 RF 5\n", "accesses line 2: no level 'RF' in the energy spec"),
+    ("f1 DRAM -5\n", "accesses line 1: access count must be >= 0"),
+], ids=["unknown level", "negative count"])
+def test_predict_energy_names_the_accesses_line_of_a_bad_level_or_count(
+        tmp_path, capsys, accesses, reason):
+    net_path = tmp_path / "net.txt"
+    net_path.write_text("f1 fc in=1x10x1x1 out=10\n")
+    spec_path = tmp_path / "energy.txt"
+    spec_path.write_text(ENERGY_SPEC)
+    acc_path = tmp_path / "accesses.txt"
+    acc_path.write_text(accesses)
+    code, out, err = run(capsys, "predict", str(net_path), "--family", "energy",
+                         "--energy", str(spec_path), "--accesses", str(acc_path))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {reason}"), err
+    assert "Traceback" not in err
+
+
 def test_predict_requires_family_inputs(tmp_path, capsys):
     net_path = tmp_path / "net.txt"
     net_path.write_text(NETWORK_SPEC)

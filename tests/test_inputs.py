@@ -28,6 +28,7 @@ NETWORK_LAYERS = {layer.name for layer in parse_network(NETWORK).layers}
 DEVICE = "# workstation\npeak_flops = 1e12\nread_bandwidth = 4e9\nwrite_bandwidth = 2e9\n" \
          "ppp_compute = 0.5\nppp_io = 0.25\nbytes_per_element = 4\n"
 ENERGY = "e_mac = 1.5\nlevels = RF:0.5, DRAM:200\nbitwidth_reference = 16\n"
+ENERGY_LEVELS = {name for name, _ in analytic.parse_energy_spec(ENERGY).levels}
 ACCESSES = "# layer level count\nc1 RF 1200\nc1 DRAM 300\np1 DRAM 64\n"
 SPACE = {"dimensions": [{"name": "x1", "kind": "continuous", "lo": 0.0, "hi": 1.0},
                         {"name": "x2", "kind": "integer", "lo": 0, "hi": 4}],
@@ -86,7 +87,8 @@ CASES = {
     "energy": ("energy.txt", analytic.parse_energy_spec,
                lambda d, p: ["predict", d / "net.txt", "--family", "energy", "--energy", p],
                ENERGY_KEYS),
-    "accesses": ("accesses.txt", lambda text: cli._load_accesses(text, NETWORK_LAYERS),
+    "accesses": ("accesses.txt", lambda text: cli._load_accesses(text, NETWORK_LAYERS,
+                                                                    ENERGY_LEVELS),
                  lambda d, p: ["predict", d / "net.txt", "--family", "energy",
                                "--energy", d / "energy.txt", "--accesses", p], ()),
     "profile": ("synthetic_profile.csv", polyreg.read_profile_csv,
