@@ -180,7 +180,9 @@ class GPState:
     passes the previous state's choice, so a refit warm-starts from it,
     while a first fit (None) starts at the grid midpoints. Fixed-hyper
     states (auto_hypers=False) take lengthscales/variances in raw units and
-    keep them across updates.
+    keep them across updates. A state holds the Cholesky factor L of its
+    covariance and L^-1 of its (standardized) targets, both from one
+    bordered Cholesky, the one that scores a hyper-parameter trial.
 
     An auto state keeps the Cholesky factors of the trials its selection
     looked up (`_trial_factors`, a CholeskyStack). `update` takes them
@@ -234,9 +236,8 @@ class GPState:
             self.signal_var = signal_var
             self.noise_var = noise_var
 
-        self._chol, self.jitter = _factorize(self._xn, np.asarray(self.lengthscales),
-                                             self.signal_var, self.noise_var)
-        self._w = np.linalg.solve(self._chol, self._ys)   # L^-1 ys
+        self._chol, self._w, self.jitter = _factorize(   # L and L^-1 ys
+            self._xn, np.asarray(self.lengthscales), self.signal_var, self.noise_var, self._ys)
 
     @classmethod
     def fit(cls, space: SearchSpace, observations) -> "GPState":
@@ -244,12 +245,35 @@ class GPState:
         return cls(space, observations, auto_hypers=True)
 
 
-def _factorize(Xn: np.ndarray, lengthscales: np.ndarray, signal_var: float,
-               noise_var: float) -> tuple[np.ndarray, float]:
-    n = Xn.shape[0]
-    if n == 0:
-        return np.zeros((0, 0)), 0.0
-    K = _matern52(Xn, Xn, lengthscales, signal_var)
+def _bordered_cholesky(R: np.ndarray, ys: np.ndarray, signal_var: float,
+                       diag: float) -> tuple[np.ndarray, np.ndarray]:
+    """The Cholesky factor L of K = signal_var * R + diag * I and v = L^-1 ys,
+    both from one Cholesky of K bordered by ys, [[K, ys], [ys^T, inf]].
+
+    Only the last pivot reads the corner, and comes out inf, so for any
+    positive-definite K, noise-free included, the leading block is K's
+    factor and the last row is v. Raises LinAlgError when K is not positive
+    definite.
+    """
+    n = ys.shape[0]
+    A = np.empty((n + 1, n + 1))
+    np.multiply(signal_var, R, out=A[:n, :n])
+    A.flat[:n * (n + 1):n + 2] += diag
+    A[n, :n] = ys
+    A[:n, n] = ys
+    A[n, n] = math.inf
+    L = np.linalg.cholesky(A)
+    return L[:n, :n], L[n, :n]
+
+
+def _factorize(Xn: np.ndarray, lengthscales: np.ndarray, signal_var: float, noise_var: float,
+               ys: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(L, L^-1 ys, jitter): L is the Cholesky factor of K + jitter * I, with
+    K = signal_var * R + noise_var * I the covariance over the points Xn, and
+    both come from one `_bordered_cholesky`. The jitter is 0 unless K is not
+    positive definite or, with zero noise, Xn repeats a point (which warns).
+    """
+    R = _matern52(Xn, Xn, lengthscales, 1.0)   # the correlation
     jitter = 0.0
     if noise_var == 0.0 and _has_duplicates(Xn):
         jitter = 1e-8 * signal_var
@@ -257,8 +281,7 @@ def _factorize(Xn: np.ndarray, lengthscales: np.ndarray, signal_var: float,
                       f"adding jitter {jitter:g}", stacklevel=3)
     for _ in range(6):
         try:
-            L = np.linalg.cholesky(K + (noise_var + jitter) * np.eye(n))
-            return L, jitter
+            return (*_bordered_cholesky(R, ys, signal_var, noise_var + jitter), jitter)
         except np.linalg.LinAlgError:
             jitter = 1e-10 * signal_var if jitter == 0.0 else jitter * 100.0
     raise NumericalError(f"covariance not positive definite at jitter {jitter:g}")
@@ -270,29 +293,19 @@ def _has_duplicates(Xn: np.ndarray) -> bool:
 
 def _log_marginal_likelihood(R: np.ndarray, ys: np.ndarray, signal_var: float,
                              noise_var: float) -> tuple[float, np.ndarray | None]:
-    """log N(ys; 0, K) for K = signal_var * R + noise_var * I (noise_var > 0),
-    and K's Cholesky factor (None, with -inf, when K is not positive definite).
+    """log N(ys; 0, K) for K = signal_var * R + noise_var * I, and K's
+    Cholesky factor (None, with -inf, when K is not positive definite).
 
-    One Cholesky of K bordered by ys, [[K, ys], [ys^T, c]], scores a trial:
-    its leading block is K's factor L and its last row is v = L^-1 ys, so
-    the quadratic form ys^T K^-1 ys is v.v with no triangular solve. Since
-    v.v <= ys.ys / noise_var, the corner c = 1 + 2 ys.ys / noise_var keeps
-    the bordered matrix positive definite whenever K is.
+    The factor L and v = L^-1 ys come from one bordered Cholesky
+    (`_bordered_cholesky`), so the quadratic form ys^T K^-1 ys is v.v with
+    no triangular solve.
     """
-    n = ys.shape[0]
-    A = np.empty((n + 1, n + 1))
-    np.multiply(signal_var, R, out=A[:n, :n])
-    A.flat[:n * (n + 1):n + 2] += noise_var
-    A[n, :n] = ys
-    A[:n, n] = ys
-    A[n, n] = 1.0 + 2.0 * (ys @ ys) / noise_var
     try:
-        L = np.linalg.cholesky(A)
+        L, v = _bordered_cholesky(R, ys, signal_var, noise_var)
     except np.linalg.LinAlgError:
         return -math.inf, None
-    v = L[n, :n]
-    return (float(-0.5 * v @ v - np.log(L.diagonal()[:n]).sum() - 0.5 * n * math.log(2 * math.pi)),
-            L[:n, :n])
+    return (float(-0.5 * v @ v - np.log(L.diagonal()).sum()
+                  - 0.5 * ys.shape[0] * math.log(2 * math.pi)), L)
 
 
 def _bordering(keys, Xn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -97,6 +97,17 @@ def _write_manifest(out_dir: Path, subcommand: str, args_repr: list[str],
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
+def _only_for(args, choice: str, options: dict[str, tuple[str, ...]]) -> None:
+    """UsageError for an option given with a --`choice` value that does not
+    read it; `options` maps each value to the options only it reads."""
+    chosen = getattr(args, choice)
+    for value, names in options.items():
+        for name in names:
+            if value != chosen and getattr(args, name) is not None:
+                raise UsageError(f"--{name.replace('_', '-')} is read only by "
+                                 f"--{choice} {value}, not {chosen}")
+
+
 # --- subcommands -------------------------------------------------------------
 
 def _cmd_synth(args) -> int:
@@ -173,6 +184,8 @@ def _load_poly_models(models_dir: Path, target: polyreg.Target):
 
 
 def _cmd_predict(args) -> int:
+    _only_for(args, "family", {"poly": ("models_dir",), "paleo": ("device",),
+                               "energy": ("energy", "accesses", "sparsity", "bitwidth")})
     net_path = Path(args.network)
     net = parse_network(net_path.read_text(), name=net_path.stem)
     if args.family == "poly":
@@ -209,7 +222,7 @@ def _cmd_predict(args) -> int:
                  _fmt(rt.total_ms)] for name, rt in result.layers]
         rows.append(["total", "", "", "", _fmt(result.total_ms)])
         _print_table(["layer", "r_ms", "c_ms", "w_ms", "t_ms"], rows, args.format)
-    elif args.family == "energy":
+    else:  # energy
         if not args.energy:
             raise UsageError("--family energy requires --energy")
         from . import analytic
@@ -224,8 +237,6 @@ def _cmd_predict(args) -> int:
                 for name, e in result.layers]
         rows.append(["total", "", "", _fmt(result.total_pj)])
         _print_table(["layer", "e_comp_pj", "e_data_pj", "e_pj"], rows, args.format)
-    else:
-        raise UsageError(f"unknown family {args.family!r}")
     return EXIT_OK
 
 
@@ -342,6 +353,7 @@ def _load_space(text: str) -> bayesopt.SearchSpace:
 
 
 def _cmd_optimize(args) -> int:
+    _only_for(args, "objective", {"quadratic": ("center",), "command": ("command",)})
     from . import bayesopt, linmod
     space_path = Path(args.space)
     space = _load_space(space_path.read_text())

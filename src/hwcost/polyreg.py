@@ -246,20 +246,14 @@ def _design_matrix(layers: list[LayerConfig], terms: list[TermSpec]) -> np.ndarr
     return np.column_stack([cols.T, specials])
 
 
-def _kkt_violation(gram: np.ndarray, corr: np.ndarray, lambdas: np.ndarray,
-                   path: np.ndarray) -> np.ndarray:
-    """Largest KKT violation of each row of `path`, one row per lambda."""
+def _warn_off_kkt(gram: np.ndarray, corr: np.ndarray, lambdas: np.ndarray,
+                  path: np.ndarray, where: str) -> None:
+    """Warn (UserWarning) when a row of `path`, one row per lambda, misses its
+    KKT conditions by more than KKT_TOL; the warning names the worst row."""
     grad = path @ gram - corr
     lam = lambdas[:, None]
     violation = np.where(path != 0.0, np.abs(grad + lam * np.sign(path)),
-                         np.maximum(np.abs(grad) - lam, 0.0))
-    return violation.max(axis=1, initial=0.0)
-
-
-def _warn_off_kkt(gram: np.ndarray, corr: np.ndarray, lambdas: np.ndarray,
-                  path: np.ndarray, where: str) -> None:
-    """Warn (UserWarning) when a row of `path` misses KKT by more than KKT_TOL."""
-    violation = _kkt_violation(gram, corr, lambdas, path)
+                         np.maximum(np.abs(grad) - lam, 0.0)).max(axis=1, initial=0.0)
     worst = int(np.argmax(violation))
     if violation[worst] > KKT_TOL:
         warnings.warn(f"{where}: lasso solution at lambda {lambdas[worst]:.6g} violates "
@@ -280,34 +274,35 @@ def _lasso_homotopy(problems: list[tuple[np.ndarray, np.ndarray]],
     [a, d] = G_AA^-1 [c_A, s], so each grid row is exact. An inactive column j
     joins when its correlation c_j - G_jA b_A reaches +-lam (ties: lowest
     index) and stays if its Schur complement S_j against A exceeds SCHUR_TOL
-    (an exact copy of an active column, in A's span, does not). The join's
-    one solve, of the grown G_AA against [c_A, s, e_j], gives the next [a, d]
-    and reads S_j off (G_AA^-1)_jj = 1/S_j; a failed test or a singular G_AA
-    blocks j until the next accepted join or drop and keeps the [a, d] of the
-    unchanged A. An active coefficient reaching zero drops, with one solve
-    of the shrunk G_AA. A dropped column j needs no rule against rejoining
-    on its own side at once: with S > 0 its Schur complement against the
-    remaining set and d_j its old slope (s_j d_j < 0, as it was falling to
-    zero), its new slope has s_j q_j = 1 + S |d_j| > 1, so the s*q < 1 mask
-    below already excludes that side (Efron et al. 2004, sec. 3).
+    (an exact copy of an active column, in A's span, does not). An active
+    coefficient reaching zero drops. Either event changes A first and then
+    makes one solve, the same for both, of the new G_AA against [c_A, s, e],
+    where e is zero but for a joining column's 1: it gives the next [a, d],
+    and a join reads S_j off (G_AA^-1)_jj = 1/S_j. A failed test or a
+    singular G_AA blocks j until the next accepted join or drop and keeps
+    the [a, d] of the unchanged A. A dropped column j needs no rule against
+    rejoining on its own side at once: with S > 0 its Schur complement
+    against the remaining set and d_j its old slope (s_j d_j < 0, as it was
+    falling to zero), its new slope has s_j q_j = 1 + S |d_j| > 1, so the
+    s*q < 1 mask below already excludes that side (Efron et al. 2004,
+    sec. 3).
 
     The paths step in lockstep, one event each per pass. The per-column work
     of a pass runs once for all of them, on arrays padded to the widest
     problem (a padded column is never free and has no coefficient); a done
-    path stays in the batch, skipped, until all are. Each path keeps its own
-    G_jA [a, d] product, formed after an accepted join or drop, grid rows,
-    event, solve and event bound, so it is the path it would be alone, bit
-    for bit.
+    path stays in the batch, skipped, until all are, and an empty problem is
+    done on the first pass. Each path keeps its own G_jA [a, d] product,
+    formed after an accepted join or drop, grid rows, event, solve and event
+    bound, so it is the path it would be alone, bit for bit.
     """
     out = [np.zeros((len(lambdas), len(c))) for _, c in problems]
-    todo = [f for f, (_, c) in enumerate(problems) if len(c)]
-    if not todo:
+    sizes = [len(c) for _, c in problems]
+    n, width = len(problems), max(sizes, default=0)
+    if not width:
         return out
-    sizes = [len(problems[f][1]) for f in todo]
-    n, width = len(todo), max(sizes)
     corr = np.zeros((n, width))
-    for b, f in enumerate(todo):
-        corr[b, :sizes[b]] = problems[f][1]
+    for b, (_, c) in enumerate(problems):
+        corr[b, :sizes[b]] = c
     # path b's active set, in join order, is active[b, :ks[b]], with the Gram
     # columns cols[b][:, :ks[b]] and rows [c_j, s_j, 0] of rhs[b, :ks[b]] (a
     # joining column's ends in 1); events change them
@@ -347,11 +342,11 @@ def _lasso_homotopy(problems: list[tuple[np.ndarray, np.ndarray]],
         leaving = to_zero.argmin(axis=1).tolist()
         joining = (to_join <= (t_join + 1e-12 * lam)[:, None]).argmax(axis=1).tolist()
         for b in np.flatnonzero(~done).tolist():
-            f, k, row, end = todo[b], ks[b], rows[b], ends[b]
+            k, row, end = ks[b], rows[b], ends[b]
             idx = active[b]
             if end > row:
                 coef = a[b, :k] - lambdas[row:end, None] * d[b, :k]
-                out[f][row:end, idx[:k]] = np.where(coef * s[b, :k] > 0.0, coef, 0.0)
+                out[b][row:end, idx[:k]] = np.where(coef * s[b, :k] > 0.0, coef, 0.0)
             if end == len(lambdas) or step == bound[b]:
                 done[b] = True
                 continue
@@ -362,9 +357,7 @@ def _lasso_homotopy(problems: list[tuple[np.ndarray, np.ndarray]],
                 rhs[b, i:k - 1] = rhs[b, i + 1:k]
                 cols[b][:, i:k - 1] = cols[b][:, i + 1:k]
                 k -= 1
-                ad[b, :k] = np.linalg.solve(cols[b][idx[:k], :k], rhs[b, :k, :2])
                 ad[b, k] = 0.0
-                inactive[b, j] = True
             else:
                 j = joining[b]
                 free[b, j] = False
@@ -372,17 +365,18 @@ def _lasso_homotopy(problems: list[tuple[np.ndarray, np.ndarray]],
                 # the sides tie only where r = lam*q, which gives t = lam: the path
                 # has ended there, so `<=` or `<` cannot change a returned row
                 rhs[b, k] = corr[b, j], 1.0 if to_side[b, 0, j] <= to_side[b, 1, j] else -1.0, 1.0
-                cols[b][:, k] = problems[f][0][:, j]
-                try:
-                    x = np.linalg.solve(cols[b][idx[:k + 1], :k + 1], rhs[b, :k + 1])
-                except np.linalg.LinAlgError:
-                    x = np.full((k + 1, 3), np.nan)
-                rhs[b, k, 2] = 0.0
-                if not 1.0 / x[k, 2] > SCHUR_TOL:  # blocked: free again after a join or drop
-                    continue
+                cols[b][:, k] = problems[b][0][:, j]
                 k += 1
-                ad[b, :k] = x[:, :2]
-                inactive[b, j] = False
+            try:
+                x = np.linalg.solve(cols[b][idx[:k], :k], rhs[b, :k])
+            except np.linalg.LinAlgError:
+                x = np.full((k, 3), np.nan)
+            if not drop[b]:
+                rhs[b, k - 1, 2] = 0.0
+                if not 1.0 / x[k - 1, 2] > SCHUR_TOL:  # blocked: free again after a join or drop
+                    continue
+            ad[b, :k] = x[:, :2]
+            inactive[b, j] = drop[b]
             free[b] = inactive[b]
             ks[b] = k
             np.matmul(cols[b][:, :k], ad[b, :k], out=gq[b, :sizes[b]])
@@ -638,9 +632,16 @@ PROFILE_HEADER = ("kind", "batch", "in_c", "in_h", "in_w", "k_h", "k_w", "stride
 
 @dataclass(frozen=True)
 class ProfileSample:
+    """One profiled layer; a measurement is None when not taken, else > 0."""
+
     layer: LayerConfig
     runtime_ms: float | None
     power_w: float | None
+
+    def __post_init__(self):
+        for name, value in (("runtime_ms", self.runtime_ms), ("power_w", self.power_w)):
+            if value is not None and not value > 0:
+                raise ValueError(f"measured {name} must be > 0, got {value!r}")
 
 
 def _opt_int(value: str) -> int | None:

@@ -393,6 +393,29 @@ def test_a_stored_trial_that_is_no_longer_positive_definite_scores_minus_inf():
     assert factors.keys == []
 
 
+@pytest.mark.parametrize("noise_var", [0.0, 1e-6])
+@pytest.mark.parametrize("n", [0, 1, 7, 64, 130])
+def test_bordered_cholesky_gives_the_factor_and_its_forward_solve(n, noise_var):
+    """For a positive-definite K = s2f R + noise I, noise-free included, the
+    +inf corner leaves K's factor L and v = L^-1 ys to read off."""
+    rng = np.random.default_rng(n)
+    Xn = rng.uniform(0, 1, (n, 3))
+    R = bo._matern52(Xn, Xn, np.full(3, 0.2), 1.0)
+    ys = rng.standard_normal(n)
+    L, v = bo._bordered_cholesky(R, ys, 2.0, noise_var)
+    K = 2.0 * R + noise_var * np.eye(n)
+    assert L.shape == (n, n) and v.shape == (n,)
+    assert np.array_equal(L, np.tril(L)) and np.all(L.diagonal() > 0.0)
+    assert np.abs(L @ L.T - K).max(initial=0.0) <= 1e-12 * np.abs(K).max(initial=0.0)
+    assert np.abs(L @ v - ys).max(initial=0.0) <= 1e-12 * np.abs(ys).max(initial=0.0)
+
+
+def test_bordered_cholesky_rejects_a_k_that_is_not_positive_definite():
+    R = np.array([[1.0, 1.5, 0.0], [1.5, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(np.linalg.LinAlgError):
+        bo._bordered_cholesky(R, np.ones(3), 1.0, 0.0)
+
+
 def test_update_rejects_earlier_observations_at_other_points():
     obs = [Observation((0.1,), 1.0), Observation((0.5,), 2.0), Observation((0.9,), 0.5)]
     state = GPState.fit(space_1d(), obs[:2])

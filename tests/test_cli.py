@@ -656,3 +656,33 @@ def test_a_flag_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, com
     code, out, err = run(capsys, *argv, *flag)
     assert code == 1 and out == "" and "Traceback" not in err
     assert err.splitlines()[-1] == f"error: unrecognized arguments: {' '.join(flag)}"
+
+
+PALEO = ["predict", "{net}", "--family", "paleo", "--device", "{device}"]
+ENERGY = ["predict", "{net}", "--family", "energy", "--energy", "{energy}"]
+POLY = ["predict", "{net}", "--family", "poly", "--models-dir", "{d}"]
+
+
+@pytest.mark.parametrize("command, option", [
+    (PALEO, ["--sparsity", "0.5"]), (PALEO, ["--bitwidth", "8"]),
+    (PALEO, ["--energy", "{energy}"]), (PALEO, ["--models-dir", "{d}"]),
+    (ENERGY, ["--device", "{device}"]), (ENERGY, ["--models-dir", "{d}"]),
+    (POLY, ["--device", "{device}"]), (POLY, ["--accesses", "{net}"]),
+    (["optimize", "{space}", "--objective", "branin", "--budget", "5", "--output-dir", "{d}"],
+     ["--center", "0.5"]),
+    (["optimize", "{space}", "--objective", "quadratic", "--budget", "5", "--output-dir", "{d}"],
+     ["--command", "echo", "1"]),
+])
+def test_an_option_the_family_or_objective_does_not_read_is_a_usage_error(tmp_path, capsys,
+                                                                           command, option):
+    """Each --family of predict and each --objective of optimize reads only its
+    own options: with another's, the command exits 1 naming the option."""
+    for name, text in (("net.txt", NETWORK_SPEC), ("device.txt", DEVICE_SPEC),
+                       ("energy.txt", ENERGY_SPEC), ("space.json", json.dumps(SPACE_SPEC))):
+        (tmp_path / name).write_text(text)
+    paths = {"d": tmp_path, "net": tmp_path / "net.txt", "device": tmp_path / "device.txt",
+             "energy": tmp_path / "energy.txt", "space": tmp_path / "space.json"}
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in command + option))
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err.startswith(f"error: {option[0]} is read only by {command[2]} ")
+    assert err.endswith(f", not {command[3]}\n") and len(err.splitlines()) == 1

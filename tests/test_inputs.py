@@ -197,6 +197,16 @@ MOTIVATION = {
                             "profiled CSV row 3"),
     "profile runtime nan": (CASES["profile"][2], "profile.csv", _synth_profile_with_nan_line_15,
                             "profile CSV row 15"),
+    # a measured value <= 0
+    "profile runtime -1.5": (CASES["profile"][2], "profile.csv",
+                             _synth_profile_with_line_15("fc,1,16,,,,,,,,8,-1.5,2.0"),
+                             "profile CSV row 15"),
+    "profile runtime 0": (CASES["profile"][2], "profile.csv",
+                          _synth_profile_with_line_15("fc,1,16,,,,,,,,8,0.0,2.0"),
+                          "profile CSV row 15"),
+    "profile power -0": (CASES["profile"][2], "profile.csv",
+                         _synth_profile_with_line_15("pool,1,4,8,8,2,2,2,0,,,1.0,-0"),
+                         "profile CSV row 15"),
     # a cell the row's kind does not take, or a zero or blank input extent
     "profile pool out_c": (CASES["profile"][2], "profile.csv",
                            _synth_profile_with_line_15("pool,1,4,8,8,2,2,2,0,4,,1.0,2.0"),

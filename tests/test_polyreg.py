@@ -329,8 +329,9 @@ def test_design_matrix_bit_exact_with_per_term_product(kind, samples):
 def _traced_paths(monkeypatch, gram, corr, lambdas):
     """The reference path and the count of its accepted joins and drops (the
     active set grows or shrinks from one event to the next), then the homotopy
-    path with its np.linalg.solve calls, the join attempts among them (three
-    right-hand sides) that failed the Schur test, and the singular ones."""
+    path with its np.linalg.solve calls, the join attempts among them (the
+    right side's last row is [c_j, s_j, 1]) that failed the Schur test, and
+    the singular ones."""
     sizes, solves, failed, singular = [], [], [], []
     cholesky, solve = np.linalg.cholesky, np.linalg.solve
 
@@ -346,7 +347,7 @@ def _traced_paths(monkeypatch, gram, corr, lambdas):
             singular.append(b.shape)
             failed.append(b.shape)
             raise
-        if b.shape[1:] == (3,) and not 1.0 / x[-1, 2] > polyreg.SCHUR_TOL:
+        if len(b) and b[-1, 2] == 1.0 and not 1.0 / x[-1, 2] > polyreg.SCHUR_TOL:
             failed.append(b.shape)
         return x
 
@@ -420,6 +421,44 @@ def test_homotopy_solves_once_per_event(monkeypatch):
         assert solves == changes + failed
         blocked += failed
     assert blocked > 0
+
+
+def test_a_drop_and_a_join_make_the_same_solve(monkeypatch):
+    """Every G_AA solve, after a drop or a join attempt, blocked or not, takes
+    the three right sides [c_A, s, e], where e is zero but for the last row of
+    a join attempt, which is [c_j, s_j, 1]; over the copies path and a 3-fold
+    pool batch, which have both drops and blocked joins."""
+    kind, samples = LayerKind.POOL2D, _synth_pool_power(11000)
+    terms = enumerate_terms(len(polyreg._SCHEMAS[kind]), polyreg.DEFAULT_DEGREE[kind])
+    design = polyreg._design_matrix([layer for layer, _ in samples], terms)
+    y = np.array([value for _, value in samples])
+    fold_of = kfold_indices(len(y), 3, 1)
+    folds = [polyreg._lasso_problem(design[fold_of != k], y[fold_of != k])[:2] for k in range(3)]
+    gram, corr, lambdas = _copies_problem()
+    sides = []
+    solve = np.linalg.solve
+
+    def recorded(a, b):
+        sides.append(b.copy())
+        return solve(a, b)
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "solve", recorded)
+        polyreg._lasso_homotopy([(gram, corr)], lambdas)
+        polyreg._lasso_homotopy(folds, polyreg._lambda_grid(polyreg._lasso_problem(design, y)[1]))
+    assert all(b.ndim == 2 and b.shape[1] == 3 for b in sides)
+    assert all(np.all(b[:-1, 2] == 0.0) and b[-1, 2] in (0.0, 1.0) for b in sides if len(b))
+    joins = [b for b in sides if len(b) and b[-1, 2] == 1.0]
+    assert all(abs(b[-1, 1]) == 1.0 for b in joins)
+    assert len(joins) > len(sides) - len(joins) > 0
+
+
+def test_batches_of_no_problems_or_only_empty_ones():
+    """No problems give no paths, and empty problems alone their zero-width paths."""
+    lambdas = np.geomspace(1.0, 1e-3, 7)
+    assert polyreg._lasso_homotopy([], lambdas) == []
+    empty = (np.zeros((0, 0)), np.zeros(0))
+    assert [path.shape for path in polyreg._lasso_homotopy([empty, empty], lambdas)] == [(7, 0)] * 2
 
 
 def _one_by_one(problems, lambdas):
