@@ -4,7 +4,8 @@ Subcommands: fit, predict, optimize, compare-reference, synth, sample,
 fit-linear. Every command is deterministic given its inputs and, where it
 takes one, --seed; all randomness flows through one counter-based generator
 (Philox). Exit codes: 0 success, 1 usage/parse error, 2
-infeasible-everywhere, 3 numerical failure.
+infeasible-everywhere, 3 numerical failure. A command that writes files
+writes them, then its manifest, only once its work has succeeded.
 
 Each command imports only the hwcost modules it runs, so start-up stays
 small: `predict --family paleo|energy`, `compare-reference` and `--version`
@@ -58,6 +59,27 @@ def _finite_arg(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _fraction_arg(text: str) -> float:
+    """argparse type for a finite number in [0, 1]."""
+    value = _finite_arg(text)
+    if not 0 <= value <= 1:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {value!r}")
+    return value
+
+
+def _int_arg(minimum: int):
+    """argparse type for an integer >= `minimum`."""
+    def at_least(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    return at_least
+
+
 def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
@@ -84,14 +106,21 @@ def _digest(parts: list[str], files: list[Path]) -> str:
     return sha.hexdigest()
 
 
-def _write_manifest(out_dir: Path, subcommand: str, args_repr: list[str],
-                    inputs: list[Path], outputs: list[Path], seed: int) -> None:
+def _write_outputs(args, texts: dict[str, str], args_repr: list[str],
+                   inputs: list[Path]) -> None:
+    """Create --output-dir, write each of `texts` (file name -> text) in
+    order, then the manifest naming them. A command calls this once, after
+    its work has succeeded, so a run that fails leaves no directory."""
+    out_dir = Path(args.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in texts.items():
+        (out_dir / name).write_text(text)
     manifest = {
-        "subcommand": subcommand,
+        "subcommand": args.subcommand,
         "inputs": [str(p) for p in inputs],
-        "outputs": [str(p.name) for p in outputs],
-        "seed": seed,
-        "config_digest": _digest(args_repr + [str(seed), __version__], inputs),
+        "outputs": list(texts),
+        "seed": args.seed,
+        "config_digest": _digest(args_repr + [str(args.seed), __version__], inputs),
         "version": __version__,
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
@@ -120,14 +149,10 @@ def _cmd_synth(args) -> int:
         config = dataclasses.replace(config, count=args.count)
     if args.noise is not None:
         config = dataclasses.replace(config, noise=args.noise)
-    out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / "synthetic_profile.csv"
-    out_path.write_text(synth.generate_csv(config, args.seed))
-    inputs = [Path(args.config)] if args.config else []
-    _write_manifest(out_dir, "synth", [f"count={config.count}", f"noise={config.noise}"],
-                    inputs, [out_path], args.seed)
-    print(f"wrote {out_path}")
+    _write_outputs(args, {"synthetic_profile.csv": synth.generate_csv(config, args.seed)},
+                   [f"count={config.count}", f"noise={config.noise}"],
+                   [Path(args.config)] if args.config else [])
+    print(f"wrote {Path(args.output_dir) / 'synthetic_profile.csv'}")
     return EXIT_OK
 
 
@@ -144,10 +169,8 @@ def _cmd_fit(args) -> int:
     samples = polyreg.read_profile_csv(csv_path.read_text())
     config = polyreg.FitConfig(degree=args.degree, l1_strength=args.l1,
                                cv_folds=args.folds, seed=args.seed)
-    out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    outputs = []
+    texts = {}
     for kind, kind_samples in sorted(_models_by_kind(samples).items(), key=lambda kv: kv[0].value):
         for target in (polyreg.Target.RUNTIME_MS, polyreg.Target.POWER_W):
             pairs = [(s.layer, getattr(s, target.value)) for s in kind_samples
@@ -159,17 +182,14 @@ def _cmd_fit(args) -> int:
             except polyreg.FitError as exc:
                 print(f"warning: skipping {kind.value}/{target.value}: {exc}", file=sys.stderr)
                 continue
-            path = out_dir / f"model_{kind.value}_{target.value}.json"
-            path.write_text(polyreg.model_to_json(model))
-            outputs.append(path)
+            texts[f"model_{kind.value}_{target.value}.json"] = polyreg.model_to_json(model)
             rows.append([kind.value, target.value, str(model.size),
                          _fmt(metrics.rmspe), _fmt(metrics.rmse)])
-    if not outputs:
+    if not texts:
         raise UsageError("no (kind, target) had enough samples to fit")
+    _write_outputs(args, texts, [f"degree={args.degree}", f"l1={args.l1}", f"folds={args.folds}"],
+                   [csv_path])
     _print_table(["kind", "target", "size", "cv_rmspe_pct", "cv_rmse"], rows, args.format)
-    _write_manifest(out_dir, "fit", [f"degree={args.degree}", f"l1={args.l1}",
-                                     f"folds={args.folds}"],
-                    [csv_path], outputs, args.seed)
     return EXIT_OK
 
 
@@ -288,15 +308,11 @@ def _cmd_sample(args) -> int:
     from . import linmod
     schema = _load_schema(Path(args.schema).read_text())
     points = linmod.offline_sample(schema, args.count, args.seed)
-    out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / "samples.csv"
     lines = [",".join(schema.names)]
     lines += [",".join(str(v) for v in point.z) for point in points]
-    out_path.write_text("\n".join(lines) + "\n")
-    _write_manifest(out_dir, "sample", [f"count={args.count}"], [Path(args.schema)],
-                    [out_path], args.seed)
-    print(f"wrote {out_path}")
+    _write_outputs(args, {"samples.csv": "\n".join(lines) + "\n"}, [f"count={args.count}"],
+                   [Path(args.schema)])
+    print(f"wrote {Path(args.output_dir) / 'samples.csv'}")
     return EXIT_OK
 
 
@@ -320,24 +336,20 @@ def _load_schema(text: str) -> linmod.StructuralSchema:
 def _cmd_fit_linear(args) -> int:
     from . import linmod
     points = linmod.read_profiled_csv(Path(args.profile).read_text())
-    out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    outputs = []
+    texts = {}
     for target, filename in ((linmod.LinTarget.POWER_W, "linear_power.json"),
                              (linmod.LinTarget.MEMORY_MB, "linear_memory.json")):
         model = linmod.fit_linear(points, target, folds=args.folds, seed=args.seed,
                                   include_bias=args.bias)
-        path = out_dir / filename
-        path.write_text(linmod.model_to_json(model))
-        outputs.append(path)
+        texts[filename] = linmod.model_to_json(model)
         mean_cv = sum(model.cv_report) / len(model.cv_report)
         rows.append([target.value,
                      " ".join(_fmt(w) for w in model.weights),
                      _fmt(mean_cv)])
+    _write_outputs(args, texts, [f"folds={args.folds}", f"bias={args.bias}"],
+                   [Path(args.profile)])
     _print_table(["target", "weights", "mean_cv_rmspe_pct"], rows, args.format)
-    _write_manifest(out_dir, "fit-linear", [f"folds={args.folds}", f"bias={args.bias}"],
-                    [Path(args.profile)], outputs, args.seed)
     return EXIT_OK
 
 
@@ -391,25 +403,21 @@ def _cmd_optimize(args) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    trace_path, summary_path = out_dir / "trace.csv", out_dir / "summary.json"
-    trace_path.write_text(trace.csv_text())
     summary = {"status": "infeasible", "best_y": None, "best_x": None,
                "iterations_to_best": None, "budget": args.budget, "seed": args.seed}
     if best is not None:
         summary.update(status="ok", best_y=best.y, best_x=list(best.x),
                        iterations_to_best=next(r.iteration for r in trace.records
                                                if r.best_y == best.y))
-    summary_path.write_text(json.dumps(summary, indent=2) + "\n")
     config_repr = [f"budget={args.budget}", f"objective={args.objective}",
                    f"center={args.center}", f"noise={args.noise}",
                    f"candidates={candidates}",
                    f"power_budget={args.power_budget}",
                    f"memory_budget={args.memory_budget}",
                    f"command={args.command}"]
-    _write_manifest(out_dir, "optimize", config_repr, inputs, [trace_path, summary_path],
-                    args.seed)
+    _write_outputs(args, {"trace.csv": trace.csv_text(),
+                          "summary.json": json.dumps(summary, indent=2) + "\n"},
+                   config_repr, inputs)
     if best is None:
         print("no feasible point found; full trace written")
         return EXIT_INFEASIBLE
@@ -434,7 +442,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("synth", help="generate a synthetic profiling CSV")
     writes_files(p)
     p.add_argument("--config", help="JSON generator config (defaults built in)")
-    p.add_argument("--count", type=int, help="samples per layer kind")
+    p.add_argument("--count", type=_int_arg(1), help="samples per layer kind")
     p.add_argument("--noise", type=_finite_arg, help="multiplicative noise sigma")
     p.set_defaults(func=_cmd_synth)
 
@@ -442,9 +450,9 @@ def _build_parser() -> _Parser:
     writes_files(p)
     prints_table(p)
     p.add_argument("profile")
-    p.add_argument("--degree", type=int, default=None)
+    p.add_argument("--degree", type=_int_arg(1), default=None)
     p.add_argument("--l1", type=_finite_arg, default=None, help="fixed L1 strength (default: CV)")
-    p.add_argument("--folds", type=int, default=10)
+    p.add_argument("--folds", type=_int_arg(2), default=10)
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("predict", help="predict per-layer and total costs for a network")
@@ -455,8 +463,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--device")
     p.add_argument("--energy")
     p.add_argument("--accesses", help="per-layer access overrides: 'layer level count' lines")
-    p.add_argument("--sparsity", type=float, default=None)
-    p.add_argument("--bitwidth", type=int, default=None)
+    p.add_argument("--sparsity", type=_fraction_arg, default=None)
+    p.add_argument("--bitwidth", type=_int_arg(1), default=None)
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("compare-reference", help="print embedded published comparison tables")
@@ -466,14 +474,14 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("sample", help="offline-sample structural points from a schema")
     writes_files(p)
     p.add_argument("schema", help="JSON schema: dimensions with name/lo/hi")
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=_int_arg(1), default=100)
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("fit-linear", help="fit linear power/memory models from a profiled CSV")
     writes_files(p)
     prints_table(p)
     p.add_argument("profile")
-    p.add_argument("--folds", type=int, default=10)
+    p.add_argument("--folds", type=_int_arg(2), default=10)
     p.add_argument("--bias", action="store_true", help="append a constant-1 feature")
     p.set_defaults(func=_cmd_fit_linear)
 
@@ -487,7 +495,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--command", nargs=argparse.REMAINDER,
                    help="external objective command (reads x CSV line on stdin)")
     p.add_argument("--budget", type=int, required=True)
-    p.add_argument("--candidates", type=int)
+    p.add_argument("--candidates", type=_int_arg(1))
     p.add_argument("--power-model")
     p.add_argument("--memory-model")
     p.add_argument("--power-budget", type=_finite_arg)

@@ -33,6 +33,9 @@ CV_LAMBDA_FLOOR = 1e-4  # relative to the smallest lambda that zeroes everything
 SCHUR_TOL = 1e-10       # a column this close to the active columns' span cannot join
 KKT_TOL = 1e-9          # a fitted model whose lasso solution misses KKT by more warns
 DEFAULT_DEGREE = {LayerKind.CONV2D: 3, LayerKind.FULLY_CONNECTED: 2, LayerKind.POOL2D: 2}
+# a fit holds one Gram matrix per CV fold and one for the final fit; a degree
+# whose matrices would need more is refused (conv fits up to degree 6 at 10 folds)
+MAX_GRAM_BYTES = 1 << 30
 
 
 class Target(Enum):
@@ -475,10 +478,18 @@ def fit_with_metrics(samples: list[tuple[LayerConfig, float]], config: FitConfig
     seed-derived, the lambda grid follows from the data, and each lasso
     solution is read off an exact homotopy path. Warns (UserWarning) when a
     fold path or the final solution misses its KKT conditions by more than
-    KKT_TOL.
+    KKT_TOL. Raises ValueError, before building anything, when the degree's
+    Gram matrices would need more than MAX_GRAM_BYTES.
     """
     _check_samples(samples, config, kind)
     degree = config.resolved_degree(kind)
+    columns = math.comb(len(_SCHEMAS[kind]) + degree, degree) + len(SPECIAL_TERMS)
+    gram_bytes = (config.cv_folds + 1) * columns ** 2 * 8
+    if gram_bytes > MAX_GRAM_BYTES:
+        raise ValueError(f"degree {degree} gives {kind.value} models {columns} columns: the "
+                         f"{config.cv_folds + 1} Gram matrices of a {config.cv_folds}-fold fit "
+                         f"need {gram_bytes / 2 ** 30:.1f} GiB, more than the "
+                         f"{MAX_GRAM_BYTES / 2 ** 30:g} GiB limit")
     layers = [layer for layer, _ in samples]
     y = np.array([value for _, value in samples], dtype=float)
     terms = enumerate_terms(len(_SCHEMAS[kind]), degree)

@@ -16,9 +16,13 @@ _MASK64 = (1 << 64) - 1
 def generator(seed: int, *tags: int) -> np.random.Generator:
     """Deterministic generator for (seed, tags).
 
-    Tags isolate independent random streams (e.g. per-iteration candidate
-    draws) without consuming state from one another. Negative seeds map to
-    their unsigned 64-bit representation.
+    Tags separate the streams drawn for one seed (e.g. per-iteration
+    candidate draws) without consuming state from one another. They do not
+    separate streams across seeds: SeedSequence joins (seed, *tags) as
+    32-bit words and pads them with zero words, so a trailing 0 tag is no
+    tag (generator(5, 0) draws what generator(5) draws), and
+    generator(3, 0xF01D) draws what generator(3 | 0xF01D << 32) draws.
+    Negative seeds map to their unsigned 64-bit representation.
     """
     entropy = tuple(int(v) & _MASK64 for v in (seed,) + tags)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))

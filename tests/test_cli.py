@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -686,3 +687,150 @@ def test_an_option_the_family_or_objective_does_not_read_is_a_usage_error(tmp_pa
     assert code == 1 and out == "" and "Traceback" not in err
     assert err.startswith(f"error: {option[0]} is read only by {command[2]} ")
     assert err.endswith(f", not {command[3]}\n") and len(err.splitlines()) == 1
+
+
+
+def _profiled(tmp_path, points):
+    """A profiled-point CSV over (x1, x2) with power and memory linear in them."""
+    path = tmp_path / "profiled.csv"
+    rows = [f"{a},{b},{0.5 * a + 2.0 * b + 1.0},{3.0 * a + 0.25 * b + 1.0}" for a, b in points]
+    path.write_text("\n".join(["x1,x2,power_w,memory_mb", *rows]) + "\n")
+    return path
+
+
+def _write_inputs(tmp_path):
+    """One valid file of each input the writing commands read, by name."""
+    paths = {"net": tmp_path / "net.txt", "energy": tmp_path / "energy.txt",
+             "space": tmp_path / "space.json", "schema": tmp_path / "schema.json",
+             "out": tmp_path / "out"}
+    for name, text in (("net", NETWORK_SPEC), ("energy", ENERGY_SPEC),
+                       ("space", json.dumps(SPACE_SPEC)), ("schema", json.dumps(SCHEMA_SPEC))):
+        paths[name].write_text(text)
+    paths["profiled"] = _profiled(tmp_path, [(a, b) for a in range(1, 4) for b in range(1, 5)])
+    paths["profile"] = _profile(tmp_path, dict.fromkeys(LayerKind, 8))
+    return paths
+
+
+WRITING = {
+    "synth": ["synth", "--count", "5", "--output-dir", "{out}"],
+    "fit": ["fit", "{profile}", "--folds", "3", "--output-dir", "{out}"],
+    "sample": ["sample", "{schema}", "--count", "5", "--output-dir", "{out}"],
+    "fit-linear": ["fit-linear", "{profiled}", "--folds", "3", "--output-dir", "{out}"],
+    "optimize": ["optimize", "{space}", "--budget", "5", "--output-dir", "{out}"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(WRITING))
+def test_a_command_writes_after_its_work_and_the_manifest_last(monkeypatch, tmp_path, capsys,
+                                                               command):
+    """The output directory is made only once every model is fitted; the
+    manifest's `outputs` are the directory's other files, in write order."""
+    paths = _write_inputs(tmp_path)
+    events = []
+
+    def log(owner, name, event):
+        original = getattr(owner, name)
+
+        def logged(*args, **kwargs):
+            events.append(event(args[0]))
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, logged)
+
+    log(Path, "write_text", lambda path: path.name)
+    log(Path, "mkdir", lambda path: "mkdir")
+    log(polyreg, "fit_with_metrics", lambda samples: "fit")
+    log(linmod, "fit_linear", lambda points: "fit")
+    code, _, err = run(capsys, *(arg.format(**paths) for arg in WRITING[command]))
+    assert code == 0, err
+    manifest = json.loads((paths["out"] / "manifest.json").read_text())
+    assert manifest["subcommand"] == command and manifest["outputs"]
+    assert sorted(p.name for p in paths["out"].iterdir()) == \
+        sorted(manifest["outputs"] + ["manifest.json"])
+    assert events[events.index("mkdir"):] == ["mkdir", *manifest["outputs"], "manifest.json"]
+
+
+# input written into the test's directory, argv reading it, exit code, last stderr line
+FAILING = {
+    "fit with too few rows for its folds": (
+        lambda d: _profile(d, dict.fromkeys(LayerKind, 5)), ["fit", "{input}", "--folds", "3"],
+        1, "error: no (kind, target) had enough samples to fit"),
+    # without the bound, this fit asks for 17.6 GiB of Gram matrices
+    "fit at a degree past the memory bound": (
+        lambda d: _profile(d, {LayerKind.CONV2D: 20}),
+        ["fit", "{input}", "--folds", "3", "--degree", "9"],
+        1, "error: degree 9 gives conv models 24312 columns: the 4 Gram matrices of a 3-fold "
+           "fit need 17.6 GiB, more than the 1 GiB limit"),
+    "fit-linear on a rank-deficient profile": (  # x2 = 2 x1 on every row
+        lambda d: _profiled(d, [(a, 2 * a) for a in range(1, 7)]),
+        ["fit-linear", "{input}", "--folds", "3"],
+        1, "error: rank-deficient design; unidentifiable dimension(s): x1, x2"),
+    "fit-linear with fewer points than folds": (
+        lambda d: _profiled(d, [(1, 2), (2, 1), (3, 5), (4, 4)]), ["fit-linear", "{input}"],
+        1, "error: need at least 10 points, got 4"),
+    "optimize with a numerical failure": (
+        lambda d: _write_inputs(d)["space"], ["optimize", "{input}", "--budget", "10"],
+        3, "numerical failure: covariance not positive definite at jitter 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILING))
+def test_a_command_that_fails_writes_nothing(monkeypatch, tmp_path, capsys, case):
+    from hwcost.bayesopt import NumericalError
+
+    def boom(*args, **kwargs):
+        raise NumericalError("covariance not positive definite at jitter 1")
+
+    monkeypatch.setattr("hwcost.bayesopt.bo_run", boom)  # only optimize calls it
+    write, argv, want, message = FAILING[case]
+    path, out_dir = write(tmp_path), tmp_path / "written"
+    code, out, err = run(capsys, *(arg.format(input=path) for arg in argv),
+                         "--output-dir", str(out_dir))
+    assert code == want and out == "" and "Traceback" not in err
+    assert err.splitlines()[-1] == message
+    assert not out_dir.exists()
+
+
+def test_an_infeasible_search_writes_its_trace_summary_and_manifest(tmp_path, capsys):
+    paths = _write_inputs(tmp_path)
+    models = []
+    for target, weights in ((linmod.LinTarget.POWER_W, (1.0, 1.0)),
+                            (linmod.LinTarget.MEMORY_MB, (1.0, 0.0))):
+        models.append(tmp_path / f"{target.value}.json")
+        models[-1].write_text(linmod.model_to_json(
+            linmod.LinearModel(("x1", "x2"), weights, target)))
+    code, out, err = run(capsys, "optimize", str(paths["space"]), "--budget", "6",
+                         "--power-model", str(models[0]), "--memory-model", str(models[1]),
+                         "--power-budget", "1e-6", "--memory-budget", "10",
+                         "--output-dir", str(paths["out"]))
+    assert code == 2, err
+    assert out == "no feasible point found; full trace written\n"
+    assert sorted(p.name for p in paths["out"].iterdir()) == \
+        ["manifest.json", "summary.json", "trace.csv"]
+    manifest = json.loads((paths["out"] / "manifest.json").read_text())
+    assert manifest["outputs"] == ["trace.csv", "summary.json"]
+    assert json.loads((paths["out"] / "summary.json").read_text())["status"] == "infeasible"
+    assert len((paths["out"] / "trace.csv").read_text().splitlines()) == 7
+
+
+@pytest.mark.parametrize("argv, flag, message", [
+    (ENERGY + ["--sparsity", "1.5"], "--sparsity", "must be in [0, 1], got 1.5"),
+    (ENERGY + ["--sparsity", "-0.25"], "--sparsity", "must be in [0, 1], got -0.25"),
+    (ENERGY + ["--sparsity", "nan"], "--sparsity", "value 'nan' is not finite"),
+    (ENERGY + ["--bitwidth", "0"], "--bitwidth", "must be >= 1, got 0"),
+    (WRITING["optimize"] + ["--candidates", "0"], "--candidates", "must be >= 1, got 0"),
+    (["synth", "--count", "0", "--output-dir", "{out}"], "--count", "must be >= 1, got 0"),
+    (["sample", "{schema}", "--count", "0", "--output-dir", "{out}"], "--count",
+     "must be >= 1, got 0"),
+    (WRITING["fit"] + ["--folds", "1"], "--folds", "must be >= 2, got 1"),
+    (WRITING["fit-linear"] + ["--folds", "1"], "--folds", "must be >= 2, got 1"),
+    (WRITING["fit"] + ["--degree", "0"], "--degree", "must be >= 1, got 0"),
+    (WRITING["fit"] + ["--degree", "-2"], "--degree", "must be >= 1, got -2"),
+], ids=["sparsity 1.5", "sparsity -0.25", "sparsity nan", "bitwidth 0", "candidates 0",
+        "synth count 0", "sample count 0", "fit folds 1", "fit-linear folds 1", "degree 0",
+        "degree -2"])
+def test_an_option_out_of_range_names_its_flag(tmp_path, capsys, argv, flag, message):
+    paths = _write_inputs(tmp_path)
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err.splitlines()[-1] == f"error: argument {flag}: {message}"
+    assert not paths["out"].exists()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hwcost import bayesopt, synth
 from hwcost.seeding import generator, kfold_indices
 
 
@@ -34,3 +35,16 @@ def test_kfold_validation():
         kfold_indices(5, 1, seed=0)
     with pytest.raises(ValueError):
         kfold_indices(3, 5, seed=0)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 32 + 7, -1])
+def test_the_package_streams_of_one_seed_differ_pairwise(seed):
+    """Tags separate streams within one seed only (see generator); this
+    guards the tags the package draws from: the seeding draw, each
+    iteration's candidates, the objective noise, the offline sample, each
+    layer kind's synthetic rows and the fold split."""
+    streams = [(0,), (0x401E,), (0x5A11,), (0xF01D,)]
+    streams += [(bayesopt._TAG_SAMPLER, i) for i in range(1, 41)]
+    streams += [(0x5E7, k) for k in synth._KIND_TAG.values()]
+    draws = {tuple(generator(seed, *tags).integers(2 ** 63, size=2)) for tags in streams}
+    assert len(draws) == len(streams)
