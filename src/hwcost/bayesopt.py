@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cholstack import CholeskyStack
+from .cholstack import CholeskyStack, solve_lower
 from .linmod import LinearModel, LinTarget, predict as lin_predict
 from .seeding import generator
 
@@ -395,8 +395,9 @@ def gp_posterior_batch(state: GPState, X) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and (latent) variance at each query row, raw units, both
     from one forward solve v = L^-1 k* (Rasmussen & Williams 2006, alg. 2.1)."""
     Xq = state.space.normalize(np.asarray(X, dtype=float))
-    k_star = _matern52(Xq, state._xn, np.asarray(state.lengthscales), state.signal_var)
-    v = np.linalg.solve(state._chol, k_star.T)
+    # k*^T built as (points, queries), so the substitution reads contiguous row blocks
+    k_star_t = _matern52(state._xn, Xq, np.asarray(state.lengthscales), state.signal_var)
+    v = solve_lower(state._chol, k_star_t)
     mean_std = np.sum(v * state._w[:, None], axis=0)
     var_std = np.maximum(state.signal_var - np.sum(v * v, axis=0), 0.0)
     return state.prior_mean + state.y_scale * mean_std, state.y_scale ** 2 * var_std
@@ -493,9 +494,9 @@ def hw_ieci_batch(state: GPState, X: np.ndarray, y_best: float,
     The posterior and the improvement are computed only on the marked rows,
     so with none marked there is no posterior call. A marked row gets
     ei_batch's value on the marked rows, which can differ from ei_batch's on
-    the whole array in the last bits: the posterior's LU solve does not give
-    a column the same bits at every place among its right-hand sides, so a
-    row's bits can depend on its place in the array.
+    the whole array in the last bits: the posterior's blocked substitution
+    runs matmuls whose BLAS kernels round the last columns of an array
+    another way, so a row's bits can depend on its place in the array.
     """
     values = np.zeros(X.shape[0])
     if feasible.any():

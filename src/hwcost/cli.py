@@ -59,6 +59,14 @@ def _finite_arg(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _positive_arg(text: str) -> float:
+    """argparse type for a finite number > 0."""
+    value = _finite_arg(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value!r}")
+    return value
+
+
 def _fraction_arg(text: str) -> float:
     """argparse type for a finite number in [0, 1]."""
     value = _finite_arg(text)
@@ -365,7 +373,8 @@ def _load_space(text: str) -> bayesopt.SearchSpace:
 
 
 def _cmd_optimize(args) -> int:
-    _only_for(args, "objective", {"quadratic": ("center",), "command": ("command",)})
+    _only_for(args, "objective", {"quadratic": ("center",),
+                                  "command": ("command", "eval_timeout")})
     from . import bayesopt, linmod
     space_path = Path(args.space)
     space = _load_space(space_path.read_text())
@@ -393,7 +402,8 @@ def _cmd_optimize(args) -> int:
                                  f"got {len(values)}")
         center = values[0] if len(values) == 1 else tuple(values)
     objective = build_objective(args.objective, center=center, noise=args.noise,
-                                seed=args.seed, command=args.command)
+                                seed=args.seed, command=args.command,
+                                timeout=args.eval_timeout)
 
     candidates = bayesopt.DEFAULT_CANDIDATES if args.candidates is None else args.candidates
     try:
@@ -414,7 +424,7 @@ def _cmd_optimize(args) -> int:
                    f"candidates={candidates}",
                    f"power_budget={args.power_budget}",
                    f"memory_budget={args.memory_budget}",
-                   f"command={args.command}"]
+                   f"command={args.command}", f"eval_timeout={args.eval_timeout}"]
     _write_outputs(args, {"trace.csv": trace.csv_text(),
                           "summary.json": json.dumps(summary, indent=2) + "\n"},
                    config_repr, inputs)
@@ -492,8 +502,11 @@ def _build_parser() -> _Parser:
                    default="quadratic")
     p.add_argument("--center", help="quadratic center, scalar or comma list")
     p.add_argument("--noise", type=_finite_arg, default=0.0)
+    p.add_argument("--eval-timeout", type=_positive_arg, metavar="SECONDS",
+                   help="fail a command objective call that runs longer (before --command)")
     p.add_argument("--command", nargs=argparse.REMAINDER,
-                   help="external objective command (reads x CSV line on stdin)")
+                   help="external objective command (reads x CSV line on stdin); "
+                        "takes the rest of the line, so it comes last")
     p.add_argument("--budget", type=int, required=True)
     p.add_argument("--candidates", type=_int_arg(1))
     p.add_argument("--power-model")

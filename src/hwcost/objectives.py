@@ -2,7 +2,8 @@
 
 Built-in synthetic functions for desk-scale benchmarking, plus an
 external-command bridge: the point goes to the command's stdin as one CSV
-line, the command prints y; a nonzero exit marks the evaluation failed.
+line, the command prints y; a nonzero exit, or a run past the timeout,
+marks the evaluation failed.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import subprocess
 
 
 class ObjectiveError(RuntimeError):
-    """External objective command failed or produced no parseable value."""
+    """External objective command failed, timed out or produced no parseable value."""
 
 
 def quadratic_bowl(center=0.3):
@@ -53,15 +54,24 @@ def with_noise(objective, sigma: float, seed: int):
     return noisy
 
 
-def command_objective(argv: list[str]):
+def command_objective(argv: list[str], timeout: float | None = None):
     """Wrap an external command as an objective.
 
     Each call writes `x` as one comma-separated line to the command's stdin
-    and parses the first token of stdout as y.
+    and parses the first token of stdout as y. A call that runs past
+    `timeout` seconds (None: no limit) raises ObjectiveError once the
+    command's own process is killed; processes it started are not.
     """
+    if timeout is not None and not (math.isfinite(timeout) and timeout > 0.0):
+        raise ValueError(f"timeout must be a finite number > 0, got {timeout!r}")
+
     def objective(x):
         line = ",".join(repr(float(v)) for v in x) + "\n"
-        proc = subprocess.run(argv, input=line, capture_output=True, text=True)
+        try:
+            proc = subprocess.run(argv, input=line, capture_output=True, text=True,
+                                  timeout=timeout)
+        except subprocess.TimeoutExpired:
+            raise ObjectiveError(f"objective command ran past {timeout:g} s") from None
         if proc.returncode != 0:
             raise ObjectiveError(f"objective command exited {proc.returncode}: "
                                  f"{proc.stderr.strip()}")
@@ -73,9 +83,10 @@ def command_objective(argv: list[str]):
 
 
 def build_objective(name: str, center=0.3, noise: float = 0.0, seed: int = 0,
-                    command: list[str] | None = None):
+                    command: list[str] | None = None, timeout: float | None = None):
     """CLI-facing factory for the objective selector; `noise` is the sigma of
-    additive Gaussian noise, a finite number >= 0 (0 adds none)."""
+    additive Gaussian noise, a finite number >= 0 (0 adds none), and
+    `timeout` the command objective's limit in seconds per call."""
     if not (math.isfinite(noise) and noise >= 0.0):
         raise ValueError(f"noise must be a finite number >= 0, got {noise!r}")
     if name == "quadratic":
@@ -85,7 +96,7 @@ def build_objective(name: str, center=0.3, noise: float = 0.0, seed: int = 0,
     elif name == "command":
         if not command:
             raise ValueError("command objective needs a command line")
-        fn = command_objective(command)
+        fn = command_objective(command, timeout)
     else:
         raise ValueError(f"unknown objective {name!r}")
     if noise > 0.0:

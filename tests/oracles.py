@@ -283,3 +283,12 @@ def lasso_homotopy_reference(gram, corr, lambdas, schur_tol=1e-10):
             signs.append(1.0 if to_upper[j] <= to_lower[j] else -1.0)
         blocked[:] = False
     return out
+
+
+def forward_substitution_reference(L, B):
+    """L^-1 B row by row in long double: x_i = (b_i - L[i, :i] x[:i]) / L[i, i]."""
+    L = np.asarray(L, dtype=np.longdouble)
+    X = np.array(B, dtype=np.longdouble)
+    for i in range(L.shape[0]):
+        X[i] = (X[i] - L[i, :i] @ X[:i]) / L[i, i]
+    return X

@@ -1,0 +1,105 @@
+import math
+
+import numpy as np
+import pytest
+
+from hwcost import bayesopt as bo
+from hwcost.cholstack import BLOCK, CholeskyStack, solve_lower
+
+from oracles import forward_substitution_reference
+
+
+def _matern_factor(n, clustered):
+    """Cholesky factor of a Matérn K over n points in 2-D: spread uniformly
+    with noise 1e-6, or in four clusters of radius about 1e-3 with noise
+    1e-8, which leaves K nearly singular."""
+    rng = np.random.default_rng(n)
+    if clustered:
+        centres = rng.uniform(0, 1, (4, 2))
+        X = centres[rng.integers(0, 4, n)] + 1e-3 * rng.standard_normal((n, 2))
+    else:
+        X = rng.uniform(0, 1, (n, 2))
+    K = bo._matern52(X, X, np.full(2, 0.2), 1.0) + (1e-8 if clustered else 1e-6) * np.eye(n)
+    return np.linalg.cholesky(K), X, rng
+
+
+def _error(x, reference):
+    """Largest error of any column relative to that column's largest entry."""
+    if reference.size == 0:
+        return 0.0
+    return float((np.abs(x - reference).max(axis=0) / np.abs(reference).max(axis=0)).max())
+
+
+@pytest.mark.parametrize("clustered", [False, True])
+@pytest.mark.parametrize("columns", [1, 512])
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 64, 130])
+def test_solve_lower_is_as_accurate_as_lu(n, columns, clustered):
+    """Against a long-double row-by-row substitution, the blocked solve errs
+    by at most 10x what np.linalg.solve does on the same system; a floor of
+    one unit roundoff keeps a bit that LU happens to get exactly from
+    failing it."""
+    L, X, rng = _matern_factor(n, clustered)
+    B = bo._matern52(X, rng.uniform(0, 1, (columns, 2)), np.full(2, 0.2), 1.0)
+    reference = forward_substitution_reference(L, B)
+    x = solve_lower(L, B)
+    assert x.shape == B.shape
+    lu = _error(np.linalg.solve(L, B), reference) if n else 0.0
+    assert _error(x, reference) <= 10.0 * max(lu, np.finfo(float).eps)
+
+
+def _factors(Xn, keys):
+    """The Cholesky factor of each key's K = s2f R + s2n I over Xn, by key
+    (*lengthscales, s2f, s2n)."""
+    return {key: np.linalg.cholesky(bo._matern52(Xn, Xn, np.array(key[:-2]), key[-2])
+                                    + key[-1] * np.eye(Xn.shape[0]))
+            for key in keys}
+
+
+def _assert_inverses_match_blocks(stack):
+    n = stack.xn.shape[0]
+    assert len(stack.inverses) == len(stack.blocks) == -(-n // BLOCK)
+    for b, (block, inverse) in enumerate(zip(stack.blocks, stack.inverses)):
+        i0 = b * BLOCK
+        rows = min(BLOCK, n - i0)
+        assert inverse.shape == (len(stack.keys), BLOCK, BLOCK)
+        for t in range(len(stack.keys)):
+            expected = np.tril(np.linalg.inv(block[t, :rows, i0:i0 + rows]))
+            got = inverse[t, :rows, :rows]
+            assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert not inverse[:, rows:].any() and not inverse[:, :, rows:].any()
+
+
+def test_stack_inverses_follow_extend_and_keep():
+    """Rows bordered across block boundaries (m % 8 == 0) and a keep that
+    mixes stored and fresh trials leave every diagonal block's inverse
+    equal to a fresh inversion, zero past the last row."""
+    rng = np.random.default_rng(5)
+    Xn = rng.uniform(0, 1, (22, 2))
+    ys = rng.standard_normal(22)
+    keys = [(0.2, 0.4, 1.0, 1e-6), (0.4, 0.1, 2.0, 1e-4), (0.8, 0.8, 0.5, 1e-8)]
+    stack = CholeskyStack()
+    first = _factors(Xn[:6], keys)
+    stack.keep(Xn[:6], {key: 0.0 for key in keys},
+               {key: (CholeskyStack.pack(L), np.log(L.diagonal()).sum())
+                for key, L in first.items()})
+    _assert_inverses_match_blocks(stack)
+    for n in range(7, 21):
+        scores = stack.extend(Xn[:n], ys[:n], bo._bordering)
+        assert all(math.isfinite(v) for v in scores.values())
+        _assert_inverses_match_blocks(stack)
+    new = (0.1, 0.3, 4.0, 1e-2)
+    L = _factors(Xn[:20], [new])[new]
+    stack.keep(Xn[:20], {keys[0]: 0.0, keys[2]: 0.0, keys[1]: -math.inf, new: 0.0},
+               {new: (CholeskyStack.pack(L), np.log(L.diagonal()).sum())})
+    assert stack.keys == [keys[0], keys[2], new]
+    _assert_inverses_match_blocks(stack)
+    for n in (21, 22):
+        stack.extend(Xn[:n], ys[:n], bo._bordering)
+        _assert_inverses_match_blocks(stack)
+    # the stored factors are the factors of each key's K
+    for t, L in enumerate(_factors(Xn, stack.keys).values()):
+        stored = np.zeros((22, 22))
+        for b, block in enumerate(stack.blocks):
+            i0 = b * BLOCK
+            stored[i0:i0 + BLOCK, :i0 + BLOCK] = block[t, :22 - i0, :22]
+        assert np.abs(stored - L).max() <= 1e-12 * np.abs(L).max()

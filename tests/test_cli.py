@@ -1,5 +1,7 @@
 import csv
 import json
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -326,6 +328,8 @@ def test_optimize_rejects_swapped_constraint_models(tmp_path, capsys):
     ("--center", "nan"),
     ("--center", "0.5,inf"),
     ("--noise", "nan"),
+    ("--eval-timeout", "0"),
+    ("--eval-timeout", "nan"),
     ("--power-budget", "inf", "--memory-budget", "10", "--power-model", "p.json",
      "--memory-model", "m.json"),
     ("--memory-budget", "nan", "--power-budget", "1", "--power-model", "p.json",
@@ -447,6 +451,26 @@ def test_optimize_command_objective(tmp_path, capsys):
     assert code == 0, err
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["best_y"] <= 0.05
+
+
+def test_optimize_command_past_the_eval_timeout_is_a_failed_row(tmp_path, capsys):
+    """A command that sleeps past --eval-timeout is killed and its call
+    recorded as failed: the run ends in well under one sleep, every row
+    holds the failed-call y of 1.0, and no row is ever the best."""
+    space_path = tmp_path / "space.json"
+    space_path.write_text(json.dumps({"dimensions": [
+        {"name": "x", "kind": "continuous", "lo": 0.0, "hi": 1.0}]}))
+    out_dir = tmp_path / "opt"
+    started = time.perf_counter()
+    code, out, err = run(capsys, "optimize", str(space_path), "--objective", "command",
+                         "--budget", "3", "--output-dir", str(out_dir), "--eval-timeout", "0.2",
+                         "--command", sys.executable, "-c", "import time; time.sleep(30)")
+    assert time.perf_counter() - started < 20.0
+    assert code == 2 and out == "no feasible point found; full trace written\n", err
+    rows = list(csv.DictReader((out_dir / "trace.csv").read_text().splitlines()))
+    assert len(rows) == 3
+    assert all(row["y"] == "1.0" and row["best_y"] == "" for row in rows)
+    assert json.loads((out_dir / "summary.json").read_text())["status"] == "infeasible"
 
 
 def test_optimize_record_rules(monkeypatch, tmp_path, capsys):
@@ -673,6 +697,8 @@ POLY = ["predict", "{net}", "--family", "poly", "--models-dir", "{d}"]
      ["--center", "0.5"]),
     (["optimize", "{space}", "--objective", "quadratic", "--budget", "5", "--output-dir", "{d}"],
      ["--command", "echo", "1"]),
+    (["optimize", "{space}", "--objective", "branin", "--budget", "5", "--output-dir", "{d}"],
+     ["--eval-timeout", "1"]),
 ])
 def test_an_option_the_family_or_objective_does_not_read_is_a_usage_error(tmp_path, capsys,
                                                                            command, option):
