@@ -328,12 +328,12 @@ def test_optimize_rejects_swapped_constraint_models(tmp_path, capsys):
     ("--center", "nan"),
     ("--center", "0.5,inf"),
     ("--noise", "nan"),
-    ("--eval-timeout", "0"),
-    ("--eval-timeout", "nan"),
     ("--power-budget", "inf", "--memory-budget", "10", "--power-model", "p.json",
      "--memory-model", "m.json"),
     ("--memory-budget", "nan", "--power-budget", "1", "--power-model", "p.json",
      "--memory-model", "m.json"),
+    ("--eval-timeout", "0"),
+    ("--eval-timeout", "nan"),
 ])
 def test_optimize_rejects_non_finite_or_misshapen_numbers(tmp_path, capsys, flags):
     space_path = tmp_path / "space.json"
