@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cholstack import CholeskyStack, solve_lower
+from .cholstack import CholeskyStack, substitute
 from .linmod import LinearModel, LinTarget, predict as lin_predict
 from .seeding import generator
 
@@ -156,16 +156,20 @@ def _correlation(r2: np.ndarray) -> np.ndarray:
 
 
 def _matern52(Xa: np.ndarray, Xb: np.ndarray, lengthscales: np.ndarray,
-              signal_var: float) -> np.ndarray:
-    r2 = np.zeros((Xa.shape[0], Xb.shape[0]))
+              signal_var) -> np.ndarray:
+    """The Matérn-5/2 kernel between the rows of Xa and of Xb. `lengthscales`
+    (dim,) and `signal_var` may carry a leading trial axis, (trials, dim)
+    and (trials,); the result then does too, (trials, rows of Xa, rows of Xb)."""
+    lengthscales = np.asarray(lengthscales)
+    r2 = np.zeros((*lengthscales.shape[:-1], Xa.shape[0], Xb.shape[0]))
     t = np.empty_like(r2)
-    for d, scale in enumerate(lengthscales):
+    for d in range(lengthscales.shape[-1]):
         np.subtract(Xa[:, d, None], Xb[None, :, d], out=t)
-        t /= scale
+        t /= lengthscales[..., d, None, None]
         t *= t
         r2 += t
     K = _correlation(r2)
-    K *= signal_var
+    K *= np.asarray(signal_var)[..., None, None]
     return K
 
 
@@ -181,15 +185,20 @@ class GPState:
     while a first fit (None) starts at the grid midpoints. Fixed-hyper
     states (auto_hypers=False) take lengthscales/variances in raw units and
     keep them across updates. A state holds the Cholesky factor L of its
-    covariance and L^-1 of its (standardized) targets, both from one
-    bordered Cholesky, the one that scores a hyper-parameter trial.
+    covariance, packed as a CholeskyStack packs it, and L^-1 of its
+    (standardized) targets.
 
     An auto state keeps the Cholesky factors of the trials its selection
-    looked up (`_trial_factors`, a CholeskyStack). `update` takes them
-    from the state and passes them, with `hyper_start`, to the successor's
-    selection, which extends each by one row instead of refactorizing it.
-    A second update from the same state finds no store and selects cold,
-    with the same result.
+    looked up (`_trial_factors`, a CholeskyStack), and its own L is a copy
+    of the chosen trial's: fresh from one bordered Cholesky, or a stored
+    factor extended by one row. `update` takes the store from the state and
+    passes it, with `hyper_start`, to the successor's selection, which
+    extends each factor by one row instead of refactorizing it. A second
+    update from the same state finds no store and selects cold: it chooses
+    the same hyper-parameters, but its factor is fresh where the first's
+    may be extended, so the two can differ in the last bits. A fixed state,
+    or an auto state none of whose trials scored finite, factorizes its
+    covariance itself (`_factorize`, adding jitter where it must).
     """
 
     def __init__(self, space: SearchSpace, observations=(),
@@ -236,8 +245,18 @@ class GPState:
             self.signal_var = signal_var
             self.noise_var = noise_var
 
-        self._chol, self._w, self.jitter = _factorize(   # L and L^-1 ys
-            self._xn, np.asarray(self.lengthscales), self.signal_var, self.noise_var, self._ys)
+        key = (*self.lengthscales, self.signal_var, self.noise_var)
+        if self._trial_factors and key in self._trial_factors.keys:
+            t = self._trial_factors.keys.index(key)
+            # copies: the successor's extend borders the store's last block in place
+            self._factor = tuple([part[t:t + 1].copy() for part in parts] for parts in
+                                 (self._trial_factors.blocks, self._trial_factors.inverses))
+            self._w = substitute(*self._factor, self._ys[None, :, None])[0, :, 0]
+            self.jitter = 0.0
+        else:   # fixed hyper-parameters, or no trial scored finite
+            L, self._w, self.jitter = _factorize(
+                self._xn, self.lengthscales, self.signal_var, self.noise_var, self._ys)
+            self._factor = CholeskyStack.pack(L)
 
     @classmethod
     def fit(cls, space: SearchSpace, observations) -> "GPState":
@@ -266,7 +285,7 @@ def _bordered_cholesky(R: np.ndarray, ys: np.ndarray, signal_var: float,
     return L[:n, :n], L[n, :n]
 
 
-def _factorize(Xn: np.ndarray, lengthscales: np.ndarray, signal_var: float, noise_var: float,
+def _factorize(Xn: np.ndarray, lengthscales: tuple, signal_var: float, noise_var: float,
                ys: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """(L, L^-1 ys, jitter): L is the Cholesky factor of K + jitter * I, with
     K = signal_var * R + noise_var * I the covariance over the points Xn, and
@@ -312,12 +331,8 @@ def _bordering(keys, Xn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For each trial key (*lengthscales, signal var, noise var), the column
     of its K between the last point of Xn and the others, and its diagonal."""
     params = np.array(keys)
-    m = Xn.shape[0] - 1
-    diff = Xn[:m] - Xn[m]
-    s2f = params[:, -2]
-    k = _correlation((diff * diff) @ (1.0 / (params[:, :-2] * params[:, :-2])).T).T
-    k *= s2f[:, None]
-    return k, s2f + params[:, -1]
+    k = _matern52(Xn[:-1], Xn[-1:], params[:, :-2], params[:, -2])
+    return k[:, :, 0], params[:, -2] + params[:, -1]
 
 
 def _select_hypers(Xn: np.ndarray, ys: np.ndarray, start=None, *,
@@ -339,24 +354,18 @@ def _select_hypers(Xn: np.ndarray, ys: np.ndarray, start=None, *,
     after that. With `factors`, a store over all points of Xn but the last,
     every stored trial is first scored by bordering its factor by one row
     (CholeskyStack.extend); only a trial not in the store is scored from
-    scratch, by one Cholesky of its K bordered by ys. Its correlation R
-    weights the per-dimension squared distances, computed once, and the
-    signal and noise sweeps share the R of the chosen lengthscales. The
-    store then holds the factor of every trial looked up.
+    scratch, by one Cholesky of its K bordered by ys; the signal and noise
+    sweeps share the correlation R of the chosen lengthscales. The store
+    then holds the factor of every trial looked up.
     """
-    n, dim = Xn.shape
+    dim = Xn.shape[1]
     stored = factors.extend(Xn, ys, _bordering) if factors is not None else {}
-    sq = None
     last_R: tuple = (None, None)   # (lengthscales, R): the sweeps share the chosen R
 
     def correlation(lengthscales: tuple[float, ...]) -> np.ndarray:
-        nonlocal sq, last_R
+        nonlocal last_R
         if last_R[0] != lengthscales:
-            if sq is None:
-                diff = Xn[:, None, :] - Xn[None, :, :]
-                sq = (diff * diff).reshape(n * n, dim)
-            ls = np.array(lengthscales)
-            last_R = (lengthscales, _correlation((sq @ (1.0 / (ls * ls))).reshape(n, n)))
+            last_R = (lengthscales, _matern52(Xn, Xn, lengthscales, 1.0))
         return last_R[1]
 
     scored: dict[tuple[float, ...], float] = {}
@@ -396,8 +405,8 @@ def gp_posterior_batch(state: GPState, X) -> tuple[np.ndarray, np.ndarray]:
     from one forward solve v = L^-1 k* (Rasmussen & Williams 2006, alg. 2.1)."""
     Xq = state.space.normalize(np.asarray(X, dtype=float))
     # k*^T built as (points, queries), so the substitution reads contiguous row blocks
-    k_star_t = _matern52(state._xn, Xq, np.asarray(state.lengthscales), state.signal_var)
-    v = solve_lower(state._chol, k_star_t)
+    k_star_t = _matern52(state._xn, Xq, state.lengthscales, state.signal_var)
+    v = substitute(*state._factor, k_star_t[None])[0]
     mean_std = np.sum(v * state._w[:, None], axis=0)
     var_std = np.maximum(state.signal_var - np.sum(v * v, axis=0), 0.0)
     return state.prior_mean + state.y_scale * mean_std, state.y_scale ** 2 * var_std

@@ -11,8 +11,8 @@ log likelihood of the targets, which the same forward substitution gives.
 Forward substitution here is blocked: each BLOCK-row block of the right-hand
 side is reduced by the rows already solved and multiplied by the inverse of
 its diagonal block, with one refinement step, so every step is a matmul and
-no step loops over rows. The same kernel solves the GP posterior's L^-1 k*
-(`solve_lower`).
+no step loops over rows. A GP state holds its one factor in the same packed
+form, and the same kernel solves its posterior's L^-1 k* (`substitute`).
 """
 
 from __future__ import annotations
@@ -24,20 +24,7 @@ import numpy as np
 BLOCK = 8  # rows per block of forward substitution and of a stored factor
 
 
-def _diagonal_inverses(L: np.ndarray) -> np.ndarray:
-    """The inverse of each BLOCK-row diagonal block of the lower triangle L,
-    (blocks, BLOCK, BLOCK), from one batched inversion. A last partial block
-    is padded with the identity, so its inverse is too."""
-    n = L.shape[0]
-    D = np.zeros((-(-n // BLOCK), BLOCK, BLOCK))
-    D[-1:] = np.eye(BLOCK)
-    for b, i0 in enumerate(range(0, n, BLOCK)):
-        d = L[i0:i0 + BLOCK, i0:i0 + BLOCK]
-        D[b, :len(d), :len(d)] = d
-    return np.tril(np.linalg.inv(D))
-
-
-def _substitute(blocks, inverses, rhs: np.ndarray) -> np.ndarray:
+def substitute(blocks, inverses, rhs: np.ndarray) -> np.ndarray:
     """L^-1 rhs for the lower triangle L whose rows [i0, i0 + BLOCK) up to
     the end of their diagonal block are blocks[b] (i0 = b * BLOCK) and whose
     diagonal blocks have the inverses inverses[b]. Leading axes broadcast,
@@ -58,12 +45,6 @@ def _substitute(blocks, inverses, rhs: np.ndarray) -> np.ndarray:
         y += inverse @ (r - block[..., :rows, i0:i0 + rows] @ y)
         x[..., i0:i0 + rows, :] = y
     return x
-
-
-def solve_lower(L: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """L^-1 B for a lower-triangular L (n, n) and B (n, columns)."""
-    return _substitute([L[i0:i0 + BLOCK] for i0 in range(0, L.shape[0], BLOCK)],
-                       _diagonal_inverses(L), B)
 
 
 class CholeskyStack:
@@ -94,9 +75,12 @@ class CholeskyStack:
             rows = L[i0:i0 + BLOCK, :i0 + BLOCK]
             block[0, :rows.shape[0], :rows.shape[1]] = rows
             blocks.append(block)
-        inverses = _diagonal_inverses(L)
-        if n % BLOCK:
-            inverses[-1, n % BLOCK:] = 0.0   # the identity padding
+        # the diagonal blocks, the last padded with the identity, inverted at once
+        D = np.array([block[0, :, -BLOCK:] for block in blocks]).reshape(-1, BLOCK, BLOCK)
+        pad = np.arange(n % BLOCK or BLOCK, BLOCK)
+        D[-1:, pad, pad] = 1.0
+        inverses = np.tril(np.linalg.inv(D))
+        inverses[-1:, pad] = 0.0
         return blocks, [inverse[None] for inverse in inverses]
 
     def extend(self, Xn: np.ndarray, ys: np.ndarray, bordering) -> dict:
@@ -117,7 +101,7 @@ class CholeskyStack:
         rhs = np.empty((len(self.keys), m, 2))   # [k, ys[:m]] for each matrix
         rhs[:, :, 0] = k
         rhs[:, :, 1] = ys[:m]
-        x = _substitute(self.blocks, self.inverses, rhs)   # L^-1 rhs
+        x = substitute(self.blocks, self.inverses, rhs)   # L^-1 rhs
         l, w = x[:, :, 0], x[:, :, 1]
         d2 = corner - np.einsum("ti,ti->t", l, l)
         ok = d2 > 0.0

@@ -9,6 +9,8 @@ marks the evaluation failed.
 from __future__ import annotations
 
 import math
+import os
+import signal
 import subprocess
 
 
@@ -60,22 +62,24 @@ def command_objective(argv: list[str], timeout: float | None = None):
     Each call writes `x` as one comma-separated line to the command's stdin
     and parses the first token of stdout as y. A call that runs past
     `timeout` seconds (None: no limit) raises ObjectiveError once the
-    command's own process is killed; processes it started are not.
+    command and every process left in its process group are killed.
     """
     if timeout is not None and not (math.isfinite(timeout) and timeout > 0.0):
         raise ValueError(f"timeout must be a finite number > 0, got {timeout!r}")
 
     def objective(x):
         line = ",".join(repr(float(v)) for v in x) + "\n"
-        try:
-            proc = subprocess.run(argv, input=line, capture_output=True, text=True,
-                                  timeout=timeout)
-        except subprocess.TimeoutExpired:
-            raise ObjectiveError(f"objective command ran past {timeout:g} s") from None
+        with subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True, start_new_session=True) as proc:
+            try:
+                stdout, stderr = proc.communicate(line, timeout=timeout)
+            except subprocess.TimeoutExpired:
+                os.killpg(proc.pid, signal.SIGKILL)   # its session's one process group
+                proc.wait()
+                raise ObjectiveError(f"objective command ran past {timeout:g} s") from None
         if proc.returncode != 0:
-            raise ObjectiveError(f"objective command exited {proc.returncode}: "
-                                 f"{proc.stderr.strip()}")
-        tokens = proc.stdout.split()
+            raise ObjectiveError(f"objective command exited {proc.returncode}: {stderr.strip()}")
+        tokens = stdout.split()
         if not tokens:
             raise ObjectiveError("objective command printed no value")
         return float(tokens[0])

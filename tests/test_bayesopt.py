@@ -393,6 +393,69 @@ def test_searches_make_no_lu_solve(monkeypatch):
         assert any(r.acquisition > 0.0 for r in trace.records)
 
 
+def test_auto_searches_take_their_factor_from_the_selection(monkeypatch):
+    """Every auto state takes its factor from its selection's trial store, so
+    a gated and a free search never factorize a state's covariance again."""
+    def refused(*args, **kwargs):
+        raise AssertionError("_factorize called for an auto state")
+
+    monkeypatch.setattr(bo, "_factorize", refused)
+    space = space_2d(structural=("x1", "x2"))
+    for constraints in (constraints_halfbox(), None):
+        _, trace = bo_run(quadratic_bowl(0.4), space, constraints, budget=30, seed=7)
+        assert any(r.acquisition > 0.0 for r in trace.records)
+
+
+def test_a_first_fit_whose_trials_all_fail_takes_its_factor_from_factorize(monkeypatch):
+    """With every trial at -inf the store holds nothing, and the state's
+    factor comes from _factorize, the path that retries with jitter."""
+    factorized = []
+
+    def counted(*args):
+        factorized.append(None)
+        return factorize(*args)
+
+    factorize = bo._factorize
+    monkeypatch.setattr(bo, "_factorize", counted)
+    monkeypatch.setattr(bo, "_log_marginal_likelihood", lambda *args: (-math.inf, None))
+    obs = [Observation((0.1, 0.2), 1.0), Observation((0.7, 0.4), 0.3),
+           Observation((0.5, 0.9), 0.6), Observation((0.2, 0.6), 0.8)]
+    state = GPState.fit(space_2d(), obs)
+    assert factorized == [None] and state._trial_factors.keys == []
+    assert _hypers(state) == ((bo.LENGTHSCALE_GRID[0],) * 2, bo.SIGNAL_VAR_GRID[0],
+                              bo.NOISE_VAR_GRID[0])
+    mean, var = gp_posterior_batch(state, [ob.x for ob in obs])
+    assert np.all(np.isfinite(mean)) and np.all(var >= 0.0)
+
+
+def test_states_from_extended_trials_predict_as_fresh_factors_do():
+    """An updated state whose chosen trial was in the store takes that
+    trial's factor, grown by bordering; a fixed-hyper state with the same
+    kernel in raw units factorizes that K afresh. Both give the same
+    posterior up to rounding on 512 queries, wherever the trial sits in
+    the store."""
+    rng = np.random.default_rng(12)
+    xs = rng.uniform(0, 1, (40, 2))
+    obs = [Observation(tuple(float(v) for v in x), float(np.sin(4 * x[0]) + x[1] ** 2))
+           for x in xs]
+    X = rng.uniform(0, 1, (512, 2))
+    state = GPState.fit(space_2d(), obs[:4])
+    places = set()
+    for ob in obs[4:]:
+        stored = list(state._trial_factors.keys)
+        state = update(state, ob)
+        key = (*state.lengthscales, state.signal_var, state.noise_var)
+        if key not in stored:   # a fresh trial
+            continue
+        places.add(state._trial_factors.keys.index(key))
+        scale2 = state.y_scale ** 2
+        fresh = GPState(space_2d(), state.observations, state.lengthscales,
+                        state.signal_var * scale2, state.noise_var * scale2, state.prior_mean)
+        for got, want in zip(gp_posterior_batch(state, X), gp_posterior_batch(fresh, X)):
+            assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+    assert len(places) > 1
+
+
 def test_a_stored_trial_that_is_no_longer_positive_definite_scores_minus_inf():
     """delta^2 = s2f + s2n - l.l <= 0: the trial scores -inf and leaves the store."""
     Xn = np.array([[0.5], [0.5001], [0.4999]])
@@ -971,6 +1034,28 @@ def test_command_objective_round_trip():
     best, trace = bo_run(failing, space_1d(), None, budget=4, seed=1)
     assert all(r.failed for r in trace.records)
     assert best is None or not any(r.failed and r.y == best.y for r in trace.records)
+
+
+def test_command_objective_timeout_kills_what_the_command_started(tmp_path):
+    """The command's process group goes on timeout: a child it left running
+    is gone, or a zombie waiting for its new parent, within a second."""
+    from hwcost.objectives import ObjectiveError, command_objective
+
+    pidfile = tmp_path / "pid"
+    fn = command_objective(["sh", "-c", f"sleep 3 & echo $! > '{pidfile}'; wait"], timeout=0.2)
+    with pytest.raises(ObjectiveError, match="ran past 0.2 s"):
+        fn((0.5,))
+    stat = f"/proc/{int(pidfile.read_text())}/stat"
+    deadline = time.monotonic() + 1.0
+    while True:
+        try:
+            with open(stat) as f:
+                if f.read().rsplit(")", 1)[1].split()[0] == "Z":
+                    break
+        except FileNotFoundError:
+            break
+        assert time.monotonic() < deadline, "the command's child outlived its timeout"
+        time.sleep(0.01)
 
 
 def test_trace_csv_layout():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hwcost import bayesopt as bo
-from hwcost.cholstack import BLOCK, CholeskyStack, solve_lower
+from hwcost.cholstack import BLOCK, CholeskyStack, substitute
 
 from oracles import forward_substitution_reference
 
@@ -30,21 +30,60 @@ def _error(x, reference):
     return float((np.abs(x - reference).max(axis=0) / np.abs(reference).max(axis=0)).max())
 
 
+def _dense(blocks, n, t=0):
+    """Factor t of packed blocks as a dense (n, n) lower triangle."""
+    L = np.zeros((n, n))
+    for b, block in enumerate(blocks):
+        i0 = b * BLOCK
+        L[i0:i0 + BLOCK, :i0 + BLOCK] = block[t, :n - i0, :n]
+    return L
+
+
+def _grown(X, noise):
+    """The factor of _matern_factor's K, packed, grown row by row from its
+    first row by CholeskyStack.extend."""
+    key = (0.2, 0.2, 1.0, noise)
+    L = np.sqrt(np.array([[1.0 + noise]]))
+    stack = CholeskyStack()
+    stack.keep(X[:1], {key: 0.0}, {key: (CholeskyStack.pack(L), np.log(L[0, 0]))})
+    for m in range(2, X.shape[0] + 1):
+        assert stack.extend(X[:m], np.zeros(m), bo._bordering)[key] > -math.inf
+    return stack.blocks, stack.inverses
+
+
+def _assert_as_accurate_as_lu(blocks, inverses, B):
+    """Against a long-double row-by-row substitution, the blocked solve on
+    the packed factor errs by at most 10x what np.linalg.solve does on the
+    same system; a floor of one unit roundoff keeps a bit that LU happens
+    to get exactly from failing it."""
+    L = _dense(blocks, B.shape[0])
+    reference = forward_substitution_reference(L, B)
+    x = substitute(blocks, inverses, B[None])[0]
+    assert x.shape == B.shape
+    lu = _error(np.linalg.solve(L, B), reference) if B.shape[0] else 0.0
+    assert _error(x, reference) <= 10.0 * max(lu, np.finfo(float).eps)
+
+
 @pytest.mark.parametrize("clustered", [False, True])
 @pytest.mark.parametrize("columns", [1, 512])
 @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 64, 130])
 def test_solve_lower_is_as_accurate_as_lu(n, columns, clustered):
-    """Against a long-double row-by-row substitution, the blocked solve errs
-    by at most 10x what np.linalg.solve does on the same system; a floor of
-    one unit roundoff keeps a bit that LU happens to get exactly from
-    failing it."""
+    """A fresh Cholesky factor, packed as a GP state with fixed
+    hyper-parameters packs it."""
     L, X, rng = _matern_factor(n, clustered)
     B = bo._matern52(X, rng.uniform(0, 1, (columns, 2)), np.full(2, 0.2), 1.0)
-    reference = forward_substitution_reference(L, B)
-    x = solve_lower(L, B)
-    assert x.shape == B.shape
-    lu = _error(np.linalg.solve(L, B), reference) if n else 0.0
-    assert _error(x, reference) <= 10.0 * max(lu, np.finfo(float).eps)
+    _assert_as_accurate_as_lu(*CholeskyStack.pack(L), B)
+
+
+@pytest.mark.parametrize("columns", [1, 512])
+def test_substitution_on_a_grown_factor_is_as_accurate_as_lu(columns):
+    """The clustered n = 130 factor grown row by row from its first row, as
+    an auto GP state takes it from its selection's store."""
+    L, X, rng = _matern_factor(130, True)
+    B = bo._matern52(X, rng.uniform(0, 1, (columns, 2)), np.full(2, 0.2), 1.0)
+    blocks, inverses = _grown(X, 1e-8)
+    assert np.abs(_dense(blocks, 130) - L).max() <= 1e-10   # the same K's factor
+    _assert_as_accurate_as_lu(blocks, inverses, B)
 
 
 def _factors(Xn, keys):
@@ -98,8 +137,4 @@ def test_stack_inverses_follow_extend_and_keep():
         _assert_inverses_match_blocks(stack)
     # the stored factors are the factors of each key's K
     for t, L in enumerate(_factors(Xn, stack.keys).values()):
-        stored = np.zeros((22, 22))
-        for b, block in enumerate(stack.blocks):
-            i0 = b * BLOCK
-            stored[i0:i0 + BLOCK, :i0 + BLOCK] = block[t, :22 - i0, :22]
-        assert np.abs(stored - L).max() <= 1e-12 * np.abs(L).max()
+        assert np.abs(_dense(stack.blocks, 22, t) - L).max() <= 1e-12 * np.abs(L).max()

@@ -860,3 +860,76 @@ def test_an_option_out_of_range_names_its_flag(tmp_path, capsys, argv, flag, mes
     assert code == 1 and out == "" and "Traceback" not in err
     assert err.splitlines()[-1] == f"error: argument {flag}: {message}"
     assert not paths["out"].exists()
+
+
+def _trace_rows(out_dir):
+    return list(csv.DictReader((out_dir / "trace.csv").read_text().splitlines()))
+
+
+def test_a_3_fold_fit_reruns_byte_identical(tmp_path, capsys):
+    """Criterion 9 reruns a fit at the default 10 folds; at 3 folds the CV
+    steps a batch of three fold paths, and a rerun writes the same models."""
+    code, _, err = run(capsys, "synth", "--count", "20", "--seed", "3",
+                       "--output-dir", str(tmp_path / "synth"))
+    assert code == 0, err
+    for name in ("a", "b"):
+        code, _, err = run(capsys, "fit", str(tmp_path / "synth" / "synthetic_profile.csv"),
+                           "--folds", "3", "--output-dir", str(tmp_path / name))
+        assert code == 0, err
+    models = {name: {path.name: path.read_bytes() for path in (tmp_path / name).glob("model_*")}
+              for name in ("a", "b")}
+    assert len(models["a"]) == 6 and models["a"] == models["b"]
+
+
+def test_a_gated_search_past_four_blocks_reruns_byte_identical(tmp_path, capsys):
+    """36 refits extend the stored trial factors past four 8-row blocks, and
+    each state's factor is one of them; a rerun writes the same trace."""
+    space_path = tmp_path / "space.json"
+    space_path.write_text(json.dumps(SPACE_SPEC))
+    models = []
+    for target, weights in ((linmod.LinTarget.POWER_W, (1.0, 1.0)),
+                            (linmod.LinTarget.MEMORY_MB, (1.0, 0.0))):
+        models.append(tmp_path / f"{target.value}.json")
+        models[-1].write_text(linmod.model_to_json(
+            linmod.LinearModel(("x1", "x2"), weights, target)))
+    for name in ("a", "b"):
+        code, _, err = run(capsys, "optimize", str(space_path), "--budget", "40", "--seed", "7",
+                           "--power-model", str(models[0]), "--memory-model", str(models[1]),
+                           "--power-budget", "1.0", "--memory-budget", "10",
+                           "--output-dir", str(tmp_path / name))
+        assert code == 0, err
+    assert len(_trace_rows(tmp_path / "a")) == 40
+    assert (tmp_path / "a" / "trace.csv").read_bytes() == \
+        (tmp_path / "b" / "trace.csv").read_bytes()
+
+
+def test_a_command_evaluator_whose_first_call_fails_traces_1(tmp_path, capsys):
+    """An external evaluator that exits 1 on its first call only: that row
+    holds the failed-call y of 1.0, and every later row the evaluator's y."""
+    space_path = tmp_path / "space.json"
+    space_path.write_text(json.dumps(SPACE_SPEC))
+    script = tmp_path / "eval.sh"
+    script.write_text('[ -e "$0.ran" ] || { : > "$0.ran"; exit 1; }\n'
+                      "awk -F, '{print ($1 - 1) ^ 2 + ($2 - 1) ^ 2}'\n")
+    code, _, err = run(capsys, "optimize", str(space_path), "--budget", "8", "--seed", "7",
+                       "--output-dir", str(tmp_path / "opt"), "--objective", "command",
+                       "--command", "sh", str(script))
+    assert code == 0, err
+    rows = _trace_rows(tmp_path / "opt")
+    assert rows[0]["y"] == "1.0" and rows[0]["best_y"] == ""
+    for row in rows[1:]:
+        want = (float(row["x1"]) - 1) ** 2 + (float(row["x2"]) - 1) ** 2
+        assert float(row["y"]) == pytest.approx(want, rel=1e-5)
+
+
+def test_an_integer_dimension_traces_whole_numbers_in_bounds(tmp_path, capsys):
+    space_path = tmp_path / "space.json"
+    space_path.write_text(json.dumps({"dimensions": [
+        {"name": "n", "kind": "integer", "lo": 1, "hi": 4},
+        {"name": "x", "kind": "continuous", "lo": 0, "hi": 1}]}))
+    code, _, err = run(capsys, "optimize", str(space_path), "--budget", "12", "--seed", "7",
+                       "--center", "2,0.5", "--output-dir", str(tmp_path / "opt"))
+    assert code == 0, err
+    rows = _trace_rows(tmp_path / "opt")
+    assert len(rows) == 12
+    assert all(float(row["n"]).is_integer() and 1 <= float(row["n"]) <= 4 for row in rows)
