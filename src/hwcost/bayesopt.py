@@ -136,8 +136,9 @@ class ConstraintSpec:
         return bool(ok) if ok.ndim == 0 else ok
 
 
-def _correlation(r2: np.ndarray) -> np.ndarray:
-    """Matérn-5/2 correlation at squared scaled distances r2, which it overwrites.
+def _correlation(r2: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
+    """Matérn-5/2 correlation at squared scaled distances r2, which it
+    overwrites, as it does the scratch t of r2's shape if given.
 
     In place, in the operation order of (1 + sr + sr*sr/3) * exp(-sr) with
     sr = sqrt(5) * sqrt(max(r2, 0)), so every value is bit for bit that
@@ -147,7 +148,7 @@ def _correlation(r2: np.ndarray) -> np.ndarray:
     np.sqrt(sr, out=sr)
     sr *= SQRT5
     out = sr + 1.0
-    t = np.multiply(sr, sr)
+    t = np.multiply(sr, sr, out=t)
     t /= 3.0
     out += t
     np.negative(sr, out=t)
@@ -161,14 +162,16 @@ def _matern52(Xa: np.ndarray, Xb: np.ndarray, lengthscales: np.ndarray,
     (dim,) and `signal_var` may carry a leading trial axis, (trials, dim)
     and (trials,); the result then does too, (trials, rows of Xa, rows of Xb)."""
     lengthscales = np.asarray(lengthscales)
-    r2 = np.zeros((*lengthscales.shape[:-1], Xa.shape[0], Xb.shape[0]))
+    r2 = np.empty((*lengthscales.shape[:-1], Xa.shape[0], Xb.shape[0]))
     t = np.empty_like(r2)
     for d in range(lengthscales.shape[-1]):
-        np.subtract(Xa[:, d, None], Xb[None, :, d], out=t)
-        t /= lengthscales[..., d, None, None]
-        t *= t
-        r2 += t
-    K = _correlation(r2)
+        u = t if d else r2   # r2 starts as the first square: 0 + u is u
+        np.subtract(Xa[:, d, None], Xb[None, :, d], out=u)
+        u /= lengthscales[..., d, None, None]
+        u *= u
+        if d:
+            r2 += u
+    K = _correlation(r2, t)
     K *= np.asarray(signal_var)[..., None, None]
     return K
 
@@ -179,26 +182,25 @@ class GPState:
 
     Inputs live in the unit box; with auto_hypers the targets are
     standardized internally and kernel hyper-parameters are re-selected by
-    grid-restricted marginal-likelihood ascent on every update. The ascent
-    starts at `hyper_start` (lengthscales, signal var, noise var): `update`
-    passes the previous state's choice, so a refit warm-starts from it,
-    while a first fit (None) starts at the grid midpoints. Fixed-hyper
-    states (auto_hypers=False) take lengthscales/variances in raw units and
-    keep them across updates. A state holds the Cholesky factor L of its
-    covariance, packed as a CholeskyStack packs it, and L^-1 of its
-    (standardized) targets.
+    grid-restricted marginal-likelihood ascent on every update, from
+    `hyper_start` (lengthscales, signal var, noise var): `update` passes the
+    previous state's choice, and a first fit (None) starts at the grid
+    midpoints. Fixed-hyper states (auto_hypers=False) take lengthscales and
+    variances in raw units and keep them across updates. A state holds the
+    Cholesky factor L of its covariance, packed as a CholeskyStack packs it,
+    and w = L^-1 of its (standardized) targets.
 
-    An auto state keeps the Cholesky factors of the trials its selection
-    looked up (`_trial_factors`, a CholeskyStack), and its own L is a copy
-    of the chosen trial's: fresh from one bordered Cholesky, or a stored
-    factor extended by one row. `update` takes the store from the state and
-    passes it, with `hyper_start`, to the successor's selection, which
-    extends each factor by one row instead of refactorizing it. A second
-    update from the same state finds no store and selects cold: it chooses
-    the same hyper-parameters, but its factor is fresh where the first's
-    may be extended, so the two can differ in the last bits. A fixed state,
-    or an auto state none of whose trials scored finite, factorizes its
-    covariance itself (`_factorize`, adding jitter where it must).
+    An auto state keeps the factors of the trials its selection looked up,
+    each with its w (`_trial_factors`, a CholeskyStack), and copies the
+    chosen trial's L and w: fresh from one bordered Cholesky, whose last row
+    is w, or a stored pair extended by one row. `update` passes the store,
+    with `hyper_start`, to the successor's selection, which extends each
+    factor instead of refactorizing it. A second update from the same state
+    finds no store and selects cold: the same hyper-parameters, but a fresh
+    factor where the first's may be extended, so the two can differ in the
+    last bits. A fixed state, or an auto state none of whose trials scored
+    finite, factorizes its covariance itself (`_factorize`, adding jitter
+    where it must).
     """
 
     def __init__(self, space: SearchSpace, observations=(),
@@ -251,7 +253,7 @@ class GPState:
             # copies: the successor's extend borders the store's last block in place
             self._factor = tuple([part[t:t + 1].copy() for part in parts] for parts in
                                  (self._trial_factors.blocks, self._trial_factors.inverses))
-            self._w = substitute(*self._factor, self._ys[None, :, None])[0, :, 0]
+            self._w = self._trial_factors.w[t].copy()
             self.jitter = 0.0
         else:   # fixed hyper-parameters, or no trial scored finite
             L, self._w, self.jitter = _factorize(
@@ -271,8 +273,8 @@ def _bordered_cholesky(R: np.ndarray, ys: np.ndarray, signal_var: float,
 
     Only the last pivot reads the corner, and comes out inf, so for any
     positive-definite K, noise-free included, the leading block is K's
-    factor and the last row is v. Raises LinAlgError when K is not positive
-    definite.
+    factor and the last row is v, copied so the bordered array goes
+    with L. Raises LinAlgError when K is not positive definite.
     """
     n = ys.shape[0]
     A = np.empty((n + 1, n + 1))
@@ -282,7 +284,7 @@ def _bordered_cholesky(R: np.ndarray, ys: np.ndarray, signal_var: float,
     A[:n, n] = ys
     A[n, n] = math.inf
     L = np.linalg.cholesky(A)
-    return L[:n, :n], L[n, :n]
+    return L[:n, :n], L[n, :n].copy()
 
 
 def _factorize(Xn: np.ndarray, lengthscales: tuple, signal_var: float, noise_var: float,
@@ -294,7 +296,7 @@ def _factorize(Xn: np.ndarray, lengthscales: tuple, signal_var: float, noise_var
     """
     R = _matern52(Xn, Xn, lengthscales, 1.0)   # the correlation
     jitter = 0.0
-    if noise_var == 0.0 and _has_duplicates(Xn):
+    if noise_var == 0.0 and np.unique(Xn, axis=0).shape[0] < Xn.shape[0]:
         jitter = 1e-8 * signal_var
         warnings.warn(f"duplicate observation locations with zero noise; "
                       f"adding jitter {jitter:g}", stacklevel=3)
@@ -306,25 +308,18 @@ def _factorize(Xn: np.ndarray, lengthscales: tuple, signal_var: float, noise_var
     raise NumericalError(f"covariance not positive definite at jitter {jitter:g}")
 
 
-def _has_duplicates(Xn: np.ndarray) -> bool:
-    return np.unique(Xn, axis=0).shape[0] < Xn.shape[0]
-
-
 def _log_marginal_likelihood(R: np.ndarray, ys: np.ndarray, signal_var: float,
-                             noise_var: float) -> tuple[float, np.ndarray | None]:
-    """log N(ys; 0, K) for K = signal_var * R + noise_var * I, and K's
-    Cholesky factor (None, with -inf, when K is not positive definite).
-
-    The factor L and v = L^-1 ys come from one bordered Cholesky
-    (`_bordered_cholesky`), so the quadratic form ys^T K^-1 ys is v.v with
-    no triangular solve.
+                             noise_var: float) -> tuple[float, tuple | None]:
+    """log N(ys; 0, K) for K = signal_var * R + noise_var * I, and (L, v):
+    K's Cholesky factor and v = L^-1 ys, from one `_bordered_cholesky`, so
+    ys^T K^-1 ys is v.v (None, with -inf, when K is not positive definite).
     """
     try:
         L, v = _bordered_cholesky(R, ys, signal_var, noise_var)
     except np.linalg.LinAlgError:
         return -math.inf, None
     return (float(-0.5 * v @ v - np.log(L.diagonal()).sum()
-                  - 0.5 * ys.shape[0] * math.log(2 * math.pi)), L)
+                  - 0.5 * ys.shape[0] * math.log(2 * math.pi)), (L, v))
 
 
 def _bordering(keys, Xn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -344,19 +339,18 @@ def _select_hypers(Xn: np.ndarray, ys: np.ndarray, start=None, *,
     each parameter restricted to its 7-point log grid; ties keep the
     earliest grid point. The ascent starts at `start` (lengthscales, signal
     var, noise var), which a refit takes from the previous state, or at the
-    grid midpoints when it is None; when the optimum does not move from the
-    start, the second pass only looks up scored trials. A full factorial
-    sweep over per-dimension lengthscales would be exponential in the
-    dimension for no accuracy gain at this scale.
+    grid midpoints when it is None. A full factorial sweep over
+    per-dimension lengthscales would be exponential in the dimension for no
+    accuracy gain at this scale.
 
-    Each sweep starts at the previous sweep's choice and the second pass
-    can repeat points of the first, so a trial is scored once and looked up
-    after that. With `factors`, a store over all points of Xn but the last,
-    every stored trial is first scored by bordering its factor by one row
+    Each sweep starts at the previous sweep's choice, so sweeps repeat
+    trials: a trial is scored once and looked up after that. With
+    `factors`, a store over all points of Xn but the last, every stored
+    trial is first scored by bordering its factor by one row
     (CholeskyStack.extend); only a trial not in the store is scored from
     scratch, by one Cholesky of its K bordered by ys; the signal and noise
     sweeps share the correlation R of the chosen lengthscales. The store
-    then holds the factor of every trial looked up.
+    then holds the factor and L^-1 ys of every trial looked up.
     """
     dim = Xn.shape[1]
     stored = factors.extend(Xn, ys, _bordering) if factors is not None else {}
@@ -369,7 +363,7 @@ def _select_hypers(Xn: np.ndarray, ys: np.ndarray, start=None, *,
         return last_R[1]
 
     scored: dict[tuple[float, ...], float] = {}
-    fresh: dict[tuple[float, ...], tuple[list[np.ndarray], float]] = {}
+    fresh: dict[tuple[float, ...], tuple] = {}
 
     def score(lengthscales: tuple[float, ...], signal_var: float, noise_var: float) -> float:
         key = (*lengthscales, signal_var, noise_var)
@@ -377,10 +371,11 @@ def _select_hypers(Xn: np.ndarray, ys: np.ndarray, start=None, *,
             if key in stored:
                 scored[key] = stored[key]
             else:
-                scored[key], L = _log_marginal_likelihood(
+                scored[key], factor = _log_marginal_likelihood(
                     correlation(lengthscales), ys, signal_var, noise_var)
-                if L is not None and factors is not None:
-                    fresh[key] = (CholeskyStack.pack(L), np.log(L.diagonal()).sum())
+                if factor is not None and factors is not None:
+                    L, v = factor
+                    fresh[key] = (CholeskyStack.pack(L), np.log(L.diagonal()).sum(), v)
         return scored[key]
 
     lengthscales, s2f, s2n = start or ((LENGTHSCALE_GRID[3],) * dim, SIGNAL_VAR_GRID[3],
@@ -390,11 +385,11 @@ def _select_hypers(Xn: np.ndarray, ys: np.ndarray, start=None, *,
         for d in range(dim):
             scores = [score((*ls[:d], candidate, *ls[d + 1:]), s2f, s2n)
                       for candidate in LENGTHSCALE_GRID]
-            ls[d] = LENGTHSCALE_GRID[int(np.argmax(scores))]
+            ls[d] = LENGTHSCALE_GRID[scores.index(max(scores))]
         scores = [score(tuple(ls), candidate, s2n) for candidate in SIGNAL_VAR_GRID]
-        s2f = SIGNAL_VAR_GRID[int(np.argmax(scores))]
+        s2f = SIGNAL_VAR_GRID[scores.index(max(scores))]
         scores = [score(tuple(ls), s2f, candidate) for candidate in NOISE_VAR_GRID]
-        s2n = NOISE_VAR_GRID[int(np.argmax(scores))]
+        s2n = NOISE_VAR_GRID[scores.index(max(scores))]
     if factors is not None:
         factors.keep(Xn, scored, fresh)
     return tuple(ls), float(s2f), float(s2n)
@@ -407,8 +402,9 @@ def gp_posterior_batch(state: GPState, X) -> tuple[np.ndarray, np.ndarray]:
     # k*^T built as (points, queries), so the substitution reads contiguous row blocks
     k_star_t = _matern52(state._xn, Xq, state.lengthscales, state.signal_var)
     v = substitute(*state._factor, k_star_t[None])[0]
-    mean_std = np.sum(v * state._w[:, None], axis=0)
-    var_std = np.maximum(state.signal_var - np.sum(v * v, axis=0), 0.0)
+    # v * w and v * v reuse k*^T's buffer
+    mean_std = np.multiply(v, state._w[:, None], out=k_star_t).sum(axis=0)
+    var_std = np.maximum(state.signal_var - np.multiply(v, v, out=k_star_t).sum(axis=0), 0.0)
     return state.prior_mean + state.y_scale * mean_std, state.y_scale ** 2 * var_std
 
 
@@ -500,12 +496,10 @@ def hw_ieci_batch(state: GPState, X: np.ndarray, y_best: float,
                   feasible: np.ndarray) -> np.ndarray:
     """ei_batch on the rows `feasible` marks, zero on every other row.
 
-    The posterior and the improvement are computed only on the marked rows,
-    so with none marked there is no posterior call. A marked row gets
-    ei_batch's value on the marked rows, which can differ from ei_batch's on
-    the whole array in the last bits: the posterior's blocked substitution
-    runs matmuls whose BLAS kernels round the last columns of an array
-    another way, so a row's bits can depend on its place in the array.
+    The posterior and the improvement are computed only on the marked rows
+    (none marked: no posterior call), so a marked row's value can differ
+    from ei_batch's on the whole array in the last bits: the BLAS matmuls of
+    the blocked substitution round an array's last columns another way.
     """
     values = np.zeros(X.shape[0])
     if feasible.any():

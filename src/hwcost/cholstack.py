@@ -5,8 +5,8 @@ When a point joins, every matrix K over the earlier points is bordered by
 one row and column (k, kappa), and so is its factor: the new row is
 [l, delta] with l = L^-1 k and delta = sqrt(kappa - l.l) (Rasmussen &
 Williams 2006, app. A.4). That costs O(n^2) per matrix in place of a fresh
-O(n^3) factorization. The stack scores each matrix as a zero-mean Gaussian
-log likelihood of the targets, which the same forward substitution gives.
+O(n^3) factorization. The same forward substitution gives each factor's
+L^-1 ys, which the stack keeps, and its matrix's log likelihood of ys.
 
 Forward substitution here is blocked: each BLOCK-row block of the right-hand
 side is reduced by the rows already solved and multiplied by the inverse of
@@ -22,13 +22,13 @@ import math
 import numpy as np
 
 BLOCK = 8  # rows per block of forward substitution and of a stored factor
+_UPPER = ~np.tri(BLOCK, dtype=bool)   # above a block's diagonal
 
 
 def substitute(blocks, inverses, rhs: np.ndarray) -> np.ndarray:
-    """L^-1 rhs for the lower triangle L whose rows [i0, i0 + BLOCK) up to
-    the end of their diagonal block are blocks[b] (i0 = b * BLOCK) and whose
-    diagonal blocks have the inverses inverses[b]. Leading axes broadcast,
-    so a stack of factors solves a stack of right-hand sides.
+    """L^-1 rhs for the lower triangle L packed as a CholeskyStack packs it.
+    Leading axes broadcast, so a stack of factors solves a stack of
+    right-hand sides.
 
     A product with an explicit inverse D^-1 errs in proportion to D's
     condition, so each block takes one refinement step against D itself:
@@ -61,6 +61,7 @@ class CholeskyStack:
         self.xn = np.zeros((0, 0))   # the points the factors are over
         self.keys: list = []
         self.logdet = np.zeros(0)    # log det of each factor
+        self.w = np.zeros((0, 0))    # L^-1 ys of each factor, ys last scored
         self.blocks: list[np.ndarray] = []
         self.inverses: list[np.ndarray] = []
 
@@ -69,18 +70,16 @@ class CholeskyStack:
         """One factor as the stack's blocks and diagonal-block inverses, each
         with a leading axis of 1."""
         n = L.shape[0]
-        blocks = []
-        for i0 in range(0, n, BLOCK):
-            block = np.zeros((1, BLOCK, i0 + BLOCK))
-            rows = L[i0:i0 + BLOCK, :i0 + BLOCK]
-            block[0, :rows.shape[0], :rows.shape[1]] = rows
-            blocks.append(block)
+        size = -(-n // BLOCK) * BLOCK
+        padded = np.zeros((size, size))
+        padded[:n, :n] = L
+        blocks = [padded[None, i0:i0 + BLOCK, :i0 + BLOCK].copy() for i0 in range(0, size, BLOCK)]
         # the diagonal blocks, the last padded with the identity, inverted at once
-        D = np.array([block[0, :, -BLOCK:] for block in blocks]).reshape(-1, BLOCK, BLOCK)
-        pad = np.arange(n % BLOCK or BLOCK, BLOCK)
-        D[-1:, pad, pad] = 1.0
-        inverses = np.tril(np.linalg.inv(D))
-        inverses[-1:, pad] = 0.0
+        padded.flat[n * (size + 1)::size + 1] = 1.0
+        b = np.arange(size // BLOCK)
+        inverses = np.linalg.inv(padded.reshape(b.size, BLOCK, b.size, BLOCK)[b, :, b])
+        inverses[:, _UPPER] = 0.0
+        inverses[-1:, n % BLOCK or BLOCK:] = 0.0
         return blocks, [inverse[None] for inverse in inverses]
 
     def extend(self, Xn: np.ndarray, ys: np.ndarray, bordering) -> dict:
@@ -108,6 +107,7 @@ class CholeskyStack:
         delta = np.sqrt(np.where(ok, d2, 1.0))
         w_last = (ys[m] - np.einsum("ti,ti->t", l, w)) / delta
         self.logdet = self.logdet + np.log(delta)
+        self.w = np.concatenate([w, w_last[:, None]], axis=1)
         lml = (-0.5 * (np.einsum("ti,ti->t", w, w) + w_last * w_last) - self.logdet
                - 0.5 * (m + 1) * math.log(2 * math.pi))
         j = m % BLOCK   # the new row's place in its block
@@ -128,7 +128,7 @@ class CholeskyStack:
     def keep(self, Xn: np.ndarray, scored: dict, fresh: dict) -> None:
         """Hold exactly the keys of `scored` (key: log likelihood) that scored
         finite: a stored factor as it is, any other as `fresh[key]`, (pack(L),
-        log det of L), with L over Xn."""
+        log det of L, L^-1 ys), with L over Xn."""
         looked_up = [key for key, value in scored.items() if value > -math.inf]
         index = {key: t for t, key in enumerate(self.keys)}
         kept = [index[key] for key in looked_up if key in index]
@@ -139,11 +139,13 @@ class CholeskyStack:
             self.blocks = [np.zeros((0, BLOCK, i0 + BLOCK))
                            for i0 in range(0, Xn.shape[0], BLOCK)]
             self.inverses = [np.zeros((0, BLOCK, BLOCK)) for _ in self.blocks]
+            self.w = np.zeros((0, Xn.shape[0]))
         # block by block, so no more than one block is held twice
         for b, (block, inverse) in enumerate(zip(self.blocks, self.inverses)):
             self.blocks[b] = np.concatenate([block[kept], *(fresh[key][0][0][b] for key in new)])
             self.inverses[b] = np.concatenate(
                 [inverse[kept], *(fresh[key][0][1][b] for key in new)])
         self.logdet = np.concatenate([self.logdet[kept], [fresh[key][1] for key in new]])
+        self.w = np.vstack([self.w[kept], *(fresh[key][2] for key in new)])
         self.keys = [self.keys[t] for t in kept] + new
         self.xn = Xn

@@ -292,3 +292,24 @@ def forward_substitution_reference(L, B):
     for i in range(L.shape[0]):
         X[i] = (X[i] - L[i, :i] @ X[:i]) / L[i, i]
     return X
+
+
+def pack_reference(L, block):
+    """A lower triangle as blocks of `block` rows, block b an array (1,
+    block, (b + 1) * block) zero past the last row, and each diagonal
+    block's inverse, (1, block, block), lower-triangular and zero past the
+    last row: block by block, the last diagonal block padded with the
+    identity before all are inverted at once."""
+    n = L.shape[0]
+    blocks = []
+    for i0 in range(0, n, block):
+        packed = np.zeros((1, block, i0 + block))
+        rows = L[i0:i0 + block, :i0 + block]
+        packed[0, :rows.shape[0], :rows.shape[1]] = rows
+        blocks.append(packed)
+    D = np.array([packed[0, :, -block:] for packed in blocks]).reshape(-1, block, block)
+    pad = np.arange(n % block or block, block)
+    D[-1:, pad, pad] = 1.0
+    inverses = np.tril(np.linalg.inv(D))
+    inverses[-1:, pad] = 0.0
+    return blocks, [inverse[None] for inverse in inverses]

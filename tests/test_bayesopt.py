@@ -9,7 +9,7 @@ from hwcost.bayesopt import (ConstraintSpec, Dimension, GPState, Observation, Se
                              bo_run, draw_candidates, ei_batch, ei_value,
                              expected_improvement, gp_posterior, gp_posterior_batch,
                              hw_ieci, hw_ieci_batch, propose_next, update)
-from hwcost.cholstack import CholeskyStack
+from hwcost.cholstack import CholeskyStack, substitute
 from hwcost.linmod import LinearModel, LinTarget
 from hwcost.objectives import branin, quadratic_bowl, with_noise
 from hwcost.seeding import generator
@@ -456,13 +456,40 @@ def test_states_from_extended_trials_predict_as_fresh_factors_do():
     assert len(places) > 1
 
 
+def test_auto_states_take_l_inverse_y_from_their_selection(monkeypatch):
+    """Over 36 refits that choose both stored and fresh trials, every auto
+    state copies its chosen trial's L^-1 ys from the store, substituting
+    nothing itself, and the copy is what a substitution against its factor
+    gives."""
+    def refused(*args, **kwargs):
+        raise AssertionError("an auto state substituted its own targets")
+
+    rng = np.random.default_rng(23)
+    xs = rng.uniform(0, 1, (40, 2))
+    obs = [Observation(tuple(float(v) for v in x), float(np.sin(5 * x[0]) + x[1] ** 2))
+           for x in xs]
+    state, chosen = None, set()
+    for k in range(4, 41):
+        with monkeypatch.context() as patch:
+            patch.setattr(bo, "substitute", refused)
+            if state is None:
+                state = GPState.fit(space_2d(), obs[:k])
+            else:
+                stored = list(state._trial_factors.keys)
+                state = update(state, obs[k - 1])
+                chosen.add((*state.lengthscales, state.signal_var, state.noise_var) in stored)
+        w = substitute(*state._factor, state._ys[None, :, None])[0, :, 0]
+        assert np.abs(state._w - w).max() <= 1e-12 * np.abs(w).max()
+    assert chosen == {True, False}
+
+
 def test_a_stored_trial_that_is_no_longer_positive_definite_scores_minus_inf():
     """delta^2 = s2f + s2n - l.l <= 0: the trial scores -inf and leaves the store."""
     Xn = np.array([[0.5], [0.5001], [0.4999]])
     key = (0.4, 1.0, 1e-8)
     factors = CholeskyStack()
     # an identity factor is not K's on points this close, so l.l is about 2 s2f^2
-    factors.keep(Xn[:2], {key: 0.0}, {key: (CholeskyStack.pack(np.eye(2)), 0.0)})
+    factors.keep(Xn[:2], {key: 0.0}, {key: (CholeskyStack.pack(np.eye(2)), 0.0, np.zeros(2))})
     scores = factors.extend(Xn, np.zeros(3), bo._bordering)
     assert scores == {key: -math.inf}
     factors.keep(Xn, scores, {})

@@ -6,7 +6,7 @@ import pytest
 from hwcost import bayesopt as bo
 from hwcost.cholstack import BLOCK, CholeskyStack, substitute
 
-from oracles import forward_substitution_reference
+from oracles import forward_substitution_reference, pack_reference
 
 
 def _matern_factor(n, clustered):
@@ -45,7 +45,7 @@ def _grown(X, noise):
     key = (0.2, 0.2, 1.0, noise)
     L = np.sqrt(np.array([[1.0 + noise]]))
     stack = CholeskyStack()
-    stack.keep(X[:1], {key: 0.0}, {key: (CholeskyStack.pack(L), np.log(L[0, 0]))})
+    stack.keep(X[:1], {key: 0.0}, {key: (CholeskyStack.pack(L), np.log(L[0, 0]), np.zeros(1))})
     for m in range(2, X.shape[0] + 1):
         assert stack.extend(X[:m], np.zeros(m), bo._bordering)[key] > -math.inf
     return stack.blocks, stack.inverses
@@ -73,6 +73,20 @@ def test_solve_lower_is_as_accurate_as_lu(n, columns, clustered):
     L, X, rng = _matern_factor(n, clustered)
     B = bo._matern52(X, rng.uniform(0, 1, (columns, 2)), np.full(2, 0.2), 1.0)
     _assert_as_accurate_as_lu(*CholeskyStack.pack(L), B)
+
+
+@pytest.mark.parametrize("clustered", [False, True])
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 64, 130])
+def test_pack_is_bit_for_bit_the_block_by_block_packing(n, clustered):
+    """pack's blocks and inverses, from one padded copy of L, are those of a
+    per-block loop, bit for bit, and each block owns its data."""
+    L = _matern_factor(n, clustered)[0]
+    got, want = CholeskyStack.pack(L), pack_reference(L, BLOCK)
+    for got_parts, want_parts in zip(got, want):
+        assert len(got_parts) == len(want_parts)
+        for a, b in zip(got_parts, want_parts):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert all(block.flags.owndata for block in got[0])
 
 
 @pytest.mark.parametrize("columns", [1, 512])
@@ -119,8 +133,8 @@ def test_stack_inverses_follow_extend_and_keep():
     stack = CholeskyStack()
     first = _factors(Xn[:6], keys)
     stack.keep(Xn[:6], {key: 0.0 for key in keys},
-               {key: (CholeskyStack.pack(L), np.log(L.diagonal()).sum())
-                for key, L in first.items()})
+               {key: (CholeskyStack.pack(L), np.log(L.diagonal()).sum(),
+                      np.linalg.solve(L, ys[:6])) for key, L in first.items()})
     _assert_inverses_match_blocks(stack)
     for n in range(7, 21):
         scores = stack.extend(Xn[:n], ys[:n], bo._bordering)
@@ -129,12 +143,15 @@ def test_stack_inverses_follow_extend_and_keep():
     new = (0.1, 0.3, 4.0, 1e-2)
     L = _factors(Xn[:20], [new])[new]
     stack.keep(Xn[:20], {keys[0]: 0.0, keys[2]: 0.0, keys[1]: -math.inf, new: 0.0},
-               {new: (CholeskyStack.pack(L), np.log(L.diagonal()).sum())})
+               {new: (CholeskyStack.pack(L), np.log(L.diagonal()).sum(),
+                      np.linalg.solve(L, ys[:20]))})
     assert stack.keys == [keys[0], keys[2], new]
     _assert_inverses_match_blocks(stack)
     for n in (21, 22):
         stack.extend(Xn[:n], ys[:n], bo._bordering)
         _assert_inverses_match_blocks(stack)
-    # the stored factors are the factors of each key's K
+    # the stored factors are the factors of each key's K, each beside its L^-1 ys
     for t, L in enumerate(_factors(Xn, stack.keys).values()):
         assert np.abs(_dense(stack.blocks, 22, t) - L).max() <= 1e-12 * np.abs(L).max()
+        w = forward_substitution_reference(_dense(stack.blocks, 22, t), ys)
+        assert np.abs(stack.w[t] - w).max() <= 1e-12 * np.abs(w).max()
