@@ -73,6 +73,14 @@ class SearchSpace:
         missing = [n for n in self.structural_subset if n not in names]
         if missing:
             raise ValueError(f"structural subset names not in space: {missing}")
+        # read-only, built once: the bounds, and the box that candidates are
+        # drawn on, integer dimensions half a step wider each way
+        lo, hi, half = np.array([(d.lo, d.hi, 0.5 * (d.kind == "integer"))
+                                 for d in self.dimensions]).T
+        for name, value in (("_lo", lo), ("_hi", hi), ("_span", hi - lo), ("_low", lo - half),
+                            ("_width", hi + half - (lo - half))):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -87,13 +95,11 @@ class SearchSpace:
         return tuple(index[n] for n in self.structural_subset)
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-dimension lower and upper bounds as arrays."""
-        return (np.array([d.lo for d in self.dimensions]),
-                np.array([d.hi for d in self.dimensions]))
+        """Per-dimension lower and upper bounds as read-only arrays."""
+        return self._lo, self._hi
 
     def normalize(self, X: np.ndarray) -> np.ndarray:
-        lo, hi = self.bounds()
-        return (np.atleast_2d(X) - lo) / (hi - lo)
+        return (np.atleast_2d(X) - self._lo) / self._span
 
 
 @dataclass(frozen=True)
@@ -180,49 +186,51 @@ class GPState:
     """GP regression state over a SearchSpace, immutable apart from one
     private store that `update` hands to its successor.
 
-    Inputs live in the unit box; with auto_hypers the targets are
-    standardized internally and kernel hyper-parameters are re-selected by
-    grid-restricted marginal-likelihood ascent on every update, from
-    `hyper_start` (lengthscales, signal var, noise var): `update` passes the
-    previous state's choice, and a first fit (None) starts at the grid
-    midpoints. Fixed-hyper states (auto_hypers=False) take lengthscales and
-    variances in raw units and keep them across updates. A state holds the
-    Cholesky factor L of its covariance, packed as a CholeskyStack packs it,
-    and w = L^-1 of its (standardized) targets.
+    Inputs live in the unit box. With auto_hypers the targets are
+    standardized and the kernel's hyper-parameters re-selected on every
+    update by grid ascent of the marginal likelihood from `hyper_start`
+    (lengthscales, signal var, noise var): the previous state's choice, or
+    the grid midpoints on a first fit (None). Fixed-hyper states keep the
+    lengthscales and variances they take, in raw units. A state holds its
+    covariance's Cholesky factor L, packed as by CholeskyStack.pack, and
+    w = L^-1 of its (standardized) targets.
 
-    An auto state keeps the factors of the trials its selection looked up,
-    each with its w (`_trial_factors`, a CholeskyStack), and copies the
-    chosen trial's L and w: fresh from one bordered Cholesky, whose last row
-    is w, or a stored pair extended by one row. `update` passes the store,
-    with `hyper_start`, to the successor's selection, which extends each
-    factor instead of refactorizing it. A second update from the same state
-    finds no store and selects cold: the same hyper-parameters, but a fresh
-    factor where the first's may be extended, so the two can differ in the
-    last bits. A fixed state, or an auto state none of whose trials scored
-    finite, factorizes its covariance itself (`_factorize`, adding jitter
-    where it must).
+    A refit inherits what depends only on earlier points: their normalized
+    points (`points`), so it checks and normalizes only the new
+    observation, and for an auto state the store of the factors, each with
+    its w, of the trials its selection looked up (`_trial_factors`). The
+    successor's selection extends each stored factor by one row instead of
+    refactorizing it, and the state copies the chosen trial's L and w. A
+    second update from the same state finds no store and selects cold: the
+    same hyper-parameters, but a fresh factor where the first's may be
+    extended, so the two can differ in the last bits. A fixed state, or an
+    auto state none of whose trials scored finite, factorizes its
+    covariance itself (`_factorize`, adding jitter where it must).
     """
 
     def __init__(self, space: SearchSpace, observations=(),
                  lengthscales=None, signal_var: float = 1.0, noise_var: float = 0.0,
                  prior_mean: float = 0.0, auto_hypers: bool = False, *, hyper_start=None,
-                 trial_factors: CholeskyStack | None = None):
+                 trial_factors: CholeskyStack | None = None, points=None):
         self.space = space
         self.observations = tuple(observations)
-        if any(len(obs.x) != space.dim for obs in self.observations):
+        new = self.observations if points is None else self.observations[-1:]
+        if any(len(obs.x) != space.dim for obs in new):
             raise ValueError("observation arity does not match space")
         self.auto_hypers = auto_hypers
 
         self._trial_factors = None
         n = len(self.observations)
-        X = np.array([obs.x for obs in self.observations], dtype=float).reshape(n, space.dim)
+        X = np.array([obs.x for obs in new], dtype=float).reshape(len(new), space.dim)
         lo, hi = space.bounds()
         # the raw coordinates: rounding in normalized ones could admit a point past hi
         inside = np.logical_and(lo <= X, X <= hi).all(axis=1)
         if not inside.all():
-            outside = self.observations[int(np.argmin(inside))]
+            outside = new[int(np.argmin(inside))]
             raise ValueError(f"observation {outside.x} outside the search space")
         self._xn = space.normalize(X)
+        if points is not None:
+            self._xn = np.concatenate([points, self._xn])
         y = np.array([obs.y for obs in self.observations], dtype=float)
 
         if auto_hypers and n:
@@ -344,12 +352,11 @@ def _select_hypers(Xn: np.ndarray, ys: np.ndarray, start=None, *,
     accuracy gain at this scale.
 
     Each sweep starts at the previous sweep's choice, so sweeps repeat
-    trials: a trial is scored once and looked up after that. With
-    `factors`, a store over all points of Xn but the last, every stored
-    trial is first scored by bordering its factor by one row
-    (CholeskyStack.extend); only a trial not in the store is scored from
-    scratch, by one Cholesky of its K bordered by ys; the signal and noise
-    sweeps share the correlation R of the chosen lengthscales. The store
+    trials: each is scored once and looked up after that. With `factors`,
+    a store over all points of Xn but the last, a stored trial is scored by
+    bordering its factor by one row (CholeskyStack.extend) and any other
+    from scratch, by one Cholesky of its K bordered by ys; the signal and
+    noise sweeps share the chosen lengthscales' correlation R. The store
     then holds the factor and L^-1 ys of every trial looked up.
     """
     dim = Xn.shape[1]
@@ -375,7 +382,7 @@ def _select_hypers(Xn: np.ndarray, ys: np.ndarray, start=None, *,
                     correlation(lengthscales), ys, signal_var, noise_var)
                 if factor is not None and factors is not None:
                     L, v = factor
-                    fresh[key] = (CholeskyStack.pack(L), np.log(L.diagonal()).sum(), v)
+                    fresh[key] = (CholeskyStack.split(L), np.log(L.diagonal()).sum(), v)
         return scored[key]
 
     lengthscales, s2f, s2n = start or ((LENGTHSCALE_GRID[3],) * dim, SIGNAL_VAR_GRID[3],
@@ -418,11 +425,12 @@ def update(state: GPState, observation: Observation, earlier=None) -> GPState:
 
     `earlier`, when given, replaces the state's observations before the new
     one, so a caller can revise earlier y values at no extra cost; it must
-    hold the state's points in the same order (ValueError otherwise). Auto
-    states re-select hyper-parameters, warm-starting the ascent at the
-    previous state's choice (at the grid midpoints if it had no data) and
-    extending the trial factors the state hands over; fixed states keep
-    theirs.
+    hold the state's points in the same order (ValueError otherwise), so
+    the successor inherits their normalized points and checks only the new
+    one. Auto states re-select hyper-parameters, warm-starting the ascent
+    at the previous state's choice (at the grid midpoints if it had no
+    data) and extending the trial factors the state hands over; fixed
+    states keep theirs.
     """
     if earlier is None:
         earlier = state.observations
@@ -432,15 +440,13 @@ def update(state: GPState, observation: Observation, earlier=None) -> GPState:
             raise ValueError("earlier observations must be the state's points in order; "
                              "only their y values may change")
     observations = earlier + (observation,)
-    if state.auto_hypers:
-        start = ((state.lengthscales, state.signal_var, state.noise_var)
-                 if state.observations else None)
-        factors, state._trial_factors = state._trial_factors, None
-        return GPState(state.space, observations, auto_hypers=True, hyper_start=start,
-                       trial_factors=factors)
-    return GPState(state.space, observations, lengthscales=state.lengthscales,
-                   signal_var=state.signal_var, noise_var=state.noise_var,
-                   prior_mean=state.prior_mean)
+    if not state.auto_hypers:
+        return GPState(state.space, observations, state.lengthscales, state.signal_var,
+                       state.noise_var, state.prior_mean, points=state._xn)
+    start = (state.lengthscales, state.signal_var, state.noise_var) if state.observations else None
+    factors, state._trial_factors = state._trial_factors, None
+    return GPState(state.space, observations, auto_hypers=True, hyper_start=start,
+                   trial_factors=factors, points=state._xn)
 
 
 def _Phi(u: np.ndarray) -> np.ndarray:
@@ -510,9 +516,9 @@ def hw_ieci_batch(state: GPState, X: np.ndarray, y_best: float,
 def draw_candidates(space: SearchSpace, count: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform candidates over the box; integer dimensions are drawn on
     [lo - 0.5, hi + 0.5) and rounded in place, so each value is equally likely."""
-    lo, hi = space.bounds()
-    half = np.array([0.5 if d.kind == "integer" else 0.0 for d in space.dimensions])
-    X = rng.uniform(lo - half, hi + half, size=(count, space.dim))
+    X = rng.random((count, space.dim))   # rng.uniform's low + (high - low) * u, bit for bit
+    X *= space._width
+    X += space._low
     for i, d in enumerate(space.dimensions):
         if d.kind == "integer":
             X[:, i] = np.clip(np.floor(X[:, i] + 0.5), d.lo, d.hi)

@@ -10,9 +10,9 @@ L^-1 ys, which the stack keeps, and its matrix's log likelihood of ys.
 
 Forward substitution here is blocked: each BLOCK-row block of the right-hand
 side is reduced by the rows already solved and multiplied by the inverse of
-its diagonal block, with one refinement step, so every step is a matmul and
-no step loops over rows. A GP state holds its one factor in the same packed
-form, and the same kernel solves its posterior's L^-1 k* (`substitute`).
+its diagonal block, with one refinement step, so every step is a matmul. A
+GP state holds its one factor in the same packed form, and the same kernel
+(`substitute`) solves its posterior's L^-1 k*.
 """
 
 from __future__ import annotations
@@ -69,18 +69,17 @@ class CholeskyStack:
     def pack(L: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """One factor as the stack's blocks and diagonal-block inverses, each
         with a leading axis of 1."""
+        blocks = CholeskyStack.split(L)
+        return blocks, _diagonal_inverses(blocks, L.shape[0])
+
+    @staticmethod
+    def split(L: np.ndarray) -> list[np.ndarray]:
+        """One factor as the stack's blocks, each with a leading axis of 1."""
         n = L.shape[0]
         size = -(-n // BLOCK) * BLOCK
         padded = np.zeros((size, size))
         padded[:n, :n] = L
-        blocks = [padded[None, i0:i0 + BLOCK, :i0 + BLOCK].copy() for i0 in range(0, size, BLOCK)]
-        # the diagonal blocks, the last padded with the identity, inverted at once
-        padded.flat[n * (size + 1)::size + 1] = 1.0
-        b = np.arange(size // BLOCK)
-        inverses = np.linalg.inv(padded.reshape(b.size, BLOCK, b.size, BLOCK)[b, :, b])
-        inverses[:, _UPPER] = 0.0
-        inverses[-1:, n % BLOCK or BLOCK:] = 0.0
-        return blocks, [inverse[None] for inverse in inverses]
+        return [padded[None, i0:i0 + BLOCK, :i0 + BLOCK].copy() for i0 in range(0, size, BLOCK)]
 
     def extend(self, Xn: np.ndarray, ys: np.ndarray, bordering) -> dict:
         """Border every factor for the last point of Xn and score it.
@@ -127,25 +126,43 @@ class CholeskyStack:
 
     def keep(self, Xn: np.ndarray, scored: dict, fresh: dict) -> None:
         """Hold exactly the keys of `scored` (key: log likelihood) that scored
-        finite: a stored factor as it is, any other as `fresh[key]`, (pack(L),
-        log det of L, L^-1 ys), with L over Xn."""
+        finite: a stored factor as it is, any other as `fresh[key]`,
+        (split(L), log det of L, L^-1 ys), with L over Xn, all of whose
+        diagonal blocks it inverts at once."""
         looked_up = [key for key, value in scored.items() if value > -math.inf]
+        if looked_up == self.keys:
+            return
         index = {key: t for t, key in enumerate(self.keys)}
         kept = [index[key] for key in looked_up if key in index]
         new = [key for key in looked_up if key in fresh]
-        if kept == list(range(len(self.keys))) and not new:
-            return
         if not self.keys:
             self.blocks = [np.zeros((0, BLOCK, i0 + BLOCK))
                            for i0 in range(0, Xn.shape[0], BLOCK)]
             self.inverses = [np.zeros((0, BLOCK, BLOCK)) for _ in self.blocks]
             self.w = np.zeros((0, Xn.shape[0]))
         # block by block, so no more than one block is held twice
-        for b, (block, inverse) in enumerate(zip(self.blocks, self.inverses)):
-            self.blocks[b] = np.concatenate([block[kept], *(fresh[key][0][0][b] for key in new)])
-            self.inverses[b] = np.concatenate(
-                [inverse[kept], *(fresh[key][0][1][b] for key in new)])
+        for b, block in enumerate(self.blocks):
+            self.blocks[b] = np.concatenate([block[kept], *(fresh[key][0][b] for key in new)])
+        inverses = _diagonal_inverses([block[len(kept):] for block in self.blocks], Xn.shape[0])
+        for b, inverse in enumerate(inverses):
+            self.inverses[b] = np.concatenate([self.inverses[b][kept], inverse])
         self.logdet = np.concatenate([self.logdet[kept], [fresh[key][1] for key in new]])
         self.w = np.vstack([self.w[kept], *(fresh[key][2] for key in new)])
         self.keys = [self.keys[t] for t in kept] + new
         self.xn = Xn
+
+
+def _diagonal_inverses(blocks: list[np.ndarray], n: int) -> list[np.ndarray]:
+    """The diagonal blocks' inverses of factors over n points packed as
+    `blocks`, from one batched inversion: the last is padded with the
+    identity, and each is zero above its diagonal and past the last row."""
+    if not blocks:
+        return []
+    D = np.stack([block[..., -BLOCK:] for block in blocks])   # (blocks, factors, 8, 8)
+    rows = n % BLOCK or BLOCK
+    pad = np.arange(rows, BLOCK)
+    D[-1, :, pad, pad] = 1.0
+    inverses = np.linalg.inv(D)
+    inverses[:, :, _UPPER] = 0.0
+    inverses[-1, :, rows:] = 0.0
+    return list(inverses)

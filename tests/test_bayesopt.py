@@ -172,6 +172,48 @@ def test_update_rejects_out_of_bounds():
         update(state, Observation((1.4,), 0.0))
 
 
+def test_update_rejects_a_wrong_arity_observation():
+    """A refit checks only its new observation, with the constructor's error."""
+    obs = [Observation((0.4, 0.1), 1.0), Observation((0.8, 0.6), 0.2)]
+    for state in (GPState(space_2d(), obs, noise_var=1e-6), GPState.fit(space_2d(), obs)):
+        for x in ((0.4,), (0.4, 0.1, 0.2)):
+            with pytest.raises(ValueError, match="^observation arity does not match space$"):
+                update(state, Observation(x, 0.0))
+
+
+@pytest.mark.parametrize("auto", [False, True])
+def test_update_chains_inherit_the_normalized_points(auto):
+    """A refit normalizes only its new point and takes the others from its
+    predecessor, with and without revising earlier y values: every state's
+    points are space.normalize of all its observations."""
+    space = SearchSpace((Dimension("a", "continuous", -1.0, 0.3),
+                         Dimension("n", "integer", 1, 64)))
+    rng = np.random.default_rng(31)
+    xs = [(float(a), float(n)) for a, n in zip(rng.uniform(-1.0, 0.3, 24),
+                                               rng.integers(1, 65, 24))]
+    for revise in (False, True):
+        state = GPState(space, auto_hypers=auto, noise_var=1e-6)
+        observed = []
+        for x in xs:
+            ob = Observation(x, x[0] + 0.01 * x[1])
+            if revise:
+                observed = [Observation(o.x, o.y + 0.5) for o in observed]
+                state = update(state, ob, observed)
+            else:
+                state = update(state, ob)
+            observed.append(ob)
+            assert state.observations == tuple(observed)
+            assert np.array_equal(state._xn, space.normalize(np.array([o.x for o in observed])))
+
+
+def test_bounds_are_read_only():
+    lo, hi = space_2d().bounds()
+    for bound in (lo, hi):
+        with pytest.raises(ValueError, match="read-only"):
+            bound[0] = 0.5
+    assert lo.tolist() == [0.0, 0.0] and hi.tolist() == [1.0, 1.0]
+
+
 def test_bounds_check_at_the_edges():
     # on [-1, 0.3] the point just past hi normalizes to exactly 1.0, so only
     # a check of the raw coordinates rejects it
@@ -489,7 +531,7 @@ def test_a_stored_trial_that_is_no_longer_positive_definite_scores_minus_inf():
     key = (0.4, 1.0, 1e-8)
     factors = CholeskyStack()
     # an identity factor is not K's on points this close, so l.l is about 2 s2f^2
-    factors.keep(Xn[:2], {key: 0.0}, {key: (CholeskyStack.pack(np.eye(2)), 0.0, np.zeros(2))})
+    factors.keep(Xn[:2], {key: 0.0}, {key: (CholeskyStack.split(np.eye(2)), 0.0, np.zeros(2))})
     scores = factors.extend(Xn, np.zeros(3), bo._bordering)
     assert scores == {key: -math.inf}
     factors.keep(Xn, scores, {})
@@ -809,6 +851,25 @@ def test_consecutive_run_seeds_draw_different_candidates(monkeypatch):
     # each run draws its 2 seeding points, then 8 candidate sets
     assert len(drawn[0]) == len(drawn[1]) == 9
     assert not set(drawn[0]) & set(drawn[1])
+
+
+@pytest.mark.parametrize("dims", [
+    (("continuous", -0.7, 2.3), ("continuous", 0.0, 1.0)),
+    (("integer", -3, 17), ("integer", 1, 64)),
+    (("integer", 1, 8), ("continuous", -0.7, 2.3), ("integer", 0, 1))])
+def test_candidates_are_the_uniform_draw_bit_for_bit(dims):
+    """draw_candidates maps one rng.random draw onto the box, which is
+    rng.uniform's draw on it bit for bit, before rounding integer columns."""
+    space = SearchSpace(tuple(Dimension(f"x{i}", *d) for i, d in enumerate(dims)))
+    lo, hi = (np.array([d[j] for d in dims], dtype=float) for j in (1, 2))
+    half = np.array([0.5 if d[0] == "integer" else 0.0 for d in dims])
+    for seed in (0, 5, 3001):
+        for count in (1, 7, 512):
+            X = generator(seed, 9).uniform(lo - half, hi + half, size=(count, len(dims)))
+            for i, d in enumerate(dims):
+                if d[0] == "integer":
+                    X[:, i] = np.clip(np.floor(X[:, i] + 0.5), d[1], d[2])
+            assert draw_candidates(space, count, generator(seed, 9)).tobytes() == X.tobytes()
 
 
 def test_integer_dimensions_rounded():

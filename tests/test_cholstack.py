@@ -45,7 +45,7 @@ def _grown(X, noise):
     key = (0.2, 0.2, 1.0, noise)
     L = np.sqrt(np.array([[1.0 + noise]]))
     stack = CholeskyStack()
-    stack.keep(X[:1], {key: 0.0}, {key: (CholeskyStack.pack(L), np.log(L[0, 0]), np.zeros(1))})
+    stack.keep(X[:1], {key: 0.0}, {key: (CholeskyStack.split(L), np.log(L[0, 0]), np.zeros(1))})
     for m in range(2, X.shape[0] + 1):
         assert stack.extend(X[:m], np.zeros(m), bo._bordering)[key] > -math.inf
     return stack.blocks, stack.inverses
@@ -87,6 +87,46 @@ def test_pack_is_bit_for_bit_the_block_by_block_packing(n, clustered):
         for a, b in zip(got_parts, want_parts):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
     assert all(block.flags.owndata for block in got[0])
+
+
+def _assert_packed_as_reference(stack, t, L):
+    """Factor t of the stack is pack_reference's packing of L, bit for bit."""
+    blocks, inverses = pack_reference(L, BLOCK)
+    assert len(stack.blocks) == len(stack.inverses) == len(blocks)
+    for got, want in zip((stack.blocks, stack.inverses), (blocks, inverses)):
+        for a, b in zip(got, want):
+            assert a[t].shape == b[0].shape and a[t].tobytes() == b[0].tobytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 64, 130])
+def test_keep_inverts_fresh_diagonal_blocks_as_pack_does(n):
+    """keep inverts the diagonal blocks of a selection's fresh factors in
+    one batch, beside a stored one, and each factor's blocks and inverses
+    are pack_reference's bit for bit; a selection with no fresh factor only
+    reorders and drops, and one that looked up the stored keys in order
+    leaves every array as it was."""
+    L0, X, _ = _matern_factor(n, False)
+    factors = {(0.2, 0.2, 1.0, 1e-6): L0, (0.2, 0.2, 1.0, 1e-8): _matern_factor(n, True)[0],
+               (0.4, 0.4, 2.0, 1e-6): 2.0 * L0}
+    k0, k1, k2 = factors
+
+    def fresh(*keys):
+        return {key: (CholeskyStack.split(factors[key]), np.log(factors[key].diagonal()).sum(),
+                      np.zeros(n)) for key in keys}
+
+    stack = CholeskyStack()
+    stack.keep(X, {k0: 0.0}, fresh(k0))
+    stack.keep(X, {k0: 0.0, k1: 0.0, k2: 0.0}, fresh(k1, k2))
+    assert stack.keys == [k0, k1, k2]
+    for t, key in enumerate(stack.keys):
+        _assert_packed_as_reference(stack, t, factors[key])
+    stack.keep(X, {k2: 0.0, k1: -math.inf, k0: 0.0}, {})
+    assert stack.keys == [k2, k0]
+    for t, key in enumerate(stack.keys):
+        _assert_packed_as_reference(stack, t, factors[key])
+    before = [*stack.blocks, *stack.inverses]
+    stack.keep(X, {k2: 0.0, k0: 0.0}, {})
+    assert all(a is b for a, b in zip([*stack.blocks, *stack.inverses], before))
 
 
 @pytest.mark.parametrize("columns", [1, 512])
@@ -133,7 +173,7 @@ def test_stack_inverses_follow_extend_and_keep():
     stack = CholeskyStack()
     first = _factors(Xn[:6], keys)
     stack.keep(Xn[:6], {key: 0.0 for key in keys},
-               {key: (CholeskyStack.pack(L), np.log(L.diagonal()).sum(),
+               {key: (CholeskyStack.split(L), np.log(L.diagonal()).sum(),
                       np.linalg.solve(L, ys[:6])) for key, L in first.items()})
     _assert_inverses_match_blocks(stack)
     for n in range(7, 21):
@@ -143,7 +183,7 @@ def test_stack_inverses_follow_extend_and_keep():
     new = (0.1, 0.3, 4.0, 1e-2)
     L = _factors(Xn[:20], [new])[new]
     stack.keep(Xn[:20], {keys[0]: 0.0, keys[2]: 0.0, keys[1]: -math.inf, new: 0.0},
-               {new: (CholeskyStack.pack(L), np.log(L.diagonal()).sum(),
+               {new: (CholeskyStack.split(L), np.log(L.diagonal()).sum(),
                       np.linalg.solve(L, ys[:20]))})
     assert stack.keys == [keys[0], keys[2], new]
     _assert_inverses_match_blocks(stack)
