@@ -186,25 +186,24 @@ class GPState:
     """GP regression state over a SearchSpace, immutable apart from one
     private store that `update` hands to its successor.
 
-    Inputs live in the unit box. With auto_hypers the targets are
-    standardized and the kernel's hyper-parameters re-selected on every
-    update by grid ascent of the marginal likelihood from `hyper_start`
-    (lengthscales, signal var, noise var): the previous state's choice, or
-    the grid midpoints on a first fit (None). Fixed-hyper states keep the
-    lengthscales and variances they take, in raw units. A state holds its
+    Inputs live in the unit box. Auto states standardize the targets
+    (numpy's mean and std) and re-select the kernel's hyper-parameters on
+    every update by grid ascent of the marginal likelihood from
+    `hyper_start` (lengthscales, signal var, noise var): the previous
+    choice, or the grid midpoints (None). Fixed states keep the
+    hyper-parameters they take, in raw units. A state holds its
     covariance's Cholesky factor L, packed as by CholeskyStack.pack, and
     w = L^-1 of its (standardized) targets.
 
-    A refit inherits what depends only on earlier points: their normalized
-    points (`points`), so it checks and normalizes only the new
-    observation, and for an auto state the store of the factors, each with
-    its w, of the trials its selection looked up (`_trial_factors`). The
-    successor's selection extends each stored factor by one row instead of
-    refactorizing it, and the state copies the chosen trial's L and w. A
-    second update from the same state finds no store and selects cold: the
-    same hyper-parameters, but a fresh factor where the first's may be
-    extended, so the two can differ in the last bits. A fixed state, or an
-    auto state none of whose trials scored finite, factorizes its
+    A refit inherits its predecessor's normalized points (`points`), so it
+    checks and normalizes only the new observation, and an auto refit the
+    store of the factors and w of the trials the last selection looked up
+    (`_trial_factors`): its selection extends each by one row, and the
+    state copies the chosen trial's L and w. A rejected update leaves the
+    store where it was; a second update from one state finds none and
+    selects cold, to the same hyper-parameters but with a fresh factor
+    that can differ from an extended one in the last bits. A fixed state,
+    or an auto state none of whose trials scored finite, factorizes its
     covariance itself (`_factorize`, adding jitter where it must).
     """
 
@@ -234,10 +233,12 @@ class GPState:
         y = np.array([obs.y for obs in self.observations], dtype=float)
 
         if auto_hypers and n:
-            self.prior_mean = float(y.mean())
-            scale = float(y.std())
+            # y.mean() and y.std() bit for bit, without numpy's Python-level _methods
+            self.prior_mean = float(np.add.reduce(y) / n)
+            centred = y - self.prior_mean
+            scale = math.sqrt(np.add.reduce(centred * centred) / n)
             self.y_scale = scale if scale > 0 else 1.0
-            self._ys = (y - self.prior_mean) / self.y_scale
+            self._ys = centred / self.y_scale
             self._trial_factors = trial_factors or CholeskyStack()
             self.lengthscales, self.signal_var, self.noise_var = _select_hypers(
                 self._xn, self._ys, hyper_start, factors=self._trial_factors)
@@ -258,7 +259,7 @@ class GPState:
         key = (*self.lengthscales, self.signal_var, self.noise_var)
         if self._trial_factors and key in self._trial_factors.keys:
             t = self._trial_factors.keys.index(key)
-            # copies: the successor's extend borders the store's last block in place
+            # copies: views would pin the store's arrays once keep replaces them
             self._factor = tuple([part[t:t + 1].copy() for part in parts] for parts in
                                  (self._trial_factors.blocks, self._trial_factors.inverses))
             self._w = self._trial_factors.w[t].copy()
@@ -330,10 +331,10 @@ def _log_marginal_likelihood(R: np.ndarray, ys: np.ndarray, signal_var: float,
                   - 0.5 * ys.shape[0] * math.log(2 * math.pi)), (L, v))
 
 
-def _bordering(keys, Xn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each trial key (*lengthscales, signal var, noise var), the column
-    of its K between the last point of Xn and the others, and its diagonal."""
-    params = np.array(keys)
+def _bordering(params: np.ndarray, Xn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each trial, a row (*lengthscales, signal var, noise var) of
+    `params`, the column of its K between the last point of Xn and the
+    others, and its diagonal."""
     k = _matern52(Xn[:-1], Xn[-1:], params[:, :-2], params[:, -2])
     return k[:, :, 0], params[:, -2] + params[:, -1]
 
@@ -344,59 +345,60 @@ def _select_hypers(Xn: np.ndarray, ys: np.ndarray, start=None, *,
     """Coordinate-wise grid ascent of the log marginal likelihood.
 
     Two deterministic passes over (each lengthscale, signal var, noise var),
-    each parameter restricted to its 7-point log grid; ties keep the
-    earliest grid point. The ascent starts at `start` (lengthscales, signal
-    var, noise var), which a refit takes from the previous state, or at the
-    grid midpoints when it is None. A full factorial sweep over
-    per-dimension lengthscales would be exponential in the dimension for no
-    accuracy gain at this scale.
+    each restricted to its 7-point log grid, ties to the earliest point,
+    from `start` (lengthscales, signal var, noise var: a refit's previous
+    choice) or the grid midpoints (None). A first pass that ends at its
+    start is the only one: a second would repeat its lookups and choices.
+    A full factorial sweep over per-dimension lengthscales would be
+    exponential in the dimension for no accuracy gain at this scale.
 
-    Each sweep starts at the previous sweep's choice, so sweeps repeat
-    trials: each is scored once and looked up after that. With `factors`,
-    a store over all points of Xn but the last, a stored trial is scored by
-    bordering its factor by one row (CholeskyStack.extend) and any other
-    from scratch, by one Cholesky of its K bordered by ys; the signal and
-    noise sweeps share the chosen lengthscales' correlation R. The store
-    then holds the factor and L^-1 ys of every trial looked up.
+    Sweeps repeat trials, each starting at the previous choice: a sweep
+    builds its trials' keys once, and each trial is scored once and looked
+    up after that. With `factors`, a store over all points of Xn but the
+    last, a stored trial is scored by bordering its factor by one row
+    (CholeskyStack.extend), any other by one Cholesky of its K bordered by
+    ys; the signal and noise sweeps share the chosen lengthscales'
+    correlation R. The store then holds the factor and L^-1 ys of every
+    trial looked up.
     """
     dim = Xn.shape[1]
     stored = factors.extend(Xn, ys, _bordering) if factors is not None else {}
     last_R: tuple = (None, None)   # (lengthscales, R): the sweeps share the chosen R
-
-    def correlation(lengthscales: tuple[float, ...]) -> np.ndarray:
-        nonlocal last_R
-        if last_R[0] != lengthscales:
-            last_R = (lengthscales, _matern52(Xn, Xn, lengthscales, 1.0))
-        return last_R[1]
-
     scored: dict[tuple[float, ...], float] = {}
     fresh: dict[tuple[float, ...], tuple] = {}
 
-    def score(lengthscales: tuple[float, ...], signal_var: float, noise_var: float) -> float:
-        key = (*lengthscales, signal_var, noise_var)
-        if key not in scored:
-            if key in stored:
-                scored[key] = stored[key]
-            else:
-                scored[key], factor = _log_marginal_likelihood(
-                    correlation(lengthscales), ys, signal_var, noise_var)
-                if factor is not None and factors is not None:
-                    L, v = factor
-                    fresh[key] = (CholeskyStack.split(L), np.log(L.diagonal()).sum(), v)
-        return scored[key]
+    def best(grid: tuple[float, ...], keys: list[tuple[float, ...]]) -> float:
+        nonlocal last_R
+        scores = []
+        for key in keys:
+            value = scored.get(key)
+            if value is None:
+                value = stored.get(key)
+                if value is None:
+                    lengthscales = key[:dim]
+                    if last_R[0] != lengthscales:
+                        last_R = (lengthscales, _matern52(Xn, Xn, lengthscales, 1.0))
+                    value, factor = _log_marginal_likelihood(last_R[1], ys, key[-2], key[-1])
+                    if factor is not None and factors is not None:
+                        L, v = factor
+                        fresh[key] = (CholeskyStack.split(L), np.log(L.diagonal()).sum(), v)
+                scored[key] = value
+            scores.append(value)
+        return grid[scores.index(max(scores))]
 
     lengthscales, s2f, s2n = start or ((LENGTHSCALE_GRID[3],) * dim, SIGNAL_VAR_GRID[3],
                                        NOISE_VAR_GRID[3])
     ls = [float(v) for v in lengthscales]
     for _ in range(2):
+        began = (ls.copy(), s2f, s2n)
         for d in range(dim):
-            scores = [score((*ls[:d], candidate, *ls[d + 1:]), s2f, s2n)
-                      for candidate in LENGTHSCALE_GRID]
-            ls[d] = LENGTHSCALE_GRID[scores.index(max(scores))]
-        scores = [score(tuple(ls), candidate, s2n) for candidate in SIGNAL_VAR_GRID]
-        s2f = SIGNAL_VAR_GRID[scores.index(max(scores))]
-        scores = [score(tuple(ls), s2f, candidate) for candidate in NOISE_VAR_GRID]
-        s2n = NOISE_VAR_GRID[scores.index(max(scores))]
+            head, tail = ls[:d], (*ls[d + 1:], s2f, s2n)
+            ls[d] = best(LENGTHSCALE_GRID, [(*head, c, *tail) for c in LENGTHSCALE_GRID])
+        point = tuple(ls)
+        s2f = best(SIGNAL_VAR_GRID, [(*point, c, s2n) for c in SIGNAL_VAR_GRID])
+        s2n = best(NOISE_VAR_GRID, [(*point, s2f, c) for c in NOISE_VAR_GRID])
+        if (ls, s2f, s2n) == began:
+            break
     if factors is not None:
         factors.keep(Xn, scored, fresh)
     return tuple(ls), float(s2f), float(s2n)
@@ -425,12 +427,10 @@ def update(state: GPState, observation: Observation, earlier=None) -> GPState:
 
     `earlier`, when given, replaces the state's observations before the new
     one, so a caller can revise earlier y values at no extra cost; it must
-    hold the state's points in the same order (ValueError otherwise), so
-    the successor inherits their normalized points and checks only the new
-    one. Auto states re-select hyper-parameters, warm-starting the ascent
-    at the previous state's choice (at the grid midpoints if it had no
-    data) and extending the trial factors the state hands over; fixed
-    states keep theirs.
+    hold the state's points in order (ValueError otherwise). Auto states
+    re-select hyper-parameters from the previous choice (the grid
+    midpoints if the state had no data), extending the trial factors it
+    hands over; fixed states keep theirs.
     """
     if earlier is None:
         earlier = state.observations
@@ -444,15 +444,20 @@ def update(state: GPState, observation: Observation, earlier=None) -> GPState:
         return GPState(state.space, observations, state.lengthscales, state.signal_var,
                        state.noise_var, state.prior_mean, points=state._xn)
     start = (state.lengthscales, state.signal_var, state.noise_var) if state.observations else None
-    factors, state._trial_factors = state._trial_factors, None
-    return GPState(state.space, observations, auto_hypers=True, hyper_start=start,
-                   trial_factors=factors, points=state._xn)
+    successor = GPState(state.space, observations, auto_hypers=True, hyper_start=start,
+                        trial_factors=state._trial_factors, points=state._xn)
+    state._trial_factors = None   # now the successor's
+    return successor
 
 
 def _Phi(u: np.ndarray) -> np.ndarray:
-    """Standard normal CDF; numpy has no erfc, so math.erfc maps over the array."""
-    flat = (-u / math.sqrt(2.0)).ravel()
-    return 0.5 * np.fromiter(map(math.erfc, flat.tolist()), float, flat.size).reshape(u.shape)
+    """Standard normal CDF; numpy has no erfc, so math.erfc maps over the
+    array where its argument is not past 40 (erfc(40) is 0.0 in floats)."""
+    x = -u / math.sqrt(2.0)
+    out = np.zeros(x.shape)
+    live = ~(x > 40.0)   # nan too: math.erfc(nan) is nan
+    out[live] = np.fromiter(map(math.erfc, x[live].tolist()), float)
+    return 0.5 * out
 
 
 def ei_value(mean, sd, y_best: float):

@@ -60,6 +60,7 @@ class CholeskyStack:
     def __init__(self):
         self.xn = np.zeros((0, 0))   # the points the factors are over
         self.keys: list = []
+        self.params = np.zeros((0, 0))   # np.array(keys), rebuilt as they change
         self.logdet = np.zeros(0)    # log det of each factor
         self.w = np.zeros((0, 0))    # L^-1 ys of each factor, ys last scored
         self.blocks: list[np.ndarray] = []
@@ -84,7 +85,7 @@ class CholeskyStack:
     def extend(self, Xn: np.ndarray, ys: np.ndarray, bordering) -> dict:
         """Border every factor for the last point of Xn and score it.
 
-        `bordering(keys, Xn)` gives each matrix's new column against the
+        `bordering(params, Xn)` gives each matrix's new column against the
         earlier points, (matrices, n - 1), and its new diagonal entry.
         Returns log N(ys; 0, K) for each bordered K, by key, -inf where
         delta^2 <= 0. The stack must be over the points before the last;
@@ -95,7 +96,7 @@ class CholeskyStack:
                 not np.array_equal(self.xn, Xn[:m]):
             self.__init__()
             return {}
-        k, corner = bordering(self.keys, Xn)
+        k, corner = bordering(self.params, Xn)
         rhs = np.empty((len(self.keys), m, 2))   # [k, ys[:m]] for each matrix
         rhs[:, :, 0] = k
         rhs[:, :, 1] = ys[:m]
@@ -121,8 +122,8 @@ class CholeskyStack:
         inverse[:, j, :j] = -(l[:, None, m - j:] @ inverse[:, :j, :j])[:, 0] / delta[:, None]
         inverse[:, j, j] = 1.0 / delta
         self.xn = Xn
-        return {key: float(v) if good else -math.inf
-                for key, v, good in zip(self.keys, lml.tolist(), ok.tolist())}
+        lml[~ok] = -math.inf
+        return dict(zip(self.keys, lml.tolist()))
 
     def keep(self, Xn: np.ndarray, scored: dict, fresh: dict) -> None:
         """Hold exactly the keys of `scored` (key: log likelihood) that scored
@@ -149,6 +150,7 @@ class CholeskyStack:
         self.logdet = np.concatenate([self.logdet[kept], [fresh[key][1] for key in new]])
         self.w = np.vstack([self.w[kept], *(fresh[key][2] for key in new)])
         self.keys = [self.keys[t] for t in kept] + new
+        self.params = np.array(self.keys)
         self.xn = Xn
 
 

@@ -280,6 +280,58 @@ def test_hyper_selection_matches_dense_oracle():
             assert got == want, f"dim {dim}, n {n}, start {start}"
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_a_first_pass_that_ends_at_its_start_ends_the_ascent(dim, monkeypatch):
+    """A pass that comes back to its start would be repeated lookup for
+    lookup, so it is the last: the selection returns what the two-pass
+    oracle returns from that start, with and without a store, and sweeps
+    each grid once in all. A pass that moves is followed by a second."""
+    sweeps = []
+
+    class Grid(tuple):
+        def __iter__(self):
+            sweeps.append(self)
+            return super().__iter__()
+
+    for name in ("LENGTHSCALE_GRID", "SIGNAL_VAR_GRID", "NOISE_VAR_GRID"):
+        monkeypatch.setattr(bo, name, Grid(getattr(bo, name)))
+    one_pass = dim + 2
+    rng = np.random.default_rng(70 + dim)
+    X = rng.uniform(0, 1, (30, dim))
+    y = np.sin(3.0 * X @ rng.uniform(0.5, 2.0, dim)) + 0.1 * rng.normal(size=30)
+    ys = (y - y.mean()) / y.std()
+    cold = bo._select_hypers(X, ys)
+    assert len(sweeps) == 2 * one_pass   # the midpoints are not its optimum
+    for factors in (None, CholeskyStack()):
+        sweeps.clear()
+        if factors is not None:   # a store over the points before the last
+            bo._select_hypers(X[:-1], ys[:-1], cold, factors=factors)
+            assert factors.keys
+            sweeps.clear()
+        assert bo._select_hypers(X, ys, cold, factors=factors) == cold
+        assert len(sweeps) == one_pass
+    assert cold == select_hypers_dense(X, ys, bo.LENGTHSCALE_GRID, bo.SIGNAL_VAR_GRID,
+                                       bo.NOISE_VAR_GRID, cold)
+
+
+def test_auto_states_standardize_as_numpy_does_bit_for_bit(monkeypatch):
+    """An auto state's prior mean, scale and standardized targets against
+    y.mean() and y.std() of the numpy running the test, over lengths 1-130,
+    magnitudes far from 1 and constant y (scale 1)."""
+    monkeypatch.setattr(bo, "_select_hypers", lambda *args, **kwargs: ((0.4,), 1.0, 1e-4))
+    rng = np.random.default_rng(77)
+    cases = [rng.normal(loc, scale, n) for n in range(1, 131)
+             for loc, scale in ((0.0, 1.0), (1e6, 1e-3), (-3e-7, 5e-9))]
+    cases += [np.full(n, value) for n in (1, 2, 9, 100) for value in (0.0, 0.1, -7.3e12)]
+    for y in cases:
+        xs = np.linspace(0.0, 1.0, len(y))
+        state = GPState(space_1d(), [Observation((float(x),), float(v)) for x, v in zip(xs, y)],
+                        auto_hypers=True)
+        scale = y.std() if y.std() > 0 else 1.0
+        assert state.prior_mean == y.mean() and state.y_scale == scale, len(y)
+        assert np.array_equal(state._ys, (y - y.mean()) / scale)
+
+
 def test_update_warm_starts_from_the_previous_hypers():
     space = SearchSpace((Dimension("x1", "continuous", 0.0, 1.0),
                          Dimension("x2", "continuous", 0.0, 1.0)))
@@ -404,6 +456,51 @@ def test_two_updates_from_one_state_both_select_as_cold(monkeypatch):
         for i, line in enumerate(lines):
             lines[i] = update(line, ob)
             _assert_refit_selects_cold(lines[i], _hypers(line))
+
+
+def test_a_rejected_update_keeps_the_store(monkeypatch):
+    """An update whose new observation is refused leaves the store with the
+    state, so the next update extends it: it scores from scratch exactly the
+    trials an update of an untouched twin does, and gives the same state."""
+    rng = np.random.default_rng(21)
+    xs = rng.uniform(0, 1, (22, 2))
+    obs = [Observation(tuple(float(v) for v in x), float(np.sin(4 * x[0]) - x[1])) for x in xs]
+    states = [GPState.fit(space_2d(), obs[:4]) for _ in range(2)]
+    for ob in obs[4:21]:
+        states = [update(state, ob) for state in states]
+    rejected, twin = states
+    store = rejected._trial_factors
+    assert len(store.keys) > 20
+    for x in ((1.5, 0.2), (0.5,)):
+        with pytest.raises(ValueError):
+            update(rejected, Observation(x, 0.0))
+        assert rejected._trial_factors is store
+    fresh = _counting_fresh_scores(monkeypatch)
+    got = update(rejected, obs[21])
+    from_store = len(fresh)
+    want = update(twin, obs[21])
+    assert len(fresh) == 2 * from_store < len(store.keys)
+    assert rejected._trial_factors is None and got._trial_factors is store
+    assert _hypers(got) == _hypers(want) and np.array_equal(got._w, want._w)
+    for got_part, want_part in zip(got._factor, want._factor):
+        assert all(np.array_equal(a, b) for a, b in zip(got_part, want_part))
+
+
+def test_a_states_posterior_is_unchanged_by_an_update_from_it():
+    """A successor's extend writes the store's last block in place and its
+    keep rebuilds the store; the state's factor follows neither, so its
+    posterior keeps every bit, across block ends."""
+    rng = np.random.default_rng(22)
+    xs = rng.uniform(0, 1, (30, 2))
+    obs = [Observation(tuple(float(v) for v in x), float(np.cos(3 * x[0]) * x[1])) for x in xs]
+    X = rng.uniform(0, 1, (64, 2))
+    state = GPState.fit(space_2d(), obs[:4])
+    for ob in obs[4:]:
+        before = gp_posterior_batch(state, X)
+        successor = update(state, ob)
+        for got, want in zip(gp_posterior_batch(state, X), before):
+            assert np.array_equal(got, want)
+        state = successor
 
 
 def test_refits_that_stay_put_make_no_fresh_factorization(monkeypatch):
@@ -585,6 +682,24 @@ def test_ei_value_on_arrays_matches_scalar_calls():
         scalar = ei_value(float(m), float(s), 0.3)
         assert isinstance(scalar, float)
         assert v == scalar
+
+
+def test_phi_matches_the_plain_erfc_map():
+    """_Phi skips math.erfc past an argument of 40, where it is 0.0: bit for
+    bit the map over every entry, on arguments either side of 40, at 40
+    exactly, nan and both infinities."""
+    near_40 = -40.0 * math.sqrt(2.0) + np.arange(-4, 5) * np.spacing(40.0 * math.sqrt(2.0))
+    assert 40.0 in -near_40 / math.sqrt(2.0)
+    u = np.concatenate([np.linspace(-80.0, 5.0, 991), near_40,
+                        [math.nan, math.inf, -math.inf, 0.0]])
+    for shaped in (u, u.reshape(4, 251), u[:1].reshape(())):
+        flat = (-shaped / math.sqrt(2.0)).ravel()
+        want = (0.5 * np.array([math.erfc(v) for v in flat.tolist()])).reshape(shaped.shape)
+        got = bo._Phi(shaped)
+        assert got.shape == shaped.shape
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert 200 < (-u / math.sqrt(2.0) > 40.0).sum() < 800
 
 
 def test_ei_at_zero_margin_equals_phi0():
