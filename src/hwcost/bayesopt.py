@@ -188,19 +188,17 @@ class GPState:
 
     Inputs live in the unit box. Auto states standardize the targets
     (numpy's mean and std) and re-select the kernel's hyper-parameters on
-    every update by grid ascent of the marginal likelihood from
-    `hyper_start` (lengthscales, signal var, noise var): the previous
-    choice, or the grid midpoints (None). Fixed states keep the
-    hyper-parameters they take, in raw units. A state holds its
-    covariance's Cholesky factor L, packed as by CholeskyStack.pack, and
-    w = L^-1 of its (standardized) targets.
+    every update by `_select_hypers` from `hyper_start` (lengthscales,
+    signal var, noise var): the previous choice, or the grid midpoints
+    (None). Fixed states keep the hyper-parameters they take, in raw units.
+    A state holds its covariance's Cholesky factor L, packed as by
+    CholeskyStack.pack, and w = L^-1 of its (standardized) targets.
 
     A refit inherits its predecessor's normalized points (`points`), so it
-    checks and normalizes only the new observation, and an auto refit the
-    store of the factors and w of the trials the last selection looked up
-    (`_trial_factors`): its selection extends each by one row, and the
-    state copies the chosen trial's L and w. A rejected update leaves the
-    store where it was; a second update from one state finds none and
+    checks and normalizes only the new observation, and an auto refit its
+    trial store (`_trial_factors`, see `_select_hypers`), from which it
+    copies the chosen trial's L and w. A rejected update leaves the store
+    where it was; a second update from one state finds none and
     selects cold, to the same hyper-parameters but with a fresh factor
     that can differ from an extended one in the last bits. A fixed state,
     or an auto state none of whose trials scored finite, factorizes its
@@ -319,16 +317,18 @@ def _factorize(Xn: np.ndarray, lengthscales: tuple, signal_var: float, noise_var
 
 def _log_marginal_likelihood(R: np.ndarray, ys: np.ndarray, signal_var: float,
                              noise_var: float) -> tuple[float, tuple | None]:
-    """log N(ys; 0, K) for K = signal_var * R + noise_var * I, and (L, v):
-    K's Cholesky factor and v = L^-1 ys, from one `_bordered_cholesky`, so
-    ys^T K^-1 ys is v.v (None, with -inf, when K is not positive definite).
+    """log N(ys; 0, K) for K = signal_var * R + noise_var * I, and (L, v,
+    log det L): K's Cholesky factor and v = L^-1 ys, from one
+    `_bordered_cholesky`, so ys^T K^-1 ys is v.v (None, with -inf, when K
+    is not positive definite).
     """
     try:
         L, v = _bordered_cholesky(R, ys, signal_var, noise_var)
     except np.linalg.LinAlgError:
         return -math.inf, None
-    return (float(-0.5 * v @ v - np.log(L.diagonal()).sum()
-                  - 0.5 * ys.shape[0] * math.log(2 * math.pi)), (L, v))
+    logdet = np.log(L.diagonal()).sum()
+    return (float(-0.5 * v @ v - logdet - 0.5 * ys.shape[0] * math.log(2 * math.pi)),
+            (L, v, logdet))
 
 
 def _bordering(params: np.ndarray, Xn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -354,15 +354,16 @@ def _select_hypers(Xn: np.ndarray, ys: np.ndarray, start=None, *,
 
     Sweeps repeat trials, each starting at the previous choice: a sweep
     builds its trials' keys once, and each trial is scored once and looked
-    up after that. With `factors`, a store over all points of Xn but the
-    last, a stored trial is scored by bordering its factor by one row
-    (CholeskyStack.extend), any other by one Cholesky of its K bordered by
-    ys; the signal and noise sweeps share the chosen lengthscales'
-    correlation R. The store then holds the factor and L^-1 ys of every
-    trial looked up.
+    up after that. A trial stored in `factors` (default: an empty store),
+    over all points of Xn but the last, is scored by CholeskyStack.extend,
+    any other by `_log_marginal_likelihood`; the signal and noise sweeps
+    share the chosen lengthscales' correlation R. The store then holds the
+    factor and L^-1 ys of every trial looked up.
     """
     dim = Xn.shape[1]
-    stored = factors.extend(Xn, ys, _bordering) if factors is not None else {}
+    if factors is None:
+        factors = CholeskyStack()
+    stored = factors.extend(Xn, ys, _bordering)
     last_R: tuple = (None, None)   # (lengthscales, R): the sweeps share the chosen R
     scored: dict[tuple[float, ...], float] = {}
     fresh: dict[tuple[float, ...], tuple] = {}
@@ -379,9 +380,9 @@ def _select_hypers(Xn: np.ndarray, ys: np.ndarray, start=None, *,
                     if last_R[0] != lengthscales:
                         last_R = (lengthscales, _matern52(Xn, Xn, lengthscales, 1.0))
                     value, factor = _log_marginal_likelihood(last_R[1], ys, key[-2], key[-1])
-                    if factor is not None and factors is not None:
-                        L, v = factor
-                        fresh[key] = (CholeskyStack.split(L), np.log(L.diagonal()).sum(), v)
+                    if factor is not None:
+                        L, v, logdet = factor
+                        fresh[key] = (CholeskyStack.split(L), logdet, v)
                 scored[key] = value
             scores.append(value)
         return grid[scores.index(max(scores))]
@@ -399,8 +400,7 @@ def _select_hypers(Xn: np.ndarray, ys: np.ndarray, start=None, *,
         s2n = best(NOISE_VAR_GRID, [(*point, s2f, c) for c in NOISE_VAR_GRID])
         if (ls, s2f, s2n) == began:
             break
-    if factors is not None:
-        factors.keep(Xn, scored, fresh)
+    factors.keep(Xn, scored, fresh)
     return tuple(ls), float(s2f), float(s2n)
 
 

@@ -8,11 +8,8 @@ Williams 2006, app. A.4). That costs O(n^2) per matrix in place of a fresh
 O(n^3) factorization. The same forward substitution gives each factor's
 L^-1 ys, which the stack keeps, and its matrix's log likelihood of ys.
 
-Forward substitution here is blocked: each BLOCK-row block of the right-hand
-side is reduced by the rows already solved and multiplied by the inverse of
-its diagonal block, with one refinement step, so every step is a matmul. A
-GP state holds its one factor in the same packed form, and the same kernel
-(`substitute`) solves its posterior's L^-1 k*.
+Every forward substitution, the stack's and a GP state's posterior
+L^-1 k*, is `substitute` on factors packed as CholeskyStack packs them.
 """
 
 from __future__ import annotations
@@ -30,9 +27,11 @@ def substitute(blocks, inverses, rhs: np.ndarray) -> np.ndarray:
     Leading axes broadcast, so a stack of factors solves a stack of
     right-hand sides.
 
-    A product with an explicit inverse D^-1 errs in proportion to D's
-    condition, so each block takes one refinement step against D itself:
-    on clustered points that keeps the error near a plain substitution's.
+    Each BLOCK-row block of rhs is reduced by the rows already solved and
+    multiplied by the inverse of its diagonal block D, so every step is a
+    matmul. A product with D^-1 errs in proportion to D's condition, so
+    each block takes one refinement step against D itself: that keeps the
+    relative error within n * u * cond_2(L), as a plain substitution's.
     """
     x = np.empty(rhs.shape)
     for i0, block, inverse in zip(range(0, rhs.shape[-2], BLOCK), blocks, inverses):

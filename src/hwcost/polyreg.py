@@ -3,12 +3,9 @@
 Each model is a degree-bounded polynomial over a layer-kind-specific feature
 vector plus two special terms (total FLOPs and total memory accesses),
 fitted with L1-regularized least squares. The lasso is solved exactly along
-its piecewise-linear homotopy path (LARS-lasso, Efron et al. 2004) on the
-standardized design. Two rules decide the events: a column in the span of
-the active ones (an exact duplicate, say) never joins, and join ties go to
-the lowest index. A column that drops moves away from the bound it left, so
-no rule is needed to keep it from rejoining there at once. Network-level
-runtime/energy/average-power come from summing per-layer predictions.
+its piecewise-linear homotopy path (`_lasso_homotopy`) on the standardized
+design. Network-level runtime/energy/average-power come from summing
+per-layer predictions.
 """
 
 from __future__ import annotations

@@ -294,6 +294,36 @@ def forward_substitution_reference(L, B):
     return X
 
 
+def backward_substitution_reference(L, B):
+    """L^-T B row by row, last row first, in long double."""
+    L = np.asarray(L, dtype=np.longdouble)
+    X = np.array(B, dtype=np.longdouble)
+    for i in reversed(range(L.shape[0])):
+        X[i] = (X[i] - L[i + 1:, i] @ X[i + 1:]) / L[i, i]
+    return X
+
+
+def cholesky_reference(A):
+    """The lower Cholesky factor of A, column by column, in long double."""
+    A = np.asarray(A, dtype=np.longdouble)
+    L = np.zeros_like(A)
+    for j in range(A.shape[0]):
+        L[j, j] = np.sqrt(A[j, j] - L[j, :j] @ L[j, :j])
+        L[j + 1:, j] = (A[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
+    return L
+
+
+def gp_posterior_long_double(K, K_star, prior_var, y):
+    """GP posterior mean and variance at each column of K_star (points,
+    queries) for the covariance K of targets y with zero prior mean, by
+    Rasmussen & Williams (2006) alg. 2.1 in long double: L = chol(K),
+    alpha = L^-T L^-1 y, mean = K_star^T alpha, var = prior_var - |L^-1 k*|^2."""
+    L = cholesky_reference(K)
+    alpha = backward_substitution_reference(L, forward_substitution_reference(L, y))
+    V = forward_substitution_reference(L, K_star)
+    return np.asarray(K_star, dtype=np.longdouble).T @ alpha, prior_var - (V * V).sum(axis=0)
+
+
 def pack_reference(L, block):
     """A lower triangle as blocks of `block` rows, block b an array (1,
     block, (b + 1) * block) zero past the last row, and each diagonal

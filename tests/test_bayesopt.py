@@ -14,8 +14,9 @@ from hwcost.linmod import LinearModel, LinTarget
 from hwcost.objectives import branin, quadratic_bowl, with_noise
 from hwcost.seeding import generator
 
-from oracles import (ei_quadrature, gp_posterior_dense, matern52_correlation_reference,
-                     matern52_matrix_reference, select_hypers_dense)
+from oracles import (ei_quadrature, gp_posterior_dense, gp_posterior_long_double,
+                     matern52_correlation_reference, matern52_matrix_reference,
+                     select_hypers_dense)
 
 
 def space_1d():
@@ -118,6 +119,47 @@ def test_batch_mean_matches_dense_oracle_on_every_row():
                                                tuple(x), ls, s2f, s2n, 0.3)
             assert abs(mean - mean_o) < 1e-8
             assert abs(var - var_o) < 1e-8
+
+
+def _assert_posterior_as_long_double(state, X):
+    """Mean and variance on the rows of X, in the standardized units the
+    state computes in, within criterion 3's 1e-8 of the long-double
+    posterior of the state's own float64 K and standardized targets."""
+    ls, s2f = state.lengthscales, state.signal_var
+    K = matern52_matrix_reference(state._xn, state._xn, ls, s2f)
+    K += (state.noise_var + state.jitter) * np.eye(len(state._xn))
+    K_star = matern52_matrix_reference(state._xn, state.space.normalize(X), ls, s2f)
+    want_mean, want_var = gp_posterior_long_double(K, K_star, s2f, state._ys)
+    mean, var = gp_posterior_batch(state, X)
+    assert np.abs((mean - state.prior_mean) / state.y_scale - want_mean).max() <= 1e-8
+    assert np.abs(var / state.y_scale ** 2 - want_var).max() <= 1e-8
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is float64 here, so the reference is no sharper")
+@pytest.mark.parametrize("dim, objective, seed", [(2, "quadratic", 1), (2, "branin", 2),
+                                                  (6, "quadratic", 3)])
+def test_auto_posteriors_at_search_size_match_a_long_double_reference(dim, objective, seed):
+    """The auto states at the end of a seeded chain of updates to 100 points,
+    whose K are far worse conditioned than criterion 3's: the last update
+    takes its chosen trial's grown factor from the store, and a second
+    update from the same state, which finds no store, selects cold from
+    fresh factors."""
+    f = quadratic_bowl(0.3) if objective == "quadratic" else branin()
+    rng = np.random.default_rng(seed)
+    obs = [Observation(tuple(float(v) for v in x), float(f(x)))
+           for x in rng.uniform(0, 1, (100, dim))]
+    state = GPState.fit(_unit_space(dim), obs[:2 * dim])
+    for ob in obs[2 * dim:-1]:
+        state = update(state, ob)
+    stored = list(state._trial_factors.keys)
+    grown = update(state, obs[-1])
+    assert (*grown.lengthscales, grown.signal_var, grown.noise_var) in stored
+    assert state._trial_factors is None   # the store went to `grown`
+    fresh = update(state, obs[-1])
+    X = rng.uniform(0, 1, (64, dim))
+    for final in (grown, fresh):
+        _assert_posterior_as_long_double(final, X)
 
 
 # --- update ------------------------------------------------------------------

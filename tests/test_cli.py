@@ -1,5 +1,7 @@
 import csv
 import json
+import re
+import shlex
 import sys
 import time
 from pathlib import Path
@@ -597,6 +599,20 @@ def test_reused_parser_carries_no_state_past_errors_and_help(tmp_path, capsys):
     assert code == 0 and "usage: hwcost" in out
     assert run(capsys, *fit, "--output-dir", str(tmp_path / "again")) == first
     assert _outputs(tmp_path / "again") == _outputs(tmp_path / "first")
+
+
+def test_readme_examples_parse():
+    """Every `hwcost ...` line of README's sh blocks, continuations joined and
+    comments stripped, goes through the parser: a renamed or removed flag
+    raises UsageError. Only parsed, so none of the files they name is read."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [line.split("#", 1)[0].strip()
+             for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+             for line in block.replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("hwcost ")]
+    assert len(commands) >= 9
+    for argv in commands:
+        cli._build_parser().parse_args(argv)
 
 
 @pytest.mark.parametrize("noise", ["nan", "inf", "Infinity"])
