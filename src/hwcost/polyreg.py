@@ -11,6 +11,7 @@ per-layer predictions.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -119,7 +120,13 @@ def enumerate_terms(dim: int, degree: int) -> list[TermSpec]:
 
     Within each total degree, vectors are lexicographically descending
     (leftmost feature most significant). Count is C(dim + degree, degree).
+    A process builds each table once; every call returns a new list of it.
     """
+    return list(_term_table(dim, degree))
+
+
+@functools.cache
+def _term_table(dim: int, degree: int) -> tuple[TermSpec, ...]:
     if dim < 1:
         raise ValueError("dim must be >= 1")
     if degree < 0:
@@ -133,11 +140,7 @@ def enumerate_terms(dim: int, degree: int) -> list[TermSpec]:
             for rest in compositions(total - head, slots - 1):
                 yield (head,) + rest
 
-    terms = []
-    for total in range(degree + 1):
-        for exps in compositions(total, dim):
-            terms.append(TermSpec(exps))
-    return terms
+    return tuple(TermSpec(exps) for total in range(degree + 1) for exps in compositions(total, dim))
 
 
 @dataclass(frozen=True)
@@ -253,7 +256,8 @@ def _warn_off_kkt(gram: np.ndarray, corr: np.ndarray, lambdas: np.ndarray,
     grad = path @ gram - corr
     lam = lambdas[:, None]
     violation = np.where(path != 0.0, np.abs(grad + lam * np.sign(path)),
-                         np.maximum(np.abs(grad) - lam, 0.0)).max(axis=1, initial=0.0)
+                         np.maximum(np.abs(grad) - lam, 0.0))
+    violation = np.maximum.reduce(violation, axis=1, initial=0.0)
     worst = int(np.argmax(violation))
     if violation[worst] > KKT_TOL:
         warnings.warn(f"{where}: lasso solution at lambda {lambdas[worst]:.6g} violates "
@@ -289,11 +293,12 @@ def _lasso_homotopy(problems: list[tuple[np.ndarray, np.ndarray]],
 
     The paths step in lockstep, one event each per pass. The per-column work
     of a pass runs once for all of them, on arrays padded to the widest
-    problem (a padded column is never free and has no coefficient); a done
-    path stays in the batch, skipped, until all are, and an empty problem is
-    done on the first pass. Each path keeps its own G_jA [a, d] product,
-    formed after an accepted join or drop, grid rows, event, solve and event
-    bound, so it is the path it would be alone, bit for bit.
+    problem (a padded column is never free and has no coefficient), through
+    views bound once and `np.minimum.reduce`, which skips ndarray.min's Python
+    layer. A done path, or an empty problem after one pass, leaves the live
+    list. Each path binds its own views once and keeps its own G_jA [a, d]
+    product, formed after an accepted join or drop, grid rows, event, solve
+    and event bound, so it is the path it would be alone, bit for bit.
     """
     out = [np.zeros((len(lambdas), len(c))) for _, c in problems]
     sizes = [len(c) for _, c in problems]
@@ -303,86 +308,84 @@ def _lasso_homotopy(problems: list[tuple[np.ndarray, np.ndarray]],
     corr = np.zeros((n, width))
     for b, (_, c) in enumerate(problems):
         corr[b, :sizes[b]] = c
-    # path b's active set, in join order, is active[b, :ks[b]], with the Gram
-    # columns cols[b][:, :ks[b]] and rows [c_j, s_j, 0] of rhs[b, :ks[b]] (a
-    # joining column's ends in 1); events change them
-    cols = [np.empty((p, p), order="F") for p in sizes]
-    ks = [0] * n
-    active = np.empty((n, width), dtype=np.intp)
+    # path b's active set, in join order, is idx[:ks[b]] of its views, with the Gram columns
+    # cols[:, :ks[b]] and rows [c_j, s_j, 0] of rhs[b, :ks[b]] (a joining column's ends in 1)
     rhs = np.zeros((n, width, 3))
     ad = np.zeros((n, width, 2))  # [a, d] of each active set, zero past its end
     gq = np.zeros((n, width, 2))  # G_jA [a, d] of each column
-    inactive = np.arange(width) < np.array(sizes)[:, None]  # a padded column is neither
-    free = inactive.copy()  # inactive and not blocked by a failed Schur test
-    done = np.zeros(n, dtype=bool)
-    lam = np.abs(corr).max(axis=1)
+    free = np.arange(width) < np.array(sizes)[:, None]  # inactive, not blocked by a Schur test
+    a, d, s, g0, q = ad[..., 0], ad[..., 1], rhs[..., 1], gq[..., 0], gq[..., 1]
+    views = [(out[b], g, np.empty((p, p), order="F"), np.empty(p, np.intp), rhs[b], ad[b],
+              gq[b, :p], free[b]) for b, ((g, _), p) in enumerate(zip(problems, sizes))]
+    ks, blocked = [0] * n, [[] for _ in problems]
+    lam = np.maximum.reduce(np.abs(corr), axis=1)
     rising = -lambdas  # ascending: searchsorted counts the lambdas >= lam
-    rows = [0] * n
+    ends, live = [0] * n, list(range(n))
     # finite in exact arithmetic; the bound on passes stops a degenerate cycle,
     # and the rows it leaves at zero fail the KKT check
     bound = [100 * p + 1 for p in sizes]
     for step in range(1, max(bound) + 1):
-        a, d, s = ad[..., 0], ad[..., 1], rhs[..., 1]
-        beta = a - lam[:, None] * d
+        lc = lam[:, None]
+        beta = a - lc * d
         # as lam falls by t: correlations r - t*q, active coefficients beta + t*d
-        r = corr - gq[..., 0] + lam[:, None] * gq[..., 1]
+        r = corr - g0 + lc * q
         # a masked-out ratio may divide by zero; the errstate decorator hides it
-        sq = _SIDES * gq[:, None, :, 1]
+        sq = _SIDES * q[:, None]
         to_side = np.where(free[:, None] & (sq < 1.0 - 1e-12),
-                           np.maximum(lam[:, None, None] - _SIDES * r[:, None], 0.0)
-                           / (1.0 - sq), np.inf)
-        to_join = to_side.min(axis=1)
+                           np.maximum(lc[:, None] - _SIDES * r[:, None], 0.0) / (1.0 - sq), np.inf)
+        to_join = np.minimum.reduce(to_side, axis=1)
         to_zero = np.where(s * d < 0.0, np.maximum(-beta / d, 0.0), np.inf)
-        t_join, t_drop = to_join.min(axis=1), to_zero.min(axis=1)
+        t_join, t_drop = np.minimum.reduce(to_join, axis=1), np.minimum.reduce(to_zero, axis=1)
         lam = lam - np.minimum(np.minimum(t_join, t_drop), lam)
         # rows row:end of a path lie in its segment: the lambdas before its row
         # are above its last lam, so `end` counts them too
-        ends = rising.searchsorted(-lam, "right").tolist()
+        rows, ends = ends, rising.searchsorted(-lam, "right").tolist()
         drop = (t_drop <= t_join).tolist()
         leaving = to_zero.argmin(axis=1).tolist()
         joining = (to_join <= (t_join + 1e-12 * lam)[:, None]).argmax(axis=1).tolist()
-        for b in np.flatnonzero(~done).tolist():
+        for b in live.copy():
+            path, gram, cols, idx, rhs_b, ad_b, gq_b, free_b = views[b]
             k, row, end = ks[b], rows[b], ends[b]
-            idx = active[b]
             if end > row:
                 coef = a[b, :k] - lambdas[row:end, None] * d[b, :k]
-                out[b][row:end, idx[:k]] = np.where(coef * s[b, :k] > 0.0, coef, 0.0)
+                path[row:end, idx[:k]] = np.where(coef * s[b, :k] > 0.0, coef, 0.0)
             if end == len(lambdas) or step == bound[b]:
-                done[b] = True
+                live.remove(b)
                 continue
             if drop[b]:
                 i = leaving[b]
-                j = idx[i]
+                free_b[idx[i]] = True
                 idx[i:k - 1] = idx[i + 1:k]
-                rhs[b, i:k - 1] = rhs[b, i + 1:k]
-                cols[b][:, i:k - 1] = cols[b][:, i + 1:k]
+                rhs_b[i:k - 1] = rhs_b[i + 1:k]
+                cols[:, i:k - 1] = cols[:, i + 1:k]
                 k -= 1
-                ad[b, k] = 0.0
+                ad_b[k] = 0.0
             else:
                 j = joining[b]
-                free[b, j] = False
+                free_b[j] = False
                 idx[k] = j
                 # the sides tie only where r = lam*q, which gives t = lam: the path
                 # has ended there, so `<=` or `<` cannot change a returned row
-                rhs[b, k] = corr[b, j], 1.0 if to_side[b, 0, j] <= to_side[b, 1, j] else -1.0, 1.0
-                cols[b][:, k] = problems[b][0][:, j]
+                rhs_b[k] = corr[b, j], 1.0 if to_side[b, 0, j] <= to_side[b, 1, j] else -1.0, 1.0
+                cols[:, k] = gram[:, j]
                 k += 1
             try:
-                x = np.linalg.solve(cols[b][idx[:k], :k], rhs[b, :k])
+                x = np.linalg.solve(cols[idx[:k], :k], rhs_b[:k])
             except np.linalg.LinAlgError:
                 x = np.full((k, 3), np.nan)
             if not drop[b]:
-                rhs[b, k - 1, 2] = 0.0
-                if not 1.0 / x[k - 1, 2] > SCHUR_TOL:  # blocked: free again after a join or drop
+                rhs_b[k - 1, 2] = 0.0
+                if not 1.0 / x[k - 1, 2] > SCHUR_TOL:  # blocked until a join or drop
+                    blocked[b].append(j)
                     continue
-            ad[b, :k] = x[:, :2]
-            inactive[b, j] = drop[b]
-            free[b] = inactive[b]
+            ad_b[:k] = x[:, :2]
+            if blocked[b]:
+                free_b[blocked[b]] = True
+                blocked[b].clear()
             ks[b] = k
-            np.matmul(cols[b][:, :k], ad[b, :k], out=gq[b, :sizes[b]])
-        if done.all():
+            np.matmul(cols[:, :k], ad_b[:k], out=gq_b)
+        if not live:
             break
-        rows = ends
     return out
 
 
@@ -394,25 +397,25 @@ def _lasso_problem(design: np.ndarray, y: np.ndarray):
     row (or a 2-D path, row by row) to the raw coefficients of the `live`
     columns and the intercept(s); a 1-D row's intercept is one dot product.
     """
-    means = design.mean(axis=0)
-    stds = design.std(axis=0)
+    n = len(y)  # means and stds bit for bit, without numpy's Python-level _methods
+    means = np.add.reduce(design, axis=0) / n
+    centred = design - means
+    stds = np.sqrt(np.add.reduce(centred * centred, axis=0) / n)
     live = np.flatnonzero(stds > 0)
-    x = (design[:, live] - means[live]) / stds[live]
-    y_mean = float(y.mean())
-    y_std = float(y.std()) or 1.0
-    ys = (y - y_mean) / y_std
+    y_mean = float(np.add.reduce(y) / n)
+    ys = y - y_mean
+    y_std = math.sqrt(np.add.reduce(ys * ys) / n) or 1.0
 
     def to_raw(path: np.ndarray):
         coef = path * y_std / stds[live]
         return coef, y_mean - coef @ means[live]
 
-    return x.T @ x / len(y), x.T @ ys / len(y), live, to_raw
+    x = centred[:, live] / stds[live]
+    return x.T @ x / n, x.T @ (ys / y_std) / n, live, to_raw
 
 
 def _lambda_grid(corr: np.ndarray) -> np.ndarray:
-    lam_max = float(np.max(np.abs(corr), initial=0.0))
-    if lam_max <= 0:
-        lam_max = 1.0
+    lam_max = float(np.maximum.reduce(np.abs(corr), initial=0.0)) or 1.0
     return np.geomspace(lam_max, lam_max * CV_LAMBDA_FLOOR, CV_LAMBDA_GRID_SIZE)
 
 
@@ -427,9 +430,8 @@ def _check_samples(samples, config: FitConfig, kind: LayerKind) -> None:
 def _assemble_model(kind: LayerKind, target: Target, degree: int,
                     terms: list[TermSpec], beta: np.ndarray, intercept: float) -> PolynomialModel:
     schema = _SCHEMAS[kind]
-    const_index = next(i for i, t in enumerate(terms) if t.degree == 0)
     coef = beta.copy()
-    coef[const_index] += intercept
+    coef[0] += intercept  # terms[0], of degree 0, is the constant
     kept_regular = tuple((terms[i], float(coef[i])) for i in range(len(terms))
                          if abs(coef[i]) >= COEF_DROP_THRESHOLD)
     kept_special = tuple((SPECIAL_TERMS[s], float(coef[len(terms) + s]))
@@ -476,7 +478,10 @@ def fit_with_metrics(samples: list[tuple[LayerConfig, float]], config: FitConfig
     solution is read off an exact homotopy path. Warns (UserWarning) when a
     fold path or the final solution misses its KKT conditions by more than
     KKT_TOL. Raises ValueError, before building anything, when the degree's
-    Gram matrices would need more than MAX_GRAM_BYTES.
+    Gram matrices would need more than MAX_GRAM_BYTES, and FitError when the
+    CV curve is not finite (a measurement of 1e-300 overflows its percentage
+    error), naming the sample whose measurement is farthest, in ratio, from
+    the median.
     """
     _check_samples(samples, config, kind)
     degree = config.resolved_degree(kind)
@@ -492,20 +497,25 @@ def fit_with_metrics(samples: list[tuple[LayerConfig, float]], config: FitConfig
     terms = enumerate_terms(len(_SCHEMAS[kind]), degree)
     design = _design_matrix(layers, terms)
 
-    if float(y.std()) == 0.0:
-        warnings.warn(f"all {kind.value} {target.value} targets identical; "
-                      f"fitting a constant-only model", stacklevel=2)
-        model = _assemble_model(kind, target, degree, terms, np.zeros(design.shape[1]),
-                                float(y[0]))
-        return model, Metrics(0.0, 0.0)
-
-    gram, corr, live, to_raw = _lasso_problem(design, y)
-    if config.l1_strength is None:
-        lambdas = _lambda_grid(corr)
-    else:
-        lambdas = np.array([config.l1_strength])
-    label = f"{kind.value} {target.value}"
-    mean_rmspe, fold_preds = _cv_curves(design, y, lambdas, config.cv_folds, config.seed, label)
+    # an overflow (of 1e-300's percentage error, say) leaves a curve that is not finite
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if float(y.std()) == 0.0:
+            warnings.warn(f"all {kind.value} {target.value} targets identical; "
+                          f"fitting a constant-only model", stacklevel=2)
+            model = _assemble_model(kind, target, degree, terms, np.zeros(design.shape[1]),
+                                    float(y[0]))
+            return model, Metrics(0.0, 0.0)
+        gram, corr, live, to_raw = _lasso_problem(design, y)
+        if config.l1_strength is None:
+            lambdas = _lambda_grid(corr)
+        else:
+            lambdas = np.array([config.l1_strength])
+        label = f"{kind.value} {target.value}"
+        mean_rmspe, fold_preds = _cv_curves(design, y, lambdas, config.cv_folds, config.seed, label)
+        if not np.isfinite(mean_rmspe).all():
+            i = int(np.argmax(np.abs(np.log(y) - np.median(np.log(y)))))
+            raise FitError(f"CV RMSPE is not finite: sample layer {layers[i].name} measured "
+                           f"{float(y[i])!r}, against a median of {float(np.median(y)):.6g}")
     chosen = int(np.argmin(mean_rmspe))
     pooled_pred = np.concatenate([preds[:, chosen] for preds, _ in fold_preds])
     pooled_act = np.concatenate([act for _, act in fold_preds])

@@ -4,6 +4,7 @@ import re
 import shlex
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -157,6 +158,51 @@ def test_fit_with_no_kind_large_enough_exits_1(tmp_path, capsys):
     assert err.count("warning: skipping") == 6
     assert "no (kind, target) had enough samples to fit" in err
     assert not list((tmp_path / "models").glob("model_*.json"))
+
+
+@pytest.mark.parametrize("tiny", ["1e-300", "1e-320"])
+def test_fit_skips_a_model_whose_tiny_measurement_overflows_its_cv_curve(tmp_path, capsys, tiny):
+    """One runtime of 1e-300 or 1e-320 makes the pool runtime model's CV
+    curve overflow: that model is skipped with one warning naming the
+    sample, the other five are written, and no numpy warning leaks."""
+    code, _, err = run(capsys, "synth", "--count", "40", "--noise", "0.05", "--seed", "21000",
+                       "--output-dir", str(tmp_path / "synth"))
+    assert code == 0, err
+    lines = (tmp_path / "synth" / "synthetic_profile.csv").read_text().splitlines()
+    header = next(i for i, line in enumerate(lines) if line.startswith("kind,"))
+    at = next(i for i, line in enumerate(lines) if line.startswith("pool,"))
+    cells = lines[at].split(",")
+    cells[11] = tiny
+    lines[at] = ",".join(cells)
+    (tmp_path / "tiny.csv").write_text("\n".join(lines) + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "fit", str(tmp_path / "tiny.csv"), "--folds", "3",
+                             "--output-dir", str(tmp_path / "models"))
+    assert code == 0 and not caught
+    assert re.fullmatch(f"warning: skipping pool/runtime_ms: CV RMSPE is not finite: sample layer "
+                        f"row{at - header + 1} measured {tiny}, against a median of [0-9.]+\n", err)
+    assert [line.split()[:2] for line in out.splitlines()[1:]] == [
+        ["conv", "runtime_ms"], ["conv", "power_w"], ["fc", "runtime_ms"], ["fc", "power_w"],
+        ["pool", "power_w"]]
+    assert "inf" not in out and "nan" not in out
+    assert len(list((tmp_path / "models").glob("model_*.json"))) == 5
+
+
+def test_a_fit_rerun_after_another_kinds_fit_writes_the_same_models(tmp_path, capsys):
+    """Term tables are built once per process: a pool fit, a conv fit (other
+    tables), then the pool fit again writes the first pool fit's bytes."""
+    profiles = {}
+    for kind in (LayerKind.POOL2D, LayerKind.CONV2D):
+        (tmp_path / kind.value).mkdir()
+        profiles[kind] = _profile(tmp_path / kind.value, {kind: 8})
+    models = []
+    for i, kind in enumerate((LayerKind.POOL2D, LayerKind.CONV2D, LayerKind.POOL2D)):
+        code, _, err = run(capsys, "fit", str(profiles[kind]), "--folds", "3",
+                           "--output-dir", str(tmp_path / f"models{i}"))
+        assert code == 0, err
+        models.append({p.name: p.read_bytes() for p in (tmp_path / f"models{i}").glob("model_*")})
+    assert len(models[0]) == 2 and models[0] == models[2]
 
 
 def test_malformed_kernel_exits_1_naming_its_line(tmp_path, capsys):

@@ -106,6 +106,14 @@ def test_term_count_formula():
         assert len(enumerate_terms(dim, degree)) == math.comb(dim + degree, degree)
 
 
+def test_each_call_gets_its_own_list_of_the_term_table():
+    first, second = enumerate_terms(6, 2), enumerate_terms(6, 2)
+    assert first == second and first is not second
+    first.reverse()
+    first.append(TermSpec((9, 0, 0, 0, 0, 0)))
+    assert enumerate_terms(6, 2) == second and len(second) == math.comb(6 + 2, 2)
+
+
 # --- fitting -----------------------------------------------------------------
 
 def test_fit_recovers_generating_polynomial():
@@ -137,6 +145,21 @@ def test_fit_requires_enough_samples():
     samples = [(fc_layer(1, i, 1, f"s{i}"), float(i)) for i in range(1, 6)]
     with pytest.raises(FitError):
         fit(samples, FitConfig(cv_folds=10), LayerKind.FULLY_CONNECTED, Target.RUNTIME_MS)
+
+
+@pytest.mark.parametrize("value", [1e-300, 1e-320, 1e300])
+def test_a_measurement_that_overflows_the_cv_curve_raises_naming_its_sample(value):
+    """The relative error of 1e-300 (or of the others against 1e300)
+    overflows: FitError names the sample, and no numpy warning leaks."""
+    samples = pool_grid_samples(lambda b, c: 1.0 + b + c)
+    layer, _ = samples[7]
+    samples[7] = (layer, value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = f"sample layer {layer.name} measured {value!r}"
+        with pytest.raises(FitError, match=re.escape(message)):
+            polyreg.fit_with_metrics(samples, FitConfig(degree=1, cv_folds=3), LayerKind.POOL2D,
+                                     Target.RUNTIME_MS)
 
 
 def test_fit_rejects_kind_mismatch():
