@@ -5,7 +5,9 @@ fit-linear. Every command is deterministic given its inputs and, where it
 takes one, --seed; all randomness flows through one counter-based generator
 (Philox). Exit codes: 0 success, 1 usage/parse error, 2
 infeasible-everywhere, 3 numerical failure. A command that writes files
-writes them, then its manifest, only once its work has succeeded.
+writes them, then its manifest, only once its work has succeeded. A
+UserWarning of the library prints as one `warning: <message>` line; other
+warning categories print as Python prints them.
 
 Each command imports only the hwcost modules it runs, so start-up stays
 small: `predict --family paleo|energy`, `compare-reference` and `--version`
@@ -21,6 +23,7 @@ import functools
 import hashlib
 import json
 import sys
+import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -518,16 +521,29 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _warning_lines(show):
+    """A `warnings.showwarning` that prints a UserWarning as one `warning:`
+    line and hands every other category to `show` unchanged."""
+    def shown(message, category, *where):
+        if issubclass(category, UserWarning):
+            print(f"warning: {message}", file=sys.stderr)
+        else:
+            show(message, category, *where)
+    return shown
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except SystemExit as exc:  # --help and --version print, then argparse exits 0
-        return exc.code
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    with warnings.catch_warnings():  # restores the caller's showwarning on return
+        warnings.showwarning = _warning_lines(warnings.showwarning)
+        try:
+            args = parser.parse_args(argv)
+            return args.func(args)
+        except SystemExit as exc:  # --help and --version print, then argparse exits 0
+            return exc.code
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
 
 
 if __name__ == "__main__":

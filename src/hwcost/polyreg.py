@@ -25,7 +25,6 @@ from .netgraph import (LayerConfig, LayerKind, NetworkConfig, TensorShape, _csv_
                        _finite, _integer, _located, _number, _value, count_ops)
 from .seeding import kfold_indices
 
-COEF_DROP_THRESHOLD = 1e-12
 CV_LAMBDA_GRID_SIZE = 50
 CV_LAMBDA_FLOOR = 1e-4  # relative to the smallest lambda that zeroes everything
 SCHUR_TOL = 1e-10       # a column this close to the active columns' span cannot join
@@ -196,8 +195,8 @@ class FitConfig:
             raise ValueError("degree must be >= 1")
         if self.l1_strength is not None and not 0 <= self.l1_strength < math.inf:
             raise ValueError(f"l1_strength must be finite and >= 0, got {self.l1_strength}")
-        if self.l1_strength is None and self.cv_folds < 2:
-            raise ValueError("cv selection needs at least 2 folds")
+        if self.cv_folds < 2:
+            raise ValueError(f"cross-validation needs at least 2 folds, got {self.cv_folds}")
 
     def resolved_degree(self, kind: LayerKind) -> int:
         return self.degree if self.degree is not None else DEFAULT_DEGREE[kind]
@@ -428,16 +427,13 @@ def _check_samples(samples, config: FitConfig, kind: LayerKind) -> None:
 
 
 def _assemble_model(kind: LayerKind, target: Target, degree: int,
-                    terms: list[TermSpec], beta: np.ndarray, intercept: float) -> PolynomialModel:
-    schema = _SCHEMAS[kind]
-    coef = beta.copy()
-    coef[0] += intercept  # terms[0], of degree 0, is the constant
-    kept_regular = tuple((terms[i], float(coef[i])) for i in range(len(terms))
-                         if abs(coef[i]) >= COEF_DROP_THRESHOLD)
-    kept_special = tuple((SPECIAL_TERMS[s], float(coef[len(terms) + s]))
-                         for s in range(len(SPECIAL_TERMS))
-                         if abs(coef[len(terms) + s]) >= COEF_DROP_THRESHOLD)
-    return PolynomialModel(kind, target, degree, schema, kept_regular, kept_special)
+                    terms: list[TermSpec], coef: np.ndarray) -> PolynomialModel:
+    """The model of the nonzero entries of `coef`: one per term, then one per special term."""
+    kept = [(i, float(coef[i])) for i in np.flatnonzero(coef).tolist()]
+    p = len(terms)
+    return PolynomialModel(kind, target, degree, _SCHEMAS[kind],
+                           tuple((terms[i], c) for i, c in kept if i < p),
+                           tuple((SPECIAL_TERMS[i - p], c) for i, c in kept if i >= p))
 
 
 def _cv_curves(design: np.ndarray, y: np.ndarray, lambdas: np.ndarray, folds: int,
@@ -465,8 +461,7 @@ def _cv_curves(design: np.ndarray, y: np.ndarray, lambdas: np.ndarray, folds: in
 
 def fit(samples: list[tuple[LayerConfig, float]], config: FitConfig,
         kind: LayerKind, target: Target) -> PolynomialModel:
-    model, _ = fit_with_metrics(samples, config, kind, target)
-    return model
+    return fit_with_metrics(samples, config, kind, target)[0]
 
 
 def fit_with_metrics(samples: list[tuple[LayerConfig, float]], config: FitConfig,
@@ -475,7 +470,13 @@ def fit_with_metrics(samples: list[tuple[LayerConfig, float]], config: FitConfig
 
     Deterministic given (samples, config, config.seed): the fold split is
     seed-derived, the lambda grid follows from the data, and each lasso
-    solution is read off an exact homotopy path. Warns (UserWarning) when a
+    solution is read off an exact homotopy path. The fit runs on the targets
+    divided by `unit`, the largest power of two not above the largest
+    |target|: the division is exact, so every standardized quantity keeps its
+    bits, and a profile measured in other units gives the same terms with
+    scaled coefficients. The model keeps each term whose coefficient on the
+    final path's standardized row exceeds KKT_TOL, and the constant when the
+    intercept in those units does. Warns (UserWarning) when a
     fold path or the final solution misses its KKT conditions by more than
     KKT_TOL. Raises ValueError, before building anything, when the degree's
     Gram matrices would need more than MAX_GRAM_BYTES, and FitError when the
@@ -499,19 +500,21 @@ def fit_with_metrics(samples: list[tuple[LayerConfig, float]], config: FitConfig
 
     # an overflow (of 1e-300's percentage error, say) leaves a curve that is not finite
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if float(y.std()) == 0.0:
+        if (y == y[0]).all():
             warnings.warn(f"all {kind.value} {target.value} targets identical; "
                           f"fitting a constant-only model", stacklevel=2)
-            model = _assemble_model(kind, target, degree, terms, np.zeros(design.shape[1]),
-                                    float(y[0]))
-            return model, Metrics(0.0, 0.0)
-        gram, corr, live, to_raw = _lasso_problem(design, y)
+            # terms[0], of degree 0, is the constant: y[:1] is the whole coefficient vector
+            return _assemble_model(kind, target, degree, terms, y[:1]), Metrics(0.0, 0.0)
+        unit = math.ldexp(1.0, math.frexp(float(np.maximum.reduce(np.abs(y))))[1] - 1)
+        scaled = y / unit
+        gram, corr, live, to_raw = _lasso_problem(design, scaled)
         if config.l1_strength is None:
             lambdas = _lambda_grid(corr)
         else:
             lambdas = np.array([config.l1_strength])
         label = f"{kind.value} {target.value}"
-        mean_rmspe, fold_preds = _cv_curves(design, y, lambdas, config.cv_folds, config.seed, label)
+        mean_rmspe, fold_preds = _cv_curves(design, scaled, lambdas, config.cv_folds,
+                                            config.seed, label)
         if not np.isfinite(mean_rmspe).all():
             i = int(np.argmax(np.abs(np.log(y) - np.median(np.log(y)))))
             raise FitError(f"CV RMSPE is not finite: sample layer {layers[i].name} measured "
@@ -522,41 +525,51 @@ def fit_with_metrics(samples: list[tuple[LayerConfig, float]], config: FitConfig
 
     final = lambdas[chosen:chosen + 1]  # one lambda: a whole-grid path costs about 30% more
     [path] = _lasso_homotopy([(gram, corr)], final)
+    # gram is a correlation matrix, so a term cut at |b_j| <= KKT_TOL moves each KKT
+    # residual by at most KKT_TOL; the check then reads the row the model keeps
+    path[np.abs(path) <= KKT_TOL] = 0.0
     _warn_off_kkt(gram, corr, final, path, label)
-    beta = np.zeros(design.shape[1])
-    beta[live], intercept = to_raw(path[0])
-    model = _assemble_model(kind, target, degree, terms, beta, intercept)
+    coef = np.zeros(design.shape[1])
+    coef[live], intercept = to_raw(path[0])
+    coef[0] = intercept if abs(intercept) > KKT_TOL else 0.0  # terms[0] is the constant
+    model = _assemble_model(kind, target, degree, terms, coef * unit)
     metrics = Metrics(float(_rmspe(pooled_pred, pooled_act)),
-                      math.sqrt(float(np.mean((pooled_pred - pooled_act) ** 2))))
+                      math.sqrt(float(np.mean((pooled_pred - pooled_act) ** 2))) * unit)
     return model, metrics
 
 
 def predict_with_flag(model: PolynomialModel, layer: LayerConfig) -> tuple[float, bool]:
-    """Model value for the layer, clamped at zero; flag marks a clamp."""
+    """Model value for the layer, clamped at zero; flag marks a clamp.
+
+    Raises ValueError, naming the layer and the model, when the value is not
+    finite (a coefficient of 1e308 times a feature above 1, or a feature to
+    a power of 600, overflows)."""
     if layer.kind is not model.layer_kind:
         raise ValueError(f"layer {layer.name} is {layer.kind.value}, "
                          f"model is for {model.layer_kind.value}")
     x = build_features(layer)
+    special = dict(zip(SPECIAL_TERMS, special_terms(layer))) if model.special else {}
     total = 0.0
-    for term, coef in model.terms:
-        value = coef
-        for xi, qi in zip(x, term.exponents):
-            if qi:
-                value *= xi ** qi
-        total += value
-    if model.special:
-        flops, mem = special_terms(layer)
-        lookup = {SpecialTerm.TOTAL_FLOPS: flops, SpecialTerm.TOTAL_MEM_ACCESSES: mem}
-        for special, coef in model.special:
-            total += coef * lookup[special]
+    try:
+        for term, coef in model.terms:
+            for xi, qi in zip(x, term.exponents):
+                if qi:
+                    coef *= xi ** qi
+            total += coef
+        for name, coef in model.special:
+            total += coef * special[name]
+    except OverflowError:  # a float power past the range raises, where a product gives inf
+        total = math.inf
+    if not math.isfinite(total):
+        raise ValueError(f"layer {layer.name}: the {model.layer_kind.value} "
+                         f"{model.target.value} model predicts {total!r}")
     if total < 0.0:
         return 0.0, True
     return total, False
 
 
 def predict(model: PolynomialModel, layer: LayerConfig) -> float:
-    value, _ = predict_with_flag(model, layer)
-    return value
+    return predict_with_flag(model, layer)[0]
 
 
 @dataclass(frozen=True)
@@ -581,10 +594,11 @@ def predict_network(runtime_models: dict[LayerKind, PolynomialModel],
                     power_models: dict[LayerKind, PolynomialModel],
                     net: NetworkConfig) -> NetworkPrediction:
     """Network totals: runtimes sum, energies sum (T*P per layer, in mJ),
-    average power is total energy over total runtime."""
+    average power is total energy over total runtime. Raises ValueError,
+    naming the layer, when a prediction is not finite or a layer's energy or
+    the running totals overflow there."""
     per_layer = []
-    total_t = 0.0
-    total_e = 0.0
+    total_t = total_e = 0.0
     for layer in net.layers:
         if layer.kind not in runtime_models:
             raise MissingModelError(f"no runtime model for kind {layer.kind.value}")
@@ -597,6 +611,8 @@ def predict_network(runtime_models: dict[LayerKind, PolynomialModel],
                                          t_clamped or p_clamped))
         total_t += t
         total_e += e
+        if math.inf in (total_t, total_e):  # t and p are finite and >= 0, so e is not nan
+            raise ValueError(f"layer {layer.name}: {t!r} ms at {p!r} W overflows the totals")
     if total_t == 0.0:
         raise ZeroRuntimeError(tuple(per_layer))
     return NetworkPrediction(tuple(per_layer), total_t, total_e, total_e / total_t)

@@ -1,7 +1,9 @@
 import csv
 import json
+import os
 import re
 import shlex
+import subprocess
 import sys
 import time
 import warnings
@@ -187,6 +189,48 @@ def test_fit_skips_a_model_whose_tiny_measurement_overflows_its_cv_curve(tmp_pat
         ["pool", "power_w"]]
     assert "inf" not in out and "nan" not in out
     assert len(list((tmp_path / "models").glob("model_*.json"))) == 5
+
+
+# runs `cli.main` on its arguments in a fresh interpreter, whose warnings print
+# as a user sees them (pytest captures them); the profile read first warns with
+# a RuntimeWarning, as a numpy warning would
+WARNING_PROBE = """
+import sys, warnings
+from hwcost import cli, polyreg
+read = polyreg.read_profile_csv
+def read_and_warn(text):
+    warnings.warn("a numpy-style warning", RuntimeWarning)
+    return read(text)
+polyreg.read_profile_csv = read_and_warn
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_cli_prints_a_library_user_warning_as_one_warning_line(tmp_path, capsys):
+    """`fit` on identical fc runtimes prints its UserWarning as one
+    `warning:` line, with no source location; a RuntimeWarning still prints
+    in Python's own format, so a leaked numpy warning stays visible."""
+    assert cli.main(["synth", "--count", "6", "--output-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    lines = (tmp_path / "synthetic_profile.csv").read_text().splitlines()
+    for i, line in enumerate(lines):
+        if line.startswith("fc,"):
+            cells = line.split(",")
+            cells[11] = "1.5"
+            lines[i] = ",".join(cells)
+    (tmp_path / "same.csv").write_text("\n".join(lines) + "\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", WARNING_PROBE, "fit", str(tmp_path / "same.csv"),
+                           "--folds", "2", "--output-dir", str(tmp_path / "models")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    err = proc.stderr.splitlines()
+    assert "warning: all fc runtime_ms targets identical; fitting a constant-only model" in err
+    assert "UserWarning" not in proc.stderr
+    runtime = [line for line in err if "RuntimeWarning" in line]
+    assert len(runtime) == 1 and runtime[0].endswith(": RuntimeWarning: a numpy-style warning")
 
 
 def test_a_fit_rerun_after_another_kinds_fit_writes_the_same_models(tmp_path, capsys):
@@ -453,6 +497,48 @@ def test_predict_poly_zero_total_runtime_prints_layers_then_exits_1(tmp_path, ca
                    "f2     fc    0     2    0\n")
     assert err == ("warning: negative predictions clamped to 0 for layers: f1, f2\n"
                    "error: total predicted runtime is zero; average power undefined\n")
+
+
+def _fc_models(models_dir, runtime_terms, power_terms):
+    """fc runtime and power models of the given (exponents, coefficient) terms."""
+    models_dir.mkdir()
+    schema = polyreg._SCHEMAS[LayerKind.FULLY_CONNECTED]
+    for target, terms in ((polyreg.Target.RUNTIME_MS, runtime_terms),
+                          (polyreg.Target.POWER_W, power_terms)):
+        degree = max(sum(exponents) for exponents, _ in terms)
+        model = polyreg.PolynomialModel(LayerKind.FULLY_CONNECTED, target, degree, schema,
+                                        tuple((polyreg.TermSpec(e), c) for e, c in terms), ())
+        (models_dir / f"model_fc_{target.value}.json").write_text(polyreg.model_to_json(model))
+
+
+@pytest.mark.parametrize("runtime_terms, power_terms, error", [
+    # 1e308 times f1's 4 inputs overflows
+    ([((0, 1, 0), 1e308)], [((0, 0, 0), 2.0)],
+     "layer f1: the fc runtime_ms model predicts inf"),
+    # inf - inf
+    ([((0, 1, 0), 1e308), ((0, 0, 1), -1e308)], [((0, 0, 0), 2.0)],
+     "layer f1: the fc runtime_ms model predicts nan"),
+    ([((0, 0, 0), 1.0)], [((0, 1, 0), -1e308)],
+     "layer f1: the fc power_w model predicts -inf"),
+    # a float power past the range raises OverflowError, not inf
+    ([((0, 600, 0), 1.0)], [((0, 0, 0), 2.0)],
+     "layer f1: the fc runtime_ms model predicts inf"),
+    # finite predictions whose energy overflows at f1, or whose runtimes sum past it at f2
+    ([((0, 0, 0), 1e308)], [((0, 0, 0), 10.0)],
+     "layer f1: 1e+308 ms at 10.0 W overflows the totals"),
+    ([((0, 0, 0), 1e308)], [((0, 0, 0), 1e-300)],
+     "layer f2: 1e+308 ms at 1e-300 W overflows the totals"),
+], ids=["inf", "nan", "power", "power-overflow", "energy", "total"])
+def test_predict_poly_exits_1_naming_the_layer_on_a_prediction_that_is_not_finite(
+        tmp_path, capsys, runtime_terms, power_terms, error):
+    """Coefficients the loader accepts can still overflow a prediction: no
+    table is printed, and one error line names the layer and the model."""
+    _fc_models(tmp_path / "models", runtime_terms, power_terms)
+    net = tmp_path / "net.txt"
+    net.write_text("f1 fc in=1x4x1x1 out=2\nf2 fc out=3\n")
+    code, out, err = run(capsys, "predict", str(net), "--family", "poly",
+                         "--models-dir", str(tmp_path / "models"))
+    assert (code, out, err) == (1, "", f"error: {error}\n")
 
 
 def test_predict_csv_quotes_a_layer_name_with_a_comma(tmp_path, capsys):

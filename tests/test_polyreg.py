@@ -162,6 +162,53 @@ def test_a_measurement_that_overflows_the_cv_curve_raises_naming_its_sample(valu
                                      Target.RUNTIME_MS)
 
 
+def _synth_runtime(kind, seed=21):
+    samples = synth.generate_samples(synth.SynthConfig(count=40, noise=0.05), seed)
+    return [(s.layer, s.runtime_ms) for s in samples if s.layer.kind is kind]
+
+
+@pytest.mark.parametrize("kind", list(LayerKind), ids=lambda kind: kind.value)
+def test_targets_in_other_units_give_the_same_terms_with_scaled_coefficients(kind):
+    """Scaling a profile's targets by 2^k scales the coefficients and RMSE by
+    exactly 2^k and keeps the CV RMSPE's bits; scaling by 10^k keeps the
+    terms and the coefficients within 1e-9 relative."""
+    samples = _synth_runtime(kind)
+    config = FitConfig(cv_folds=3, seed=5)
+    base, base_metrics = polyreg.fit_with_metrics(samples, config, kind, Target.RUNTIME_MS)
+    assert base.size >= 3
+    for k in (-500, -40, 40, 500):
+        scaled = [(layer, math.ldexp(value, k)) for layer, value in samples]
+        model, metrics = polyreg.fit_with_metrics(scaled, config, kind, Target.RUNTIME_MS)
+        assert model.terms == tuple((t, math.ldexp(c, k)) for t, c in base.terms), k
+        assert model.special == tuple((t, math.ldexp(c, k)) for t, c in base.special), k
+        assert metrics == Metrics(base_metrics.rmspe, math.ldexp(base_metrics.rmse, k)), k
+    for factor in (1e-150, 1e-12, 1e-6, 1e6, 1e150):
+        scaled = [(layer, value * factor) for layer, value in samples]
+        model = fit(scaled, config, kind, Target.RUNTIME_MS)
+        assert [t for t, _ in model.terms] == [t for t, _ in base.terms], factor
+        assert [t for t, _ in model.special] == [t for t, _ in base.special], factor
+        got = np.array([c for _, c in model.terms + model.special]) / factor
+        want = np.array([c for _, c in base.terms + base.special])
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0, err_msg=str(factor))
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1e-300])
+def test_tiny_distinct_targets_keep_their_terms(scale):
+    """Targets of (1 + b + c) * scale are neither cut to an empty model nor
+    called identical: the model is the unscaled one's, scaled."""
+    base = fit(pool_grid_samples(lambda b, c: 1.0 + b + c), FitConfig(degree=1, cv_folds=3),
+               LayerKind.POOL2D, Target.RUNTIME_MS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = fit(pool_grid_samples(lambda b, c: (1.0 + b + c) * scale),
+                    FitConfig(degree=1, cv_folds=3), LayerKind.POOL2D, Target.RUNTIME_MS)
+    assert base.size >= 2
+    assert [t for t, _ in model.terms] == [t for t, _ in base.terms]
+    assert [t for t, _ in model.special] == [t for t, _ in base.special]
+    for (_, got), (_, want) in zip(model.terms + model.special, base.terms + base.special):
+        assert got / scale == pytest.approx(want, rel=1e-9)
+
+
 def test_fit_rejects_kind_mismatch():
     samples = [(fc_layer(1, i, j, f"s{i}{j}"), 1.0)
                for i in range(1, 6) for j in range(1, 5)]
@@ -291,6 +338,13 @@ def test_fit_warns_when_solution_misses_kkt(monkeypatch):
 def test_fit_config_rejects_a_non_finite_l1(strength):
     with pytest.raises(ValueError, match="l1_strength must be finite and >= 0"):
         FitConfig(l1_strength=strength)
+
+
+@pytest.mark.parametrize("strength", [None, 0.1])
+def test_fit_config_needs_two_folds_whatever_the_l1(strength):
+    """CV runs whether or not lambda is fixed, so one fold is refused at once."""
+    with pytest.raises(ValueError, match="cross-validation needs at least 2 folds, got 1"):
+        FitConfig(l1_strength=strength, cv_folds=1)
 
 
 def test_fold_paths_are_kkt_checked(monkeypatch):
