@@ -9,10 +9,11 @@ bitwidth scaling (the Eyeriss model).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
-from .netgraph import (InputError, LayerConfig, NetworkConfig, _finite, _located, _lines,
-                       _put, count_ops)
+from .netgraph import (InputError, LayerConfig, NetworkConfig, _distinct, _finite, _located,
+                       _lines, _put, count_ops)
 
 
 class ConfigurationError(ValueError):
@@ -29,7 +30,8 @@ class DeviceSpec:
     """Platform parameters for the runtime model.
 
     Rates are SI base units (FLOP/s, bytes/s). The two percent-of-peak
-    fractions derate compute speed and IO bandwidth separately.
+    fractions derate compute speed and IO bandwidth separately; a derated
+    rate must not underflow to 0.
     """
 
     peak_flops: float
@@ -45,6 +47,10 @@ class DeviceSpec:
                 raise ValueError(f"{field} must be > 0")
         _check_fraction("ppp_compute", self.ppp_compute)
         _check_fraction("ppp_io", self.ppp_io)
+        for rate, fraction in (("peak_flops", "ppp_compute"), ("read_bandwidth", "ppp_io"),
+                               ("write_bandwidth", "ppp_io")):
+            if getattr(self, rate) * getattr(self, fraction) == 0.0:
+                raise ValueError(f"{rate} * {fraction} underflows to 0")
         if self.bytes_per_element < 1:
             raise ValueError("bytes_per_element must be >= 1")
 
@@ -53,8 +59,9 @@ class DeviceSpec:
 class EnergySpec:
     """Per-operation and per-access energies, in picojoules.
 
-    `levels` is the memory hierarchy in order, each entry (name, pJ/access).
-    `bitwidth_reference` is the word size the energies were profiled at.
+    `levels` is the memory hierarchy in order, each entry (name, pJ/access),
+    no name twice. `bitwidth_reference` is the word size the energies were
+    profiled at.
     """
 
     e_mac: float
@@ -67,6 +74,7 @@ class EnergySpec:
             raise ValueError("e_mac must be >= 0")
         if not self.levels:
             raise ValueError("levels must be non-empty")
+        _distinct([name for name, _ in self.levels], "levels")
         if any(e < 0 for _, e in self.levels):
             raise ValueError("level energies must be >= 0")
         if self.bitwidth_reference <= 0:
@@ -75,12 +83,13 @@ class EnergySpec:
 
 @dataclass(frozen=True)
 class AccessProfile:
-    """Access counts per memory level for one layer."""
+    """Access counts per memory level for one layer, no level twice."""
 
     counts: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "counts", tuple((str(n), int(c)) for n, c in dict(self.counts).items()))
+        object.__setattr__(self, "counts", tuple((str(n), int(c)) for n, c in self.counts))
+        _distinct([name for name, _ in self.counts], "counts")
         if any(c < 0 for _, c in self.counts):
             raise ValueError("access counts must be >= 0")
 
@@ -143,12 +152,25 @@ def paleo_layer_runtime(layer: LayerConfig, device: DeviceSpec) -> LayerRuntime:
     return LayerRuntime(read_ms, compute_ms, write_ms)
 
 
-def paleo_network_runtime(net: NetworkConfig, device: DeviceSpec) -> NetworkRuntime:
-    """Sum of per-layer runtimes, accumulated left to right over the chain."""
-    per_layer = tuple((layer.name, paleo_layer_runtime(layer, device)) for layer in net.layers)
+def _network_total(layer_totals, what: str, unit: str) -> float:
+    """The left-to-right sum of the layers' (name, total) `layer_totals`,
+    their `what` in `unit`. Raises ValueError naming the layer where a
+    layer's total or the sum stops being finite; every total is >= 0, so
+    neither is ever nan."""
     total = 0.0
-    for _, rt in per_layer:
-        total += rt.total_ms
+    for name, value in layer_totals:
+        total += value
+        if total == math.inf:
+            raise ValueError(f"layer {name}: {value!r} {unit} overflows the network total"
+                             if value < math.inf else f"layer {name}: the {what} overflows")
+    return total
+
+
+def paleo_network_runtime(net: NetworkConfig, device: DeviceSpec) -> NetworkRuntime:
+    """Sum of per-layer runtimes, accumulated left to right over the chain;
+    ValueError, naming the layer, where a runtime or the sum overflows."""
+    per_layer = tuple((layer.name, paleo_layer_runtime(layer, device)) for layer in net.layers)
+    total = _network_total(((name, rt.total_ms) for name, rt in per_layer), "runtime", "ms")
     return NetworkRuntime(per_layer, total)
 
 
@@ -206,7 +228,8 @@ def eyeriss_network_energy(net: NetworkConfig, spec: EnergySpec,
                            accesses: dict[str, AccessProfile] | None = None,
                            sparsity: SparsityInfo | None = None,
                            bitwidth: int | None = None) -> NetworkEnergy:
-    """Per-layer energies and their left-to-right sum.
+    """Per-layer energies and their left-to-right sum; ValueError, naming the
+    layer, where an energy or the sum overflows.
 
     `accesses` optionally overrides the default profile per layer name.
     """
@@ -214,9 +237,7 @@ def eyeriss_network_energy(net: NetworkConfig, spec: EnergySpec,
     for layer in net.layers:
         profile = accesses.get(layer.name) if accesses else None
         per_layer.append((layer.name, eyeriss_layer_energy(layer, spec, profile, sparsity, bitwidth)))
-    total = 0.0
-    for _, energy in per_layer:
-        total += energy.total_pj
+    total = _network_total(((name, e.total_pj) for name, e in per_layer), "energy", "pJ")
     return NetworkEnergy(tuple(per_layer), total)
 
 

@@ -90,10 +90,6 @@ class SearchSpace:
     def names(self) -> tuple[str, ...]:
         return tuple(d.name for d in self.dimensions)
 
-    def structural_indices(self) -> tuple[int, ...]:
-        index = {d.name: i for i, d in enumerate(self.dimensions)}
-        return tuple(index[n] for n in self.structural_subset)
-
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-dimension lower and upper bounds as read-only arrays."""
         return self._lo, self._hi
@@ -135,11 +131,6 @@ class ConstraintSpec:
         zero exactly when both are met (inclusive), as an excess is >= ~1e-16 of its budget."""
         return (np.maximum(power - self.power_budget, 0.0) / self.power_budget
                 + np.maximum(memory - self.memory_budget, 0.0) / self.memory_budget)
-
-    def satisfied(self, z):
-        """Both budgets met (inclusive): a bool, or a bool array for rows."""
-        ok = self.violation(*self.predict(z)) == 0.0
-        return bool(ok) if ok.ndim == 0 else ok
 
 
 def _correlation(r2: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
@@ -417,11 +408,6 @@ def gp_posterior_batch(state: GPState, X) -> tuple[np.ndarray, np.ndarray]:
     return state.prior_mean + state.y_scale * mean_std, state.y_scale ** 2 * var_std
 
 
-def gp_posterior(state: GPState, x) -> tuple[float, float]:
-    mean, var = gp_posterior_batch(state, np.asarray(x, dtype=float)[None, :])
-    return float(mean[0]), float(var[0])
-
-
 def update(state: GPState, observation: Observation, earlier=None) -> GPState:
     """New state with the observation appended and the factorization rebuilt.
 
@@ -476,10 +462,6 @@ def ei_value(mean, sd, y_best: float):
     return float(values) if values.ndim == 0 else values
 
 
-def expected_improvement(state: GPState, x, y_best: float) -> float:
-    return float(ei_batch(state, np.asarray(x, dtype=float)[None, :], y_best)[0])
-
-
 def _structural(space: SearchSpace, constraints: ConstraintSpec) -> list[int]:
     if space.structural_subset != constraints.power_model.schema or \
             space.structural_subset != constraints.memory_model.schema:
@@ -487,14 +469,7 @@ def _structural(space: SearchSpace, constraints: ConstraintSpec) -> list[int]:
             f"structural subset {space.structural_subset} does not match constraint "
             f"model schemas {constraints.power_model.schema} / "
             f"{constraints.memory_model.schema}")
-    return list(space.structural_indices())
-
-
-def hw_ieci(state: GPState, x, y_best: float, constraints: ConstraintSpec) -> float:
-    """Expected improvement gated by the predicted budgets (inclusive)."""
-    X = np.asarray(x, dtype=float)[None, :]
-    feasible = constraints.satisfied(X[:, _structural(state.space, constraints)])
-    return float(hw_ieci_batch(state, X, y_best, feasible)[0])
+    return [space.names.index(name) for name in space.structural_subset]
 
 
 def ei_batch(state: GPState, X: np.ndarray, y_best: float) -> np.ndarray:

@@ -36,6 +36,14 @@ class InputError(ValueError):
         super().__init__(f"{where}: {message}")
 
 
+class _EntryError(ValueError):
+    """A bad entry of a list, named by its index; not an InputError, so the
+    reader of the list's key names the input and the key in front of it."""
+
+    def __init__(self, where: str, message: str):
+        super().__init__(f"{where}: {message}")
+
+
 class NetworkParseError(InputError):
     """Malformed network spec text."""
 
@@ -222,6 +230,14 @@ def _lines(text: str) -> Iterator[tuple[int, str]]:
             yield line_no, line
 
 
+# what reading a bad value raises
+_BAD_VALUE = (ValueError, KeyError, TypeError, AttributeError, OverflowError)
+
+
+def _reason(exc: Exception) -> str:
+    return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+
+
 @contextlib.contextmanager
 def _located(where, error=InputError):
     """Re-raise a bad value met inside the block as `error(where, reason)`.
@@ -233,9 +249,8 @@ def _located(where, error=InputError):
         yield
     except InputError:
         raise
-    except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
-        reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-        raise error(where, reason) from None
+    except _BAD_VALUE as exc:
+        raise error(where, _reason(exc)) from None
 
 
 def _csv_rows(text: str, what: str, header_ok) -> tuple[list[str], list[tuple[int, list[str]]]]:
@@ -273,6 +288,16 @@ def _put(kv: dict[str, str], item: str, known) -> str:
         raise ValueError(f"duplicate key {key!r}")
     kv[key] = value
     return key
+
+
+def _distinct(names, field: str) -> None:
+    """Raise ValueError at the first entry of `names`, the keys of the
+    entries of `field`, that repeats an earlier one, naming both entries."""
+    first: dict = {}
+    for i, name in enumerate(names):
+        j = first.setdefault(name, i)
+        if j != i:
+            raise ValueError(f"{field} entry {i}: {name} was given at entry {j}")
 
 
 def _value(doc, key: str, convert, where: str, *default):
@@ -320,11 +345,35 @@ def _flag(value) -> bool:
     return value
 
 
-def _names(value) -> tuple[str, ...]:
-    """A JSON list of strings as a tuple; any other JSON type is an error."""
+def _entries(value, convert, what: str) -> tuple:
+    """convert(entry) for each entry of a JSON list of `what`; any other JSON
+    type is an error, and an error in an entry names the entry's index."""
     if not isinstance(value, list):
-        raise TypeError(f"expected a list of strings, got {value!r}")
-    return tuple(map(_text, value))
+        raise TypeError(f"expected a list of {what}, got {value!r}")
+    out = []
+    for i, entry in enumerate(value):
+        try:   # as _located does, without a context manager per entry
+            out.append(convert(entry))
+        except InputError:
+            raise
+        except _BAD_VALUE as exc:
+            raise _EntryError(f"entry {i}", _reason(exc)) from None
+    return tuple(out)
+
+
+def _names(value) -> tuple[str, ...]:
+    """A JSON list of strings as a tuple."""
+    return _entries(value, _text, "strings")
+
+
+def _pairs(value, convert_key, convert_value, form: str) -> tuple:
+    """A JSON list of two-entry lists as (key, value) tuples, each part
+    converted; `form` (`[name, coefficient]`, say) describes an entry."""
+    def pair(entry):
+        if not (isinstance(entry, list) and len(entry) == 2):
+            raise TypeError(f"expected {form}, got {entry!r}")
+        return convert_key(entry[0]), convert_value(entry[1])
+    return _entries(value, pair, f"{form} pairs")
 
 
 _LAYER_KEYS = {"conv": {"in", "k", "s", "p", "out"}, "pool": {"in", "k", "s", "p"},

@@ -22,7 +22,8 @@ from enum import Enum
 import numpy as np
 
 from .netgraph import (LayerConfig, LayerKind, NetworkConfig, TensorShape, _csv_rows,
-                       _finite, _integer, _located, _number, _value, count_ops)
+                       _distinct, _entries, _finite, _integer, _located, _names, _number,
+                       _pairs, _text, _value, count_ops)
 from .seeding import kfold_indices
 
 CV_LAMBDA_GRID_SIZE = 50
@@ -147,7 +148,8 @@ class PolynomialModel:
     """Fitted sparse polynomial for one (layer kind, target) pair.
 
     Only nonzero-coefficient terms are stored; `size` is the published
-    model-size notion (regular + special term count).
+    model-size notion (regular + special term count). A bad term is named
+    by its index, as the model file names it (`terms`, `special_terms`).
     """
 
     layer_kind: LayerKind
@@ -158,15 +160,15 @@ class PolynomialModel:
     special: tuple[tuple[SpecialTerm, float], ...]
 
     def __post_init__(self):
-        seen = set()
-        for term, _ in self.terms:
+        for i, (term, _) in enumerate(self.terms):
             if len(term.exponents) != len(self.schema):
-                raise ValueError("term arity does not match schema")
+                raise ValueError(f"terms entry {i}: {len(term.exponents)} exponents for the "
+                                 f"{len(self.schema)} features of the schema")
             if term.degree > self.degree:
-                raise ValueError("term degree exceeds model degree")
-            if term.exponents in seen:
-                raise ValueError(f"duplicate term {term.exponents}")
-            seen.add(term.exponents)
+                raise ValueError(f"terms entry {i}: degree {term.degree} exceeds the model's "
+                                 f"degree {self.degree}")
+        _distinct([term.exponents for term, _ in self.terms], "terms")
+        _distinct([name.value for name, _ in self.special], "special_terms")
 
     @property
     def size(self) -> int:
@@ -649,12 +651,13 @@ def model_from_json(text: str) -> PolynomialModel:
             layer_kind=kind,
             target=_value(doc, "target", Target, what),
             degree=_value(doc, "degree", _integer, what),
-            schema=_value(doc, "schema", lambda names: _kind_schema(names, kind), what),
-            terms=_value(doc, "terms", lambda terms: tuple(
-                (TermSpec(tuple(map(_integer, exps))), _number(coef)) for exps, coef in terms),
+            schema=_value(doc, "schema", lambda names: _kind_schema(_names(names), kind), what),
+            terms=_value(doc, "terms", lambda terms: _pairs(
+                terms, lambda exps: TermSpec(_entries(exps, _integer, "integers")), _number,
+                "[exponents, coefficient]"), what),
+            special=_value(doc, "special_terms", lambda terms: _pairs(
+                terms, lambda name: SpecialTerm(_text(name)), _number, "[name, coefficient]"),
                 what),
-            special=_value(doc, "special_terms", lambda terms: tuple(
-                (SpecialTerm(name), _number(coef)) for name, coef in terms), what),
         )
 
 

@@ -115,7 +115,7 @@ def test_criterion_3_gp_oracle_equivalence():
                                prior_mean=prior_mean)
             for _ in range(3):
                 query = tuple(rng.uniform(0, 1, dim))
-                mean, var = bo.gp_posterior(state, query)
+                (mean,), (var,) = bo.gp_posterior_batch(state, [query])
                 mean_o, var_o = gp_posterior_dense(
                     [o.x for o in obs], [o.y for o in obs], query,
                     lengthscales, signal_var, noise_var, prior_mean)

@@ -240,3 +240,41 @@ def test_spec_validation():
         EnergySpec(e_mac=1.0, levels=())
     with pytest.raises(ValueError):
         SparsityInfo(1.5)
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda: EnergySpec(e_mac=1.0, levels=(("DRAM", 200.0), ("SRAM", 6.0), ("DRAM", 1.0))),
+     "levels entry 2: DRAM was given at entry 0"),
+    (lambda: parse_energy_spec("e_mac = 1\nlevels = DRAM:200, DRAM:1\n"),
+     "energy spec: levels entry 1: DRAM was given at entry 0"),
+    (lambda: AccessProfile((("DRAM", 5), ("DRAM", 7))),
+     "counts entry 1: DRAM was given at entry 0"),
+], ids=["energy spec", "energy spec text", "access profile"])
+def test_a_level_named_twice_is_an_error(make, error):
+    """Not the last value silently kept, as a dict of the entries would."""
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == error
+
+
+def test_a_derated_rate_that_underflows_is_an_error():
+    with pytest.raises(ValueError, match=r"^read_bandwidth \* ppp_io underflows to 0$"):
+        _device(read_bandwidth=1e-10, ppp_io=1e-320)
+
+
+@pytest.mark.parametrize("run, error", [
+    # a layer's read time overflows
+    (lambda net: paleo_network_runtime(net, _device(read_bandwidth=1e-300, ppp_io=1e-10)),
+     "layer c1: the runtime overflows"),
+    # every layer finite, the sum past the float range at the second
+    (lambda net: eyeriss_network_energy(net, EnergySpec(1.0, (("DRAM", 1e306),)), {
+        name: AccessProfile((("DRAM", 150),)) for name in ("c1", "f1", "f2")}),
+     "layer f1: 1.5e+308 pJ overflows the network total"),
+    (lambda net: eyeriss_network_energy(net, EnergySpec(1e306, (("DRAM", 1.0),))),
+     "layer c1: the energy overflows"),
+], ids=["runtime", "energy total", "energy"])
+def test_a_network_total_that_overflows_names_the_layer(run, error):
+    net = parse_network("c1 conv in=1x3x8x8 k=3x3 s=1 p=1 out=4\nf1 fc out=10\nf2 fc out=10\n")
+    with pytest.raises(ValueError) as exc:
+        run(net)
+    assert str(exc.value) == error

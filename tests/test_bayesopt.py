@@ -6,9 +6,8 @@ import pytest
 
 from hwcost import bayesopt as bo
 from hwcost.bayesopt import (ConstraintSpec, Dimension, GPState, Observation, SearchSpace,
-                             bo_run, draw_candidates, ei_batch, ei_value,
-                             expected_improvement, gp_posterior, gp_posterior_batch,
-                             hw_ieci, hw_ieci_batch, propose_next, update)
+                             bo_run, draw_candidates, ei_batch, ei_value, gp_posterior_batch,
+                             hw_ieci_batch, propose_next, update)
 from hwcost.cholstack import CholeskyStack, substitute
 from hwcost.linmod import LinearModel, LinTarget
 from hwcost.objectives import branin, quadratic_bowl, with_noise
@@ -35,18 +34,24 @@ def constraints_halfbox(power_budget=1.0, memory_budget=10.0):
     return ConstraintSpec(power_budget, memory_budget, power, memory)
 
 
+def within_budgets(cons, Z):
+    """Both budgets met (inclusive) at the structural rows Z, or at one point,
+    as propose_next and bo_run read them."""
+    return cons.violation(*cons.predict(Z)) == 0.0
+
+
 # --- posterior ---------------------------------------------------------------
 
 def test_posterior_with_no_observations_is_prior():
     state = GPState(space_1d(), signal_var=2.0, noise_var=0.0, prior_mean=0.7)
-    mean, var = gp_posterior(state, (0.4,))
+    (mean,), (var,) = gp_posterior_batch(state, [(0.4,)])
     assert mean == 0.7
     assert var == 2.0
 
 
 def test_noise_free_interpolation():
     state = GPState(space_1d(), [Observation((0.4,), 1.7)], signal_var=2.0, noise_var=0.0)
-    mean, var = gp_posterior(state, (0.4,))
+    (mean,), (var,) = gp_posterior_batch(state, [(0.4,)])
     assert mean == pytest.approx(1.7, abs=1e-9)
     assert var == pytest.approx(0.0, abs=1e-9)
 
@@ -66,7 +71,7 @@ def test_posterior_matches_dense_oracle():
         state = GPState(space, obs, lengthscales=ls, signal_var=s2f, noise_var=s2n,
                         prior_mean=0.3)
         query = tuple(rng.uniform(0, 1, dim))
-        mean, var = gp_posterior(state, query)
+        (mean,), (var,) = gp_posterior_batch(state, [query])
         mean_o, var_o = gp_posterior_dense([o.x for o in obs], [o.y for o in obs],
                                            query, ls, s2f, s2n, 0.3)
         assert abs(mean - mean_o) < 1e-8
@@ -80,22 +85,8 @@ def test_posterior_variance_bounded_by_prior():
            for _ in range(8)]
     state = GPState(space, obs, lengthscales=(0.3, 0.5), signal_var=1.5, noise_var=1e-3)
     for _ in range(50):
-        _, var = gp_posterior(state, tuple(rng.uniform(0, 1, 2)))
+        _, (var,) = gp_posterior_batch(state, [tuple(rng.uniform(0, 1, 2))])
         assert var <= 1.5 + 1e-3 + 1e-12
-
-
-def test_batch_posterior_matches_scalar():
-    rng = np.random.default_rng(8)
-    space = space_2d()
-    obs = [Observation(tuple(rng.uniform(0, 1, 2)), float(rng.normal()))
-           for _ in range(6)]
-    state = GPState(space, obs, lengthscales=(0.4, 0.4), signal_var=1.0, noise_var=1e-4)
-    X = rng.uniform(0, 1, (20, 2))
-    means, variances = gp_posterior_batch(state, X)
-    for i in range(20):
-        m, v = gp_posterior(state, tuple(X[i]))
-        assert means[i] == pytest.approx(m, abs=1e-12)
-        assert variances[i] == pytest.approx(v, abs=1e-12)
 
 
 def test_batch_mean_matches_dense_oracle_on_every_row():
@@ -168,17 +159,17 @@ def test_update_never_increases_variance_at_observed_points():
     rng = np.random.default_rng(3)
     space = space_1d()
     state = GPState(space, [Observation((0.2,), 1.0)], signal_var=1.0, noise_var=0.0)
-    before = gp_posterior(state, (0.2,))[1]
+    _, (before,) = gp_posterior_batch(state, [(0.2,)])
     state2 = update(state, Observation((0.8,), 0.5))
-    after = gp_posterior(state2, (0.2,))[1]
+    _, (after,) = gp_posterior_batch(state2, [(0.2,)])
     assert after <= before + 1e-12
-    assert gp_posterior(state2, (0.8,))[1] == pytest.approx(0.0, abs=1e-9)
+    assert gp_posterior_batch(state2, [(0.8,)])[1][0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_update_then_query_interpolates():
     state = GPState(space_1d(), signal_var=2.0, noise_var=0.0)
     state = update(state, Observation((0.4,), 1.7))
-    mean, var = gp_posterior(state, (0.4,))
+    (mean,), (var,) = gp_posterior_batch(state, [(0.4,)])
     assert mean == pytest.approx(1.7, abs=1e-9)
     assert var == pytest.approx(0.0, abs=1e-9)
 
@@ -194,8 +185,8 @@ def test_sequential_updates_match_batch_construction():
     batch = GPState(space, obs, lengthscales=(0.5, 0.7), signal_var=1.2, noise_var=1e-4)
     for _ in range(20):
         q = tuple(rng.uniform(0, 1, 2))
-        ms, vs = gp_posterior(sequential, q)
-        mb, vb = gp_posterior(batch, q)
+        (ms,), (vs,) = gp_posterior_batch(sequential, [q])
+        (mb,), (vb,) = gp_posterior_batch(batch, [q])
         assert abs(ms - mb) < 1e-8
         assert abs(vs - vb) < 1e-8
 
@@ -775,7 +766,7 @@ def test_ei_matches_quadrature():
 def test_expected_improvement_uses_posterior():
     state = GPState(space_1d(), [Observation((0.5,), 1.0)], signal_var=1.0, noise_var=0.0)
     # at the observation: mean=1.0, sd=0, y_best=1.0 -> EI 0
-    assert expected_improvement(state, (0.5,), 1.0) == 0.0
+    assert ei_batch(state, [(0.5,)], 1.0)[0] == 0.0
 
 
 # --- constraint gating -------------------------------------------------------
@@ -785,9 +776,9 @@ def test_gated_acquisition_zero_when_budget_exceeded():
     cons = constraints_halfbox(power_budget=1.0)
     state = GPState(space, [Observation((0.2, 0.2), 1.0)], lengthscales=(0.4, 0.4),
                     signal_var=1.0, noise_var=1e-6)
-    x_violating = (0.8, 0.8)  # predicted power 1.6 > 1.0
-    assert hw_ieci(state, x_violating, 1.0, cons) == 0.0
-    assert expected_improvement(state, x_violating, 1.0) > 0.0
+    X = np.array([(0.8, 0.8)])  # predicted power 1.6 > 1.0
+    assert hw_ieci_batch(state, X, 1.0, within_budgets(cons, X))[0] == 0.0
+    assert ei_batch(state, X, 1.0)[0] > 0.0
 
 
 def test_gated_acquisition_equals_ei_when_satisfied():
@@ -795,8 +786,8 @@ def test_gated_acquisition_equals_ei_when_satisfied():
     cons = constraints_halfbox()
     state = GPState(space, [Observation((0.2, 0.2), 1.0)], lengthscales=(0.4, 0.4),
                     signal_var=1.0, noise_var=1e-6)
-    x_ok = (0.3, 0.3)
-    assert hw_ieci(state, x_ok, 1.0, cons) == expected_improvement(state, x_ok, 1.0)
+    X = np.array([(0.3, 0.3)])
+    assert hw_ieci_batch(state, X, 1.0, within_budgets(cons, X)) == ei_batch(state, X, 1.0)
 
 
 @pytest.mark.parametrize("budgets", [(math.inf, 10.0), (1.0, math.nan), (0.0, 10.0)])
@@ -810,9 +801,8 @@ def test_budget_boundary_is_inclusive():
     cons = constraints_halfbox(power_budget=1.0)
     state = GPState(space, [Observation((0.2, 0.2), 1.0)], lengthscales=(0.4, 0.4),
                     signal_var=1.0, noise_var=1e-6)
-    x_boundary = (0.5, 0.5)  # predicted power exactly 1.0
-    assert hw_ieci(state, x_boundary, 1.0, cons) == \
-        expected_improvement(state, x_boundary, 1.0)
+    X = np.array([(0.5, 0.5)])  # predicted power exactly 1.0
+    assert hw_ieci_batch(state, X, 1.0, within_budgets(cons, X)) == ei_batch(state, X, 1.0)
 
 
 @pytest.mark.parametrize("has_bias", [False, True])
@@ -843,15 +833,15 @@ def test_gated_batch_zeroes_exactly_the_rows_satisfied_rejects():
     boundary = np.array([[0.5, 0.5], [0.25, 0.75], [0.75, 0.25],  # power exactly 1.0
                          [0.75, 0.0]])                             # memory exactly 0.75
     X = np.vstack([boundary, rng.uniform(0, 1, (200, 2))])
-    gated = hw_ieci_batch(state, X, 2.0, cons.satisfied(X))
+    gated = hw_ieci_batch(state, X, 2.0, within_budgets(cons, X))
     ungated = ei_batch(state, X, 2.0)
     assert np.all(ungated > 0.0)
-    kept = [cons.satisfied(tuple(row)) for row in X]
+    kept = [within_budgets(cons, tuple(row)) for row in X]
     assert all(kept[:len(boundary)])          # budgets are inclusive
     assert 0 < sum(kept) < len(X)
     for keep, g, u in zip(kept, gated, ungated):
         assert g == (u if keep else 0.0)
-    assert np.array_equal(cons.satisfied(X), kept)
+    assert np.array_equal(within_budgets(cons, X), kept)
 
 
 def test_gated_batch_scores_only_feasible_rows(monkeypatch):
@@ -876,7 +866,7 @@ def test_gated_batch_scores_only_feasible_rows(monkeypatch):
     monkeypatch.setattr(bo, "gp_posterior_batch", counted)
     for count in (1, 7, 511, 512, 513):
         X = rng.uniform(0, 1, (count, 2))
-        kept = cons.satisfied(X)
+        kept = within_budgets(cons, X)
         assert count == 1 or 0 < kept.sum() < count
         posterior_calls.clear()
         gated = hw_ieci_batch(state, X, y_best, kept)
@@ -888,7 +878,7 @@ def test_gated_batch_scores_only_feasible_rows(monkeypatch):
         assert count == 1 or np.any(gated > 0.0)
     posterior_calls.clear()
     X = rng.uniform(0.5, 1.0, (512, 2))         # predicted power above 1.0 everywhere
-    gated = hw_ieci_batch(state, X, y_best, cons.satisfied(X))
+    gated = hw_ieci_batch(state, X, y_best, within_budgets(cons, X))
     assert gated.shape == (512,) and not np.any(gated)
     assert posterior_calls == []
 
@@ -897,8 +887,8 @@ def test_schema_mismatch_rejected():
     space = space_2d(structural=("x1",))
     cons = constraints_halfbox()
     state = GPState(space, [Observation((0.2, 0.2), 1.0)], noise_var=1e-6)
-    with pytest.raises(ValueError):
-        hw_ieci(state, (0.2, 0.2), 1.0, cons)
+    with pytest.raises(ValueError, match="does not match constraint model schemas"):
+        propose_next(state, 1.0, 8, seed=3, constraints=cons, iteration=0)
 
 
 # --- proposals ---------------------------------------------------------------

@@ -151,6 +151,25 @@ def test_fit_skips_a_kind_below_twice_the_folds(tmp_path, capsys):
     assert [line.split()[0] for line in out.splitlines()[1:]] == ["conv", "conv", "pool", "pool"]
 
 
+def test_fit_skips_a_target_that_no_row_of_its_kind_measured(tmp_path, capsys):
+    """Every pool row's power_w cell is blank: pool gets no power model, and
+    the other five models are written."""
+    csv_path = _profile(tmp_path, dict.fromkeys(LayerKind, 8))
+    lines = csv_path.read_text().splitlines()
+    csv_path.write_text("".join((line.rpartition(",")[0] + "," if line.startswith("pool,")
+                                 else line) + "\n" for line in lines))
+    code, out, err = run(capsys, "fit", str(csv_path), "--folds", "3",
+                         "--output-dir", str(tmp_path / "models"))
+    assert code == 0, err
+    assert sorted(p.name for p in (tmp_path / "models").glob("model_*.json")) == [
+        "model_conv_power_w.json", "model_conv_runtime_ms.json", "model_fc_power_w.json",
+        "model_fc_runtime_ms.json", "model_pool_runtime_ms.json",
+    ]
+    assert [line.split()[:2] for line in out.splitlines()[1:]] == [
+        ["conv", "runtime_ms"], ["conv", "power_w"], ["fc", "runtime_ms"], ["fc", "power_w"],
+        ["pool", "runtime_ms"]]
+
+
 def test_fit_with_no_kind_large_enough_exits_1(tmp_path, capsys):
     csv_path = _profile(tmp_path, dict.fromkeys(LayerKind, 5))
     code, out, err = run(capsys, "fit", str(csv_path), "--folds", "3",
@@ -315,8 +334,9 @@ def test_predict_energy_names_the_accesses_line_of_a_bad_level_or_count(
 def test_predict_requires_family_inputs(tmp_path, capsys):
     net_path = tmp_path / "net.txt"
     net_path.write_text(NETWORK_SPEC)
-    code, _, err = run(capsys, "predict", str(net_path), "--family", "paleo")
-    assert code == 1
+    for family, flag in (("poly", "--models-dir"), ("paleo", "--device"), ("energy", "--energy")):
+        code, out, err = run(capsys, "predict", str(net_path), "--family", family)
+        assert (code, out, err) == (1, "", f"error: --family {family} requires {flag}\n")
 
 
 def test_sample_and_fit_linear(tmp_path, capsys):
@@ -480,6 +500,17 @@ def test_predict_constant_model_single_fc(tmp_path, capsys):
     assert err == ""  # nothing clamped, so no warning
     total = [line for line in out.splitlines() if line.startswith("total")][0].split(",")
     assert float(total[2]) == 5.0
+
+
+def test_predict_poly_without_a_kinds_power_model_exits_1_naming_the_kind(tmp_path, capsys):
+    models_dir = tmp_path / "models"
+    _constant_fc_models(models_dir, 5.0, 2.0)
+    (models_dir / "model_fc_power_w.json").unlink()
+    net = tmp_path / "net.txt"
+    net.write_text("f1 fc in=1x4x1x1 out=2\n")
+    code, out, err = run(capsys, "predict", str(net), "--family", "poly",
+                         "--models-dir", str(models_dir))
+    assert (code, out, err) == (1, "", "error: no power model for kind fc\n")
 
 
 def test_predict_poly_zero_total_runtime_prints_layers_then_exits_1(tmp_path, capsys):

@@ -170,6 +170,9 @@ MOTIVATION = {
                        "synth config kinds.conv key 'ranges'"),
     "peak_flops abc": (CASES["device"][2], "device.txt",
                        lambda d: DEVICE.replace("1e12", "abc"), "device spec line 2"),
+    "levels DRAM twice": (CASES["energy"][2], "energy.txt",
+                          lambda d: "e_mac = 1\nlevels = DRAM:200, DRAM:1\n",
+                          "energy spec: levels entry 1"),
     "levels DRAM:abc": (CASES["energy"][2], "energy.txt",
                         lambda d: "e_mac = 1\nlevels = DRAM:abc\n", "energy spec line 2"),
     "accesses count x": (CASES["accesses"][2], "accesses.txt",
@@ -313,6 +316,31 @@ MOTIVATION = {
     "synth noise '0.1'": (CASES["synth config"][2], "synth.json",
                           lambda d: json.dumps({"noise": "0.1"}), "synth config key 'noise'"),
 }
+
+
+@pytest.mark.parametrize("edit, error", [
+    (lambda doc: doc.update(special_terms=[True]), "polynomial model key 'special_terms': "
+     "entry 0: expected [name, coefficient], got True"),
+    (lambda doc: doc.update(special_terms=[["total_flops", 1.0], ["total_flops", 1.0]]),
+     "polynomial model: special_terms entry 1: total_flops was given at entry 0"),
+    (lambda doc: doc.update(terms=[[[0, 0, 0], 1.0], [1.5, 1.0]]),
+     "polynomial model key 'terms': entry 1: expected a list of integers, got 1.5"),
+    (lambda doc: doc.update(terms=[[[0, 0, 0], 1.0], [[1, 0], 1.0]]),
+     "polynomial model: terms entry 1: 2 exponents for the 3 features of the schema"),
+    (lambda doc: doc.update(schema=1.5),
+     "polynomial model key 'schema': expected a list of strings, got 1.5"),
+    (lambda doc: doc.update(schema=["batch", 2, "out_units"]),
+     "polynomial model key 'schema': entry 1: expected a string, got 2"),
+], ids=["special bool", "special twice", "exponents 1.5", "arity", "schema 1.5",
+        "schema entry 2"])
+def test_a_bad_model_entry_exits_1_naming_its_key_and_index(work, tmp_path, capsys, edit,
+                                                           error):
+    """In the package's words, not Python's ('cannot unpack', 'is not iterable')."""
+    bad = tmp_path / "model_fc_runtime_ms.json"
+    bad.write_text(_fc_runtime_model(edit)(work))
+    code = cli.main([str(a) for a in CASES["polynomial model"][2](work, bad)])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (1, "", f"error: {error}\n")
 
 
 @pytest.mark.parametrize("case", sorted(MOTIVATION))

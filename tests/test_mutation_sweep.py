@@ -1,13 +1,15 @@
 """Seeded mutation sweeps of the CLI's inputs: the profile CSV through `fit`,
-and a fitted polynomial model JSON through `predict --family poly`.
+a fitted polynomial model JSON through `predict --family poly`, and the
+network, device and energy specs through `predict --family paleo|energy`.
 
 Each case applies one mutation, drawn from `seeding.generator(SWEEP_SEED,
-case)` (the model sweep from `MODEL_SWEEP_SEED`), to a small valid input and
-runs the command on it in-process. The command must either exit 1 with one
-`error:` line and no traceback, or exit 0 having printed and written only
-finite numbers; either way no numpy warning may reach the user. A failing
-case is a program fault: the message names the case, its mutation and what
-went wrong, and the case stays in the sweep.
+case)` (the model sweep from `MODEL_SWEEP_SEED`, the spec sweep from
+`SPEC_SWEEP_SEED`), to a small valid input and runs the command on it
+in-process. The command must either exit 1 with one `error:` line in the
+package's own words and no traceback, or exit 0 having printed and written
+only finite numbers; either way no numpy warning may reach the user. A
+failing case is a program fault: the message names the case, its mutation
+and what went wrong, and the case stays in the sweep.
 """
 
 import json
@@ -34,9 +36,20 @@ MODEL_SWEEP_SEED = 13
 MODEL_VALUES = (math.nan, math.inf, -1, 0, 1.5, 1e308, "x", True, None)
 JSON_VALUES = (1.5, "x", True, None, [], {})
 MODEL_MUTATIONS = ("substitute", "substitute", "substitute", "delete key",
-                   "truncate exponents", "swap type")
+                   "truncate exponents", "swap type", "duplicate entry")
+SPEC_SWEEP_SEED = 14
+# a spec line's entries: comma-separated where the line has commas (the
+# energy levels), else whitespace-separated (a layer's tokens)
+SPEC_MUTATIONS = ("substitute", "substitute", "substitute", "delete entry", "duplicate entry",
+                  "truncate line", "delete line", "duplicate line")
 NETWORK = "c1 conv in=1x3x8x8 k=3x3 s=1 p=1 out=4\np1 pool k=2x2 s=2\nf1 fc out=10\n"
+DEVICE = ("peak_flops = 1e12\nread_bandwidth = 4e9\nwrite_bandwidth = 2e9\nppp_compute = 0.5\n"
+          "ppp_io = 0.25\nbytes_per_element = 4\n")
+ENERGY = "e_mac = 1.5\nlevels = RF:0.5, SRAM:6, DRAM:200\nbitwidth_reference = 16\n"
+NUMBER = re.compile(r"\d+(\.\d+)?(e-?\d+)?")
 NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+# Python's own wording for a value of the wrong shape, which an error line should not pass on
+PYTHON_WORDING = ("cannot unpack", "is not iterable")
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +110,8 @@ def _fault(code: int, out: str, err: str, caught, out_dir) -> str | None:
     if code == 1:
         if sum(line.startswith("error: ") for line in lines) != 1:
             return f"exit 1 without exactly one error line: {err!r}"
+        if any(words in err for words in PYTHON_WORDING):
+            return f"exit 1 with Python's wording, not the package's: {err!r}"
         if not all(line.startswith(("error: ", "warning: ")) for line in lines):
             return f"exit 1 with a stray stderr line: {err!r}"
         if out_dir.exists():
@@ -166,6 +181,8 @@ def _mutate_model(models: dict, case: int) -> tuple[str, object, str]:
     places = list(_places(doc))
     if mutation == "delete key":
         places = [(path, v) for path, v in places if len(path) == 1]
+    elif mutation == "duplicate entry":
+        places = [(path, v) for path, v in places if isinstance(v, list) and v]
     elif mutation == "truncate exponents":
         places = [(path, v) for path, v in places if path[0] == "terms" and len(path) == 3
                   and path[2] == 0]
@@ -181,6 +198,10 @@ def _mutate_model(models: dict, case: int) -> tuple[str, object, str]:
         cut = int(rng.integers(len(value)))
         del value[cut:]
         mutation += f" to {cut}"
+    elif mutation == "duplicate entry":
+        at = int(rng.integers(len(value)))
+        value.insert(at, json.loads(json.dumps(value[at])))
+        mutation += f" {at}"
     else:
         pool = MODEL_VALUES if mutation == "substitute" else [
             v for v in JSON_VALUES if _json_type(v) is not _json_type(value)]
@@ -209,4 +230,63 @@ def test_predict_on_a_mutated_model_exits_1_with_one_error_or_prints_finite_numb
         fault = _fault(code, captured.out, captured.err, caught, tmp_path / "no output")
         if fault is not None:
             faults.append(f"case {case} ({mutation}): {fault}")
+    assert not faults, "\n".join(faults)
+
+
+def _mutate_spec(case: int) -> tuple[dict[str, str], str, str]:
+    """The network, device and energy specs, one of them with case `case`'s
+    one mutation; the family that reads it; the mutation's description."""
+    rng = generator(SPEC_SWEEP_SEED, case)
+    texts = {"network": NETWORK, "device": DEVICE, "energy": ENERGY}
+    name = sorted(texts)[int(rng.integers(len(texts)))]
+    family = {"device": "paleo", "energy": "energy"}.get(name) or \
+        ("paleo", "energy")[int(rng.integers(2))]
+    lines = texts[name].splitlines()
+    at = int(rng.integers(len(lines)))
+    mutation = SPEC_MUTATIONS[int(rng.integers(len(SPEC_MUTATIONS)))]
+    if mutation == "delete line":
+        del lines[at]
+    elif mutation == "duplicate line":
+        lines.insert(at, lines[at])
+    elif mutation == "truncate line":
+        cut = int(rng.integers(len(lines[at])))
+        lines[at] = lines[at][:cut]
+        mutation += f" at {cut}"
+    elif mutation == "substitute":
+        numbers = list(NUMBER.finditer(lines[at]))
+        number = numbers[int(rng.integers(len(numbers)))]
+        value = VALUES[int(rng.integers(len(VALUES)))]
+        lines[at] = lines[at][:number.start()] + value + lines[at][number.end():]
+        mutation = f"{number.group()!r} := {value!r}"
+    else:
+        sep = "," if "," in lines[at] else " "
+        entries = lines[at].split(sep)
+        i = int(rng.integers(len(entries)))
+        if mutation == "delete entry":
+            del entries[i]
+        else:
+            entries.insert(i, entries[i])
+        lines[at] = sep.join(entries)
+        mutation += f" {i}"
+    texts[name] = "\n".join(lines) + "\n"
+    return texts, family, f"{name} line {at + 1}: {mutation}"
+
+
+def test_predict_on_a_mutated_spec_exits_1_with_one_error_or_prints_finite_numbers(
+        tmp_path, capsys):
+    faults = []
+    for case in range(CASES):
+        texts, family, mutation = _mutate_spec(case)
+        paths = {name: tmp_path / f"case{case}_{name}.txt" for name in texts}
+        for name, text in texts.items():
+            paths[name].write_text(text)
+        spec = ["--device", paths["device"]] if family == "paleo" else ["--energy", paths["energy"]]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["predict", str(paths["network"]), "--family", family,
+                             *map(str, spec)])
+        captured = capsys.readouterr()
+        fault = _fault(code, captured.out, captured.err, caught, tmp_path / "no output")
+        if fault is not None:
+            faults.append(f"case {case} ({mutation}, --family {family}): {fault}")
     assert not faults, "\n".join(faults)

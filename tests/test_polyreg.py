@@ -708,6 +708,24 @@ def test_negative_prediction_clamps_with_flag():
     assert value == 0.0 and clamped
 
 
+@pytest.mark.parametrize("terms, special, error", [
+    ((((0, 0, 0), 1.0), ((0, 1, 0), 2.0), ((0, 0, 0), 3.0)), (),
+     "terms entry 2: (0, 0, 0) was given at entry 0"),
+    ((), ((SpecialTerm.TOTAL_FLOPS, 1.0), (SpecialTerm.TOTAL_FLOPS, 1.0)),
+     "special_terms entry 1: total_flops was given at entry 0"),
+    ((((0, 1), 1.0),), (), "terms entry 0: 2 exponents for the 3 features of the schema"),
+    ((((0, 0, 0), 1.0), ((3, 0, 0), 1.0)), (),
+     "terms entry 1: degree 3 exceeds the model's degree 2"),
+], ids=["term", "special term", "arity", "degree"])
+def test_a_term_named_twice_or_misshapen_is_an_error_naming_its_entry(terms, special, error):
+    """Each copy of a repeated term would be added to every prediction."""
+    with pytest.raises(ValueError) as exc:
+        PolynomialModel(LayerKind.FULLY_CONNECTED, Target.RUNTIME_MS, 2,
+                        polyreg._SCHEMAS[LayerKind.FULLY_CONNECTED],
+                        tuple((TermSpec(e), c) for e, c in terms), special)
+    assert str(exc.value) == error
+
+
 def test_predict_rejects_kind_mismatch():
     model = PolynomialModel(LayerKind.FULLY_CONNECTED, Target.RUNTIME_MS, 2,
                             polyreg._SCHEMAS[LayerKind.FULLY_CONNECTED], (), ())
