@@ -122,9 +122,9 @@ class ConstraintSpec:
                 raise ValueError(f"the {role} model predicts {model.target.value}, "
                                  f"not {target.value}")
 
-    def predict(self, z):
-        """(power, memory) at one structural point, or a pair of arrays for rows."""
-        return lin_predict(self.power_model, z), lin_predict(self.memory_model, z)
+    def predict(self, Z):
+        """(power, memory) arrays at the structural rows of the 2-D `Z`."""
+        return lin_predict(self.power_model, Z), lin_predict(self.memory_model, Z)
 
     def violation(self, power, memory):
         """Summed excess over the budgets, each relative to its budget, element-wise;
@@ -472,6 +472,24 @@ def _structural(space: SearchSpace, constraints: ConstraintSpec) -> list[int]:
     return [space.names.index(name) for name in space.structural_subset]
 
 
+def _check_reach(space: SearchSpace, constraints: ConstraintSpec, idx: list[int]) -> None:
+    """Raise ValueError naming a constraint model whose prediction can
+    overflow somewhere in the space's box.
+
+    The bound adds |weight| times the largest |value| of each dimension (1 for
+    the bias) in lin_predict's order. Rounding is monotonic, so each partial
+    sum of a prediction in the box is at most the bound; doubling it leaves
+    room for a continuous draw rounded an ulp past its dimension's end.
+    """
+    reach = np.maximum(np.abs(space._lo[idx]), np.abs(space._hi[idx])).tolist() + [1.0]
+    for role, model in (("power", constraints.power_model), ("memory", constraints.memory_model)):
+        bound = 0.0
+        for weight, value in zip(model.weights, reach):
+            bound += abs(weight) * value
+        if not math.isfinite(2.0 * bound):
+            raise ValueError(f"the {role} model's predictions can overflow in the search space")
+
+
 def ei_batch(state: GPState, X: np.ndarray, y_best: float) -> np.ndarray:
     """Expected improvement below y_best at every candidate row."""
     mean, var = gp_posterior_batch(state, X)
@@ -610,8 +628,10 @@ def bo_run(objective, space: SearchSpace, constraints: ConstraintSpec | None,
         raise ValueError(f"budget {budget} below seeding need {n_seed}")
     if candidate_count < 1:
         raise ValueError("candidate_count must be >= 1")
-    # checks the constraint model schemas up front
-    structural_idx = _structural(space, constraints) if constraints is not None else ()
+    structural_idx = ()
+    if constraints is not None:  # the model schemas, and the predictions' reach, up front
+        structural_idx = _structural(space, constraints)
+        _check_reach(space, constraints, structural_idx)
     seeds = draw_candidates(space, n_seed, generator(seed, 0))
     records: list[TraceRecord] = []
     observed: list[Observation] = []  # the GP's data, failed rows at the current worst y
@@ -643,7 +663,8 @@ def bo_run(objective, space: SearchSpace, constraints: ConstraintSpec | None,
             power = memory = None
             feasible = True
         else:
-            power, memory = constraints.predict(tuple(x[i] for i in structural_idx))
+            power, memory = (v.item() for v in constraints.predict(
+                np.array([x])[:, structural_idx]))
             feasible = bool(constraints.violation(power, memory) == 0.0)
         obs = Observation(x, y)
         if feasible and not failed and (best is None or y < best.y):

@@ -21,6 +21,7 @@ import csv
 import dataclasses
 import functools
 import hashlib
+import io
 import json
 import sys
 import warnings
@@ -186,9 +187,9 @@ def _cmd_fit(args) -> int:
         for target in (polyreg.Target.RUNTIME_MS, polyreg.Target.POWER_W):
             pairs = [(s.layer, getattr(s, target.value)) for s in kind_samples
                      if getattr(s, target.value) is not None]
-            if not pairs:
-                continue
             try:
+                if not pairs:
+                    raise polyreg.FitError(f"no {kind.value} row measured {target.value}")
                 model, metrics = polyreg.fit_with_metrics(pairs, config, kind, target)
             except polyreg.FitError as exc:
                 print(f"warning: skipping {kind.value}/{target.value}: {exc}", file=sys.stderr)
@@ -318,10 +319,10 @@ def _cmd_compare_reference(args) -> int:
 def _cmd_sample(args) -> int:
     from . import linmod
     schema = _load_schema(Path(args.schema).read_text())
-    points = linmod.offline_sample(schema, args.count, args.seed)
-    lines = [",".join(schema.names)]
-    lines += [",".join(str(v) for v in point.z) for point in points]
-    _write_outputs(args, {"samples.csv": "\n".join(lines) + "\n"}, [f"count={args.count}"],
+    out = io.StringIO()  # quotes only the names that need it: one with a comma
+    csv.writer(out, lineterminator="\n").writerows(
+        [schema.names, *linmod.offline_sample(schema, args.count, args.seed).tolist()])
+    _write_outputs(args, {"samples.csv": out.getvalue()}, [f"count={args.count}"],
                    [Path(args.schema)])
     print(f"wrote {Path(args.output_dir) / 'samples.csv'}")
     return EXIT_OK
@@ -346,12 +347,12 @@ def _load_schema(text: str) -> linmod.StructuralSchema:
 
 def _cmd_fit_linear(args) -> int:
     from . import linmod
-    points = linmod.read_profiled_csv(Path(args.profile).read_text())
+    profile = linmod.read_profiled_csv(Path(args.profile).read_text())
     rows = []
     texts = {}
     for target, filename in ((linmod.LinTarget.POWER_W, "linear_power.json"),
                              (linmod.LinTarget.MEMORY_MB, "linear_memory.json")):
-        model = linmod.fit_linear(points, target, folds=args.folds, seed=args.seed,
+        model = linmod.fit_linear(profile, target, folds=args.folds, seed=args.seed,
                                   include_bias=args.bias)
         texts[filename] = linmod.model_to_json(model)
         mean_cv = sum(model.cv_report) / len(model.cv_report)

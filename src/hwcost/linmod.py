@@ -14,7 +14,8 @@ from enum import Enum
 
 import numpy as np
 
-from .netgraph import _csv_rows, _finite, _flag, _located, _names, _number, _value
+from .netgraph import (_csv_rows, _entries, _finite, _flag, _located, _member, _names, _number,
+                       _value)
 from .seeding import generator, kfold_indices
 
 
@@ -54,30 +55,22 @@ class StructuralSchema:
         return len(self.names)
 
 
-@dataclass(frozen=True)
-class StructuralPoint:
-    z: tuple[int, ...]
-    schema: StructuralSchema
+_NOT_MEASURED = "profiled power and memory must be > 0"
+
+
+@dataclass(frozen=True, eq=False)
+class Profile:
+    """Profiled points: row i of `z`, a (points, dimensions) array of whole
+    numbers with one column per name, measured power_w[i] W and memory_mb[i] MB."""
+
+    names: tuple[str, ...]
+    z: np.ndarray
+    power_w: np.ndarray
+    memory_mb: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "z", tuple(int(v) for v in self.z))
-        if len(self.z) != self.schema.dim:
-            raise ValueError("point arity does not match schema")
-        for value, name, lo, hi in zip(self.z, self.schema.names, self.schema.lows,
-                                       self.schema.highs):
-            if not (lo <= value <= hi):
-                raise ValueError(f"{name}={value} outside [{lo}, {hi}]")
-
-
-@dataclass(frozen=True)
-class ProfiledPoint:
-    z: StructuralPoint
-    power_w: float
-    memory_mb: float
-
-    def __post_init__(self):
-        if self.power_w <= 0 or self.memory_mb <= 0:
-            raise ValueError("profiled power and memory must be > 0")
+        if not (np.all(np.asarray(self.power_w) > 0) and np.all(np.asarray(self.memory_mb) > 0)):
+            raise ValueError(_NOT_MEASURED)
 
 
 @dataclass(frozen=True)
@@ -100,47 +93,32 @@ class LinearModel:
             raise ValueError(f"expected {expected} weights, got {len(self.weights)}")
 
 
-def offline_sample(schema: StructuralSchema, count: int, seed: int) -> list[StructuralPoint]:
-    """`count` points uniform over the schema's integer box; duplicates allowed."""
+def offline_sample(schema: StructuralSchema, count: int, seed: int) -> np.ndarray:
+    """`count` integer points uniform over the schema's box, one per row of
+    the (count, dim) array returned; duplicates allowed."""
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = generator(seed, 0x5A11)
-    lows = np.asarray(schema.lows)
-    highs = np.asarray(schema.highs)
-    draws = rng.integers(lows, highs + 1, size=(count, schema.dim))
-    return [StructuralPoint(tuple(int(v) for v in row), schema) for row in draws]
+    return rng.integers(np.asarray(schema.lows), np.asarray(schema.highs) + 1,
+                        size=(count, schema.dim))
 
 
-def _design(points: list[ProfiledPoint], include_bias: bool) -> tuple[np.ndarray, tuple[str, ...]]:
-    schema = points[0].z.schema
-    for point in points:
-        if point.z.schema.names != schema.names:
-            raise ValueError("profiled points mix schemas")
-    Z = np.array([point.z.z for point in points], dtype=float)
-    names = schema.names
-    if include_bias:
-        Z = np.column_stack([Z, np.ones(len(points))])
-        names = names + ("bias",)
-    return Z, names
-
-
-def _ols(Z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    w, *_ = np.linalg.lstsq(Z, y, rcond=None)
-    return w
-
-
-def fit_linear(points: list[ProfiledPoint], target: LinTarget, folds: int = 10,
+def fit_linear(profile: Profile, target: LinTarget, folds: int = 10,
                seed: int = 0, include_bias: bool = False) -> LinearModel:
     """Ordinary least squares through the origin, with a seeded CV report.
 
     Raises RankDeficientError naming the dimensions the data cannot
     identify (directions in the design's null space).
     """
-    Z, names = _design(points, include_bias)
+    Z = np.asarray(profile.z, dtype=float)
+    names = profile.names
+    if include_bias:
+        Z = np.column_stack([Z, np.ones(len(Z))])
+        names = names + ("bias",)
     n, j = Z.shape
     if n < max(folds, j + 1):
         raise ValueError(f"need at least {max(folds, j + 1)} points, got {n}")
-    y = np.array([getattr(p, target.value) for p in points], dtype=float)
+    y = np.asarray(getattr(profile, target.value), dtype=float)
 
     _, singular, vt = np.linalg.svd(Z, full_matrices=False)
     rank = int(np.sum(singular > singular[0] * max(n, j) * np.finfo(float).eps))
@@ -149,61 +127,54 @@ def fit_linear(points: list[ProfiledPoint], target: LinTarget, folds: int = 10,
         bad = tuple(names[k] for k in range(j) if np.any(np.abs(null_basis[:, k]) > 1e-8))
         raise RankDeficientError(bad)
 
-    weights = _ols(Z, y)
+    weights = np.linalg.lstsq(Z, y, rcond=None)[0]
     fold_of = kfold_indices(n, folds, seed)
     cv = []
     for k in range(folds):
         val = fold_of == k
-        w_k = _ols(Z[~val], y[~val])
+        w_k = np.linalg.lstsq(Z[~val], y[~val], rcond=None)[0]
         pred = Z[val] @ w_k
         rel = (pred - y[val]) / y[val]
         cv.append(100.0 * math.sqrt(float(np.mean(rel * rel))))
-    return LinearModel(points[0].z.schema.names, tuple(float(w) for w in weights),
+    return LinearModel(profile.names, tuple(float(w) for w in weights),
                        target, tuple(cv), include_bias)
 
 
-def predict(model: LinearModel, z):
-    """Raw dot product; never clamped, so constraint checks see the model.
+def predict(model: LinearModel, Z) -> np.ndarray:
+    """Raw dot product of each row of the 2-D `Z`, one point per row; never
+    clamped, so constraint checks see the model.
 
-    `z` is one point (a float comes back) or a 2-D array with one point per
-    row (an array comes back). The product is summed column by column in a
-    fixed order, so a row predicts the same bits alone as in a batch.
+    The product is summed column by column in a fixed order, so a row
+    predicts the same bits alone as in a batch.
     """
-    Z = np.asarray(z, dtype=float)
+    Z = np.asarray(Z, dtype=float)
     k = len(model.schema)
-    if Z.ndim not in (1, 2) or Z.shape[-1] != k:
-        raise ValueError(f"expected {k} values, got {Z.shape[-1] if Z.ndim else 0}")
-    total = np.zeros(Z.shape[:-1])
+    if Z.ndim != 2 or Z.shape[1] != k:
+        raise ValueError(f"expected rows of {k} values, got an array of shape {Z.shape}")
+    total = np.zeros(len(Z))
     for j in range(k):
-        total = total + model.weights[j] * Z[..., j]
+        total = total + model.weights[j] * Z[:, j]
     if model.has_bias:
         total = total + model.weights[k]
-    return float(total) if Z.ndim == 1 else total
+    return total
 
 
 # --- profiled-point CSV ------------------------------------------------------
 
-def read_profiled_csv(text: str) -> list[ProfiledPoint]:
-    """CSV with header `dim1,...,dimJ,power_w,memory_mb`; `#` starts a comment.
-
-    The loaded schema's ranges are the observed per-dimension min/max.
-    """
+def read_profiled_csv(text: str) -> Profile:
+    """CSV with header `dim1,...,dimJ,power_w,memory_mb`; `#` starts a comment."""
     header, data = _csv_rows(text, "profiled CSV",
                              lambda header: len(header) >= 3
                              and header[-2:] == ["power_w", "memory_mb"])
-    names = tuple(h.strip() for h in header[:-2])
     rows = []
     for line_no, row in data:
         with _located(f"profiled CSV row {line_no}"):
-            rows.append((tuple(int(c) for c in row[:-2]), _finite(row[-2]), _finite(row[-1])))
-    zs = np.array([r[0] for r in rows])
-    schema = StructuralSchema(names, tuple(int(v) for v in zs.min(axis=0)),
-                              tuple(int(v) for v in zs.max(axis=0)))
-    points = []
-    for (line_no, _), (z, power, memory) in zip(data, rows):
-        with _located(f"profiled CSV row {line_no}"):
-            points.append(ProfiledPoint(StructuralPoint(z, schema), power, memory))
-    return points
+            rows.append([*(float(int(c)) for c in row[:-2]), _finite(row[-2]), _finite(row[-1])])
+            if not min(rows[-1][-2:]) > 0:
+                raise ValueError(_NOT_MEASURED)
+    table = np.array(rows)
+    return Profile(tuple(h.strip() for h in header[:-2]), table[:, :-2], table[:, -2],
+                   table[:, -1])
 
 
 def model_to_json(model: LinearModel) -> str:
@@ -217,12 +188,16 @@ def model_to_json(model: LinearModel) -> str:
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
+def _numbers(value) -> tuple[float, ...]:
+    return _entries(value, _number, "numbers")
+
+
 def model_from_json(text: str) -> LinearModel:
     what = "linear model"
     with _located(what):
         doc = json.loads(text)
         return LinearModel(_value(doc, "schema", _names, what),
-                           _value(doc, "weights", lambda ws: tuple(map(_number, ws)), what),
-                           _value(doc, "target", LinTarget, what),
-                           _value(doc, "cv_report", lambda vs: tuple(map(_number, vs)), what),
+                           _value(doc, "weights", _numbers, what),
+                           _value(doc, "target", _member(LinTarget), what),
+                           _value(doc, "cv_report", _numbers, what),
                            _value(doc, "has_bias", _flag, what))

@@ -345,6 +345,18 @@ def _flag(value) -> bool:
     return value
 
 
+def _member(enum):
+    """A converter to the member of `enum` with a given value; any other
+    value is an error that lists the accepted values."""
+    def member(value):
+        try:
+            return enum(value)
+        except ValueError:
+            raise ValueError(f"expected one of {[m.value for m in enum]}, "
+                             f"got {value!r}") from None
+    return member
+
+
 def _entries(value, convert, what: str) -> tuple:
     """convert(entry) for each entry of a JSON list of `what`; any other JSON
     type is an error, and an error in an entry names the entry's index."""

@@ -22,8 +22,8 @@ from enum import Enum
 import numpy as np
 
 from .netgraph import (LayerConfig, LayerKind, NetworkConfig, TensorShape, _csv_rows,
-                       _distinct, _entries, _finite, _integer, _located, _names, _number,
-                       _pairs, _text, _value, count_ops)
+                       _distinct, _entries, _finite, _integer, _located, _member, _names,
+                       _number, _pairs, _value, count_ops)
 from .seeding import kfold_indices
 
 CV_LAMBDA_GRID_SIZE = 50
@@ -646,18 +646,17 @@ def model_from_json(text: str) -> PolynomialModel:
     what = "polynomial model"
     with _located(what):
         doc = json.loads(text)
-        kind = _value(doc, "layer_kind", LayerKind, what)
+        kind = _value(doc, "layer_kind", _member(LayerKind), what)
         return PolynomialModel(
             layer_kind=kind,
-            target=_value(doc, "target", Target, what),
+            target=_value(doc, "target", _member(Target), what),
             degree=_value(doc, "degree", _integer, what),
             schema=_value(doc, "schema", lambda names: _kind_schema(_names(names), kind), what),
             terms=_value(doc, "terms", lambda terms: _pairs(
                 terms, lambda exps: TermSpec(_entries(exps, _integer, "integers")), _number,
                 "[exponents, coefficient]"), what),
             special=_value(doc, "special_terms", lambda terms: _pairs(
-                terms, lambda name: SpecialTerm(_text(name)), _number, "[name, coefficient]"),
-                what),
+                terms, _member(SpecialTerm), _number, "[name, coefficient]"), what),
         )
 
 
@@ -700,9 +699,10 @@ def read_profile_csv(text: str) -> list[ProfileSample]:
     """
     _, rows = _csv_rows(text, "profile CSV", lambda header: tuple(header) == PROFILE_HEADER)
     samples = []
+    kind_of = _member(LayerKind)
     for row_no, (line_no, row) in enumerate(rows, start=2):
         with _located(f"profile CSV row {line_no}"):
-            kind = LayerKind(row[0].strip())
+            kind = kind_of(row[0].strip())
             in_h, in_w, k_h, k_w, stride, pad, out_c, out_units = map(_opt_int, row[3:11])
             if kind is LayerKind.FULLY_CONNECTED:
                 in_h = 1 if in_h is None else in_h

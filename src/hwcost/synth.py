@@ -13,7 +13,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .netgraph import LayerConfig, LayerKind, TensorShape, _integer, _located, _number, _value
+from .netgraph import (LayerConfig, LayerKind, TensorShape, _entries, _integer, _located, _member,
+                       _number, _value)
 from .polyreg import ProfileSample, special_terms, write_profile_csv
 from .seeding import generator
 
@@ -100,10 +101,12 @@ def load_config(text: str) -> SynthConfig:
     with _located(what):
         doc = json.loads(text)
         generators = dict(DEFAULT_GENERATORS)
-        for kind_name, spec in _value(doc, "kinds", dict, what, {}).items():
-            kind = LayerKind(kind_name)
+        kinds = _value(doc, "kinds", lambda kinds: {_member(LayerKind)(name): spec
+                                                    for name, spec in dict(kinds).items()},
+                       what, {})
+        for kind, spec in kinds.items():
             base = generators[kind]
-            where = f"{what} kinds.{kind_name}"
+            where = f"{what} kinds.{kind.value}"
             generators[kind] = KindGenerator(
                 _value(spec, "ranges", lambda r: _ranges(r, base.ranges), where, base.ranges),
                 _value(spec, "runtime_ms", lambda doc: _truth(doc, f"{where}.runtime_ms"),
@@ -113,8 +116,9 @@ def load_config(text: str) -> SynthConfig:
         return SynthConfig(
             count=_value(doc, "count", _integer, what, 500),
             noise=_value(doc, "noise", _number, what, 0.05),
-            kinds=_value(doc, "use", lambda names: tuple(map(LayerKind, names)), what,
-                         tuple(generators)),
+            kinds=_value(doc, "use", lambda names: _entries(names, _member(LayerKind),
+                                                            "kind names"),
+                         what, tuple(generators)),
             generators=generators)
 
 

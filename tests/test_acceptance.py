@@ -15,8 +15,7 @@ from hwcost import bayesopt as bo
 from hwcost import cli, linmod, polyreg, reference
 from hwcost.analytic import (AccessProfile, DeviceSpec, EnergySpec, SparsityInfo,
                              eyeriss_layer_energy, paleo_layer_runtime)
-from hwcost.linmod import LinearModel, LinTarget, ProfiledPoint, StructuralPoint, \
-    StructuralSchema
+from hwcost.linmod import LinearModel, LinTarget, Profile
 from hwcost.netgraph import LayerKind, TensorShape, conv2d, fully_connected, \
     pool2d
 from hwcost.objectives import quadratic_bowl
@@ -306,19 +305,17 @@ def test_criterion_7_analytic_exactness():
 
 def test_criterion_8_linear_recovery():
     with criterion(8, "linear power/memory fits recover generators within 1e-6"):
-        schema = StructuralSchema(("units1", "units2"), (1, 1), (100, 100))
-        zs = [(z1, z2) for z1 in range(3, 31, 3) for z2 in range(5, 26, 5)]
-        points = [ProfiledPoint(StructuralPoint(z, schema),
-                                1.5 * z[0] + 0.2 * z[1],
-                                0.75 * z[0] + 3.0 * z[1]) for z in zs]
-        power = linmod.fit_linear(points, LinTarget.POWER_W, folds=10, seed=33)
+        zs = np.array([(z1, z2) for z1 in range(3, 31, 3) for z2 in range(5, 26, 5)])
+        profile = Profile(("units1", "units2"), zs, 1.5 * zs[:, 0] + 0.2 * zs[:, 1],
+                          0.75 * zs[:, 0] + 3.0 * zs[:, 1])
+        power = linmod.fit_linear(profile, LinTarget.POWER_W, folds=10, seed=33)
         assert abs(power.weights[0] - 1.5) <= 1e-6
         assert abs(power.weights[1] - 0.2) <= 1e-6
-        memory = linmod.fit_linear(points, LinTarget.MEMORY_MB, folds=10, seed=33)
+        memory = linmod.fit_linear(profile, LinTarget.MEMORY_MB, folds=10, seed=33)
         assert abs(memory.weights[0] - 0.75) <= 1e-6
         assert abs(memory.weights[1] - 3.0) <= 1e-6
 
-        again = linmod.fit_linear(points, LinTarget.POWER_W, folds=10, seed=33)
+        again = linmod.fit_linear(profile, LinTarget.POWER_W, folds=10, seed=33)
         assert again.cv_report == power.cv_report
         assert len(power.cv_report) == 10
 

@@ -35,8 +35,8 @@ def constraints_halfbox(power_budget=1.0, memory_budget=10.0):
 
 
 def within_budgets(cons, Z):
-    """Both budgets met (inclusive) at the structural rows Z, or at one point,
-    as propose_next and bo_run read them."""
+    """Both budgets met (inclusive) at the structural rows Z, as propose_next
+    and bo_run read them."""
     return cons.violation(*cons.predict(Z)) == 0.0
 
 
@@ -819,9 +819,9 @@ def test_constraint_predict_rows_match_per_row_calls(has_bias):
     powers, memories = cons.predict(Z)
     assert powers.shape == memories.shape == (300,)
     for z, p_row, m_row in zip(Z, powers, memories):
-        p, m = cons.predict(tuple(z))
-        assert isinstance(p, float) and isinstance(m, float)
-        assert p_row == p and m_row == m
+        p, m = cons.predict(z[None])
+        assert p.shape == m.shape == (1,)
+        assert p_row == p[0] and m_row == m[0]
 
 
 def test_gated_batch_zeroes_exactly_the_rows_satisfied_rejects():
@@ -836,7 +836,7 @@ def test_gated_batch_zeroes_exactly_the_rows_satisfied_rejects():
     gated = hw_ieci_batch(state, X, 2.0, within_budgets(cons, X))
     ungated = ei_batch(state, X, 2.0)
     assert np.all(ungated > 0.0)
-    kept = [within_budgets(cons, tuple(row)) for row in X]
+    kept = [within_budgets(cons, row[None])[0] for row in X]
     assert all(kept[:len(boundary)])          # budgets are inclusive
     assert 0 < sum(kept) < len(X)
     for keep, g, u in zip(kept, gated, ungated):

@@ -152,8 +152,8 @@ def test_fit_skips_a_kind_below_twice_the_folds(tmp_path, capsys):
 
 
 def test_fit_skips_a_target_that_no_row_of_its_kind_measured(tmp_path, capsys):
-    """Every pool row's power_w cell is blank: pool gets no power model, and
-    the other five models are written."""
+    """Every pool row's power_w cell is blank: pool gets no power model, fit
+    warns that it skips it, and the other five models are written."""
     csv_path = _profile(tmp_path, dict.fromkeys(LayerKind, 8))
     lines = csv_path.read_text().splitlines()
     csv_path.write_text("".join((line.rpartition(",")[0] + "," if line.startswith("pool,")
@@ -161,6 +161,7 @@ def test_fit_skips_a_target_that_no_row_of_its_kind_measured(tmp_path, capsys):
     code, out, err = run(capsys, "fit", str(csv_path), "--folds", "3",
                          "--output-dir", str(tmp_path / "models"))
     assert code == 0, err
+    assert err == "warning: skipping pool/power_w: no pool row measured power_w\n"
     assert sorted(p.name for p in (tmp_path / "models").glob("model_*.json")) == [
         "model_conv_power_w.json", "model_conv_runtime_ms.json", "model_fc_power_w.json",
         "model_fc_runtime_ms.json", "model_pool_runtime_ms.json",
@@ -366,6 +367,31 @@ def test_sample_and_fit_linear(tmp_path, capsys):
     assert memory.weights == pytest.approx((0.5, 2.0), abs=1e-8)
 
 
+def test_sample_quotes_a_name_with_a_comma_and_fit_linear_reads_it_back(tmp_path, capsys):
+    schema_path = tmp_path / "schema.json"
+    schema_path.write_text(json.dumps({"dimensions": [{"name": "a,b", "lo": 1, "hi": 30},
+                                                      {"name": "c", "lo": 1, "hi": 20}]}))
+    code, _, err = run(capsys, "sample", str(schema_path), "--count", "30", "--seed", "2",
+                       "--output-dir", str(tmp_path / "sample"))
+    assert code == 0, err
+    text = (tmp_path / "sample" / "samples.csv").read_text()
+    assert text.startswith('"a,b",c\n')
+    header, *rows = csv.reader(text.splitlines())
+    assert header == ["a,b", "c"] and len(rows) == 30 and all(len(row) == 2 for row in rows)
+
+    profile_path = tmp_path / "profiled.csv"
+    with profile_path.open("w") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow([*header, "power_w", "memory_mb"])
+        writer.writerows([a, c, 2 * int(a) + int(c), int(a) + 3 * int(c)] for a, c in rows)
+    code, _, err = run(capsys, "fit-linear", str(profile_path), "--output-dir",
+                       str(tmp_path / "linear"))
+    assert code == 0, err
+    power = linmod.model_from_json((tmp_path / "linear" / "linear_power.json").read_text())
+    assert power.schema == ("a,b", "c")
+    assert power.weights == pytest.approx((2.0, 1.0), abs=1e-8)
+
+
 def test_optimize_quadratic(tmp_path, capsys):
     space_path = tmp_path / "space.json"
     space_path.write_text(json.dumps(SPACE_SPEC))
@@ -432,6 +458,30 @@ def test_optimize_rejects_swapped_constraint_models(tmp_path, capsys):
                          "--output-dir", str(out_dir))
     assert code == 1 and out == ""
     assert err == "error: the power model predicts memory_mb, not power_w\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("role, weights", [("power", (1e308, 1.0)), ("memory", (1.0, -1e308))])
+def test_optimize_refuses_a_constraint_model_whose_predictions_can_overflow(tmp_path, capsys,
+                                                                          role, weights):
+    """Refused once, before the first evaluation: a weight of 1e308 would
+    put inf into trace.csv and every row would read infeasible (exit 2)."""
+    space_path = tmp_path / "space.json"
+    space_path.write_text(json.dumps(SPACE_SPEC))
+    paths = {}
+    for name, target in (("power", linmod.LinTarget.POWER_W),
+                         ("memory", linmod.LinTarget.MEMORY_MB)):
+        paths[name] = tmp_path / f"linear_{name}.json"
+        paths[name].write_text(linmod.model_to_json(linmod.LinearModel(
+            ("x1", "x2"), weights if name == role else (1.0, 1.0), target)))
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "optimize", str(space_path), "--budget", "12",
+                         "--power-model", str(paths["power"]),
+                         "--memory-model", str(paths["memory"]),
+                         "--power-budget", "1.0", "--memory-budget", "10.0",
+                         "--output-dir", str(out_dir))
+    assert (code, out) == (1, "")
+    assert err == f"error: the {role} model's predictions can overflow in the search space\n"
     assert not out_dir.exists()
 
 

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from hwcost import analytic, cli, linmod, polyreg, synth
-from hwcost.netgraph import (InputError, NetworkConfig, NetworkParseError, ShapeMismatchError,
-                             TensorShape, _number, conv2d, fully_connected,
+from hwcost.netgraph import (InputError, LayerKind, NetworkConfig, NetworkParseError,
+                             ShapeMismatchError, TensorShape, _number, conv2d, fully_connected,
                              parse_network, pool2d)
 from oracles import format_network
 
@@ -339,6 +339,68 @@ def test_a_bad_model_entry_exits_1_naming_its_key_and_index(work, tmp_path, caps
     bad = tmp_path / "model_fc_runtime_ms.json"
     bad.write_text(_fc_runtime_model(edit)(work))
     code = cli.main([str(a) for a in CASES["polynomial model"][2](work, bad)])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (1, "", f"error: {error}\n")
+
+
+KINDS = [kind.value for kind in LayerKind]
+
+
+# input name, the bad file's name and text, and the whole error line after `error: `
+ENUMS_AND_ENTRIES = {
+    "poly layer_kind": ("polynomial model", "model_fc_runtime_ms.json",
+                        _fc_runtime_model(lambda doc: doc.update(layer_kind="convx")),
+                        f"polynomial model key 'layer_kind': expected one of {KINDS}, "
+                        f"got 'convx'"),
+    "poly target": ("polynomial model", "model_fc_runtime_ms.json",
+                    _fc_runtime_model(lambda doc: doc.update(target="energy")),
+                    "polynomial model key 'target': expected one of ['runtime_ms', 'power_w'], "
+                    "got 'energy'"),
+    "poly special name": ("polynomial model", "model_fc_runtime_ms.json",
+                          _fc_runtime_model(lambda doc: doc.update(
+                              special_terms=[["nope", 1.0]])),
+                          f"polynomial model key 'special_terms': entry 0: expected one of "
+                          f"{[term.value for term in polyreg.SpecialTerm]}, got 'nope'"),
+    "profile kind": ("profile", "profile.csv",
+                     _synth_profile_with_line_15("convx,1,3,8,8,3,3,1,1,4,,1.0,2.0"),
+                     f"profile CSV row 15: expected one of {KINDS}, got 'convx'"),
+    "synth use entry": ("synth config", "synth.json", lambda d: json.dumps(
+                            {"use": ["conv", "nope"]}),
+                        f"synth config key 'use': entry 1: expected one of {KINDS}, "
+                        f"got 'nope'"),
+    "synth use 5": ("synth config", "synth.json", lambda d: json.dumps({"use": 5}),
+                    "synth config key 'use': expected a list of kind names, got 5"),
+    "synth kinds key": ("synth config", "synth.json", lambda d: json.dumps(
+                            {"kinds": {"convx": {}}}),
+                        f"synth config key 'kinds': expected one of {KINDS}, got 'convx'"),
+    "linear target": ("linear model", "linear_power.json", _linear_power("target", "nope"),
+                      "linear model key 'target': expected one of ['power_w', 'memory_mb'], "
+                      "got 'nope'"),
+    "linear weights '12'": ("linear model", "linear_power.json",
+                            _linear_power("weights", "12"),
+                            "linear model key 'weights': expected a list of numbers, got '12'"),
+    "linear weights 5": ("linear model", "linear_power.json", _linear_power("weights", 5),
+                         "linear model key 'weights': expected a list of numbers, got 5"),
+    "linear weight entry": ("linear model", "linear_power.json",
+                            _linear_power("weights", [1.0, "1.5"]),
+                            "linear model key 'weights': entry 1: expected a number, "
+                            "got '1.5'"),
+    "linear cv_report entry": ("linear model", "linear_power.json",
+                               _linear_power("cv_report", [1.0, None]),
+                               "linear model key 'cv_report': entry 1: expected a number, "
+                               "got None"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENUMS_AND_ENTRIES))
+def test_a_bad_enum_value_or_list_entry_exits_1_in_the_packages_words(work, tmp_path, capsys,
+                                                                      case):
+    """An enum value names the accepted values, a list entry its index; not
+    Python's 'is not a valid LayerKind' or 'is not iterable'."""
+    name, filename, text, error = ENUMS_AND_ENTRIES[case]
+    bad = tmp_path / filename
+    bad.write_text(text(work))
+    code = cli.main([str(a) for a in CASES[name][2](work, bad)])
     out, err = capsys.readouterr()
     assert (code, out, err) == (1, "", f"error: {error}\n")
 

@@ -1,11 +1,12 @@
 """Seeded mutation sweeps of the CLI's inputs: the profile CSV through `fit`,
-a fitted polynomial model JSON through `predict --family poly`, and the
+a fitted polynomial model JSON through `predict --family poly`, a fitted
+linear model JSON through `optimize --power-model/--memory-model`, and the
 network, device and energy specs through `predict --family paleo|energy`.
 
 Each case applies one mutation, drawn from `seeding.generator(SWEEP_SEED,
-case)` (the model sweep from `MODEL_SWEEP_SEED`, the spec sweep from
-`SPEC_SWEEP_SEED`), to a small valid input and runs the command on it
-in-process. The command must either exit 1 with one `error:` line in the
+case)` (the model sweeps from `MODEL_SWEEP_SEED` and `LINEAR_SWEEP_SEED`,
+the spec sweep from `SPEC_SWEEP_SEED`), to a small valid input and runs the
+command on it in-process. The command must either exit 1 with one `error:` line in the
 package's own words and no traceback, or exit 0 having printed and written
 only finite numbers; either way no numpy warning may reach the user. A
 failing case is a program fault: the message names the case, its mutation
@@ -37,6 +38,13 @@ MODEL_VALUES = (math.nan, math.inf, -1, 0, 1.5, 1e308, "x", True, None)
 JSON_VALUES = (1.5, "x", True, None, [], {})
 MODEL_MUTATIONS = ("substitute", "substitute", "substitute", "delete key",
                    "truncate exponents", "swap type", "duplicate entry")
+LINEAR_SWEEP_SEED = 15
+# a linear model has no exponents to truncate
+LINEAR_MUTATIONS = tuple(m for m in MODEL_MUTATIONS if m != "truncate exponents")
+# both structural dimensions reach past 1, so a weight of 1e308 overflows a prediction
+LINEAR_SPACE = {"dimensions": [{"name": "x1", "kind": "continuous", "lo": 0.0, "hi": 4.0},
+                               {"name": "x2", "kind": "integer", "lo": 0, "hi": 4}],
+                "structural": ["x1", "x2"]}
 SPEC_SWEEP_SEED = 14
 # a spec line's entries: comma-separated where the line has commas (the
 # energy levels), else whitespace-separated (a layer's tokens)
@@ -49,7 +57,7 @@ ENERGY = "e_mac = 1.5\nlevels = RF:0.5, SRAM:6, DRAM:200\nbitwidth_reference = 1
 NUMBER = re.compile(r"\d+(\.\d+)?(e-?\d+)?")
 NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
 # Python's own wording for a value of the wrong shape, which an error line should not pass on
-PYTHON_WORDING = ("cannot unpack", "is not iterable")
+PYTHON_WORDING = ("cannot unpack", "is not iterable", "is not a valid")
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +134,9 @@ def _fault(code: int, out: str, err: str, caught, out_dir) -> str | None:
     for path in sorted(out_dir.glob("*.json")):
         if not _finite_numbers(json.loads(path.read_text())):
             return f"exit 0 wrote a number that is not finite to {path.name}"
+    for path in sorted(out_dir.glob("*.csv")):
+        if NON_FINITE.search(path.read_text()):
+            return f"exit 0 wrote a number that is not finite to {path.name}"
     return None
 
 
@@ -171,13 +182,15 @@ def _json_type(value) -> type:
     return float if type(value) is int else type(value)  # one JSON type: number
 
 
-def _mutate_model(models: dict, case: int) -> tuple[str, object, str]:
-    """One model file of `models` with case `case`'s one mutation: its name,
-    its document and the mutation's description."""
-    rng = generator(MODEL_SWEEP_SEED, case)
+def _mutate_model(models: dict, case: int, seed: int = MODEL_SWEEP_SEED,
+                  mutations: tuple = MODEL_MUTATIONS) -> tuple[str, object, str]:
+    """One model file of `models` with case `case`'s one mutation, drawn
+    from `mutations` by the stream (seed, case): its name, its document and
+    the mutation's description."""
+    rng = generator(seed, case)
     name = sorted(models)[int(rng.integers(len(models)))]
     doc = json.loads(json.dumps(models[name]))
-    mutation = MODEL_MUTATIONS[int(rng.integers(len(MODEL_MUTATIONS)))]
+    mutation = mutations[int(rng.integers(len(mutations)))]
     places = list(_places(doc))
     if mutation == "delete key":
         places = [(path, v) for path, v in places if len(path) == 1]
@@ -228,6 +241,48 @@ def test_predict_on_a_mutated_model_exits_1_with_one_error_or_prints_finite_numb
         captured = capsys.readouterr()
         # predict writes no files: the output directory passed is one that never exists
         fault = _fault(code, captured.out, captured.err, caught, tmp_path / "no output")
+        if fault is not None:
+            faults.append(f"case {case} ({mutation}): {fault}")
+    assert not faults, "\n".join(faults)
+
+
+@pytest.fixture(scope="module")
+def base_linear_models(tmp_path_factory):
+    """The two models `fit-linear` writes for a small profile, by file name."""
+    d = tmp_path_factory.mktemp("linear")
+    rows = ["x1,x2,power_w,memory_mb"]
+    rows += [f"{a},{b},{0.5 * a + 2.0 * b + 1.0},{3.0 * a + 0.25 * b + 1.0}"
+             for a in range(1, 5) for b in range(1, 5)]
+    (d / "profiled.csv").write_text("\n".join(rows) + "\n")
+    assert cli.main(["fit-linear", str(d / "profiled.csv"), "--folds", "2",
+                     "--output-dir", str(d / "models")]) == 0
+    return {path.name: json.loads(path.read_text()) for path in sorted(d.glob("models/linear_*"))}
+
+
+def test_optimize_on_a_mutated_linear_model_exits_1_with_one_error_or_writes_finite_numbers(
+        base_linear_models, tmp_path, capsys):
+    """A seeding-only budget: every evaluated row is predicted and traced,
+    and no GP proposal is made."""
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps(LINEAR_SPACE))
+    faults = []
+    for case in range(CASES):
+        name, doc, mutation = _mutate_model(base_linear_models, case, LINEAR_SWEEP_SEED,
+                                            LINEAR_MUTATIONS)
+        paths = {}
+        for model, model_doc in base_linear_models.items():
+            paths[model] = tmp_path / f"case{case}_{model}"
+            paths[model].write_text(json.dumps(doc if model == name else model_doc))
+        out_dir = tmp_path / f"out{case}"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["optimize", str(space), "--budget", "4", "--seed", str(case),
+                             "--power-model", str(paths["linear_power.json"]),
+                             "--memory-model", str(paths["linear_memory.json"]),
+                             "--power-budget", "1e3", "--memory-budget", "1e3",
+                             "--output-dir", str(out_dir)])
+        captured = capsys.readouterr()
+        fault = _fault(code, captured.out, captured.err, caught, out_dir)
         if fault is not None:
             faults.append(f"case {case} ({mutation}): {fault}")
     assert not faults, "\n".join(faults)
