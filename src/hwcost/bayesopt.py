@@ -22,6 +22,7 @@ import numpy as np
 
 from .cholstack import CholeskyStack, substitute
 from .linmod import LinearModel, LinTarget, predict as lin_predict
+from .netgraph import _distinct
 from .seeding import generator
 
 SQRT5 = math.sqrt(5.0)
@@ -68,8 +69,8 @@ class SearchSpace:
         if not self.dimensions:
             raise ValueError("search space has no dimensions")
         names = [d.name for d in self.dimensions]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate dimension names")
+        _distinct(names, "dimensions")
+        _distinct(self.structural_subset, "structural")
         missing = [n for n in self.structural_subset if n not in names]
         if missing:
             raise ValueError(f"structural subset names not in space: {missing}")
@@ -126,6 +127,7 @@ class ConstraintSpec:
         """(power, memory) arrays at the structural rows of the 2-D `Z`."""
         return lin_predict(self.power_model, Z), lin_predict(self.memory_model, Z)
 
+    @np.errstate(over="ignore")  # an excess past the float range is inf: still violated
     def violation(self, power, memory):
         """Summed excess over the budgets, each relative to its budget, element-wise;
         zero exactly when both are met (inclusive), as an excess is >= ~1e-16 of its budget."""

@@ -29,8 +29,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .netgraph import (LayerKind, _finite, _integer, _lines, _located, _names, _number, _text,
-                       _value, parse_network)
+from .netgraph import (LayerKind, _entries, _finite, _integer, _lines, _located, _names, _number,
+                       _object, _text, _value, parse_network)
 # a module-level name: callers that wrap the objective replace cli.build_objective
 from .objectives import build_objective
 
@@ -330,8 +330,8 @@ def _cmd_sample(args) -> int:
 
 def _dimensions(doc, what: str) -> list[tuple[str, object]]:
     """(place, entry) of each entry of the `dimensions` list of a schema or space."""
-    return [(f"{what} dimensions[{i}]", entry)
-            for i, entry in enumerate(_value(doc, "dimensions", list, what))]
+    dims = _value(doc, "dimensions", lambda value: _entries(value, _object, "dimensions"), what)
+    return [(f"{what} dimensions[{i}]", entry) for i, entry in enumerate(dims)]
 
 
 def _load_schema(text: str) -> linmod.StructuralSchema:

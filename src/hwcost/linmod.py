@@ -14,8 +14,8 @@ from enum import Enum
 
 import numpy as np
 
-from .netgraph import (_csv_rows, _entries, _finite, _flag, _located, _member, _names, _number,
-                       _value)
+from .netgraph import (_csv_rows, _distinct, _entries, _finite, _flag, _located, _member, _names,
+                       _number, _value)
 from .seeding import generator, kfold_indices
 
 
@@ -46,6 +46,7 @@ class StructuralSchema:
             raise ValueError("schema needs at least one dimension")
         if not (len(self.names) == len(self.lows) == len(self.highs)):
             raise ValueError("schema fields must have equal lengths")
+        _distinct(self.names, "dimensions")
         for name, lo, hi in zip(self.names, self.lows, self.highs):
             if lo > hi:
                 raise ValueError(f"dimension {name}: empty range [{lo}, {hi}]")
@@ -133,9 +134,16 @@ def fit_linear(profile: Profile, target: LinTarget, folds: int = 10,
     for k in range(folds):
         val = fold_of == k
         w_k = np.linalg.lstsq(Z[~val], y[~val], rcond=None)[0]
-        pred = Z[val] @ w_k
-        rel = (pred - y[val]) / y[val]
-        cv.append(100.0 * math.sqrt(float(np.mean(rel * rel))))
+        # an overflow (of a 1e200 value's prediction, say) leaves a score that is not finite
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            pred = Z[val] @ w_k
+            rel = (pred - y[val]) / y[val]
+            cv.append(100.0 * math.sqrt(float(np.mean(rel * rel))))
+        if not math.isfinite(cv[-1]):
+            i = np.flatnonzero(val)[np.argmax(np.abs(rel))]
+            point = ", ".join(f"{name}={z:g}" for name, z in zip(profile.names, profile.z[i]))
+            raise ValueError(f"CV RMSPE is not finite: the point ({point}) measured "
+                             f"{target.value} {float(y[i])!r}")
     return LinearModel(profile.names, tuple(float(w) for w in weights),
                        target, tuple(cv), include_bias)
 

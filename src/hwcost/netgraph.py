@@ -37,8 +37,9 @@ class InputError(ValueError):
 
 
 class _EntryError(ValueError):
-    """A bad entry of a list, named by its index; not an InputError, so the
-    reader of the list's key names the input and the key in front of it."""
+    """A bad entry of a list, named by its index, or of an object, by its key;
+    not an InputError, so the reader of the list's or object's key names the
+    input and that key in front of it."""
 
     def __init__(self, where: str, message: str):
         super().__init__(f"{where}: {message}")
@@ -301,7 +302,10 @@ def _distinct(names, field: str) -> None:
 
 
 def _value(doc, key: str, convert, where: str, *default):
-    """convert(doc[key]), or default[0] when given and the key is absent."""
+    """convert(doc[key]), or default[0] when given and the key is absent;
+    `doc`, the JSON value at `where`, must be an object."""
+    with _located(where):
+        _object(doc)
     with _located(f"{where} key {key!r}"):
         if default and key not in doc:
             return default[0]
@@ -335,6 +339,13 @@ def _integer(value) -> int:
     """A JSON integer value as is; any other JSON type (1.5, 2.0, true) is an error."""
     if type(value) is not int:
         raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _object(value) -> dict:
+    """A JSON object as is; any other JSON type is an error."""
+    if not isinstance(value, dict):
+        raise TypeError(f"expected a JSON object, got {value!r}")
     return value
 
 
@@ -411,12 +422,16 @@ def parse_network(text: str, name: str = "network") -> NetworkConfig:
     """
     layers: list[LayerConfig] = []
     inherited: TensorShape | None = None
+    first_line: dict[str, int] = {}
     for line_no, line in _lines(text):
         with _located(line_no, NetworkParseError):
             tokens = line.split()
             if len(tokens) < 2:
                 raise ValueError(f"expected 'name kind key=value ...', got {line!r}")
             lname, kind_token = tokens[0], tokens[1].lower()
+            first = first_line.setdefault(lname, line_no)
+            if first != line_no:
+                raise ValueError(f"layer {lname} was given on line {first}")
             if kind_token not in _LAYER_KEYS:
                 raise ValueError(f"unknown layer kind {kind_token!r}")
             kv: dict[str, str] = {}

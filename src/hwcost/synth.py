@@ -13,8 +13,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .netgraph import (LayerConfig, LayerKind, TensorShape, _entries, _integer, _located, _member,
-                       _number, _value)
+from .netgraph import (LayerConfig, LayerKind, TensorShape, _distinct, _entries, _EntryError,
+                       _integer, _located, _member, _number, _object, _value)
 from .polyreg import ProfileSample, special_terms, write_profile_csv
 from .seeding import generator
 
@@ -80,11 +80,14 @@ class SynthConfig:
 
 def _ranges(doc, base: dict[str, tuple[int, int]]) -> dict[str, tuple[int, int]]:
     """`{name: [lo, hi]}` integer ranges; only `pad` may be left out of `base`'s names."""
-    ranges = {name: (_integer(lo), _integer(hi))
-              for name, (lo, hi) in dict(doc).items()}
-    for name, (lo, hi) in ranges.items():
-        if lo > hi:
-            raise ValueError(f"{name}: empty range [{lo}, {hi}], lo > hi")
+    ranges = {}
+    for name, bounds in _object(doc).items():
+        with _located(name, _EntryError):
+            if not (isinstance(bounds, list) and len(bounds) == 2):
+                raise TypeError(f"expected [lo, hi], got {bounds!r}")
+            lo, hi = ranges[name] = (_integer(bounds[0]), _integer(bounds[1]))
+            if lo > hi:
+                raise ValueError(f"empty range [{lo}, {hi}], lo > hi")
     missing = sorted(set(base) - set(ranges) - {"pad"})
     if missing:
         raise ValueError(f"missing {missing}")
@@ -102,7 +105,7 @@ def load_config(text: str) -> SynthConfig:
         doc = json.loads(text)
         generators = dict(DEFAULT_GENERATORS)
         kinds = _value(doc, "kinds", lambda kinds: {_member(LayerKind)(name): spec
-                                                    for name, spec in dict(kinds).items()},
+                                                    for name, spec in _object(kinds).items()},
                        what, {})
         for kind, spec in kinds.items():
             base = generators[kind]
@@ -113,13 +116,12 @@ def load_config(text: str) -> SynthConfig:
                        where, base.runtime),
                 _value(spec, "power_w", lambda doc: _truth(doc, f"{where}.power_w"),
                        where, base.power))
-        return SynthConfig(
-            count=_value(doc, "count", _integer, what, 500),
-            noise=_value(doc, "noise", _number, what, 0.05),
-            kinds=_value(doc, "use", lambda names: _entries(names, _member(LayerKind),
-                                                            "kind names"),
-                         what, tuple(generators)),
-            generators=generators)
+        use = _value(doc, "use", lambda names: _entries(names, _member(LayerKind), "kind names"),
+                     what, tuple(generators))
+        _distinct((kind.value for kind in use), "use")
+        return SynthConfig(count=_value(doc, "count", _integer, what, 500),
+                           noise=_value(doc, "noise", _number, what, 0.05),
+                           kinds=use, generators=generators)
 
 
 def _draw(rng, lo: int, hi: int) -> int:
@@ -160,6 +162,10 @@ def generate_samples(config: SynthConfig, seed: int) -> list[ProfileSample]:
             noise_p = 1.0 + config.noise * float(rng.standard_normal())
             runtime = max(gen.runtime.value(layer) * noise_r, 1e-6)
             power = max(gen.power.value(layer) * noise_p, 1e-6)
+            for target, value in (("runtime_ms", runtime), ("power_w", power)):
+                if not math.isfinite(value):
+                    raise ValueError(f"{kind.value} {target} of layer {layer.name} is {value}, "
+                                     f"not a finite number")
             samples.append(ProfileSample(layer, runtime, power))
     return samples
 

@@ -485,6 +485,28 @@ def test_optimize_refuses_a_constraint_model_whose_predictions_can_overflow(tmp_
     assert not out_dir.exists()
 
 
+def test_optimize_counts_an_excess_past_the_float_range_as_violated(tmp_path, capsys):
+    """A prediction of up to 1e303 W against a budget of 1e-6 W is an excess
+    of about 1e309 budgets: inf, still violated, and no overflow warning."""
+    space_path = tmp_path / "space.json"
+    space_path.write_text(json.dumps(SPACE_SPEC))
+    paths = {}
+    for name, target, weights in (("power", linmod.LinTarget.POWER_W, (1e303, 1.0)),
+                                  ("memory", linmod.LinTarget.MEMORY_MB, (1.0, 1.0))):
+        paths[name] = tmp_path / f"linear_{name}.json"
+        paths[name].write_text(linmod.model_to_json(linmod.LinearModel(("x1", "x2"), weights,
+                                                                       target)))
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "optimize", str(space_path), "--budget", "8",
+                         "--power-model", str(paths["power"]),
+                         "--memory-model", str(paths["memory"]),
+                         "--power-budget", "1e-6", "--memory-budget", "10.0",
+                         "--output-dir", str(out_dir))
+    assert (code, out, err) == (2, "no feasible point found; full trace written\n", "")
+    rows = list(csv.DictReader((out_dir / "trace.csv").read_text().splitlines()))
+    assert len(rows) == 8 and all(row["feasible"] == "false" for row in rows)
+
+
 @pytest.mark.parametrize("flags", [
     ("--center", "0.1,0.2,0.9"),     # three values on a 2-D space
     ("--center", "nan"),
