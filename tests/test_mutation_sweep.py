@@ -200,10 +200,10 @@ def _fault(work, name: str, bad, keys, capsys) -> tuple[str | None, bool]:
     return _judge(message, keys, code, out, err, caught, bad.parent / "out"), message is not None
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_a_mutated_input_exits_1_naming_its_place_or_0(work, tmp_path, capsys, name):
-    """At least a third of the cases are rejected by the input's reader, so
-    the sweep reaches the readers' checks, not only the commands' later ones."""
+def _sweep(work, tmp_path, capsys, name: str) -> None:
+    """Input `name`'s valid files and its seeded cases all pass the oracle.
+    At least a third of the cases are rejected by the input's reader, so the
+    sweep reaches the readers' checks, not only the commands' later ones."""
     pattern, _, _, keys = CASES[name]
     files = sorted(work.glob(pattern))
     if keys is None:  # every key of the valid JSON files
@@ -228,3 +228,33 @@ def test_a_mutated_input_exits_1_naming_its_place_or_0(work, tmp_path, capsys, n
             faults.append(f"case {case} ({file.name} {mutation}): {fault}")
     assert not faults, "\n".join(faults)
     assert 3 * rejected >= CASES_PER_INPUT, f"{rejected} of {CASES_PER_INPUT} rejected"
+
+
+# the four inputs the sweep began with keep their tests' names
+NAMED = {"profile", "polynomial model", "linear model", "network"}
+
+
+def test_fit_on_a_mutated_profile_exits_1_with_one_error_or_writes_finite_models(
+        work, tmp_path, capsys):
+    _sweep(work, tmp_path, capsys, "profile")
+
+
+def test_predict_on_a_mutated_model_exits_1_with_one_error_or_prints_finite_numbers(
+        work, tmp_path, capsys):
+    _sweep(work, tmp_path, capsys, "polynomial model")
+
+
+def test_optimize_on_a_mutated_linear_model_exits_1_with_one_error_or_writes_finite_numbers(
+        work, tmp_path, capsys):
+    _sweep(work, tmp_path, capsys, "linear model")
+
+
+def test_predict_on_a_mutated_spec_exits_1_with_one_error_or_prints_finite_numbers(
+        work, tmp_path, capsys):
+    """The network spec; the device and energy specs are inputs of the test below."""
+    _sweep(work, tmp_path, capsys, "network")
+
+
+@pytest.mark.parametrize("name", sorted(set(CASES) - NAMED))
+def test_a_mutated_input_exits_1_naming_its_place_or_0(work, tmp_path, capsys, name):
+    _sweep(work, tmp_path, capsys, name)
