@@ -28,6 +28,9 @@ from .seeding import kfold_indices
 
 CV_LAMBDA_GRID_SIZE = 50
 CV_LAMBDA_FLOOR = 1e-4  # relative to the smallest lambda that zeroes everything
+# the CV fold paths stop once the mean CV curve has stayed at or above its running
+# minimum for this many grid points in a row (`_held_minimum`)
+CV_PATIENCE = 10
 SCHUR_TOL = 1e-10       # a column this close to the active columns' span cannot join
 KKT_TOL = 1e-9          # a fitted model whose lasso solution misses KKT by more warns
 DEFAULT_DEGREE = {LayerKind.CONV2D: 3, LayerKind.FULLY_CONNECTED: 2, LayerKind.POOL2D: 2}
@@ -181,7 +184,10 @@ class FitConfig:
 
     degree=None picks the per-kind default (3 for conv, 2 for fc/pool);
     l1_strength=None selects lambda by cross-validated RMSPE over a
-    50-point logarithmic grid. An explicit l1_strength applies to the
+    50-point logarithmic grid, descending: the first CV minimum that holds
+    for CV_PATIENCE (10) grid points, where the CV paths stop, which is the
+    grid's argmin only when no later point goes below it. A curve that
+    keeps falling runs the whole grid. An explicit l1_strength applies to the
     internally standardized problem (features and target scaled to unit
     variance), so values are comparable across datasets. Either way the
     lasso is solved exactly at that lambda by the homotopy path.
@@ -269,10 +275,16 @@ _SIDES = np.array([[1.0], [-1.0]])  # a column joins at +lam (row 0) or -lam (ro
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _lasso_homotopy(problems: list[tuple[np.ndarray, np.ndarray]],
-                    lambdas: np.ndarray) -> list[np.ndarray]:
+def _lasso_homotopy(problems: list[tuple[np.ndarray, np.ndarray]], lambdas: np.ndarray,
+                    stop=None) -> list[np.ndarray]:
     """Exact minimizers of (1/2)b'Gb - c'b + lam*||b||_1 at the descending
     `lambdas`, one row each, for each (G, c) of `problems`: one path each.
+
+    After each lockstep pass, `stop(paths, done)`, when given, gets the paths
+    and the number of rows that every path has finished, up to a last call
+    with done == len(lambdas). When it returns True the run ends there: rows
+    at and past `done` may be unfinished, and rows before it are the bytes
+    of a run to the end.
 
     LARS-lasso homotopy (Efron et al. 2004): b = 0 for lam >= max|c|; between
     events the active set A with signs s has b_A = a - lam*d, where
@@ -305,6 +317,8 @@ def _lasso_homotopy(problems: list[tuple[np.ndarray, np.ndarray]],
     sizes = [len(c) for _, c in problems]
     n, width = len(problems), max(sizes, default=0)
     if not width:
+        if stop is not None:
+            stop(out, len(lambdas))
         return out
     corr = np.zeros((n, width))
     for b, (_, c) in enumerate(problems):
@@ -385,7 +399,8 @@ def _lasso_homotopy(problems: list[tuple[np.ndarray, np.ndarray]],
                 blocked[b].clear()
             ks[b] = k
             np.matmul(cols[:, :k], ad_b[:k], out=gq_b)
-        if not live:
+        done = min((ends[b] for b in live), default=len(lambdas))
+        if stop is not None and stop(out, done) or not live:
             break
     return out
 
@@ -438,27 +453,54 @@ def _assemble_model(kind: LayerKind, target: Target, degree: int,
                            tuple((SPECIAL_TERMS[i - p], c) for i, c in kept if i >= p))
 
 
-def _cv_curves(design: np.ndarray, y: np.ndarray, lambdas: np.ndarray, folds: int,
-               seed: int, label: str) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-    """Mean held-out RMSPE per lambda, plus per-fold (pred-matrix, actual).
+def _held_minimum(curve: np.ndarray) -> int:
+    """The length of the prefix of `curve` that ends CV_PATIENCE rows past its
+    first minimum that no row of those goes below. While no minimum has held
+    that long, more than len(curve): the least length at which one can."""
+    low = np.minimum.accumulate(curve)
+    lows = np.flatnonzero(np.r_[True, curve[1:] < low[:-1]])  # each below all rows before it
+    held = np.diff(lows, append=len(curve)) > CV_PATIENCE
+    return int(lows[held.argmax()] if held.any() else lows[-1]) + CV_PATIENCE + 1
 
-    Warns (UserWarning) when a fold path misses its KKT conditions by more
-    than KKT_TOL at a grid lambda.
+
+def _cv_curves(design: np.ndarray, y: np.ndarray, lambdas: np.ndarray, folds: int, seed: int,
+               label: str) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    """Mean held-out RMSPE per lambda, per-fold (pred-matrix, actual) and the
+    lambdas, over the prefix of the grid that the fold paths computed.
+
+    The fold paths stop at the first grid point CV_PATIENCE points past a
+    minimum of the mean curve that none of those points goes below
+    (`_held_minimum`); a curve that keeps falling runs the whole grid. Warns
+    (UserWarning) when a fold path misses its KKT conditions by more than
+    KKT_TOL at a lambda of the prefix.
     """
     fold_of = kfold_indices(design.shape[0], folds, seed)
     held_out = [fold_of == k for k in range(folds)]
     problems = [_lasso_problem(design[~val], y[~val]) for val in held_out]
-    paths = _lasso_homotopy([(gram, corr) for gram, corr, _, _ in problems], lambdas)
+    # only the live columns: a zero-padded product moves the last bits
+    tests = [(design[val][:, live], y[val]) for val, (_, _, live, _) in zip(held_out, problems)]
     rmspe = np.zeros((folds, len(lambdas)))
-    fold_preds = []
-    for k, (val, (gram, corr, live, to_raw), path) in enumerate(zip(held_out, problems, paths)):
-        _warn_off_kkt(gram, corr, lambdas, path, f"{label}: fold {k + 1} of {folds}")
-        coef, intercepts = to_raw(path)
-        # only the live columns: a zero-padded product moves the last bits
-        preds = design[val][:, live] @ coef.T + intercepts
-        rmspe[k] = _rmspe(preds, y[val])
-        fold_preds.append((preds, y[val]))
-    return rmspe.mean(axis=0), fold_preds
+    preds = [np.zeros((len(actual), len(lambdas))) for _, actual in tests]
+    scored, end = 0, CV_PATIENCE + 1
+
+    def score(paths, done):
+        # rows are scored in blocks: no row before `end` can end a held minimum
+        nonlocal scored, end
+        if done < min(end, len(lambdas)):
+            return False
+        for (*_, to_raw), (x, actual), path, pred, row in zip(problems, tests, paths, preds, rmspe):
+            coef, intercepts = to_raw(path[scored:done])
+            pred[:, scored:done] = x @ coef.T + intercepts
+            row[scored:done] = _rmspe(pred[:, scored:done], actual)
+        scored, end = done, _held_minimum(rmspe[:, :done].mean(axis=0))
+        return end <= done
+
+    paths = _lasso_homotopy([(gram, corr) for gram, corr, _, _ in problems], lambdas, score)
+    end = min(end, len(lambdas))
+    for k, ((gram, corr, _, _), path) in enumerate(zip(problems, paths)):
+        _warn_off_kkt(gram, corr, lambdas[:end], path[:end], f"{label}: fold {k + 1} of {folds}")
+    fold_preds = [(pred[:, :end], actual) for pred, (_, actual) in zip(preds, tests)]
+    return rmspe[:, :end].mean(axis=0), fold_preds, lambdas[:end]
 
 
 def fit(samples: list[tuple[LayerConfig, float]], config: FitConfig,
@@ -472,7 +514,11 @@ def fit_with_metrics(samples: list[tuple[LayerConfig, float]], config: FitConfig
 
     Deterministic given (samples, config, config.seed): the fold split is
     seed-derived, the lambda grid follows from the data, and each lasso
-    solution is read off an exact homotopy path. The fit runs on the targets
+    solution is read off an exact homotopy path. The chosen lambda is the
+    first minimum of the mean CV curve that no grid point goes below for
+    the CV_PATIENCE (10) points after it: the fold paths stop there, and
+    the lambda is the argmin of the grid prefix they computed, the whole
+    grid when the curve keeps falling. The fit runs on the targets
     divided by `unit`, the largest power of two not above the largest
     |target|: the division is exact, so every standardized quantity keeps its
     bits, and a profile measured in other units gives the same terms with
@@ -515,8 +561,8 @@ def fit_with_metrics(samples: list[tuple[LayerConfig, float]], config: FitConfig
         else:
             lambdas = np.array([config.l1_strength])
         label = f"{kind.value} {target.value}"
-        mean_rmspe, fold_preds = _cv_curves(design, scaled, lambdas, config.cv_folds,
-                                            config.seed, label)
+        mean_rmspe, fold_preds, lambdas = _cv_curves(design, scaled, lambdas, config.cv_folds,
+                                                     config.seed, label)
         if not np.isfinite(mean_rmspe).all():
             i = int(np.argmax(np.abs(np.log(y) - np.median(np.log(y)))))
             raise FitError(f"CV RMSPE is not finite: sample layer {layers[i].name} measured "

@@ -324,11 +324,16 @@ def test_fit_meets_kkt_conditions_along_the_grid(kind, samples):
         assert np.all(np.abs(grad[~active]) <= lam + 1e-9), lam
 
 
-def test_fit_warns_when_solution_misses_kkt(monkeypatch):
-    def zeros(problems, lambdas):
-        return [np.zeros((len(lambdas), len(corr))) for _, corr in problems]
+def _zero_paths(problems, lambdas, stop=None):
+    """A homotopy stub whose paths are zero at every lambda, all rows finished."""
+    paths = [np.zeros((len(lambdas), len(corr))) for _, corr in problems]
+    if stop is not None:
+        stop(paths, len(lambdas))
+    return paths
 
-    monkeypatch.setattr(polyreg, "_lasso_homotopy", zeros)
+
+def test_fit_warns_when_solution_misses_kkt(monkeypatch):
+    monkeypatch.setattr(polyreg, "_lasso_homotopy", _zero_paths)
     with pytest.warns(UserWarning, match=r"fc runtime_ms: .*KKT"):
         fit(_fc_samples(40, 8), FitConfig(degree=2, l1_strength=1e-3, cv_folds=3),
             LayerKind.FULLY_CONNECTED, Target.RUNTIME_MS)
@@ -350,10 +355,10 @@ def test_fit_config_needs_two_folds_whatever_the_l1(strength):
 def test_fold_paths_are_kkt_checked(monkeypatch):
     solve = polyreg._lasso_homotopy
 
-    def zeros_on_grids(problems, lambdas):
+    def zeros_on_grids(problems, lambdas, stop=None):
         if len(lambdas) > 1:  # the CV fold paths; the final fit solves one lambda
-            return [np.zeros((len(lambdas), len(corr))) for _, corr in problems]
-        return solve(problems, lambdas)
+            return _zero_paths(problems, lambdas, stop)
+        return solve(problems, lambdas, stop)
 
     monkeypatch.setattr(polyreg, "_lasso_homotopy", zeros_on_grids)
     with warnings.catch_warnings(record=True) as caught:
@@ -531,11 +536,15 @@ def test_a_drop_and_a_join_make_the_same_solve(monkeypatch):
 
 
 def test_batches_of_no_problems_or_only_empty_ones():
-    """No problems give no paths, and empty problems alone their zero-width paths."""
+    """No problems give no paths, and empty problems alone their zero-width
+    paths, every row finished."""
     lambdas = np.geomspace(1.0, 1e-3, 7)
     assert polyreg._lasso_homotopy([], lambdas) == []
     empty = (np.zeros((0, 0)), np.zeros(0))
-    assert [path.shape for path in polyreg._lasso_homotopy([empty, empty], lambdas)] == [(7, 0)] * 2
+    seen = []
+    paths = polyreg._lasso_homotopy([empty, empty], lambdas, lambda _, done: seen.append(done))
+    assert [path.shape for path in paths] == [(7, 0)] * 2
+    assert seen == [7]
 
 
 def _one_by_one(problems, lambdas):
@@ -639,6 +648,146 @@ def test_batch_goes_on_past_one_paths_singular_join(monkeypatch):
         assert np.array_equal(path, want[0])
     assert solves == sorted(shape for _, s, _ in alone for shape in s)
     assert singular == sorted(shape for _, _, s in alone for shape in s)
+
+
+# --- the CV stop rule --------------------------------------------------------
+
+def _synth_problem(seed, kind, target):
+    """(design, targets, lambda grid) of one kind and target of a synthesized profile."""
+    samples = synth.generate_samples(synth.SynthConfig(count=40, noise=0.05), seed)
+    of_kind = [s for s in samples if s.layer.kind is kind]
+    terms = enumerate_terms(len(polyreg._SCHEMAS[kind]), polyreg.DEFAULT_DEGREE[kind])
+    design = polyreg._design_matrix([s.layer for s in of_kind], terms)
+    y = np.array([getattr(s, target.value) for s in of_kind])
+    return design, y, polyreg._lambda_grid(polyreg._lasso_problem(design, y)[1])
+
+
+def _full_grid_cv(design, y, lambdas, folds, seed):
+    """The mean CV curve and fold predictions of fold paths run over the whole grid."""
+    fold_of = kfold_indices(len(y), folds, seed)
+    rmspe, fold_preds = [], []
+    for k in range(folds):
+        val = fold_of == k
+        gram, corr, live, to_raw = polyreg._lasso_problem(design[~val], y[~val])
+        coef, intercepts = to_raw(polyreg._lasso_homotopy([(gram, corr)], lambdas)[0])
+        preds = design[val][:, live] @ coef.T + intercepts
+        rmspe.append(polyreg._rmspe(preds, y[val]))
+        fold_preds.append(preds)
+    return np.mean(rmspe, axis=0), fold_preds
+
+
+@pytest.mark.parametrize("stop_at", [20, None], ids=["stopped", "to-the-end"])
+@pytest.mark.parametrize("folds", [None, 3], ids=["one-path", "fold-batch"])
+def test_a_stopped_run_keeps_the_rows_of_a_full_run(folds, stop_at):
+    """The hook sees the finished row count rise to the end of the grid, or
+    to where it stops the run; the rows before it are the bytes of a full
+    run and the reference path's at 1e-9."""
+    design, y, lambdas = _synth_problem(4, LayerKind.POOL2D, Target.RUNTIME_MS)
+    if folds is None:
+        problems = [polyreg._lasso_problem(design, y)[:2]]
+    else:
+        fold_of = kfold_indices(len(y), folds, 4)
+        problems = [polyreg._lasso_problem(design[fold_of != k], y[fold_of != k])[:2]
+                    for k in range(folds)]
+    seen = []
+
+    def stop(paths, done):
+        seen.append(done)
+        return stop_at is not None and done >= stop_at
+
+    got = polyreg._lasso_homotopy(problems, lambdas, stop)
+    done = seen[-1]
+    assert seen == sorted(seen)
+    assert stop_at <= done < len(lambdas) if stop_at else done == len(lambdas)
+    for path, full, (gram, corr) in zip(got, polyreg._lasso_homotopy(problems, lambdas), problems):
+        assert path[:done].tobytes() == full[:done].tobytes()
+        want = lasso_homotopy_reference(gram, corr, lambdas)[:done]
+        assert np.all(np.abs(path[:done] - want) <= 1e-9 * np.maximum(np.abs(want), 1.0))
+    if stop_at:
+        assert not got[0][-1].any()  # the run ended before the last row
+
+
+@pytest.mark.parametrize("curve, length", [
+    (np.abs(np.arange(50.0) - 7.0), 7 + polyreg.CV_PATIENCE + 1),
+    # a row equal to the minimum does not go below it
+    (np.r_[5.0, np.full(49, 3.0)], 1 + polyreg.CV_PATIENCE + 1),
+    # the minimum at row 4 holds for CV_PATIENCE - 1 rows, the one at row 14 holds
+    (np.r_[np.arange(5.0, 0.0, -1.0), np.full(9, 2.0), 0.5, np.arange(1.0, 36.0)],
+     14 + polyreg.CV_PATIENCE + 1),
+    # the minimum at row 4 holds for CV_PATIENCE rows: a lower row after them is not seen
+    (np.r_[np.arange(5.0, 0.0, -1.0), np.full(10, 2.0), 0.5, np.arange(1.0, 35.0)],
+     4 + polyreg.CV_PATIENCE + 1),
+    # a curve that keeps falling: the last row would have to hold
+    (np.linspace(9.0, 1.0, 50), 49 + polyreg.CV_PATIENCE + 1),
+], ids=["v", "flat", "held-too-short", "held", "falling"])
+def test_the_grid_ends_cv_patience_rows_past_the_first_held_minimum(curve, length):
+    assert polyreg._held_minimum(curve) == length
+
+
+@pytest.mark.parametrize("folds", [3, 10])
+@pytest.mark.parametrize("seed, kind, target", [
+    (0, LayerKind.CONV2D, Target.POWER_W), (2, LayerKind.FULLY_CONNECTED, Target.RUNTIME_MS),
+    (4, LayerKind.POOL2D, Target.POWER_W)])
+def test_cv_stops_cv_patience_rows_past_the_curves_first_held_minimum(seed, kind, target, folds):
+    """The CV returns the grid prefix up to CV_PATIENCE rows past the first
+    minimum of the full-grid curve that holds that long, and that prefix of
+    the full-grid curve and fold predictions, up to rounding."""
+    design, y, lambdas = _synth_problem(seed, kind, target)
+    curve, fold_preds, kept = polyreg._cv_curves(design, y, lambdas, folds, seed, "cv")
+    want, want_preds = _full_grid_cv(design, y, lambdas, folds, seed)
+    end = polyreg._held_minimum(want)
+    assert end < len(lambdas)
+    assert len(curve) == end == int(np.argmin(curve)) + polyreg.CV_PATIENCE + 1
+    assert np.array_equal(kept, lambdas[:end])
+    np.testing.assert_allclose(curve, want[:end], rtol=1e-12)
+    for (preds, _), full in zip(fold_preds, want_preds):
+        np.testing.assert_allclose(preds, full[:, :end], rtol=1e-12, atol=1e-15)
+
+
+def test_a_curve_that_keeps_falling_runs_the_whole_grid():
+    samples = pool_grid_samples(lambda b, c: 2.0 * b + 3.0 * b * c)
+    terms = enumerate_terms(len(polyreg._SCHEMAS[LayerKind.POOL2D]), 2)
+    design = polyreg._design_matrix([layer for layer, _ in samples], terms)
+    y = np.array([value for _, value in samples])
+    lambdas = polyreg._lambda_grid(polyreg._lasso_problem(design, y)[1])
+    curve, _, kept = polyreg._cv_curves(design, y, lambdas, 3, 1, "cv")
+    assert len(curve) == len(kept) == len(lambdas)
+    assert int(np.argmin(curve)) == len(lambdas) - 1
+    np.testing.assert_allclose(curve, _full_grid_cv(design, y, lambdas, 3, 1)[0], rtol=1e-12)
+
+
+def test_an_explicit_l1_is_scored_as_one_full_grid_point():
+    """A one-point grid is scored in one block, bit for bit the full-grid
+    scoring, so a fit at an explicit l1_strength keeps its metrics."""
+    design, y, lambdas = _synth_problem(0, LayerKind.FULLY_CONNECTED, Target.RUNTIME_MS)
+    one = lambdas[20:21]
+    curve, fold_preds, kept = polyreg._cv_curves(design, y, one, 3, 0, "cv")
+    want, want_preds = _full_grid_cv(design, y, one, 3, 0)
+    assert np.array_equal(kept, one) and np.array_equal(curve, want)
+    for (preds, _), full in zip(fold_preds, want_preds):
+        assert np.array_equal(preds, full)
+
+
+def test_a_fit_whose_cv_stops_leaves_no_kkt_warning(monkeypatch):
+    """The fold rows past the stop are never finished, and they are not
+    KKT-checked; the fit warns of nothing."""
+    solve, runs = polyreg._lasso_homotopy, []
+
+    def recorded(problems, lambdas, stop=None):
+        paths = solve(problems, lambdas, stop)
+        runs.append((problems, lambdas, paths))
+        return paths
+
+    monkeypatch.setattr(polyreg, "_lasso_homotopy", recorded)
+    samples = synth.generate_samples(synth.SynthConfig(count=40, noise=0.05), 0)
+    pairs = [(s.layer, s.power_w) for s in samples if s.layer.kind is LayerKind.CONV2D]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit(pairs, FitConfig(cv_folds=3), LayerKind.CONV2D, Target.POWER_W)
+    (problems, lambdas, paths), _ = runs
+    assert all(not path[-1].any() for path in paths)
+    with pytest.warns(UserWarning, match="violates its KKT conditions"):
+        polyreg._warn_off_kkt(*problems[0], lambdas, paths[0], "the whole grid")
 
 
 def test_sparsity_non_increasing_in_lambda():
