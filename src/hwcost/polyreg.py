@@ -15,6 +15,7 @@ import functools
 import io
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -233,27 +234,33 @@ def evaluate(model: PolynomialModel, samples: list[tuple[LayerConfig, float]]) -
     """RMSPE (%) and RMSE of the model over a held-out sample set."""
     if not samples:
         raise ValueError("empty test set")
-    pred = np.array([predict(model, layer) for layer, _ in samples])
+    pred = predict(model, [layer for layer, _ in samples])[0]
     actual = np.array([value for _, value in samples], dtype=float)
     rmse = math.sqrt(float(np.mean((pred - actual) ** 2)))
     return Metrics(float(_rmspe(pred, actual, warn_context="evaluate")), rmse)
 
 
-def _design_matrix(layers: list[LayerConfig], terms: list[TermSpec]) -> np.ndarray:
+def _design_matrix(layers: list[LayerConfig], terms: list[TermSpec],
+                   specials=SPECIAL_TERMS) -> np.ndarray:
+    """One row per layer: one column per term, then one per special term."""
     feats = np.array([build_features(layer) for layer in layers], dtype=float)
     n, dim = feats.shape
-    exps = np.array([t.exponents for t in terms], dtype=np.intp)
-    levels = int(exps.max(initial=0)) + 1
-    # row i*levels + e holds feature i to the power e; pow gets only contiguous
+    # an exponent past the float range has no float power: its powers are inf
+    exps = np.array([[e if e <= sys.float_info.max else math.inf for e in term.exponents]
+                     for term in terms], dtype=float).reshape(len(terms), dim)
+    levels = np.array(sorted(set(exps.ravel().tolist())))  # those that occur: 0..degree in a fit
+    # row i*len(levels) + k holds feature i to the power levels[k]; pow gets only contiguous
     # operands, as a per-term feats ** exponents does, so numpy picks the same kernel
-    powers = np.repeat(feats.T, levels, axis=0) ** np.repeat(
-        np.tile(np.arange(levels, dtype=float), dim), n).reshape(-1, n)
-    rows = exps + levels * np.arange(dim)
+    powers = np.repeat(feats.T, len(levels), axis=0) ** np.repeat(
+        np.tile(levels, dim), n).reshape(-1, n)
+    powers[np.tile(np.isinf(levels), dim)] = np.inf
+    rows = levels.searchsorted(exps) + len(levels) * np.arange(dim)
     cols = powers[rows[:, 0]]
     for i in range(1, dim):  # multiplied in np.prod's order (the same bits)
         cols *= powers[rows[:, i]]
-    specials = np.array([special_terms(layer) for layer in layers], dtype=float)
-    return np.column_stack([cols.T, specials])
+    picks = [SPECIAL_TERMS.index(name) for name in specials]
+    values = [[row[i] for i in picks] for row in map(special_terms, layers)] if picks else []
+    return np.column_stack([cols.T, np.reshape(values, (n, len(picks)))])
 
 
 def _warn_off_kkt(gram: np.ndarray, corr: np.ndarray, lambdas: np.ndarray,
@@ -510,7 +517,9 @@ def fit(samples: list[tuple[LayerConfig, float]], config: FitConfig,
 
 def fit_with_metrics(samples: list[tuple[LayerConfig, float]], config: FitConfig,
                      kind: LayerKind, target: Target) -> tuple[PolynomialModel, Metrics]:
-    """Fit a model and report held-out CV metrics at the chosen lambda.
+    """Fit a model and report held-out CV metrics at the chosen lambda: the
+    mean CV curve's RMSPE, on which the lambda is chosen, and the RMSE of
+    the folds' pooled predictions.
 
     Deterministic given (samples, config, config.seed): the fold split is
     seed-derived, the lambda grid follows from the data, and each lasso
@@ -581,43 +590,35 @@ def fit_with_metrics(samples: list[tuple[LayerConfig, float]], config: FitConfig
     coef[live], intercept = to_raw(path[0])
     coef[0] = intercept if abs(intercept) > KKT_TOL else 0.0  # terms[0] is the constant
     model = _assemble_model(kind, target, degree, terms, coef * unit)
-    metrics = Metrics(float(_rmspe(pooled_pred, pooled_act)),
+    metrics = Metrics(float(mean_rmspe[chosen]),
                       math.sqrt(float(np.mean((pooled_pred - pooled_act) ** 2))) * unit)
     return model, metrics
 
 
-def predict_with_flag(model: PolynomialModel, layer: LayerConfig) -> tuple[float, bool]:
-    """Model value for the layer, clamped at zero; flag marks a clamp.
+def predict(model: PolynomialModel, layers: list[LayerConfig]) -> tuple[np.ndarray, np.ndarray]:
+    """Model values of `layers`, clamped at zero, and a mask of the clamped ones.
 
-    Raises ValueError, naming the layer and the model, when the value is not
-    finite (a coefficient of 1e308 times a feature above 1, or a feature to
-    a power of 600, overflows)."""
-    if layer.kind is not model.layer_kind:
-        raise ValueError(f"layer {layer.name} is {layer.kind.value}, "
-                         f"model is for {model.layer_kind.value}")
-    x = build_features(layer)
-    special = dict(zip(SPECIAL_TERMS, special_terms(layer))) if model.special else {}
-    total = 0.0
-    try:
-        for term, coef in model.terms:
-            for xi, qi in zip(x, term.exponents):
-                if qi:
-                    coef *= xi ** qi
-            total += coef
-        for name, coef in model.special:
-            total += coef * special[name]
-    except OverflowError:  # a float power past the range raises, where a product gives inf
-        total = math.inf
-    if not math.isfinite(total):
-        raise ValueError(f"layer {layer.name}: the {model.layer_kind.value} "
-                         f"{model.target.value} model predicts {total!r}")
-    if total < 0.0:
-        return 0.0, True
-    return total, False
-
-
-def predict(model: PolynomialModel, layer: LayerConfig) -> float:
-    return predict_with_flag(model, layer)[0]
+    The term columns of `_design_matrix` are added one by one in the model's
+    order, so a layer predicts the same bits alone as in a batch. Raises
+    ValueError, naming the first such layer and the model, when a layer is
+    not of the model's kind or its value is not finite (a coefficient of
+    1e308 times a feature above 1, or a feature to a power of 600, overflows)."""
+    for layer in layers:
+        if layer.kind is not model.layer_kind:
+            raise ValueError(f"layer {layer.name} is {layer.kind.value}, "
+                             f"model is for {model.layer_kind.value}")
+    with np.errstate(all="ignore"):  # a value that is not finite is named below
+        design = _design_matrix(layers, [term for term, _ in model.terms],
+                                [name for name, _ in model.special])
+        total = np.zeros(len(layers))
+        for column, (_, coef) in zip(design.T, model.terms + model.special):
+            total = total + coef * column
+    for layer, value in zip(layers, total.tolist()):
+        if not math.isfinite(value):
+            raise ValueError(f"layer {layer.name}: the {model.layer_kind.value} "
+                             f"{model.target.value} model predicts {value!r}")
+    clamped = total < 0.0
+    return np.where(clamped, 0.0, total), clamped
 
 
 @dataclass(frozen=True)
@@ -652,8 +653,8 @@ def predict_network(runtime_models: dict[LayerKind, PolynomialModel],
             raise MissingModelError(f"no runtime model for kind {layer.kind.value}")
         if layer.kind not in power_models:
             raise MissingModelError(f"no power model for kind {layer.kind.value}")
-        t, t_clamped = predict_with_flag(runtime_models[layer.kind], layer)
-        p, p_clamped = predict_with_flag(power_models[layer.kind], layer)
+        t, t_clamped = (a.item() for a in predict(runtime_models[layer.kind], [layer]))
+        p, p_clamped = (a.item() for a in predict(power_models[layer.kind], [layer]))
         e = t * p  # ms * W = mJ
         per_layer.append(LayerPrediction(layer.name, layer.kind, t, p, e,
                                          t_clamped or p_clamped))

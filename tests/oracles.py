@@ -231,6 +231,26 @@ def design_matrix_reference(features, exponents, specials):
     return np.column_stack(cols + [specials[:, 0], specials[:, 1]])
 
 
+def poly_predict_reference(model, features, specials):
+    """A polynomial model's unclamped value at one feature vector, as first
+    written: each term's coefficient times its nonzero powers, feature by
+    feature, the terms summed in order, then each special term's coefficient
+    times its value (`specials` maps the special term to it). A float power
+    past the range raises OverflowError in Python, which gives inf."""
+    total = 0.0
+    try:
+        for term, coef in model.terms:
+            for xi, qi in zip(features, term.exponents):
+                if qi:
+                    coef *= xi ** qi
+            total += coef
+        for name, coef in model.special:
+            total += coef * specials[name]
+    except OverflowError:
+        total = math.inf
+    return total
+
+
 def lasso_homotopy_reference(gram, corr, lambdas, schur_tol=1e-10):
     """The homotopy lasso path as first written, one event at a time.
 

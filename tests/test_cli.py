@@ -9,6 +9,7 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hwcost import __version__, cli, linmod, polyreg, synth
@@ -117,6 +118,32 @@ def test_synth_fit_predict_pipeline(tmp_path, capsys):
                          "--models-dir", str(out_dir))
     assert code == 0, err
     assert "total" in out
+
+
+def test_fit_prints_the_minimum_of_the_cv_curve_it_chose_lambda_on(tmp_path, capsys,
+                                                                   monkeypatch):
+    """`cv_rmspe_pct` is the mean CV curve at the chosen lambda, the least
+    value of the curve prefix the fold paths computed, and not the RMSPE of
+    the folds' pooled predictions there, which differs from it."""
+    curves, pooled = [], []
+    cv_curves = polyreg._cv_curves
+
+    def recorded(*args):
+        curve, fold_preds, lambdas = cv_curves(*args)
+        chosen = int(np.argmin(curve))
+        curves.append(curve)
+        pooled.append(polyreg._rmspe(np.concatenate([p[:, chosen] for p, _ in fold_preds]),
+                                     np.concatenate([a for _, a in fold_preds])))
+        return curve, fold_preds, lambdas
+
+    monkeypatch.setattr(polyreg, "_cv_curves", recorded)
+    run(capsys, "synth", "--count", "40", "--seed", "22", "--output-dir", str(tmp_path))
+    code, out, err = run(capsys, "fit", str(tmp_path / "synthetic_profile.csv"),
+                         "--output-dir", str(tmp_path), "--format", "csv")
+    assert code == 0, err
+    printed = [row["cv_rmspe_pct"] for row in csv.DictReader(out.splitlines())]
+    assert printed == [f"{curve.min():.6g}" for curve in curves]
+    assert all(value != f"{other:.6g}" for value, other in zip(printed, pooled))
 
 
 def test_fit_empty_csv_is_usage_error(tmp_path, capsys):
@@ -626,12 +653,19 @@ def _fc_models(models_dir, runtime_terms, power_terms):
     # a float power past the range raises OverflowError, not inf
     ([((0, 600, 0), 1.0)], [((0, 0, 0), 2.0)],
      "layer f1: the fc runtime_ms model predicts inf"),
+    # exponents the power table holds as one level each, not a level per power below them
+    ([((0, 10 ** 9, 0), 1.0)], [((0, 0, 0), 2.0)],
+     "layer f1: the fc runtime_ms model predicts inf"),
+    # an exponent past the float range has no float power, even of a batch of 1
+    ([((10 ** 400, 0, 0), 1.0)], [((0, 0, 0), 2.0)],
+     "layer f1: the fc runtime_ms model predicts inf"),
     # finite predictions whose energy overflows at f1, or whose runtimes sum past it at f2
     ([((0, 0, 0), 1e308)], [((0, 0, 0), 10.0)],
      "layer f1: 1e+308 ms at 10.0 W overflows the totals"),
     ([((0, 0, 0), 1e308)], [((0, 0, 0), 1e-300)],
      "layer f2: 1e+308 ms at 1e-300 W overflows the totals"),
-], ids=["inf", "nan", "power", "power-overflow", "energy", "total"])
+], ids=["inf", "nan", "power", "power-overflow", "huge-exponent", "exponent-past-float",
+        "energy", "total"])
 def test_predict_poly_exits_1_naming_the_layer_on_a_prediction_that_is_not_finite(
         tmp_path, capsys, runtime_terms, power_terms, error):
     """Coefficients the loader accepts can still overflow a prediction: no
@@ -642,6 +676,21 @@ def test_predict_poly_exits_1_naming_the_layer_on_a_prediction_that_is_not_finit
     code, out, err = run(capsys, "predict", str(net), "--family", "poly",
                          "--models-dir", str(tmp_path / "models"))
     assert (code, out, err) == (1, "", f"error: {error}\n")
+
+
+@pytest.mark.parametrize("exponent", [10 ** 9, 10 ** 30], ids=["1e9", "1e30"])
+def test_predict_poly_takes_a_huge_exponent_of_a_feature_equal_to_1(tmp_path, capsys, exponent):
+    """A batch of 1 to any float power is 1: the runtime model is 1 ms."""
+    _fc_models(tmp_path / "models", [((exponent, 0, 0), 1.0)], [((0, 0, 0), 2.0)])
+    net = tmp_path / "net.txt"
+    net.write_text("f1 fc in=1x4x1x1 out=2\nf2 fc out=3\n")
+    code, out, err = run(capsys, "predict", str(net), "--family", "poly",
+                         "--models-dir", str(tmp_path / "models"))
+    assert (code, err) == (0, "")
+    assert out == ("layer  kind  t_ms  p_w  e_mj\n"
+                   "f1     fc    1     2    2\n"
+                   "f2     fc    1     2    2\n"
+                   "total        2     2    4\n")
 
 
 def test_predict_csv_quotes_a_layer_name_with_a_comma(tmp_path, capsys):

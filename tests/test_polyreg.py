@@ -14,9 +14,8 @@ from hwcost.polyreg import (FitConfig, FitError, Metrics,
                             MissingModelError, PolynomialModel, SpecialTerm, Target,
                             TermSpec, ZeroRuntimeError, build_features, enumerate_terms,
                             evaluate, fit, model_from_json, model_to_json, predict, predict_network,
-                            predict_with_flag, read_profile_csv, special_terms,
-                            write_profile_csv)
-from oracles import design_matrix_reference, lasso_homotopy_reference
+                            read_profile_csv, special_terms, write_profile_csv)
+from oracles import design_matrix_reference, lasso_homotopy_reference, poly_predict_reference
 
 
 def fc_layer(batch, in_units, out_units, name="f"):
@@ -129,7 +128,7 @@ def test_fit_recovers_generating_polynomial():
     # the recovered model evaluated at x1=2, x2=4: 2*2 + 3*8 = 28
     query = LayerConfig("q", LayerKind.POOL2D, TensorShape(2, 4, 6, 6),
                         kernel_h=2, kernel_w=2, stride=2, padding=0)
-    assert predict(model, query) == pytest.approx(28.0, rel=1e-9)
+    assert predict(model, [query])[0][0] == pytest.approx(28.0, rel=1e-9)
 
 
 def test_fit_constant_targets_warns_and_returns_constant_model():
@@ -137,7 +136,7 @@ def test_fit_constant_targets_warns_and_returns_constant_model():
                for i in range(1, 6) for j in range(1, 5)]
     with pytest.warns(UserWarning):
         model = fit(samples, FitConfig(seed=0), LayerKind.FULLY_CONNECTED, Target.RUNTIME_MS)
-    assert predict(model, fc_layer(3, 7, 2)) == 5.0
+    assert predict(model, [fc_layer(3, 7, 2)])[0][0] == 5.0
     assert model.size == 1
 
 
@@ -816,7 +815,7 @@ def test_oracle_recovery_on_held_out_points():
     for b, c in [(6, 7), (9, 2), (1, 11)]:
         layer = LayerConfig("h", LayerKind.POOL2D, TensorShape(b, c, 6, 6),
                             kernel_h=2, kernel_w=2, stride=2, padding=0)
-        assert predict(model, layer) == pytest.approx(truth(b, c), rel=1e-6)
+        assert predict(model, [layer])[0][0] == pytest.approx(truth(b, c), rel=1e-6)
 
 
 def test_fit_determinism_bit_identical():
@@ -834,18 +833,62 @@ def test_fit_determinism_bit_identical():
 
 # --- prediction --------------------------------------------------------------
 
+@pytest.mark.parametrize("kind", list(LayerKind), ids=lambda kind: kind.value)
+def test_batch_predict_matches_the_reference_term_loop(kind):
+    """Fitted models predict a batch within 1e-12 relative of the scalar term
+    loop, clamped where it is below zero; each layer alone gives the batch's
+    bits, and `evaluate` scores one batch prediction."""
+    train = synth.generate_samples(synth.SynthConfig(count=40, noise=0.05), 21)
+    test = [s for s in synth.generate_samples(synth.SynthConfig(count=200, noise=0.05), 7)
+            if s.layer.kind is kind]
+    layers = [s.layer for s in test]
+    for target in Target:
+        pairs = [(s.layer, getattr(s, target.value)) for s in train if s.layer.kind is kind]
+        model = fit(pairs, FitConfig(cv_folds=3), kind, target)
+        values, clamped = predict(model, layers)
+        want = np.array([poly_predict_reference(model, build_features(layer),
+                                                dict(zip(polyreg.SPECIAL_TERMS,
+                                                         special_terms(layer))))
+                         for layer in layers])
+        assert np.array_equal(clamped, want < 0.0)
+        np.testing.assert_allclose(values, np.maximum(want, 0.0), rtol=1e-12, atol=0.0)
+        alone = [predict(model, [layer]) for layer in layers]
+        assert np.concatenate([v for v, _ in alone]).tobytes() == values.tobytes()
+        assert np.array_equal(np.concatenate([c for _, c in alone]), clamped)
+        actual = np.array([getattr(s, target.value) for s in test])
+        rel = (values - actual) / actual
+        assert evaluate(model, list(zip(layers, actual))) == Metrics(
+            100.0 * math.sqrt(np.mean(rel * rel)), math.sqrt(np.mean((values - actual) ** 2)))
+
+
+def test_models_of_no_terms_or_only_special_terms_predict_a_batch():
+    layers = [fc_layer(b, i, o, f"f{b}") for b, i, o in ((1, 2, 2), (3, 7, 5), (8, 64, 10))]
+    schema = polyreg._SCHEMAS[LayerKind.FULLY_CONNECTED]
+    assert polyreg._design_matrix(layers, []).shape == (3, 2)
+    empty = PolynomialModel(LayerKind.FULLY_CONNECTED, Target.RUNTIME_MS, 2, schema, (), ())
+    values, clamped = predict(empty, layers)
+    assert values.tolist() == [0.0, 0.0, 0.0] and not clamped.any()
+    special = PolynomialModel(LayerKind.FULLY_CONNECTED, Target.RUNTIME_MS, 2, schema, (),
+                              ((SpecialTerm.TOTAL_MEM_ACCESSES, 0.5),
+                               (SpecialTerm.TOTAL_FLOPS, 2.0)))
+    values, clamped = predict(special, layers)
+    assert values.tolist() == [0.5 * mem + 2.0 * flops
+                               for flops, mem in map(special_terms, layers)]
+    assert not clamped.any()
+
+
 def test_constant_model_predicts_constant():
     const = TermSpec((0, 0, 0))
     model = PolynomialModel(LayerKind.FULLY_CONNECTED, Target.RUNTIME_MS, 2,
                             polyreg._SCHEMAS[LayerKind.FULLY_CONNECTED],
                             ((const, 5.0),), ())
-    assert predict(model, fc_layer(3, 9, 4)) == 5.0
+    assert predict(model, [fc_layer(3, 9, 4)])[0][0] == 5.0
 
 
 def test_empty_model_predicts_zero():
     model = PolynomialModel(LayerKind.FULLY_CONNECTED, Target.RUNTIME_MS, 2,
                             polyreg._SCHEMAS[LayerKind.FULLY_CONNECTED], (), ())
-    value, clamped = predict_with_flag(model, fc_layer(1, 2, 2))
+    (value,), (clamped,) = predict(model, [fc_layer(1, 2, 2)])
     assert value == 0.0 and not clamped
 
 
@@ -853,7 +896,7 @@ def test_negative_prediction_clamps_with_flag():
     model = PolynomialModel(LayerKind.FULLY_CONNECTED, Target.RUNTIME_MS, 2,
                             polyreg._SCHEMAS[LayerKind.FULLY_CONNECTED],
                             ((TermSpec((0, 0, 0)), -3.0),), ())
-    value, clamped = predict_with_flag(model, fc_layer(1, 2, 2))
+    (value,), (clamped,) = predict(model, [fc_layer(1, 2, 2)])
     assert value == 0.0 and clamped
 
 
@@ -879,7 +922,7 @@ def test_predict_rejects_kind_mismatch():
     model = PolynomialModel(LayerKind.FULLY_CONNECTED, Target.RUNTIME_MS, 2,
                             polyreg._SCHEMAS[LayerKind.FULLY_CONNECTED], (), ())
     with pytest.raises(ValueError):
-        predict(model, pool2d("p", TensorShape(1, 1, 4, 4), kernel=2, stride=2))
+        predict(model, [pool2d("p", TensorShape(1, 1, 4, 4), kernel=2, stride=2)])
 
 
 # --- network aggregation -----------------------------------------------------
