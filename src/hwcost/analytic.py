@@ -12,8 +12,8 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .netgraph import (InputError, LayerConfig, NetworkConfig, _distinct, _finite, _located,
-                       _lines, _put, count_ops)
+from .netgraph import (InputError, LayerConfig, NetworkConfig, _bounded, _distinct, _finite,
+                       _located, _lines, _put, count_ops)
 
 
 class ConfigurationError(ValueError):
@@ -252,7 +252,8 @@ def _parse_levels(text: str) -> tuple[tuple[str, float], ...]:
 
 
 # spec-file value parsers by dataclass field annotation
-_FROM_TEXT = {"float": _finite, "int": int, "tuple[tuple[str, float], ...]": _parse_levels}
+_FROM_TEXT = {"float": _finite, "int": lambda text: _bounded(int(text), "value"),
+              "tuple[tuple[str, float], ...]": _parse_levels}
 
 
 def _parse_spec(text: str, spec_type, what: str):

@@ -29,8 +29,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .netgraph import (LayerKind, _entries, _finite, _integer, _lines, _located, _names, _number,
-                       _object, _text, _value, parse_network)
+from .netgraph import (MAX_INT, LayerKind, _bounded, _entries, _finite, _integer, _lines,
+                       _located, _names, _number, _object, _text, _value, parse_network)
 # a module-level name: callers that wrap the objective replace cli.build_objective
 from .objectives import build_objective
 
@@ -63,6 +63,14 @@ def _finite_arg(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _nonnegative_arg(text: str) -> float:
+    """argparse type for a finite number >= 0."""
+    value = _finite_arg(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value!r}")
+    return value
+
+
 def _positive_arg(text: str) -> float:
     """argparse type for a finite number > 0."""
     value = _finite_arg(text)
@@ -80,16 +88,18 @@ def _fraction_arg(text: str) -> float:
 
 
 def _int_arg(minimum: int):
-    """argparse type for an integer >= `minimum`."""
-    def at_least(text: str) -> int:
+    """argparse type for an integer from `minimum` to MAX_INT."""
+    def in_range(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        if value > MAX_INT:
+            raise argparse.ArgumentTypeError(f"must be <= 2**53, got {value}")
         return value
-    return at_least
+    return in_range
 
 
 def _fmt(value: float) -> str:
@@ -118,11 +128,16 @@ def _digest(parts: list[str], files: list[Path]) -> str:
     return sha.hexdigest()
 
 
-def _write_outputs(args, texts: dict[str, str], args_repr: list[str],
-                   inputs: list[Path]) -> None:
+# the parsed arguments that change no written file
+_UNDIGESTED = {"func", "subcommand", "output_dir", "format"}
+
+
+def _write_outputs(args, texts: dict[str, str], inputs: list[Path]) -> None:
     """Create --output-dir, write each of `texts` (file name -> text) in
-    order, then the manifest naming them. A command calls this once, after
-    its work has succeeded, so a run that fails leaves no directory."""
+    order, then the manifest naming them. Its config digest hashes every
+    other option, sorted by name, the version and the bytes of `inputs`. A
+    command calls this once, after its work has succeeded, so a run that
+    fails leaves no directory."""
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in texts.items():
@@ -132,7 +147,8 @@ def _write_outputs(args, texts: dict[str, str], args_repr: list[str],
         "inputs": [str(p) for p in inputs],
         "outputs": list(texts),
         "seed": args.seed,
-        "config_digest": _digest(args_repr + [str(args.seed), __version__], inputs),
+        "config_digest": _digest([f"{name}={value}" for name, value in sorted(vars(args).items())
+                                  if name not in _UNDIGESTED] + [__version__], inputs),
         "version": __version__,
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
@@ -162,7 +178,6 @@ def _cmd_synth(args) -> int:
     if args.noise is not None:
         config = dataclasses.replace(config, noise=args.noise)
     _write_outputs(args, {"synthetic_profile.csv": synth.generate_csv(config, args.seed)},
-                   [f"count={config.count}", f"noise={config.noise}"],
                    [Path(args.config)] if args.config else [])
     print(f"wrote {Path(args.output_dir) / 'synthetic_profile.csv'}")
     return EXIT_OK
@@ -199,8 +214,7 @@ def _cmd_fit(args) -> int:
                          _fmt(metrics.rmspe), _fmt(metrics.rmse)])
     if not texts:
         raise UsageError("no (kind, target) had enough samples to fit")
-    _write_outputs(args, texts, [f"degree={args.degree}", f"l1={args.l1}", f"folds={args.folds}"],
-                   [csv_path])
+    _write_outputs(args, texts, [csv_path])
     _print_table(["kind", "target", "size", "cv_rmspe_pct", "cv_rmse"], rows, args.format)
     return EXIT_OK
 
@@ -226,24 +240,19 @@ def _cmd_predict(args) -> int:
         from . import polyreg
         runtime = _load_poly_models(Path(args.models_dir), polyreg.Target.RUNTIME_MS)
         power = _load_poly_models(Path(args.models_dir), polyreg.Target.POWER_W)
-        try:
-            pred = polyreg.predict_network(runtime, power, net)
-        except polyreg.ZeroRuntimeError as exc:  # the layers still print, then exit 1
-            zero, layers = exc, exc.layers
-        else:
-            zero, layers = None, pred.layers
+        pred = polyreg.predict_network(runtime, power, net)
         rows = [[lp.name, lp.kind.value, _fmt(lp.runtime_ms), _fmt(lp.power_w),
-                 _fmt(lp.energy_mj)] for lp in layers]
-        if zero is None:
+                 _fmt(lp.energy_mj)] for lp in pred.layers]
+        if pred.average_power_w is not None:
             rows.append(["total", "", _fmt(pred.total_runtime_ms), _fmt(pred.average_power_w),
                          _fmt(pred.total_energy_mj)])
         _print_table(["layer", "kind", "t_ms", "p_w", "e_mj"], rows, args.format)
-        clamped = [lp.name for lp in layers if lp.clamped]
+        clamped = [lp.name for lp in pred.layers if lp.clamped]
         if clamped:
             print(f"warning: negative predictions clamped to 0 for layers: "
                   f"{', '.join(clamped)}", file=sys.stderr)
-        if zero is not None:
-            raise zero
+        if pred.average_power_w is None:  # the layers have printed
+            raise ValueError("total predicted runtime is zero; average power undefined")
     elif args.family == "paleo":
         if not args.device:
             raise UsageError("--family paleo requires --device")
@@ -294,7 +303,7 @@ def _load_accesses(text: str, layers: set[str],
             first = first_line.setdefault((layer, level), line_no)
             if first != line_no:
                 raise ValueError(f"'{layer} {level}' was given on line {first}")
-            counts.setdefault(layer, {})[level] = int(count)
+            counts.setdefault(layer, {})[level] = _bounded(int(count), "access count")
             if counts[layer][level] < 0:
                 raise ValueError("access count must be >= 0")
     return {layer: analytic.AccessProfile(tuple(levels.items()))
@@ -322,8 +331,7 @@ def _cmd_sample(args) -> int:
     out = io.StringIO()  # quotes only the names that need it: one with a comma
     csv.writer(out, lineterminator="\n").writerows(
         [schema.names, *linmod.offline_sample(schema, args.count, args.seed).tolist()])
-    _write_outputs(args, {"samples.csv": out.getvalue()}, [f"count={args.count}"],
-                   [Path(args.schema)])
+    _write_outputs(args, {"samples.csv": out.getvalue()}, [Path(args.schema)])
     print(f"wrote {Path(args.output_dir) / 'samples.csv'}")
     return EXIT_OK
 
@@ -359,8 +367,7 @@ def _cmd_fit_linear(args) -> int:
         rows.append([target.value,
                      " ".join(_fmt(w) for w in model.weights),
                      _fmt(mean_cv)])
-    _write_outputs(args, texts, [f"folds={args.folds}", f"bias={args.bias}"],
-                   [Path(args.profile)])
+    _write_outputs(args, texts, [Path(args.profile)])
     _print_table(["target", "weights", "mean_cv_rmspe_pct"], rows, args.format)
     return EXIT_OK
 
@@ -423,15 +430,8 @@ def _cmd_optimize(args) -> int:
         summary.update(status="ok", best_y=best.y, best_x=list(best.x),
                        iterations_to_best=next(r.iteration for r in trace.records
                                                if r.best_y == best.y))
-    config_repr = [f"budget={args.budget}", f"objective={args.objective}",
-                   f"center={args.center}", f"noise={args.noise}",
-                   f"candidates={candidates}",
-                   f"power_budget={args.power_budget}",
-                   f"memory_budget={args.memory_budget}",
-                   f"command={args.command}", f"eval_timeout={args.eval_timeout}"]
     _write_outputs(args, {"trace.csv": trace.csv_text(),
-                          "summary.json": json.dumps(summary, indent=2) + "\n"},
-                   config_repr, inputs)
+                          "summary.json": json.dumps(summary, indent=2) + "\n"}, inputs)
     if best is None:
         print("no feasible point found; full trace written")
         return EXIT_INFEASIBLE
@@ -465,7 +465,8 @@ def _build_parser() -> _Parser:
     prints_table(p)
     p.add_argument("profile")
     p.add_argument("--degree", type=_int_arg(1), default=None)
-    p.add_argument("--l1", type=_finite_arg, default=None, help="fixed L1 strength (default: CV)")
+    p.add_argument("--l1", type=_nonnegative_arg, default=None,
+                   help="fixed L1 strength (default: CV)")
     p.add_argument("--folds", type=_int_arg(2), default=10)
     p.set_defaults(func=_cmd_fit)
 

@@ -53,9 +53,22 @@ class NetworkParseError(InputError):
         self.line_no = line_no
 
 
+# the largest integer an input may give: every integer up to it is an exact
+# float, and a count made of a few of them stays far inside the float range
+MAX_INT = 2 ** 53
+
+
+def _bounded(value: int, name: str) -> int:
+    """`value`, an integer `name` read from an input, if it is at most MAX_INT."""
+    if value > MAX_INT:
+        raise ValueError(f"{name} must be <= 2**53, got {value}")
+    return value
+
+
 def _positive(name: str, value) -> None:
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    _bounded(value, name)
 
 
 @dataclass(frozen=True)
@@ -113,6 +126,7 @@ class LayerConfig:
             _positive("stride", self.stride)
             if not isinstance(self.padding, int) or self.padding < 0:
                 raise ValueError(f"padding must be a non-negative integer, got {self.padding!r}")
+            _bounded(self.padding, "padding")
             if self.output_units is not None:
                 raise ValueError(f"layer {self.name}: output_units is only valid for fc layers")
             if self.kind is LayerKind.CONV2D:

@@ -61,14 +61,6 @@ class MissingModelError(ValueError):
     """A network contains a layer kind with no model supplied for it."""
 
 
-class ZeroRuntimeError(ValueError):
-    """Average power is undefined because total predicted runtime is zero."""
-
-    def __init__(self, layers: tuple[LayerPrediction, ...]):
-        super().__init__("total predicted runtime is zero; average power undefined")
-        self.layers = layers  # the per-layer predictions, which are defined
-
-
 _SCHEMAS = {
     LayerKind.CONV2D: ("batch", "in_c", "in_hw", "kernel_hw", "stride", "padding",
                        "out_c", "out_hw"),
@@ -103,34 +95,14 @@ def special_terms(layer: LayerConfig) -> tuple[float, float]:
             float(ops.input_reads + ops.weight_reads + ops.output_writes))
 
 
-@dataclass(frozen=True)
-class TermSpec:
-    """One monomial: exponent per feature, total degree bounded by the model."""
-
-    exponents: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "exponents", tuple(int(e) for e in self.exponents))
-        if any(e < 0 for e in self.exponents):
-            raise ValueError("exponents must be non-negative")
-
-    @property
-    def degree(self) -> int:
-        return sum(self.exponents)
-
-
-def enumerate_terms(dim: int, degree: int) -> list[TermSpec]:
+@functools.cache
+def enumerate_terms(dim: int, degree: int) -> tuple[tuple[int, ...], ...]:
     """All exponent vectors with total degree <= `degree`, graded-lex order.
 
     Within each total degree, vectors are lexicographically descending
     (leftmost feature most significant). Count is C(dim + degree, degree).
-    A process builds each table once; every call returns a new list of it.
+    A process builds each table once.
     """
-    return list(_term_table(dim, degree))
-
-
-@functools.cache
-def _term_table(dim: int, degree: int) -> tuple[TermSpec, ...]:
     if dim < 1:
         raise ValueError("dim must be >= 1")
     if degree < 0:
@@ -144,35 +116,41 @@ def _term_table(dim: int, degree: int) -> tuple[TermSpec, ...]:
             for rest in compositions(total - head, slots - 1):
                 yield (head,) + rest
 
-    return tuple(TermSpec(exps) for total in range(degree + 1) for exps in compositions(total, dim))
+    return tuple(exps for total in range(degree + 1) for exps in compositions(total, dim))
 
 
 @dataclass(frozen=True)
 class PolynomialModel:
     """Fitted sparse polynomial for one (layer kind, target) pair.
 
-    Only nonzero-coefficient terms are stored; `size` is the published
-    model-size notion (regular + special term count). A bad term is named
-    by its index, as the model file names it (`terms`, `special_terms`).
+    Only nonzero-coefficient terms are stored, each as its exponent per
+    feature of `schema`; `size` is the published model-size notion (regular
+    + special term count). A bad term is named by its index, as the model
+    file names it (`terms`, `special_terms`).
     """
 
     layer_kind: LayerKind
     target: Target
     degree: int
-    schema: tuple[str, ...]
-    terms: tuple[tuple[TermSpec, float], ...]
+    terms: tuple[tuple[tuple[int, ...], float], ...]
     special: tuple[tuple[SpecialTerm, float], ...]
 
     def __post_init__(self):
         for i, (term, _) in enumerate(self.terms):
-            if len(term.exponents) != len(self.schema):
-                raise ValueError(f"terms entry {i}: {len(term.exponents)} exponents for the "
+            if any(e < 0 for e in term):
+                raise ValueError(f"terms entry {i}: exponents must be non-negative")
+            if len(term) != len(self.schema):
+                raise ValueError(f"terms entry {i}: {len(term)} exponents for the "
                                  f"{len(self.schema)} features of the schema")
-            if term.degree > self.degree:
-                raise ValueError(f"terms entry {i}: degree {term.degree} exceeds the model's "
+            if sum(term) > self.degree:
+                raise ValueError(f"terms entry {i}: degree {sum(term)} exceeds the model's "
                                  f"degree {self.degree}")
-        _distinct([term.exponents for term, _ in self.terms], "terms")
+        _distinct([term for term, _ in self.terms], "terms")
         _distinct([name.value for name, _ in self.special], "special_terms")
+
+    @property
+    def schema(self) -> tuple[str, ...]:
+        return _SCHEMAS[self.layer_kind]
 
     @property
     def size(self) -> int:
@@ -240,14 +218,14 @@ def evaluate(model: PolynomialModel, samples: list[tuple[LayerConfig, float]]) -
     return Metrics(float(_rmspe(pred, actual, warn_context="evaluate")), rmse)
 
 
-def _design_matrix(layers: list[LayerConfig], terms: list[TermSpec],
+def _design_matrix(layers: list[LayerConfig], terms: list[tuple[int, ...]],
                    specials=SPECIAL_TERMS) -> np.ndarray:
     """One row per layer: one column per term, then one per special term."""
     feats = np.array([build_features(layer) for layer in layers], dtype=float)
     n, dim = feats.shape
     # an exponent past the float range has no float power: its powers are inf
-    exps = np.array([[e if e <= sys.float_info.max else math.inf for e in term.exponents]
-                     for term in terms], dtype=float).reshape(len(terms), dim)
+    exps = np.array([[e if e <= sys.float_info.max else math.inf for e in term] for term in terms],
+                    dtype=float).reshape(len(terms), dim)
     levels = np.array(sorted(set(exps.ravel().tolist())))  # those that occur: 0..degree in a fit
     # row i*len(levels) + k holds feature i to the power levels[k]; pow gets only contiguous
     # operands, as a per-term feats ** exponents does, so numpy picks the same kernel
@@ -451,11 +429,11 @@ def _check_samples(samples, config: FitConfig, kind: LayerKind) -> None:
 
 
 def _assemble_model(kind: LayerKind, target: Target, degree: int,
-                    terms: list[TermSpec], coef: np.ndarray) -> PolynomialModel:
+                    terms: tuple[tuple[int, ...], ...], coef: np.ndarray) -> PolynomialModel:
     """The model of the nonzero entries of `coef`: one per term, then one per special term."""
     kept = [(i, float(coef[i])) for i in np.flatnonzero(coef).tolist()]
     p = len(terms)
-    return PolynomialModel(kind, target, degree, _SCHEMAS[kind],
+    return PolynomialModel(kind, target, degree,
                            tuple((terms[i], c) for i, c in kept if i < p),
                            tuple((SPECIAL_TERMS[i - p], c) for i, c in kept if i >= p))
 
@@ -636,16 +614,16 @@ class NetworkPrediction:
     layers: tuple[LayerPrediction, ...]
     total_runtime_ms: float
     total_energy_mj: float
-    average_power_w: float
+    average_power_w: float | None  # None when the total runtime is zero
 
 
 def predict_network(runtime_models: dict[LayerKind, PolynomialModel],
                     power_models: dict[LayerKind, PolynomialModel],
                     net: NetworkConfig) -> NetworkPrediction:
     """Network totals: runtimes sum, energies sum (T*P per layer, in mJ),
-    average power is total energy over total runtime. Raises ValueError,
-    naming the layer, when a prediction is not finite or a layer's energy or
-    the running totals overflow there."""
+    average power is total energy over total runtime, None when that is
+    zero. Raises ValueError, naming the layer, when a prediction is not
+    finite or a layer's energy or the running totals overflow there."""
     per_layer = []
     total_t = total_e = 0.0
     for layer in net.layers:
@@ -662,9 +640,8 @@ def predict_network(runtime_models: dict[LayerKind, PolynomialModel],
         total_e += e
         if math.inf in (total_t, total_e):  # t and p are finite and >= 0, so e is not nan
             raise ValueError(f"layer {layer.name}: {t!r} ms at {p!r} W overflows the totals")
-    if total_t == 0.0:
-        raise ZeroRuntimeError(tuple(per_layer))
-    return NetworkPrediction(tuple(per_layer), total_t, total_e, total_e / total_t)
+    return NetworkPrediction(tuple(per_layer), total_t, total_e,
+                             total_e / total_t if total_t else None)
 
 
 # --- serialization ---------------------------------------------------------
@@ -675,18 +652,17 @@ def model_to_json(model: PolynomialModel) -> str:
         "target": model.target.value,
         "degree": model.degree,
         "schema": list(model.schema),
-        "terms": [[list(term.exponents), coef] for term, coef in model.terms],
+        "terms": [[list(term), coef] for term, coef in model.terms],
         "special_terms": [[special.value, coef] for special, coef in model.special],
     }
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
-def _kind_schema(names, kind: LayerKind) -> tuple[str, ...]:
-    """`names` as the feature schema, which must be the one of `kind`."""
+def _kind_schema(names, kind: LayerKind) -> None:
+    """Raise unless `names`, a model file's feature schema, is the one of `kind`."""
     if tuple(names) != _SCHEMAS[kind]:
         raise ValueError(f"{kind.value} models take the features {list(_SCHEMAS[kind])}, "
                          f"got {list(names)}")
-    return _SCHEMAS[kind]
 
 
 def model_from_json(text: str) -> PolynomialModel:
@@ -694,13 +670,13 @@ def model_from_json(text: str) -> PolynomialModel:
     with _located(what):
         doc = json.loads(text)
         kind = _value(doc, "layer_kind", _member(LayerKind), what)
+        target = _value(doc, "target", _member(Target), what)
+        degree = _value(doc, "degree", _integer, what)
+        _value(doc, "schema", lambda names: _kind_schema(_names(names), kind), what)
         return PolynomialModel(
-            layer_kind=kind,
-            target=_value(doc, "target", _member(Target), what),
-            degree=_value(doc, "degree", _integer, what),
-            schema=_value(doc, "schema", lambda names: _kind_schema(_names(names), kind), what),
+            layer_kind=kind, target=target, degree=degree,
             terms=_value(doc, "terms", lambda terms: _pairs(
-                terms, lambda exps: TermSpec(_entries(exps, _integer, "integers")), _number,
+                terms, lambda exps: _entries(exps, _integer, "integers"), _number,
                 "[exponents, coefficient]"), what),
             special=_value(doc, "special_terms", lambda terms: _pairs(
                 terms, _member(SpecialTerm), _number, "[name, coefficient]"), what),

@@ -240,7 +240,7 @@ def poly_predict_reference(model, features, specials):
     total = 0.0
     try:
         for term, coef in model.terms:
-            for xi, qi in zip(features, term.exponents):
+            for xi, qi in zip(features, term):
                 if qi:
                     coef *= xi ** qi
             total += coef

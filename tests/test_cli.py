@@ -578,11 +578,10 @@ def test_missing_file_exit_code(capsys):
 def _constant_fc_models(models_dir, runtime_ms, power_w):
     """Constant fc runtime and power models written to `models_dir`."""
     models_dir.mkdir()
-    schema = polyreg._SCHEMAS[LayerKind.FULLY_CONNECTED]
-    const = polyreg.TermSpec((0,) * len(schema))
+    const = (0,) * len(polyreg._SCHEMAS[LayerKind.FULLY_CONNECTED])
     for target, value in ((polyreg.Target.RUNTIME_MS, runtime_ms),
                           (polyreg.Target.POWER_W, power_w)):
-        model = polyreg.PolynomialModel(LayerKind.FULLY_CONNECTED, target, 2, schema,
+        model = polyreg.PolynomialModel(LayerKind.FULLY_CONNECTED, target, 2,
                                         ((const, value),), ())
         (models_dir / f"model_fc_{target.value}.json").write_text(polyreg.model_to_json(model))
 
@@ -632,12 +631,11 @@ def test_predict_poly_zero_total_runtime_prints_layers_then_exits_1(tmp_path, ca
 def _fc_models(models_dir, runtime_terms, power_terms):
     """fc runtime and power models of the given (exponents, coefficient) terms."""
     models_dir.mkdir()
-    schema = polyreg._SCHEMAS[LayerKind.FULLY_CONNECTED]
     for target, terms in ((polyreg.Target.RUNTIME_MS, runtime_terms),
                           (polyreg.Target.POWER_W, power_terms)):
         degree = max(sum(exponents) for exponents, _ in terms)
-        model = polyreg.PolynomialModel(LayerKind.FULLY_CONNECTED, target, degree, schema,
-                                        tuple((polyreg.TermSpec(e), c) for e, c in terms), ())
+        model = polyreg.PolynomialModel(LayerKind.FULLY_CONNECTED, target, degree,
+                                        tuple(terms), ())
         (models_dir / f"model_fc_{target.value}.json").write_text(polyreg.model_to_json(model))
 
 
@@ -1151,15 +1149,64 @@ def test_an_infeasible_search_writes_its_trace_summary_and_manifest(tmp_path, ca
     (WRITING["fit-linear"] + ["--folds", "1"], "--folds", "must be >= 2, got 1"),
     (WRITING["fit"] + ["--degree", "0"], "--degree", "must be >= 1, got 0"),
     (WRITING["fit"] + ["--degree", "-2"], "--degree", "must be >= 1, got -2"),
+    (WRITING["fit"] + ["--l1", "-1"], "--l1", "must be >= 0, got -1.0"),
+    # past 2**53 --bitwidth overflowed a float energy, --degree the Gram size message
+    (ENERGY + ["--bitwidth", str(10 ** 400)], "--bitwidth", f"must be <= 2**53, got {10 ** 400}"),
+    (WRITING["fit"] + ["--degree", str(10 ** 400)], "--degree",
+     f"must be <= 2**53, got {10 ** 400}"),
 ], ids=["sparsity 1.5", "sparsity -0.25", "sparsity nan", "bitwidth 0", "candidates 0",
         "synth count 0", "sample count 0", "fit folds 1", "fit-linear folds 1", "degree 0",
-        "degree -2"])
+        "degree -2", "l1 -1", "bitwidth 1e400", "degree 1e400"])
 def test_an_option_out_of_range_names_its_flag(tmp_path, capsys, argv, flag, message):
     paths = _write_inputs(tmp_path)
     code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
     assert code == 1 and out == "" and "Traceback" not in err
     assert err.splitlines()[-1] == f"error: argument {flag}: {message}"
     assert not paths["out"].exists()
+
+
+@pytest.mark.parametrize("family", [PALEO, ENERGY, POLY], ids=["paleo", "energy", "poly"])
+def test_predict_names_the_line_of_a_layer_dimension_past_2_53(tmp_path, capsys, family):
+    """Every family reads the spec first, so none meets a dimension whose
+    float feature or count would overflow."""
+    (tmp_path / "net.txt").write_text(f"f1 fc in={10 ** 400}x4x1x1 out=2\n")
+    (tmp_path / "device.txt").write_text(DEVICE_SPEC)
+    (tmp_path / "energy.txt").write_text(ENERGY_SPEC)
+    paths = {"d": tmp_path, "net": tmp_path / "net.txt", "device": tmp_path / "device.txt",
+             "energy": tmp_path / "energy.txt"}
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in family))
+    assert (code, out) == (1, "")
+    assert err == f"error: network spec line 1: batch must be <= 2**53, got {10 ** 400}\n"
+
+
+# options whose change changes a file each writing command writes
+DIGESTED = {
+    "synth": [["--count", "6"], ["--noise", "0.2"], ["--seed", "1"]],
+    "fit": [["--folds", "4"], ["--degree", "1"], ["--l1", "0.01"], ["--seed", "1"]],
+    "sample": [["--count", "6"], ["--seed", "1"]],
+    "fit-linear": [["--folds", "4"], ["--bias"], ["--seed", "1"]],
+    "optimize": [["--budget", "6"], ["--objective", "branin"], ["--center", "0.5"],
+                 ["--noise", "0.1"], ["--candidates", "8"], ["--seed", "1"]],
+}
+
+
+@pytest.mark.parametrize("command", sorted(WRITING))
+def test_the_config_digest_follows_every_option_but_output_dir_and_format(tmp_path, capsys,
+                                                                          command):
+    paths = _write_inputs(tmp_path)
+
+    def digest(*flags, out="out"):
+        argv = [arg.format(**{**paths, "out": tmp_path / out}) for arg in WRITING[command]]
+        code, _, err = run(capsys, *argv, *flags)
+        assert code == 0, err
+        return json.loads((tmp_path / out / "manifest.json").read_text())["config_digest"]
+
+    base = digest()
+    assert digest(out="elsewhere") == base
+    if command in ("fit", "fit-linear"):
+        assert digest("--format", "csv") == base
+    for flags in DIGESTED[command]:
+        assert digest(*flags) != base, flags
 
 
 def _trace_rows(out_dir):

@@ -328,6 +328,7 @@ MOTIVATION = {
 
 
 KINDS = [kind.value for kind in LayerKind]
+HUGE = 10 ** 400
 
 
 # input name, the bad file's name and text, and the whole error line after `error: `
@@ -447,6 +448,23 @@ ENUMS_AND_ENTRIES = {
     "profiled x 1e200": ("profiled", "profiled.csv",
                          lambda d: f"a,power_w,memory_mb\n1,1,2\n2,2,3\n3,3,4\n{10 ** 200},4,5\n",
                          "CV RMSPE is not finite: the point (a=1e+200) measured power_w 4.0"),
+    # an integer past 2**53 of a text input, which a float feature or count could not hold
+    "network batch 1e400": ("network", "net.txt",
+                            lambda d: NETWORK.replace("in=1x", f"in={HUGE}x", 1),
+                            f"network spec line 2: batch must be <= 2**53, got {HUGE}"),
+    "network padding 1e400": ("network", "net.txt", lambda d: NETWORK.replace("p=1", f"p={HUGE}"),
+                              f"network spec line 2: padding must be <= 2**53, got {HUGE}"),
+    "profile in_c 1e400": ("profile", "profile.csv",
+                           _synth_profile_with_line_15(f"conv,1,{HUGE},8,8,3,3,1,1,4,,1.0,2.0"),
+                           f"profile CSV row 15: channels must be <= 2**53, got {HUGE}"),
+    "device bytes_per_element 1e400": ("device", "device.txt",
+                                       lambda d: DEVICE.replace("element = 4", f"element = {HUGE}"),
+                                       f"device spec line 7: value must be <= 2**53, got {HUGE}"),
+    "energy bitwidth_reference 1e400": ("energy", "energy.txt",
+                                        lambda d: ENERGY.replace("= 16", f"= {HUGE}"),
+                                        f"energy spec line 3: value must be <= 2**53, got {HUGE}"),
+    "accesses count 1e400": ("accesses", "accesses.txt", lambda d: f"c1 DRAM {HUGE}\n",
+                             f"accesses line 1: access count must be <= 2**53, got {HUGE}"),
 }
 
 

@@ -12,7 +12,7 @@ from hwcost import polyreg, synth
 from hwcost.seeding import kfold_indices
 from hwcost.polyreg import (FitConfig, FitError, Metrics,
                             MissingModelError, PolynomialModel, SpecialTerm, Target,
-                            TermSpec, ZeroRuntimeError, build_features, enumerate_terms,
+                            build_features, enumerate_terms,
                             evaluate, fit, model_from_json, model_to_json, predict, predict_network,
                             read_profile_csv, special_terms, write_profile_csv)
 from oracles import design_matrix_reference, lasso_homotopy_reference, poly_predict_reference
@@ -82,16 +82,15 @@ def test_single_placement_conv_special_terms():
 # --- term enumeration --------------------------------------------------------
 
 def test_enumerate_terms_d2_k2():
-    terms = [t.exponents for t in enumerate_terms(2, 2)]
-    assert terms == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    assert enumerate_terms(2, 2) == ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 
 def test_enumerate_terms_constant_only():
-    assert [t.exponents for t in enumerate_terms(1, 0)] == [(0,)]
+    assert enumerate_terms(1, 0) == ((0,),)
 
 
 def test_enumerate_terms_d3_k3_against_exhaustive():
-    got = [t.exponents for t in enumerate_terms(3, 3)]
+    got = enumerate_terms(3, 3)
     brute = {e for e in itertools.product(range(4), repeat=3) if sum(e) <= 3}
     assert len(got) == 20 == math.comb(3 + 3, 3)
     assert set(got) == brute
@@ -105,12 +104,10 @@ def test_term_count_formula():
         assert len(enumerate_terms(dim, degree)) == math.comb(dim + degree, degree)
 
 
-def test_each_call_gets_its_own_list_of_the_term_table():
-    first, second = enumerate_terms(6, 2), enumerate_terms(6, 2)
-    assert first == second and first is not second
-    first.reverse()
-    first.append(TermSpec((9, 0, 0, 0, 0, 0)))
-    assert enumerate_terms(6, 2) == second and len(second) == math.comb(6 + 2, 2)
+def test_each_call_gets_the_cached_term_table():
+    table = enumerate_terms(6, 2)
+    assert type(table) is tuple and all(type(term) is tuple for term in table)
+    assert enumerate_terms(6, 2) is table and len(table) == math.comb(6 + 2, 2)
 
 
 # --- fitting -----------------------------------------------------------------
@@ -120,7 +117,7 @@ def test_fit_recovers_generating_polynomial():
     samples = pool_grid_samples(lambda b, c: 2.0 * b + 3.0 * b * c)
     model = fit(samples, FitConfig(degree=2, l1_strength=0.0, seed=1),
                 LayerKind.POOL2D, Target.RUNTIME_MS)
-    coefs = {t.exponents: c for t, c in model.terms}
+    coefs = dict(model.terms)
     assert coefs[(1, 0, 0, 0, 0, 0)] == pytest.approx(2.0, abs=1e-6)
     assert coefs[(1, 1, 0, 0, 0, 0)] == pytest.approx(3.0, abs=1e-6)
     assert len(model.terms) == 2
@@ -246,7 +243,7 @@ def _standardized_problem(samples, kind, degree):
     """Raw design, standardized live columns and target, as the fit sees them."""
     terms = enumerate_terms(len(polyreg._SCHEMAS[kind]), degree)
     feats = np.array([build_features(layer) for layer, _ in samples])
-    cols = [np.prod(feats ** np.asarray(t.exponents, dtype=float), axis=1) for t in terms]
+    cols = [np.prod(feats ** np.asarray(t, dtype=float), axis=1) for t in terms]
     sp = np.array([special_terms(layer) for layer, _ in samples])
     design = np.column_stack(cols + [sp[:, 0], sp[:, 1]])
     y = np.array([t for _, t in samples])
@@ -402,7 +399,7 @@ def test_design_matrix_bit_exact_with_per_term_product(kind, samples):
     layers = [layer for layer, _ in samples]
     terms = enumerate_terms(len(polyreg._SCHEMAS[kind]), polyreg.DEFAULT_DEGREE[kind])
     want = design_matrix_reference(np.array([build_features(layer) for layer in layers]),
-                                   [t.exponents for t in terms],
+                                   terms,
                                    np.array([special_terms(layer) for layer in layers]))
     assert np.array_equal(polyreg._design_matrix(layers, terms), want)
 
@@ -863,12 +860,11 @@ def test_batch_predict_matches_the_reference_term_loop(kind):
 
 def test_models_of_no_terms_or_only_special_terms_predict_a_batch():
     layers = [fc_layer(b, i, o, f"f{b}") for b, i, o in ((1, 2, 2), (3, 7, 5), (8, 64, 10))]
-    schema = polyreg._SCHEMAS[LayerKind.FULLY_CONNECTED]
     assert polyreg._design_matrix(layers, []).shape == (3, 2)
-    empty = PolynomialModel(LayerKind.FULLY_CONNECTED, Target.RUNTIME_MS, 2, schema, (), ())
+    empty = PolynomialModel(LayerKind.FULLY_CONNECTED, Target.RUNTIME_MS, 2, (), ())
     values, clamped = predict(empty, layers)
     assert values.tolist() == [0.0, 0.0, 0.0] and not clamped.any()
-    special = PolynomialModel(LayerKind.FULLY_CONNECTED, Target.RUNTIME_MS, 2, schema, (),
+    special = PolynomialModel(LayerKind.FULLY_CONNECTED, Target.RUNTIME_MS, 2, (),
                               ((SpecialTerm.TOTAL_MEM_ACCESSES, 0.5),
                                (SpecialTerm.TOTAL_FLOPS, 2.0)))
     values, clamped = predict(special, layers)
@@ -878,24 +874,20 @@ def test_models_of_no_terms_or_only_special_terms_predict_a_batch():
 
 
 def test_constant_model_predicts_constant():
-    const = TermSpec((0, 0, 0))
     model = PolynomialModel(LayerKind.FULLY_CONNECTED, Target.RUNTIME_MS, 2,
-                            polyreg._SCHEMAS[LayerKind.FULLY_CONNECTED],
-                            ((const, 5.0),), ())
+                            (((0, 0, 0), 5.0),), ())
     assert predict(model, [fc_layer(3, 9, 4)])[0][0] == 5.0
 
 
 def test_empty_model_predicts_zero():
-    model = PolynomialModel(LayerKind.FULLY_CONNECTED, Target.RUNTIME_MS, 2,
-                            polyreg._SCHEMAS[LayerKind.FULLY_CONNECTED], (), ())
+    model = PolynomialModel(LayerKind.FULLY_CONNECTED, Target.RUNTIME_MS, 2, (), ())
     (value,), (clamped,) = predict(model, [fc_layer(1, 2, 2)])
     assert value == 0.0 and not clamped
 
 
 def test_negative_prediction_clamps_with_flag():
     model = PolynomialModel(LayerKind.FULLY_CONNECTED, Target.RUNTIME_MS, 2,
-                            polyreg._SCHEMAS[LayerKind.FULLY_CONNECTED],
-                            ((TermSpec((0, 0, 0)), -3.0),), ())
+                            (((0, 0, 0), -3.0),), ())
     (value,), (clamped,) = predict(model, [fc_layer(1, 2, 2)])
     assert value == 0.0 and clamped
 
@@ -908,19 +900,18 @@ def test_negative_prediction_clamps_with_flag():
     ((((0, 1), 1.0),), (), "terms entry 0: 2 exponents for the 3 features of the schema"),
     ((((0, 0, 0), 1.0), ((3, 0, 0), 1.0)), (),
      "terms entry 1: degree 3 exceeds the model's degree 2"),
-], ids=["term", "special term", "arity", "degree"])
+    ((((0, 0, 0), 1.0), ((2, -1, 0), 1.0)), (),
+     "terms entry 1: exponents must be non-negative"),
+], ids=["term", "special term", "arity", "degree", "negative exponent"])
 def test_a_term_named_twice_or_misshapen_is_an_error_naming_its_entry(terms, special, error):
     """Each copy of a repeated term would be added to every prediction."""
     with pytest.raises(ValueError) as exc:
-        PolynomialModel(LayerKind.FULLY_CONNECTED, Target.RUNTIME_MS, 2,
-                        polyreg._SCHEMAS[LayerKind.FULLY_CONNECTED],
-                        tuple((TermSpec(e), c) for e, c in terms), special)
+        PolynomialModel(LayerKind.FULLY_CONNECTED, Target.RUNTIME_MS, 2, terms, special)
     assert str(exc.value) == error
 
 
 def test_predict_rejects_kind_mismatch():
-    model = PolynomialModel(LayerKind.FULLY_CONNECTED, Target.RUNTIME_MS, 2,
-                            polyreg._SCHEMAS[LayerKind.FULLY_CONNECTED], (), ())
+    model = PolynomialModel(LayerKind.FULLY_CONNECTED, Target.RUNTIME_MS, 2, (), ())
     with pytest.raises(ValueError):
         predict(model, [pool2d("p", TensorShape(1, 1, 4, 4), kernel=2, stride=2)])
 
@@ -929,8 +920,7 @@ def test_predict_rejects_kind_mismatch():
 
 def _constant_model(kind, target, value):
     dim = len(polyreg._SCHEMAS[kind])
-    return PolynomialModel(kind, target, 2, polyreg._SCHEMAS[kind],
-                           ((TermSpec((0,) * dim), value),), ())
+    return PolynomialModel(kind, target, 2, (((0,) * dim, value),), ())
 
 
 def test_network_aggregation_definition():
@@ -1019,8 +1009,9 @@ def test_zero_total_runtime_is_error():
                                                        Target.RUNTIME_MS, 0.0)}
     power = {LayerKind.FULLY_CONNECTED: _constant_model(LayerKind.FULLY_CONNECTED,
                                                         Target.POWER_W, 1.0)}
-    with pytest.raises(ZeroRuntimeError):
-        predict_network(zero, power, net)
+    pred = predict_network(zero, power, net)
+    assert pred.average_power_w is None and pred.total_runtime_ms == 0.0
+    assert [(lp.runtime_ms, lp.power_w) for lp in pred.layers] == [(0.0, 1.0)]
 
 
 # --- evaluation --------------------------------------------------------------
