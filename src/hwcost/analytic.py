@@ -16,10 +16,6 @@ from .netgraph import (InputError, LayerConfig, NetworkConfig, _bounded, _distin
                        _located, _lines, _put, count_ops)
 
 
-class ConfigurationError(ValueError):
-    """An access profile references a level the energy spec does not define."""
-
-
 def _check_fraction(name: str, value: float) -> None:
     if not (0.0 < value <= 1.0):
         raise ValueError(f"{name} must be in (0, 1], got {value!r}")
@@ -205,10 +201,8 @@ def eyeriss_layer_energy(layer: LayerConfig, spec: EnergySpec,
     level_energy = dict(spec.levels)
     unknown = [name for name, _ in accesses.counts if name not in level_energy]
     if unknown:
-        raise ConfigurationError(
-            f"access profile references unknown level(s) {unknown}; "
-            f"energy spec defines {list(level_energy)}"
-        )
+        raise ValueError(f"access profile references unknown level(s) {unknown}; "
+                         f"energy spec defines {list(level_energy)}")
     active = 1.0 - zero_fraction
     scale = bitwidth / spec.bitwidth_reference
     compute_pj = count_ops(layer).macs * active * spec.e_mac * scale

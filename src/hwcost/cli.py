@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .netgraph import (MAX_INT, LayerKind, _bounded, _entries, _finite, _integer, _lines,
+from .netgraph import (MAX_INT, LayerKind, _bounded, _bounded_integer, _entries, _finite, _lines,
                        _located, _names, _number, _object, _text, _value, parse_network)
 # a module-level name: callers that wrap the objective replace cli.build_objective
 from .objectives import build_objective
@@ -48,11 +48,7 @@ class _Parser(argparse.ArgumentParser):
     # reserves 2 for infeasible-everywhere
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise UsageError(message)
-
-
-class UsageError(ValueError):
-    pass
+        raise ValueError(message)
 
 
 def _finite_arg(text: str) -> float:
@@ -87,17 +83,23 @@ def _fraction_arg(text: str) -> float:
     return value
 
 
-def _int_arg(minimum: int):
-    """argparse type for an integer from `minimum` to MAX_INT."""
+# the bounds an option's message writes as powers of two
+_POWERS = {MAX_INT: "2**53", -2 ** 63: "-2**63", 2 ** 64 - 1: "2**64 - 1"}
+
+
+def _int_arg(minimum: int, maximum: int = MAX_INT):
+    """argparse type for an integer from `minimum` to `maximum`."""
     def in_range(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
-        if value > MAX_INT:
-            raise argparse.ArgumentTypeError(f"must be <= 2**53, got {value}")
+            raise argparse.ArgumentTypeError(f"must be >= {_POWERS.get(minimum, minimum)}, "
+                                             f"got {value}")
+        if value > maximum:
+            raise argparse.ArgumentTypeError(f"must be <= {_POWERS.get(maximum, maximum)}, "
+                                             f"got {value}")
         return value
     return in_range
 
@@ -155,13 +157,13 @@ def _write_outputs(args, texts: dict[str, str], inputs: list[Path]) -> None:
 
 
 def _only_for(args, choice: str, options: dict[str, tuple[str, ...]]) -> None:
-    """UsageError for an option given with a --`choice` value that does not
+    """ValueError for an option given with a --`choice` value that does not
     read it; `options` maps each value to the options only it reads."""
     chosen = getattr(args, choice)
     for value, names in options.items():
         for name in names:
             if value != chosen and getattr(args, name) is not None:
-                raise UsageError(f"--{name.replace('_', '-')} is read only by "
+                raise ValueError(f"--{name.replace('_', '-')} is read only by "
                                  f"--{choice} {value}, not {chosen}")
 
 
@@ -213,7 +215,7 @@ def _cmd_fit(args) -> int:
             rows.append([kind.value, target.value, str(model.size),
                          _fmt(metrics.rmspe), _fmt(metrics.rmse)])
     if not texts:
-        raise UsageError("no (kind, target) had enough samples to fit")
+        raise ValueError("no (kind, target) had enough samples to fit")
     _write_outputs(args, texts, [csv_path])
     _print_table(["kind", "target", "size", "cv_rmspe_pct", "cv_rmse"], rows, args.format)
     return EXIT_OK
@@ -236,7 +238,7 @@ def _cmd_predict(args) -> int:
     net = parse_network(net_path.read_text(), name=net_path.stem)
     if args.family == "poly":
         if not args.models_dir:
-            raise UsageError("--family poly requires --models-dir")
+            raise ValueError("--family poly requires --models-dir")
         from . import polyreg
         runtime = _load_poly_models(Path(args.models_dir), polyreg.Target.RUNTIME_MS)
         power = _load_poly_models(Path(args.models_dir), polyreg.Target.POWER_W)
@@ -255,7 +257,7 @@ def _cmd_predict(args) -> int:
             raise ValueError("total predicted runtime is zero; average power undefined")
     elif args.family == "paleo":
         if not args.device:
-            raise UsageError("--family paleo requires --device")
+            raise ValueError("--family paleo requires --device")
         from . import analytic
         device = analytic.parse_device_spec(Path(args.device).read_text())
         result = analytic.paleo_network_runtime(net, device)
@@ -265,7 +267,7 @@ def _cmd_predict(args) -> int:
         _print_table(["layer", "r_ms", "c_ms", "w_ms", "t_ms"], rows, args.format)
     else:  # energy
         if not args.energy:
-            raise UsageError("--family energy requires --energy")
+            raise ValueError("--family energy requires --energy")
         from . import analytic
         spec = analytic.parse_energy_spec(Path(args.energy).read_text())
         accesses = (_load_accesses(Path(args.accesses).read_text(),
@@ -348,9 +350,10 @@ def _load_schema(text: str) -> linmod.StructuralSchema:
         doc = json.loads(text)
     with _located("schema key 'dimensions'"):
         dims = _dimensions(doc, "schema")
-        return linmod.StructuralSchema(tuple(_value(d, "name", _text, at) for at, d in dims),
-                                       tuple(_value(d, "lo", _integer, at) for at, d in dims),
-                                       tuple(_value(d, "hi", _integer, at) for at, d in dims))
+        return linmod.StructuralSchema(
+            tuple(_value(d, "name", _text, at) for at, d in dims),
+            tuple(_value(d, "lo", _bounded_integer, at) for at, d in dims),
+            tuple(_value(d, "hi", _bounded_integer, at) for at, d in dims))
 
 
 def _cmd_fit_linear(args) -> int:
@@ -396,7 +399,7 @@ def _cmd_optimize(args) -> int:
                         args.memory_budget]
     if any(flag is not None for flag in constraint_flags):
         if any(flag is None for flag in constraint_flags):
-            raise UsageError("constrained runs need --power-model, --memory-model, "
+            raise ValueError("constrained runs need --power-model, --memory-model, "
                              "--power-budget and --memory-budget together")
         power_model = linmod.model_from_json(Path(args.power_model).read_text())
         memory_model = linmod.model_from_json(Path(args.memory_model).read_text())
@@ -447,7 +450,8 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def writes_files(p):
-        p.add_argument("--seed", type=int, default=0)
+        # a seed is any 64-bit integer, signed or not (`seeding.generator`)
+        p.add_argument("--seed", type=_int_arg(-2 ** 63, 2 ** 64 - 1), default=0)
         p.add_argument("--output-dir", default=".")
 
     def prints_table(p):
@@ -512,7 +516,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--command", nargs=argparse.REMAINDER,
                    help="external objective command (reads x CSV line on stdin); "
                         "takes the rest of the line, so it comes last")
-    p.add_argument("--budget", type=int, required=True)
+    p.add_argument("--budget", type=_int_arg(1), required=True)
     p.add_argument("--candidates", type=_int_arg(1))
     p.add_argument("--power-model")
     p.add_argument("--memory-model")

@@ -19,15 +19,6 @@ from .netgraph import (_csv_rows, _distinct, _entries, _finite, _flag, _located,
 from .seeding import generator, kfold_indices
 
 
-class RankDeficientError(ValueError):
-    """The profiled design cannot identify every weight."""
-
-    def __init__(self, dimensions: tuple[str, ...]):
-        super().__init__(f"rank-deficient design; unidentifiable dimension(s): "
-                         f"{', '.join(dimensions)}")
-        self.dimensions = dimensions
-
-
 class LinTarget(Enum):
     POWER_W = "power_w"
     MEMORY_MB = "memory_mb"
@@ -108,8 +99,8 @@ def fit_linear(profile: Profile, target: LinTarget, folds: int = 10,
                seed: int = 0, include_bias: bool = False) -> LinearModel:
     """Ordinary least squares through the origin, with a seeded CV report.
 
-    Raises RankDeficientError naming the dimensions the data cannot
-    identify (directions in the design's null space).
+    Raises ValueError naming the dimensions the data cannot identify
+    (directions in the design's null space).
     """
     Z = np.asarray(profile.z, dtype=float)
     names = profile.names
@@ -126,7 +117,8 @@ def fit_linear(profile: Profile, target: LinTarget, folds: int = 10,
     if rank < j:
         null_basis = vt[rank:]
         bad = tuple(names[k] for k in range(j) if np.any(np.abs(null_basis[:, k]) > 1e-8))
-        raise RankDeficientError(bad)
+        raise ValueError(f"rank-deficient design; unidentifiable dimension(s): "
+                         f"{', '.join(bad)}")
 
     weights = np.linalg.lstsq(Z, y, rcond=None)[0]
     fold_of = kfold_indices(n, folds, seed)

@@ -21,14 +21,6 @@ class LayerKind(Enum):
     POOL2D = "pool"
 
 
-class GeometryError(ValueError):
-    """Layer hyper-parameters produce an output smaller than 1x1."""
-
-
-class ShapeMismatchError(ValueError):
-    """A layer's input does not match the previous layer's output."""
-
-
 class InputError(ValueError):
     """Malformed input; the message names the input and its line, row or key."""
 
@@ -43,14 +35,6 @@ class _EntryError(ValueError):
 
     def __init__(self, where: str, message: str):
         super().__init__(f"{where}: {message}")
-
-
-class NetworkParseError(InputError):
-    """Malformed network spec text."""
-
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"network spec line {line_no}", message)
-        self.line_no = line_no
 
 
 # the largest integer an input may give: every integer up to it is an exact
@@ -136,11 +120,9 @@ class LayerConfig:
             out_h = _spatial_out(self.input.height, self.kernel_h, self.stride, self.padding)
             out_w = _spatial_out(self.input.width, self.kernel_w, self.stride, self.padding)
             if min(out_h, out_w) < 1:
-                raise GeometryError(
-                    f"layer {self.name}: kernel {self.kernel_h}x{self.kernel_w} with "
-                    f"stride {self.stride}, padding {self.padding} does not fit a "
-                    f"{self.input.height}x{self.input.width} input"
-                )
+                raise ValueError(f"layer {self.name}: kernel {self.kernel_h}x{self.kernel_w} "
+                                 f"with stride {self.stride}, padding {self.padding} does not "
+                                 f"fit a {self.input.height}x{self.input.width} input")
             channels = (self.output_channels if self.kind is LayerKind.CONV2D
                         else self.input.channels)
             output = TensorShape(self.input.batch, channels, out_h, out_w)
@@ -229,10 +211,8 @@ class NetworkConfig:
             if nxt.kind is LayerKind.FULLY_CONNECTED:
                 expected = expected.flattened()
             if nxt.input != expected:
-                raise ShapeMismatchError(
-                    f"layer {nxt.name}: input {nxt.input} does not match "
-                    f"{prev.name}'s output {expected}"
-                )
+                raise ValueError(f"layer {nxt.name}: input {nxt.input} does not match "
+                                 f"{prev.name}'s output {expected}")
 
 
 # --- input reading: every text reader in the package goes through these ---
@@ -356,6 +336,15 @@ def _integer(value) -> int:
     return value
 
 
+def _bounded_integer(value) -> int:
+    """A JSON integer from -2**53 to 2**53, a bound that keeps it an exact
+    float and inside numpy's int64; any other JSON type is an error."""
+    value = _integer(value)
+    if value < -MAX_INT:
+        raise ValueError(f"value must be >= -2**53, got {value}")
+    return _bounded(value, "value")
+
+
 def _object(value) -> dict:
     """A JSON object as is; any other JSON type is an error."""
     if not isinstance(value, dict):
@@ -438,7 +427,7 @@ def parse_network(text: str, name: str = "network") -> NetworkConfig:
     inherited: TensorShape | None = None
     first_line: dict[str, int] = {}
     for line_no, line in _lines(text):
-        with _located(line_no, NetworkParseError):
+        with _located(f"network spec line {line_no}"):
             tokens = line.split()
             if len(tokens) < 2:
                 raise ValueError(f"expected 'name kind key=value ...', got {line!r}")
@@ -475,8 +464,8 @@ def parse_network(text: str, name: str = "network") -> NetworkConfig:
             else:
                 layer = fully_connected(lname, inp, units=_spec_ints(kv, "out"))
         if expected is not None and inp != expected:
-            raise ShapeMismatchError(f"network spec line {line_no}: layer {lname}: declared "
-                                     f"input {inp} does not match inferred {expected}")
+            raise InputError(f"network spec line {line_no}", f"layer {lname}: declared "
+                             f"input {inp} does not match inferred {expected}")
         layers.append(layer)
         inherited = layer.output
     return NetworkConfig(name, tuple(layers))

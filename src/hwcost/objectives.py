@@ -14,10 +14,6 @@ import signal
 import subprocess
 
 
-class ObjectiveError(RuntimeError):
-    """External objective command failed, timed out or produced no parseable value."""
-
-
 def quadratic_bowl(center=0.3):
     """Sum of squared distances to `center`: a scalar broadcasts to all dims,
     a sequence gives one value per coordinate of the point."""
@@ -61,7 +57,7 @@ def command_objective(argv: list[str], timeout: float | None = None):
 
     Each call writes `x` as one comma-separated line to the command's stdin
     and parses the first token of stdout as y. A call that runs past
-    `timeout` seconds (None: no limit) raises ObjectiveError once the
+    `timeout` seconds (None: no limit) raises RuntimeError once the
     command and every process left in its process group are killed.
     """
     if timeout is not None and not (math.isfinite(timeout) and timeout > 0.0):
@@ -76,12 +72,12 @@ def command_objective(argv: list[str], timeout: float | None = None):
             except subprocess.TimeoutExpired:
                 os.killpg(proc.pid, signal.SIGKILL)   # its session's one process group
                 proc.wait()
-                raise ObjectiveError(f"objective command ran past {timeout:g} s") from None
+                raise RuntimeError(f"objective command ran past {timeout:g} s") from None
         if proc.returncode != 0:
-            raise ObjectiveError(f"objective command exited {proc.returncode}: {stderr.strip()}")
+            raise RuntimeError(f"objective command exited {proc.returncode}: {stderr.strip()}")
         tokens = stdout.split()
         if not tokens:
-            raise ObjectiveError("objective command printed no value")
+            raise RuntimeError("objective command printed no value")
         return float(tokens[0])
     return objective
 

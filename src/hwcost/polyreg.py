@@ -57,10 +57,6 @@ class FitError(ValueError):
     """Fitting preconditions violated (sample count, kind mismatch, ...)."""
 
 
-class MissingModelError(ValueError):
-    """A network contains a layer kind with no model supplied for it."""
-
-
 _SCHEMAS = {
     LayerKind.CONV2D: ("batch", "in_c", "in_hw", "kernel_hw", "stride", "padding",
                        "out_c", "out_hw"),
@@ -573,28 +569,45 @@ def fit_with_metrics(samples: list[tuple[LayerConfig, float]], config: FitConfig
     return model, metrics
 
 
-def predict(model: PolynomialModel, layers: list[LayerConfig]) -> tuple[np.ndarray, np.ndarray]:
-    """Model values of `layers`, clamped at zero, and a mask of the clamped ones.
+def _values(model: PolynomialModel, layers: list[LayerConfig]) -> np.ndarray:
+    """Model values of `layers`, of the model's kind, unchecked: not clamped
+    and maybe not finite.
 
     The term columns of `_design_matrix` are added one by one in the model's
-    order, so a layer predicts the same bits alone as in a batch. Raises
-    ValueError, naming the first such layer and the model, when a layer is
-    not of the model's kind or its value is not finite (a coefficient of
-    1e308 times a feature above 1, or a feature to a power of 600, overflows)."""
-    for layer in layers:
-        if layer.kind is not model.layer_kind:
-            raise ValueError(f"layer {layer.name} is {layer.kind.value}, "
-                             f"model is for {model.layer_kind.value}")
-    with np.errstate(all="ignore"):  # a value that is not finite is named below
+    order, so a layer gets the same bits alone as in a batch."""
+    with np.errstate(all="ignore"):  # `_check` names a value that is not finite
         design = _design_matrix(layers, [term for term, _ in model.terms],
                                 [name for name, _ in model.special])
         total = np.zeros(len(layers))
         for column, (_, coef) in zip(design.T, model.terms + model.special):
             total = total + coef * column
+    return total
+
+
+def _check(model: PolynomialModel, layer: LayerConfig, value: float = 0.0) -> float:
+    """`value`, the model's value of `layer`, if the layer is of the model's
+    kind and the value is finite; else ValueError naming the layer and the model."""
+    if layer.kind is not model.layer_kind:
+        raise ValueError(f"layer {layer.name} is {layer.kind.value}, "
+                         f"model is for {model.layer_kind.value}")
+    if not math.isfinite(value):
+        raise ValueError(f"layer {layer.name}: the {model.layer_kind.value} "
+                         f"{model.target.value} model predicts {value!r}")
+    return value
+
+
+def predict(model: PolynomialModel, layers: list[LayerConfig]) -> tuple[np.ndarray, np.ndarray]:
+    """Model values of `layers`, clamped at zero, and a mask of the clamped ones.
+
+    A layer predicts the same bits alone as in a batch. Raises ValueError,
+    naming the first such layer and the model, when a layer is not of the
+    model's kind or its value is not finite (a coefficient of 1e308 times a
+    feature above 1, or a feature to a power of 600, overflows)."""
+    for layer in layers:
+        _check(model, layer)
+    total = _values(model, layers)
     for layer, value in zip(layers, total.tolist()):
-        if not math.isfinite(value):
-            raise ValueError(f"layer {layer.name}: the {model.layer_kind.value} "
-                             f"{model.target.value} model predicts {value!r}")
+        _check(model, layer, value)
     clamped = total < 0.0
     return np.where(clamped, 0.0, total), clamped
 
@@ -622,20 +635,33 @@ def predict_network(runtime_models: dict[LayerKind, PolynomialModel],
                     net: NetworkConfig) -> NetworkPrediction:
     """Network totals: runtimes sum, energies sum (T*P per layer, in mJ),
     average power is total energy over total runtime, None when that is
-    zero. Raises ValueError, naming the layer, when a prediction is not
-    finite or a layer's energy or the running totals overflow there."""
+    zero. Raises ValueError at the first layer, in network order, whose kind
+    has no runtime or power model, whose prediction `predict` refuses, or
+    whose energy or running totals overflow.
+
+    Each (kind, target) is predicted as one batch of that kind's layers,
+    which gives each layer the bits it gets alone; the walk over the layers
+    then checks each value where a per-layer `predict` would have."""
+    targets = (("runtime", runtime_models), ("power", power_models))
+    by_kind: dict[LayerKind, list[LayerConfig]] = {}
+    for layer in net.layers:
+        by_kind.setdefault(layer.kind, []).append(layer)
+    # each batch's values in network order; a model of another kind is not run:
+    # its zeros stand in until `_check` refuses the kind
+    values = {(kind, target): iter(_values(models[kind], layers).tolist()
+                                   if models[kind].layer_kind is kind else [0.0] * len(layers))
+              for kind, layers in by_kind.items() for target, models in targets if kind in models}
     per_layer = []
     total_t = total_e = 0.0
     for layer in net.layers:
-        if layer.kind not in runtime_models:
-            raise MissingModelError(f"no runtime model for kind {layer.kind.value}")
-        if layer.kind not in power_models:
-            raise MissingModelError(f"no power model for kind {layer.kind.value}")
-        t, t_clamped = (a.item() for a in predict(runtime_models[layer.kind], [layer]))
-        p, p_clamped = (a.item() for a in predict(power_models[layer.kind], [layer]))
+        for target, models in targets:
+            if layer.kind not in models:
+                raise ValueError(f"no {target} model for kind {layer.kind.value}")
+        t_p = [_check(models[layer.kind], layer, next(values[layer.kind, target]))
+               for target, models in targets]
+        t, p = (0.0 if value < 0.0 else value for value in t_p)
         e = t * p  # ms * W = mJ
-        per_layer.append(LayerPrediction(layer.name, layer.kind, t, p, e,
-                                         t_clamped or p_clamped))
+        per_layer.append(LayerPrediction(layer.name, layer.kind, t, p, e, min(t_p) < 0.0))
         total_t += t
         total_e += e
         if math.inf in (total_t, total_e):  # t and p are finite and >= 0, so e is not nan

@@ -13,8 +13,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .netgraph import (LayerConfig, LayerKind, TensorShape, _distinct, _entries, _EntryError,
-                       _integer, _located, _member, _number, _object, _value)
+from .netgraph import (LayerConfig, LayerKind, TensorShape, _bounded_integer, _distinct, _entries,
+                       _EntryError, _located, _member, _number, _object, _value)
 from .polyreg import ProfileSample, special_terms, write_profile_csv
 from .seeding import generator
 
@@ -85,7 +85,7 @@ def _ranges(doc, base: dict[str, tuple[int, int]]) -> dict[str, tuple[int, int]]
         with _located(name, _EntryError):
             if not (isinstance(bounds, list) and len(bounds) == 2):
                 raise TypeError(f"expected [lo, hi], got {bounds!r}")
-            lo, hi = ranges[name] = (_integer(bounds[0]), _integer(bounds[1]))
+            lo, hi = ranges[name] = (_bounded_integer(bounds[0]), _bounded_integer(bounds[1]))
             if lo > hi:
                 raise ValueError(f"empty range [{lo}, {hi}], lo > hi")
     missing = sorted(set(base) - set(ranges) - {"pad"})
@@ -119,7 +119,7 @@ def load_config(text: str) -> SynthConfig:
         use = _value(doc, "use", lambda names: _entries(names, _member(LayerKind), "kind names"),
                      what, tuple(generators))
         _distinct((kind.value for kind in use), "use")
-        return SynthConfig(count=_value(doc, "count", _integer, what, 500),
+        return SynthConfig(count=_value(doc, "count", _bounded_integer, what, 500),
                            noise=_value(doc, "noise", _number, what, 0.05),
                            kinds=use, generators=generators)
 

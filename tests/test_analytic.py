@@ -1,7 +1,7 @@
 import pytest
 
-from hwcost.analytic import (AccessProfile, ConfigurationError, DeviceSpec, EnergySpec,
-                             SparsityInfo, default_access_profile,
+from hwcost.analytic import (AccessProfile, DeviceSpec, EnergySpec, SparsityInfo,
+                             default_access_profile,
                              eyeriss_layer_energy, eyeriss_network_energy,
                              paleo_layer_runtime, paleo_network_runtime,
                              parse_device_spec, parse_energy_spec)
@@ -118,7 +118,8 @@ def test_half_bitwidth_halves_energy():
 def test_unknown_level_is_configuration_error():
     layer = fully_connected("f", TensorShape(1, 4, 1, 1), units=2)
     spec = EnergySpec(e_mac=1.0, levels=(("DRAM", 100.0),))
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValueError, match=r"^access profile references unknown level\(s\) "
+                                         r"\['L2'\]; energy spec defines \['DRAM'\]$"):
         eyeriss_layer_energy(layer, spec, AccessProfile((("L2", 10),)))
 
 

@@ -886,7 +886,7 @@ def test_reused_parser_carries_no_state_past_errors_and_help(tmp_path, capsys):
 def test_readme_examples_parse():
     """Every `hwcost ...` line of README's sh blocks, continuations joined and
     comments stripped, goes through the parser: a renamed or removed flag
-    raises UsageError. Only parsed, so none of the files they name is read."""
+    raises ValueError. Only parsed, so none of the files they name is read."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     lines = [line.split("#", 1)[0].strip()
              for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
@@ -1154,15 +1154,32 @@ def test_an_infeasible_search_writes_its_trace_summary_and_manifest(tmp_path, ca
     (ENERGY + ["--bitwidth", str(10 ** 400)], "--bitwidth", f"must be <= 2**53, got {10 ** 400}"),
     (WRITING["fit"] + ["--degree", str(10 ** 400)], "--degree",
      f"must be <= 2**53, got {10 ** 400}"),
+    # a seed is any 64-bit integer, signed or not
+    (WRITING["synth"] + ["--seed", str(10 ** 400)], "--seed",
+     f"must be <= 2**64 - 1, got {10 ** 400}"),
+    (WRITING["synth"] + [f"--seed={-2 ** 63 - 1}"], "--seed",
+     f"must be >= -2**63, got {-2 ** 63 - 1}"),
+    (WRITING["optimize"] + ["--budget", str(10 ** 400)], "--budget",
+     f"must be <= 2**53, got {10 ** 400}"),
+    (WRITING["optimize"] + ["--budget", "0"], "--budget", "must be >= 1, got 0"),
 ], ids=["sparsity 1.5", "sparsity -0.25", "sparsity nan", "bitwidth 0", "candidates 0",
         "synth count 0", "sample count 0", "fit folds 1", "fit-linear folds 1", "degree 0",
-        "degree -2", "l1 -1", "bitwidth 1e400", "degree 1e400"])
+        "degree -2", "l1 -1", "bitwidth 1e400", "degree 1e400", "seed 1e400", "seed -2**63 - 1",
+        "budget 1e400", "budget 0"])
 def test_an_option_out_of_range_names_its_flag(tmp_path, capsys, argv, flag, message):
     paths = _write_inputs(tmp_path)
     code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
     assert code == 1 and out == "" and "Traceback" not in err
     assert err.splitlines()[-1] == f"error: argument {flag}: {message}"
     assert not paths["out"].exists()
+
+
+@pytest.mark.parametrize("seed", [-2 ** 63, 2 ** 64 - 1])
+def test_a_seed_at_either_end_of_the_64_bit_range_runs(tmp_path, capsys, seed):
+    code, out, err = run(capsys, "synth", "--count", "2", f"--seed={seed}",
+                         "--output-dir", str(tmp_path))
+    assert (code, err) == (0, "")
+    assert json.loads((tmp_path / "manifest.json").read_text())["seed"] == seed
 
 
 @pytest.mark.parametrize("family", [PALEO, ENERGY, POLY], ids=["paleo", "energy", "poly"])

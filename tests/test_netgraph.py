@@ -1,9 +1,9 @@
 import dataclasses
+import re
 
 import pytest
 
-from hwcost.netgraph import (GeometryError, LayerConfig, LayerKind, NetworkConfig,
-                             NetworkParseError, ShapeMismatchError, TensorShape,
+from hwcost.netgraph import (InputError, LayerConfig, LayerKind, NetworkConfig, TensorShape,
                              conv2d, count_ops, fully_connected, parse_network, pool2d)
 
 from hwcost import polyreg, synth
@@ -52,9 +52,8 @@ def test_invalid_geometry_rejected_at_construction():
         (lambda: pool2d("p", TensorShape(1, 1, 4, 8), kernel=(7, 3), stride=2, padding=1),
          "layer p: kernel 7x3 with stride 2, padding 1 does not fit a 4x8 input"),
     ):
-        with pytest.raises(GeometryError) as err:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             make()
-        assert str(err.value) == message
 
 
 def test_layer_output_matches_reference_on_profiles_and_networks():
@@ -174,9 +173,8 @@ def test_declared_input_mismatch_is_error():
 c1 conv in=1x3x8x8 k=3x3 s=1 p=1 out=4
 c2 conv in=1x4x9x9 k=3x3 s=1 p=1 out=4
 """
-    with pytest.raises(ShapeMismatchError) as err:
+    with pytest.raises(InputError, match=r"^network spec line 3: layer c2: declared input "):
         parse_network(text)
-    assert "c2" in str(err.value)
 
 
 # in the style of the small CIFAR10 conv network
@@ -199,9 +197,8 @@ def test_six_layer_chain_parses():
 
 
 def test_parse_error_reports_line_number():
-    with pytest.raises(NetworkParseError) as err:
+    with pytest.raises(InputError, match="^network spec line 2: "):
         parse_network("c1 conv in=1x3x8x8 k=3x3 out=4\nbogus line\n")
-    assert err.value.line_no == 2
 
 
 def test_pool_stride_defaults_to_kernel_height_in_text_and_api():
@@ -219,19 +216,17 @@ def test_pool_stride_defaults_to_kernel_height_in_text_and_api():
 @pytest.mark.parametrize("kernel", ["3", "3x", "ax3", "3x3x3", "3.0x3", ""])
 def test_malformed_kernel_names_its_line(kind, kernel):
     out = " out=4" if kind == "conv" else ""
-    with pytest.raises(NetworkParseError) as err:
+    with pytest.raises(InputError, match="^network spec line 2: k= "):
         parse_network(f"c0 conv in=1x3x8x8 k=3x3 out=4\nl1 {kind} k={kernel}{out}\n")
-    assert err.value.line_no == 2
-    assert "k=" in str(err.value)
 
 
 def test_unknown_key_rejected():
-    with pytest.raises(NetworkParseError):
+    with pytest.raises(InputError, match="^network spec line 1: unknown key 'zap'$"):
         parse_network("c1 conv in=1x3x8x8 k=3x3 out=4 zap=1")
 
 
 def test_first_layer_needs_input_shape():
-    with pytest.raises(NetworkParseError):
+    with pytest.raises(InputError, match="^network spec line 1: first layer must declare in="):
         parse_network("c1 conv k=3x3 out=4")
 
 
@@ -261,7 +256,7 @@ def test_duplicate_layer_names_rejected():
 def test_network_requires_matching_chain():
     a = conv2d("a", TensorShape(1, 3, 8, 8), out_channels=4, kernel=3, padding=1)
     bad = conv2d("b", TensorShape(1, 5, 8, 8), out_channels=4, kernel=3, padding=1)
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ValueError, match=r"^layer b: input .* does not match a's output "):
         NetworkConfig("n", (a, bad))
 
 

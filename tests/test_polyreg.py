@@ -10,8 +10,7 @@ from hwcost.netgraph import LayerConfig, LayerKind, TensorShape, conv2d, \
     parse_network, pool2d
 from hwcost import polyreg, synth
 from hwcost.seeding import kfold_indices
-from hwcost.polyreg import (FitConfig, FitError, Metrics,
-                            MissingModelError, PolynomialModel, SpecialTerm, Target,
+from hwcost.polyreg import (FitConfig, FitError, Metrics, PolynomialModel, SpecialTerm, Target,
                             build_features, enumerate_terms,
                             evaluate, fit, model_from_json, model_to_json, predict, predict_network,
                             read_profile_csv, special_terms, write_profile_csv)
@@ -999,7 +998,7 @@ f1 fc out=10
 
 def test_missing_model_is_error():
     net = parse_network("f1 fc in=1x4x1x1 out=2")
-    with pytest.raises(MissingModelError):
+    with pytest.raises(ValueError, match="^no runtime model for kind fc$"):
         predict_network({}, {}, net)
 
 
@@ -1012,6 +1011,38 @@ def test_zero_total_runtime_is_error():
     pred = predict_network(zero, power, net)
     assert pred.average_power_w is None and pred.total_runtime_ms == 0.0
     assert [(lp.runtime_ms, lp.power_w) for lp in pred.layers] == [(0.0, 1.0)]
+
+
+_FC, _CONV = LayerKind.FULLY_CONNECTED, LayerKind.CONV2D
+# 1e308 times a conv layer's in_c: finite at in_c 1, inf at in_c 2
+_CONV_BY_IN_C = PolynomialModel(_CONV, Target.RUNTIME_MS, 1, (((0, 1, 0, 0, 0, 0, 0, 0), 1e308),),
+                                ())
+
+
+@pytest.mark.parametrize("text, runtime, power, message", [
+    ("f1 fc in=1x4x1x1 out=2\nc1 conv k=1x1 out=3",
+     {_FC: _constant_model(_FC, Target.RUNTIME_MS, math.inf),
+      _CONV: _constant_model(_CONV, Target.RUNTIME_MS, 1.0)},
+     {_FC: _constant_model(_FC, Target.POWER_W, 1.0)},
+     "layer f1: the fc runtime_ms model predicts inf"),
+    # c0, the first layer, is conv and finite; c1 after f1 is not finite
+    ("c0 conv in=1x1x1x1 k=1x1 out=4\nf1 fc out=2\nc1 conv k=1x1 out=3",
+     {_FC: _constant_model(_FC, Target.RUNTIME_MS, math.inf), _CONV: _CONV_BY_IN_C},
+     {_FC: _constant_model(_FC, Target.POWER_W, 1.0),
+      _CONV: _constant_model(_CONV, Target.POWER_W, 1.0)},
+     "layer f1: the fc runtime_ms model predicts inf"),
+    ("f1 fc in=1x4x1x1 out=2\nc1 conv k=1x1 out=3",
+     {_FC: _constant_model(_FC, Target.RUNTIME_MS, 1e308),
+      _CONV: _constant_model(_CONV, Target.RUNTIME_MS, math.inf)},
+     {_FC: _constant_model(_FC, Target.POWER_W, 10.0),
+      _CONV: _constant_model(_CONV, Target.POWER_W, 1.0)},
+     "layer f1: 1e+308 ms at 10.0 W overflows the totals"),
+], ids=["non-finite fc before conv without power", "non-finite fc before non-finite conv",
+        "totals overflow before non-finite conv"])
+def test_network_error_names_the_first_failing_layer_in_network_order(text, runtime, power,
+                                                                      message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        predict_network(runtime, power, parse_network(text))
 
 
 # --- evaluation --------------------------------------------------------------
